@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import os
 import sys
@@ -39,6 +40,8 @@ from .scenario import ScenarioConfig, load_scenario, manifest
 from .simulator import run_campaign, sweep as run_sweep
 
 _FLOAT_FMT = ".17g"
+
+log = logging.getLogger(__name__)
 
 
 def _fmt(v) -> str:
@@ -78,6 +81,18 @@ def _load(args) -> ScenarioConfig:
     return load_scenario(getattr(args, "scenario", None), overrides)
 
 
+def _note_attachment_pair(config: ScenarioConfig) -> None:
+    """Security note for rings whose antipodal attachments are an odd distance apart."""
+    n = config.constellation.num_sats
+    if n % 4 == 2:
+        log.warning(
+            "num_sats=%d puts the antipodal attachment satellites %d apart on both"
+            " segments; at the relay's default neighbour range r = 2 the attachment"
+            " pair alone recovers the ring secret",
+            n, n // 2,
+        )
+
+
 def _write_manifest(config: ScenarioConfig, outdir: Path) -> None:
     with open(outdir / "manifest.ini", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(manifest(config))
@@ -95,6 +110,7 @@ def _campaign_payload(result) -> dict:
 
 def cmd_simulate(args) -> int:
     config = _load(args)
+    _note_attachment_pair(config)
     outdir = _output_dir(args)
     _write_manifest(config, outdir)
     result = run_campaign(config)
@@ -287,6 +303,7 @@ def cmd_security(args) -> int:
 
 def cmd_validate(args) -> int:
     config = _load(args)
+    _note_attachment_pair(config)
     outdir = _output_dir(args)
     _write_manifest(config, outdir)
     c = config.constellation

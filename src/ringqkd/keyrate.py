@@ -54,6 +54,7 @@ __all__ = [
     "skl",
     "optimize_sns",
     "accumulate_link",
+    "accumulate_links",
     "DEFAULT_PARAMS",
     "DEFAULT_GRID",
 ]
@@ -215,77 +216,112 @@ def _click(nu, pdc):
     return 1.0 - (1.0 - pdc) * np.exp(-nu)
 
 
-def pooled_statistics(channel: ChannelModel, params: SnsParams, efficiencies, pulses) -> ExpectedStatistics:
+def _candidate_table(candidates, pdc) -> np.ndarray:
+    """(P, 14) per-candidate constants, each formed as the scalar code forms it.
+
+    Columns 0-2 are the intensities (0, mu1, mu2), 3-5 their probabilities.
+    """
+    rows = []
+    for p in candidates:
+        ps = p.p_send
+        rows.append((
+            0.0, p.mu1, p.mu2, p.p0, p.p1, p.p2, p.mu_z, p.p_z, 1.0 - p.p_z, p.delta,
+            ps * (1.0 - ps), ps**2, (1.0 - ps) ** 2 * pdc, min(1.0, 2.0 * p.delta / math.pi),
+        ))
+    return np.array(rows)
+
+
+def pooled_statistics(
+    channel: ChannelModel, params, efficiencies, pulses
+) -> ExpectedStatistics | list[ExpectedStatistics]:
     """Expected counts pooled over bins of (total efficiency, pulse count).
 
-    In asymmetric-arms mode ``efficiencies`` must be an array of shape
-    (n_bins, 2) holding the two arm efficiencies per bin.
+    ``params`` is one ``SnsParams`` (the result is one ExpectedStatistics)
+    or a sequence of P candidates (the result is a list, one per
+    candidate).  The bins are shared, of shape (B,), or one row per
+    candidate, of shape (P, B).  In asymmetric-arms mode ``efficiencies``
+    has a trailing axis holding the two arm efficiencies, (B, 2) or
+    (P, B, 2).  Every per-candidate sum runs over the last, contiguous axis,
+    so a candidate's counts do not depend on the others in its batch.
     """
+    candidates = [params] if isinstance(params, SnsParams) else list(params)
     eff = np.atleast_1d(np.asarray(efficiencies, dtype=float))
     w = np.atleast_1d(np.asarray(pulses, dtype=float))
-    if eff.ndim == 2:
-        # asymmetric mode: columns are the two arm efficiencies
-        ta = eff[:, 0] * channel.detector_efficiency
-        tb = eff[:, 1] * channel.detector_efficiency
-    else:
+    if eff.shape == w.shape + (2,):
+        # asymmetric mode: the last axis holds the two arm efficiencies
+        ta = eff[..., 0] * channel.detector_efficiency
+        tb = eff[..., 1] * channel.detector_efficiency
+    elif eff.shape == w.shape:
         arm = np.sqrt(eff)
         ta = arm * channel.detector_efficiency
         tb = ta
-    if ta.shape != w.shape:
+    else:
         raise ValueError("efficiencies and pulse counts must align")
-    p = params
+    if w.ndim == 1:
+        w, ta, tb = w[None], ta[None], tb[None]
+    elif w.ndim != 2 or w.shape[0] != len(candidates):
+        raise ValueError("per-candidate bins need one row per candidate")
     pdc = channel.dark_count_prob
     eopt = channel.optical_error
-    nz = w * p.p_z
-    nx = w * (1.0 - p.p_z)
-
-    stats = ExpectedStatistics(
-        params=p,
-        n_pulses=float(np.sum(w)),
-        dark_count_prob=pdc,
-        optical_error=eopt,
-        error_correction_factor=channel.error_correction_factor,
+    table = _candidate_table(candidates, pdc)
+    # (P, 1) columns against bins of shape (1 or P, B)
+    (_, mu1, _, _, p1, _, mu_z, p_z, p_x, delta, ps_single, ps_both, none_dark, f_slice) = (
+        table.T[:, :, None]
     )
+    nz = w * p_z
+    nx = w * p_x
 
     # Z windows: send/not-send patterns
-    ps = p.p_send
-    c_a = _click(p.mu_z * ta, pdc)
-    c_b = _click(p.mu_z * tb, pdc)
-    c_ab = _click(p.mu_z * (ta + tb), pdc)
-    singles = ps * (1.0 - ps) * (c_a + c_b)
-    stats.n_z = float(np.sum(nz))
-    stats.z_clicks = float(np.sum(nz * (singles + ps**2 * c_ab + (1.0 - ps) ** 2 * pdc)))
-    stats.z_errors = float(
-        np.sum(nz * (ps**2 * c_ab + (1.0 - ps) ** 2 * pdc + eopt * singles))
-    )
+    c_a = _click(mu_z * ta, pdc)
+    c_b = _click(mu_z * tb, pdc)
+    c_ab = _click(mu_z * (ta + tb), pdc)
+    singles = ps_single * (c_a + c_b)
+    z_clicks = (nz * (singles + ps_both * c_ab + none_dark)).sum(axis=-1)
+    z_errors = (nz * (ps_both * c_ab + none_dark + eopt * singles)).sum(axis=-1)
 
-    # X windows: all ordered decoy intensity pairs
-    mus = np.array([0.0, p.mu1, p.mu2])
-    probs = np.array([p.p0, p.p1, p.p2])
-    for u in range(3):
-        for v in range(3):
-            pairs = nx * probs[u] * probs[v]
-            clicks = pairs * _click(mus[u] * ta + mus[v] * tb, pdc)
-            stats.x_pairs[u, v] = float(np.sum(pairs))
-            stats.x_clicks[u, v] = float(np.sum(clicks))
+    # X windows: all ordered decoy intensity pairs (u, v) on axes 1 and 2
+    mus, probs = table[:, 0:3], table[:, 3:6]
+    pairs = nx[:, None, None, :] * probs[:, :, None, None] * probs[:, None, :, None]
+    ta4, tb4 = ta[:, None, None, :], tb[:, None, None, :]
+    arrive = mus[:, :, None, None] * ta4 + mus[:, None, :, None] * tb4
+    x_pairs = pairs.sum(axis=-1)
+    x_clicks = (pairs * _click(arrive, pdc)).sum(axis=-1)
 
-    # phase-slice subsample of the (mu1, mu1) pairs
-    f_slice = min(1.0, 2.0 * p.delta / math.pi)
-    sl_pairs = nx * probs[1] * probs[1] * f_slice
+    # phase-slice subsample of the (mu1, mu1) pairs, Gauss-Legendre over [-delta, delta]
+    sl_pairs = nx * p1 * p1 * f_slice
     colsum = ta + tb
     vis = np.where(colsum > 0, 2.0 * np.sqrt(ta * tb) / np.where(colsum > 0, colsum, 1.0), 0.0)
-    s_tot = p.mu1 * colsum
-    dl = p.delta * _GL_NODES  # Gauss-Legendre nodes over [-delta, delta]
-    cosd = np.cos(dl)[None, :]
-    base = 0.5 * s_tot[:, None]
-    mod = (vis * (1.0 - 2.0 * eopt))[:, None] * cosd
-    err_click = _click(base * (1.0 - mod), pdc)
-    cor_click = _click(base * (1.0 + mod), pdc)
-    wmean = _GL_WEIGHTS[None, :] / 2.0
-    stats.slice_pairs = float(np.sum(sl_pairs))
-    stats.slice_error_clicks = float(np.sum(sl_pairs * np.sum(err_click * wmean, axis=1)))
-    stats.slice_correct_clicks = float(np.sum(sl_pairs * np.sum(cor_click * wmean, axis=1)))
-    return stats
+    base = 0.5 * (mu1 * colsum)[..., None]
+    mod = (vis * (1.0 - 2.0 * eopt))[..., None] * np.cos(delta * _GL_NODES)[:, None, :]
+    wmean = _GL_WEIGHTS / 2.0
+    err = (sl_pairs * (_click(base * (1.0 - mod), pdc) * wmean).sum(axis=-1)).sum(axis=-1)
+    cor = (sl_pairs * (_click(base * (1.0 + mod), pdc) * wmean).sum(axis=-1)).sum(axis=-1)
+
+    n_pulses = np.broadcast_to(w.sum(axis=-1), (len(candidates),))
+    columns = zip(
+        candidates, n_pulses.tolist(), nz.sum(axis=-1).tolist(), z_clicks.tolist(),
+        z_errors.tolist(), x_pairs, x_clicks, sl_pairs.sum(axis=-1).tolist(),
+        err.tolist(), cor.tolist(),
+    )
+    out = [
+        ExpectedStatistics(
+            params=p,
+            n_pulses=n,
+            dark_count_prob=pdc,
+            optical_error=eopt,
+            error_correction_factor=channel.error_correction_factor,
+            n_z=n_z,
+            z_clicks=zc,
+            z_errors=ze,
+            x_pairs=xp,
+            x_clicks=xc,
+            slice_pairs=sp,
+            slice_error_clicks=se,
+            slice_correct_clicks=sc,
+        )
+        for p, n, n_z, zc, ze, xp, xc, sp, se, sc in columns
+    ]
+    return out[0] if isinstance(params, SnsParams) else out
 
 
 def expected_statistics(channel: ChannelModel, params: SnsParams, n_pulses: float) -> ExpectedStatistics:
@@ -395,13 +431,14 @@ def monte_carlo_statistics(
 def _decoy_y1_side(stats: ExpectedStatistics, side: str, eps_n1: float, asymptotic: bool) -> float:
     """Two-decoy lower bound on the single-photon yield of one arm."""
     p = stats.params
+    xp, xc = stats.x_pairs.tolist(), stats.x_clicks.tolist()  # scalar math on Python floats
     if side == "a":
-        pairs = (stats.x_pairs[1, 0], stats.x_pairs[2, 0])
-        clicks = (stats.x_clicks[1, 0], stats.x_clicks[2, 0])
+        pairs = (xp[1][0], xp[2][0])
+        clicks = (xc[1][0], xc[2][0])
     else:
-        pairs = (stats.x_pairs[0, 1], stats.x_pairs[0, 2])
-        clicks = (stats.x_clicks[0, 1], stats.x_clicks[0, 2])
-    pairs0, clicks0 = stats.x_pairs[0, 0], stats.x_clicks[0, 0]
+        pairs = (xp[0][1], xp[0][2])
+        clicks = (xc[0][1], xc[0][2])
+    pairs0, clicks0 = xp[0][0], xc[0][0]
     if min(pairs0, pairs[0], pairs[1]) <= 0:
         raise ValueError("decoy estimation needs vacuum and both decoy ensembles")
     if min(clicks0, clicks[0], clicks[1]) < 0:
@@ -462,22 +499,14 @@ def _phase_error_upper(
     return min(0.5, max(0.0, num / singles))
 
 
-def correction_term(eps: SecurityEpsilons, mode: str = "literal") -> float:
+def correction_term(eps: SecurityEpsilons) -> float:
     """Epsilon-dependent subtraction of the key-length formula, in bits (>= 0).
 
-    ``literal`` evaluates 2 log2[(2/eps_cor) (2/(sqrt2 eps_PA eps_hat))];
-    ``split`` uses log2(2/eps_cor) + 2 log2(1/(sqrt2 eps_PA eps_hat)).
-    The two differ by fewer than 70 bits for the baseline epsilons.
+    Evaluates 2 log2[(2/eps_cor) (2/(sqrt2 eps_PA eps_hat))].
     """
-    if mode == "literal":
-        return 2.0 * math.log2(
-            (2.0 / eps.eps_cor) * (2.0 / (math.sqrt(2.0) * eps.eps_pa * eps.eps_hat))
-        )
-    if mode == "split":
-        return math.log2(2.0 / eps.eps_cor) + 2.0 * math.log2(
-            1.0 / (math.sqrt(2.0) * eps.eps_pa * eps.eps_hat)
-        )
-    raise ValueError(f"unknown correction mode: {mode}")
+    return 2.0 * math.log2(
+        (2.0 / eps.eps_cor) * (2.0 / (math.sqrt(2.0) * eps.eps_pa * eps.eps_hat))
+    )
 
 
 @dataclass(frozen=True)
@@ -501,7 +530,6 @@ def skl(
     stats: ExpectedStatistics,
     eps: SecurityEpsilons,
     asymptotic: bool = False,
-    correction_mode: str = "literal",
 ) -> SklBreakdown:
     """Secret-key length of a block from its (expected or sampled) counts."""
     n_raw = stats.z_clicks
@@ -513,7 +541,7 @@ def skl(
         stats, eps, 0.5 * (info["y1_a"] + info["y1_b"]), asymptotic
     )
     lam_ec = stats.error_correction_factor * n_raw * binary_entropy(qber)
-    bits = n1 * (1.0 - binary_entropy(e1)) - lam_ec - correction_term(eps, correction_mode)
+    bits = n1 * (1.0 - binary_entropy(e1)) - lam_ec - correction_term(eps)
     return SklBreakdown(
         n_pulses=stats.n_pulses,
         n_raw=n_raw,
@@ -582,10 +610,15 @@ def _vector_to_params(v: dict) -> SnsParams | None:
         return None
 
 
-def _coordinate_search(objective, start: SnsParams, max_evals: int):
-    """Deterministic multiplicative coordinate descent inside the box."""
+def _coordinate_search(start: SnsParams, max_evals: int):
+    """Deterministic multiplicative coordinate descent inside the box.
+
+    A generator: it yields each candidate it wants evaluated, is sent that
+    candidate's objective value, and returns (best params, best value).
+    Its path depends only on the values it is sent.
+    """
     best_p = start
-    best_v = objective(start)
+    best_v = yield start
     evals = 1
     step = 1.6
     while evals < max_evals and step > 1.005:
@@ -601,7 +634,7 @@ def _coordinate_search(objective, start: SnsParams, max_evals: int):
                 params = _vector_to_params(cand)
                 if params is None:
                     continue
-                val = objective(params)
+                val = yield params
                 evals += 1
                 if val > best_v:
                     best_v, best_p = val, params
@@ -612,12 +645,79 @@ def _coordinate_search(objective, start: SnsParams, max_evals: int):
     return best_p, best_v
 
 
-def _pooled_objective(channel, eps, efficiencies, pulses, correction_mode):
-    def objective(params: SnsParams) -> float:
-        stats = pooled_statistics(channel, params, efficiencies, pulses)
-        return skl(stats, eps, correction_mode=correction_mode).skl_bits
+# Largest candidates x bins product of one batched evaluation.  Blocks with
+# more bins than this are evaluated one candidate per call: there a batch
+# only adds memory traffic (and peak memory) to compute-bound arrays.
+_BATCH_CELLS = 4096
 
-    return objective
+
+def _evaluate(channel, eps, blocks, memos, requests) -> None:
+    """Fill ``memos[j][params]`` with the ledger of every (j, params) request.
+
+    Requests already memoised, or repeated, are evaluated once.  Blocks are
+    batched only with blocks of the same bin count, never padded: padding
+    changes numpy's pairwise sums, and with them the counts.
+    """
+    by_shape: dict = {}
+    for j, params in requests:
+        if params not in memos[j]:
+            by_shape.setdefault(blocks[j][0].shape, {})[(j, params)] = None
+    for shape, pending in by_shape.items():
+        todo = list(pending)
+        size = max(1, _BATCH_CELLS // shape[0])
+        for lo in range(0, len(todo), size):
+            chunk = todo[lo : lo + size]
+            rows = [j for j, _ in chunk]
+            eff = np.stack([blocks[j][0] for j in rows])
+            pulses = np.stack([blocks[j][1] for j in rows])
+            stats = pooled_statistics(channel, [p for _, p in chunk], eff, pulses)
+            for (j, params), st in zip(chunk, stats):
+                memos[j][params] = skl(st, eps)
+
+
+def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400, extra_seeds=()):
+    """Optimise the SNS parameters of every (efficiencies, pulses) block.
+
+    Each block is scored on all of ``DEFAULT_GRID``, then refined by
+    coordinate searches from its best grid points, ``extra_seeds`` and
+    ``DEFAULT_PARAMS``.  All searches of all blocks run in lockstep: every
+    round evaluates the pending candidate of each live search in one batched
+    evaluation, and a search advances without one through points its block
+    has already evaluated (a revisit still counts toward ``max_evals``).
+    Returns one (params, SklBreakdown) per block.
+    """
+    memos: list[dict] = [{} for _ in blocks]
+    grid = [(j, p) for j in range(len(blocks)) for p in DEFAULT_GRID]
+    _evaluate(channel, eps, blocks, memos, grid)
+    best = []  # per block: (params, value), the grid's best to start with
+    searches = []  # [block, search, pending candidate, result], seed order within a block
+    for j, memo in enumerate(memos):
+        scored = [(memo[p].skl_bits, i, p) for i, p in enumerate(DEFAULT_GRID)]
+        scored.sort(key=lambda t: (-t[0], t[1]))
+        best.append((scored[0][2], scored[0][0]))
+        seeds = [scored[0][2], *extra_seeds, DEFAULT_PARAMS, scored[1][2]]
+        for seed in seeds[: max(n_starts, 1 + len(extra_seeds))]:
+            search = _coordinate_search(seed, max_evals)
+            searches.append([j, search, next(search), None])
+
+    live = searches
+    while live:
+        _evaluate(channel, eps, blocks, memos, [(j, cand) for j, _, cand, _ in live])
+        for entry in live:
+            j, search, cand, _ = entry
+            memo = memos[j]
+            try:
+                while cand in memo:
+                    cand = search.send(memo[cand].skl_bits)
+                entry[2] = cand
+            except StopIteration as done:
+                entry[3] = done.value
+        live = [entry for entry in live if entry[3] is None]
+
+    for j, _, _, (p, v) in searches:
+        if v > best[j][1]:
+            best[j] = (p, v)
+    return [(p, memos[j][p]) for j, (p, _) in enumerate(best)]
 
 
 def optimize_sns(
@@ -627,7 +727,6 @@ def optimize_sns(
     n_starts: int = 3,
     max_evals: int = 400,
     extra_seeds: tuple[SnsParams, ...] = (),
-    correction_mode: str = "literal",
 ) -> tuple[SnsParams, SklBreakdown]:
     """Optimise the SNS parameters for one link and block duration.
 
@@ -644,39 +743,42 @@ def optimize_sns(
     else:
         eff = np.array([channel.efficiency])
     return _optimize_pooled(
-        channel, eps, eff, np.array([n_pulses]), n_starts, max_evals, extra_seeds, correction_mode
+        channel, eps, [(eff, np.array([n_pulses]))], n_starts, max_evals, extra_seeds
+    )[0]
+
+
+def accumulate_links(
+    profiles,
+    channel: ChannelModel,
+    eps: SecurityEpsilons,
+    n_starts: int = 3,
+    max_evals: int = 400,
+    extra_seeds: tuple[SnsParams, ...] = (),
+) -> list[tuple[SnsParams | None, SklBreakdown]]:
+    """``accumulate_link`` of every profile, with all optimisations run together.
+
+    Each result equals that of optimising its profile alone.
+    """
+    blocks = []
+    for profile_bins in profiles:
+        bins = list(profile_bins)
+        if not bins:
+            blocks.append(None)
+            continue
+        if isinstance(bins[0][0], tuple):
+            eff = np.array([[b[0][0], b[0][1]] for b in bins])
+        else:
+            eff = np.array([b[0] for b in bins])
+        pulses = np.array([float(b[1]) for b in bins])
+        if np.any(pulses < 0):
+            raise ValueError("pulse counts must be >= 0")
+        blocks.append((eff, pulses))
+    found = iter(
+        _optimize_pooled(
+            channel, eps, [b for b in blocks if b is not None], n_starts, max_evals, extra_seeds
+        )
     )
-
-
-def _optimize_pooled(
-    channel,
-    eps,
-    efficiencies,
-    pulses,
-    n_starts=3,
-    max_evals=400,
-    extra_seeds=(),
-    correction_mode="literal",
-):
-    objective = _pooled_objective(channel, eps, efficiencies, pulses, correction_mode)
-    scored = [(objective(p), i, p) for i, p in enumerate(DEFAULT_GRID)]
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    best_v, _, best_p = scored[0]
-
-    seeds: list[SnsParams] = [best_p]
-    for p in extra_seeds:
-        seeds.append(p)
-    seeds.append(DEFAULT_PARAMS)
-    if len(scored) > 1:
-        seeds.append(scored[1][2])
-    seeds = seeds[: max(n_starts, 1 + len(extra_seeds))]
-
-    for seed in seeds:
-        p, v = _coordinate_search(objective, seed, max_evals)
-        if v > best_v:
-            best_v, best_p = v, p
-    stats = pooled_statistics(channel, best_p, efficiencies, pulses)
-    return best_p, skl(stats, eps, correction_mode=correction_mode)
+    return [(None, SklBreakdown.zero()) if b is None else next(found) for b in blocks]
 
 
 def accumulate_link(
@@ -686,7 +788,6 @@ def accumulate_link(
     n_starts: int = 3,
     max_evals: int = 400,
     extra_seeds: tuple[SnsParams, ...] = (),
-    correction_mode: str = "literal",
 ) -> tuple[SnsParams | None, SklBreakdown]:
     """Pool all sessions of one link into a single finite-key block.
 
@@ -694,17 +795,4 @@ def accumulate_link(
     pairs; in asymmetric mode the first element is an (eta_a, eta_b) pair.
     An empty profile yields a zero block.
     """
-    bins = list(profile_bins)
-    if not bins:
-        return None, SklBreakdown.zero()
-    first = bins[0][0]
-    if isinstance(first, tuple):
-        eff = np.array([[b[0][0], b[0][1]] for b in bins])
-    else:
-        eff = np.array([b[0] for b in bins])
-    pulses = np.array([float(b[1]) for b in bins])
-    if np.any(pulses < 0):
-        raise ValueError("pulse counts must be >= 0")
-    return _optimize_pooled(
-        channel, eps, eff, pulses, n_starts, max_evals, extra_seeds, correction_mode
-    )
+    return accumulate_links([profile_bins], channel, eps, n_starts, max_evals, extra_seeds)[0]

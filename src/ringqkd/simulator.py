@@ -36,7 +36,11 @@ from .geometry import (
     visibility_fraction,
 )
 from .geometry import _refine_boundary, _refine_min_zenith  # session edge helpers
-from .keyrate import SklBreakdown, SnsParams, accumulate_link
+from .keyrate import SklBreakdown, accumulate_links
+# run_day optimises all of a day's links in one accumulate_links call; the
+# single-link accumulate_link stays in this namespace because the benchmark's
+# per-layer trace (perfbench/tracing.py) hooks it here.
+from .keyrate import accumulate_link  # noqa: F401
 from .linkbudget import isl_efficiency, to_db, uplink_efficiency
 from .scenario import ScenarioConfig
 
@@ -203,32 +207,44 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
                 bins = _effective_bins(config, np.atleast_1d(ul), np.atleast_1d(isl))
                 link_session_bins.setdefault((gs.id, partner), []).append(bins)
 
-    cache = _cache if _cache is not None else {}
-
-    def optimized(profile):
-        sig = tuple(profile)
-        if sig not in cache:
-            cache[sig] = accumulate_link(
-                profile,
-                config.channel,
-                config.eps,
-                n_starts=config.optimizer_starts,
-                max_evals=config.optimizer_evals,
-            )
-        return cache[sig]
-
-    per_link_skl: dict = {}
-    per_link_params: dict = {}
+    # Every link's profile(s) of the day, then one lockstep optimisation of
+    # all profiles not yet cached, the ISL reference block included.  Each
+    # link's bin dicts are dropped once its profiles are made, so that they
+    # do not add to the optimiser's memory.
+    link_profiles: dict = {}
     for link in sorted(link_session_bins):
-        session_bins = link_session_bins[link]
+        session_bins = link_session_bins.pop(link)
         if config.pooling == "daily":
             merged: dict = {}
             for bins in session_bins:
                 for key, seconds in bins.items():
                     merged[key] = merged.get(key, 0.0) + seconds
-            params, breakdown = optimized(_bins_to_profile(config, merged))
+            link_profiles[link] = [_bins_to_profile(config, merged)]
         else:  # per-session blocks, summed afterwards
-            parts = [optimized(_bins_to_profile(config, bins)) for bins in session_bins]
+            link_profiles[link] = [_bins_to_profile(config, bins) for bins in session_bins]
+    isl_profile = _isl_reference(config, spec, pos)
+    isl_sig = ("isl-ref", tuple(isl_profile))
+    wanted = {tuple(pr): pr for prs in link_profiles.values() for pr in prs}
+    wanted[isl_sig] = isl_profile
+
+    cache = _cache if _cache is not None else {}
+    pending = {sig: pr for sig, pr in wanted.items() if sig not in cache}
+    results = accumulate_links(
+        pending.values(),
+        config.channel,
+        config.eps,
+        n_starts=config.optimizer_starts,
+        max_evals=config.optimizer_evals,
+    )
+    cache.update(zip(pending, results))
+
+    per_link_skl: dict = {}
+    per_link_params: dict = {}
+    for link, profiles in link_profiles.items():
+        parts = [cache[tuple(pr)] for pr in profiles]
+        if config.pooling == "daily":
+            params, breakdown = parts[0]
+        else:
             params = max(parts, key=lambda pb: pb[1].n_pulses)[0]
             breakdown = SklBreakdown(
                 n_pulses=sum(p[1].n_pulses for p in parts),
@@ -259,7 +275,7 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
     raw_bits = float(sum(b.n_raw for b in per_link_skl.values()))
     block = float(sum(b.n_pulses for b in per_link_skl.values()))
 
-    isl_ref = _isl_reference(config, spec, pos, cache)
+    isl_ref = cache[isl_sig][1]
     best_gs = max((b.skl_bits for b in per_link_skl.values()), default=0.0)
     if isl_ref.skl_bits < best_gs:
         raise ConsistencyError(
@@ -283,8 +299,8 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
     )
 
 
-def _isl_reference(config: ScenarioConfig, spec, pos, cache) -> SklBreakdown:
-    """Daily block of one adjacent inter-satellite twin-field link.
+def _isl_reference(config: ScenarioConfig, spec, pos) -> list:
+    """Profile of the daily block of one adjacent inter-satellite twin-field link.
 
     Uses the widest adjacent chord of the day (the worst instantaneous ISL
     loss), a full-day block, and the same effective-link rule with both
@@ -296,19 +312,8 @@ def _isl_reference(config: ScenarioConfig, spec, pos, cache) -> SklBreakdown:
         include_pointing=config.isl_pointing_in_effective,
     )
     if config.effective_mode == "asymmetric":
-        profile = [((eff, eff), config.t_total_s * config.channel.rep_rate_hz)]
-    else:
-        profile = [(eff, config.t_total_s * config.channel.rep_rate_hz)]
-    sig = ("isl-ref", tuple(profile))
-    if sig not in cache:
-        cache[sig] = accumulate_link(
-            profile,
-            config.channel,
-            config.eps,
-            n_starts=config.optimizer_starts,
-            max_evals=config.optimizer_evals,
-        )
-    return cache[sig][1]
+        return [((eff, eff), config.t_total_s * config.channel.rep_rate_hz)]
+    return [(eff, config.t_total_s * config.channel.rep_rate_hz)]
 
 
 def run_campaign(config: ScenarioConfig) -> CampaignResult:

@@ -45,6 +45,31 @@ def test_validate_rejects_unknown_key(tmp_path):
     ) == 2
 
 
+def attachment_warnings(caplog):
+    return [
+        r for r in caplog.records
+        if r.levelname == "WARNING" and "attachment pair" in r.getMessage()
+    ]
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_attachment_pair_warning_at_n10(command, tmp_path, caplog):
+    # N = 10: both attachment separations are 5 (odd), the r = 2 break
+    assert run_cli(command, *fast_args(tmp_path), "--set", "constellation.num_sats=10") == 0
+    warnings = attachment_warnings(caplog)
+    assert len(warnings) == 1
+    assert "num_sats=10" in warnings[0].getMessage()
+    for name in ("manifest.ini", "report.csv", "links.csv", "summary.json"):
+        if (tmp_path / name).exists():
+            assert "attachment" not in (tmp_path / name).read_text()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_no_attachment_pair_warning_at_n12(command, tmp_path, caplog):
+    assert run_cli(command, *fast_args(tmp_path), "--set", "constellation.num_sats=12") == 0
+    assert attachment_warnings(caplog) == []
+
+
 def test_simulate_outputs_and_reproducibility(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
