@@ -81,9 +81,8 @@ def _load(args) -> ScenarioConfig:
     return load_scenario(getattr(args, "scenario", None), overrides)
 
 
-def _note_attachment_pair(config: ScenarioConfig) -> None:
+def _note_attachment_pair(n: int) -> None:
     """Security note for rings whose antipodal attachments are an odd distance apart."""
-    n = config.constellation.num_sats
     if n % 4 == 2:
         log.warning(
             "num_sats=%d puts the antipodal attachment satellites %d apart on both"
@@ -110,7 +109,7 @@ def _campaign_payload(result) -> dict:
 
 def cmd_simulate(args) -> int:
     config = _load(args)
-    _note_attachment_pair(config)
+    _note_attachment_pair(config.constellation.num_sats)
     outdir = _output_dir(args)
     _write_manifest(config, outdir)
     result = run_campaign(config)
@@ -146,6 +145,8 @@ def cmd_sweep(args) -> int:
     axis = {"ns": "num_sats", "latitude": "latitude"}[args.axis]
     if axis == "num_sats":
         values = [int(v) for v in values]
+    for n in values if axis == "num_sats" else [config.constellation.num_sats]:
+        _note_attachment_pair(n)
     results = run_sweep(config, axis, values)
     curves = outdir / "curves"
     curves.mkdir(exist_ok=True)
@@ -293,6 +294,9 @@ def cmd_security(args) -> int:
     if args.min_compromise:
         res = min_compromise(path, allow_attachments=not args.exclude_attachments)
         payload["min_compromise"] = res.size
+        payload["min_compromise_exact"] = res.exact
+        payload["min_lower"] = res.lower
+        payload["min_upper"] = res.upper
         payload["min_example"] = list(res.example)
     if args.budget_db is not None:
         payload["feasible_neighbor_range"] = feasible_neighbor_range(args.ns, args.budget_db)
@@ -303,7 +307,7 @@ def cmd_security(args) -> int:
 
 def cmd_validate(args) -> int:
     config = _load(args)
-    _note_attachment_pair(config)
+    _note_attachment_pair(config.constellation.num_sats)
     outdir = _output_dir(args)
     _write_manifest(config, outdir)
     c = config.constellation

@@ -20,6 +20,18 @@ secret" is exactly a linear-algebra question over GF(2) with one symbol per
 key and per segment secret; ``adversary_can_recover`` decides it by Gaussian
 elimination, independent of the key length.
 
+Each path's key table and GF(2) system are built once, on first use, and
+kept in a small cache keyed by the path's value fields.  The table lists
+every segment's key identities, the keys at each slot and the keys crossing
+each cut; forwarding, recovery and the oracle all read it.  The system holds
+each satellite's key rows and the public message rows, reduced to echelon
+form once.  ``adversary_can_recover`` extends a copy of that basis by the
+compromised satellites' key rows only, in the order a from-scratch
+elimination would add them, so its answer and witness are those of a full
+elimination.  ``min_compromise`` walks the subsets depth-first in size then
+lexicographic order; each satellite added extends a copy of its prefix's
+basis, so a subset costs the reduction of one satellite's rows.
+
 Parity at r = 2: every twin-field key joins slots of the same parity, so a
 segment's keys form two separate chains, and the public messages telescope
 along them (m_(j-1) XOR m_j = tf(j-2, j) XOR tf(j, j+2)).  Two satellites at
@@ -33,7 +45,7 @@ otherwise.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -42,6 +54,7 @@ from .constants import ATM_SHELL_KM, EARTH_RADIUS_KM
 
 GS1 = "GS1"
 GS2 = "GS2"
+_TARGETS = ("ring", "plus", "minus")
 
 
 @dataclass(frozen=True)
@@ -107,20 +120,99 @@ def build_paths(n_sats: int, i: int, k: int, r: int = 2, n_rings: int = 1) -> Ri
     return RingPath(n_sats, i, k, r, n_rings, walks)
 
 
+# ------------------------------------------------- per-path key table and system
+
+
+@dataclass(frozen=True)
+class _SegmentTable:
+    """Key identities of one directed segment, indexed by slot and by cut."""
+
+    keys: tuple  # point-to-point keys, then twin-field keys by slot_u and distance
+    at_slot: tuple  # at_slot[s]: the keys with an endpoint at slot s
+    crossing: tuple  # crossing[c]: the keys with slot_u <= c < slot_v
+
+
+@dataclass(frozen=True)
+class _RingSystem:
+    """GF(2) knowledge system of one ring.
+
+    Symbols are bits: one per key of the ring (plus-segment keys, then
+    minus-segment keys), then the plus and minus segment secrets.  The public
+    message rows are reduced to echelon form once; a compromised satellite
+    adds one unit row per key it holds.
+    """
+
+    labels: tuple  # knowledge item of each message row, in row order
+    basis: tuple  # echelon basis of the message rows (see _extend); never mutated
+    sat_rows: tuple  # sat_rows[sat]: bit of every key the satellite holds
+    sat_keys: tuple  # sat_keys[sat]: the matching key identities
+    secrets: dict  # segment -> secret bit
+
+
+@dataclass(frozen=True)
+class _PathSystem:
+    segments: dict  # (ring, segment) -> _SegmentTable
+    rings: tuple  # _RingSystem per ring
+
+
+def _segment_table(walk: tuple, ring: int, segment: str, r: int) -> _SegmentTable:
+    m = len(walk) - 1
+    keys = [(ring, segment, "p2p", 0, 1), (ring, segment, "p2p", m - 1, m)]
+    for u in range(m + 1):
+        for d in range(2, r + 1):
+            if u + d <= m:
+                keys.append((ring, segment, "tf", u, u + d))
+    at_slot = tuple(tuple(k for k in keys if s in (k[3], k[4])) for s in range(m + 1))
+    crossing = tuple(tuple(k for k in keys if k[3] <= c < k[4]) for c in range(m))
+    return _SegmentTable(tuple(keys), at_slot, crossing)
+
+
+@functools.lru_cache(maxsize=32)
+def _system(path: RingPath) -> _PathSystem:
+    """Key table and GF(2) system of a path, built once per path value."""
+    segments = {
+        (ring, segment): _segment_table(
+            path.walks[(ring, segment)], ring, segment, path.neighbor_range
+        )
+        for ring in range(path.n_rings)
+        for segment in ("plus", "minus")
+    }
+    rings = []
+    for ring in range(path.n_rings):
+        key_ids = segments[(ring, "plus")].keys + segments[(ring, "minus")].keys
+        key_bit = {kid: 1 << i for i, kid in enumerate(key_ids)}
+        secrets = {"plus": 1 << len(key_ids), "minus": 1 << (len(key_ids) + 1)}
+        rows, labels = [], []
+        for segment in ("plus", "minus"):
+            walk = path.walks[(ring, segment)]
+            for cut, crossing in enumerate(segments[(ring, segment)].crossing):
+                vec = secrets[segment]
+                for kid in crossing:
+                    vec ^= key_bit[kid]
+                rows.append(vec)
+                labels.append(("message", ring, segment, walk[cut]))
+        held = [[] for _ in range(path.n_sats)]
+        for kid in key_ids:
+            for node in key_nodes(path, kid):
+                if node not in (GS1, GS2):
+                    held[node].append(kid)
+        rings.append(_RingSystem(
+            labels=tuple(labels),
+            basis=_extend((0, {}), rows, 0),
+            sat_rows=tuple(tuple(key_bit[kid] for kid in kids) for kids in held),
+            sat_keys=tuple(tuple(kids) for kids in held),
+            secrets=secrets,
+        ))
+    return _PathSystem(segments, tuple(rings))
+
+
 def segment_keys(path: RingPath, ring: int, segment: str) -> list[tuple]:
     """Key identities of one segment, as (ring, segment, kind, slot_u, slot_v).
 
     Twin-field keys join slots at distance 2..r; point-to-point keys join
     each ground station to its attachment satellite.
     """
-    walk = path.walks[(ring, segment)]
-    m = len(walk) - 1
-    keys = [(ring, segment, "p2p", 0, 1), (ring, segment, "p2p", m - 1, m)]
-    for u in range(m + 1):
-        for d in range(2, path.neighbor_range + 1):
-            if u + d <= m:
-                keys.append((ring, segment, "tf", u, u + d))
-    return keys
+    return list(_system(path).segments[(ring, segment)].keys)
 
 
 def key_nodes(path: RingPath, key_id: tuple):
@@ -152,17 +244,14 @@ class ForwardTranscript:
     secret: int  # held by Alice; kept for round-trip checks
 
 
-def _keys_at_slot(path: RingPath, ring: int, segment: str, slot: int) -> list[tuple]:
-    return [k for k in segment_keys(path, ring, segment) if slot in (k[3], k[4])]
-
-
 def forward(path: RingPath, segment: str, x: int, keys: dict, ring: int = 0) -> ForwardTranscript:
     """Run the masked forwarding chain of one segment; returns all messages."""
     walk = path.walks[(ring, segment)]
+    at_slot = _system(path).segments[(ring, segment)].at_slot
     messages = []
     value = x
     for slot in range(len(walk) - 1):  # every sender except Bob
-        for kid in _keys_at_slot(path, ring, segment, slot):
+        for kid in at_slot[slot]:
             if kid not in keys:
                 raise KeyError(f"missing link key {kid}")
             value ^= keys[kid]
@@ -178,8 +267,7 @@ def recover(path: RingPath, transcript: ForwardTranscript, keys: dict) -> int:
     if len(transcript.messages) != len(walk) - 1:
         raise ValueError("transcript is missing hops")
     value = transcript.messages[-1][1]
-    bob = len(walk) - 1
-    for kid in _keys_at_slot(path, transcript.ring, transcript.segment, bob):
+    for kid in _system(path).segments[(transcript.ring, transcript.segment)].at_slot[-1]:
         if kid not in keys:
             raise KeyError(f"missing link key {kid}")
         value ^= keys[kid]
@@ -188,74 +276,51 @@ def recover(path: RingPath, transcript: ForwardTranscript, keys: dict) -> int:
 
 def crossing_keys(path: RingPath, ring: int, segment: str, cut: int) -> list[tuple]:
     """Keys whose slot pair straddles the cut between slot ``cut`` and cut+1."""
-    return [
-        k for k in segment_keys(path, ring, segment) if k[3] <= cut < k[4]
-    ]
+    crossing = _system(path).segments[(ring, segment)].crossing
+    return list(crossing[cut]) if 0 <= cut < len(crossing) else []
 
 
 # ------------------------------------------------------------- GF(2) oracle
 
 
-def _gf2_solve(rows: list[int], target: int):
-    """Is ``target`` in the GF(2) span of ``rows``?  Returns (bool, row subset)."""
-    pivots: list[tuple[int, int, int]] = []  # (pivot bit, vector, combo mask)
-    for idx, vec in enumerate(rows):
-        combo = 1 << idx
-        for pbit, pvec, pcombo in pivots:
-            if vec & pbit:
-                vec ^= pvec
-                combo ^= pcombo
+def _extend(basis: tuple, rows: list[int], first: int) -> tuple:
+    """Echelon basis after adding ``rows``; row j is knowledge item first + j.
+
+    A basis is (mask of pivot bits, {pivot bit: (vector, row combination
+    mask)}).  A pivot's bit is the lowest set bit of its vector, and every
+    vector is clear at the bits of the pivots before it.
+    """
+    mask, pivots = basis[0], dict(basis[1])
+    for j, vec in enumerate(rows):
+        vec, combo = _reduce((mask, pivots), vec, 1 << (first + j))
         if vec:
-            pivots.append((vec & -vec, vec, combo))
-    t = target
-    combo = 0
-    for pbit, pvec, pcombo in pivots:
-        if t & pbit:
-            t ^= pvec
-            combo ^= pcombo
-    if t:
-        return False, []
-    return True, [i for i in range(len(rows)) if combo >> i & 1]
+            low = vec & -vec
+            pivots[low] = (vec, combo)
+            mask |= low
+    return mask, pivots
 
 
-def _knowledge_rows(path: RingPath, compromised_per_ring: dict):
-    """Symbol-space rows the adversary knows: messages plus compromised keys."""
-    key_ids = []
-    for ring in range(path.n_rings):
-        for segment in ("plus", "minus"):
-            key_ids.extend(segment_keys(path, ring, segment))
-    key_bit = {kid: 1 << i for i, kid in enumerate(key_ids)}
-    nkeys = len(key_ids)
-    secret_bit = {}
-    for ring in range(path.n_rings):
-        secret_bit[(ring, "plus")] = 1 << (nkeys + 2 * ring)
-        secret_bit[(ring, "minus")] = 1 << (nkeys + 2 * ring + 1)
+def _reduce(basis: tuple, vec: int, combo: int = 0) -> tuple[int, int]:
+    """Residue of ``vec`` against the basis, and the rows that were added to it.
 
-    rows = []
-    labels = []
-    for ring in range(path.n_rings):
-        for segment in ("plus", "minus"):
-            walk = path.walks[(ring, segment)]
-            for cut in range(len(walk) - 1):
-                vec = secret_bit[(ring, segment)]
-                for kid in crossing_keys(path, ring, segment, cut):
-                    vec ^= key_bit[kid]
-                rows.append(vec)
-                labels.append(("message", ring, segment, walk[cut]))
-        for sat in sorted(compromised_per_ring.get(ring, ())):
-            for kid in key_ids:
-                if kid[0] != ring:
-                    continue
-                if sat in key_nodes(path, kid):
-                    rows.append(key_bit[kid])
-                    labels.append(("key", kid))
-    target_all = 0
-    for ring in range(path.n_rings):
-        target_all ^= secret_bit[(ring, "plus")] ^ secret_bit[(ring, "minus")]
-    targets = {"ring": target_all}
-    targets["plus"] = secret_bit[(0, "plus")]
-    targets["minus"] = secret_bit[(0, "minus")]
-    return rows, labels, targets
+    Clearing the lowest pivot bit present only sets higher bits, so the loop
+    ends.  The pivot vectors are independent, so the residue and the rows
+    used are those of a pass over the pivots in insertion order.
+    """
+    mask, pivots = basis
+    hit = vec & mask
+    while hit:
+        pvec, pcombo = pivots[hit & -hit]
+        vec ^= pvec
+        combo ^= pcombo
+        hit = vec & mask
+    return vec, combo
+
+
+def _target_bit(system: _RingSystem, ring: int, target: str) -> int:
+    if target == "ring":
+        return system.secrets["plus"] ^ system.secrets["minus"]
+    return system.secrets[target] if ring == 0 else 0
 
 
 def adversary_can_recover(
@@ -272,11 +337,23 @@ def adversary_can_recover(
         for s in sats:
             if not isinstance(s, int) or not 0 <= s < path.n_sats:
                 raise ValueError(f"bad compromised satellite index: {s!r}")
-    rows, labels, targets = _knowledge_rows(path, per_ring)
-    if target not in targets:
+    if target not in _TARGETS:
         raise ValueError(f"unknown target: {target}")
-    ok, combo = _gf2_solve(rows, targets[target])
-    return ok, [labels[i] for i in combo]
+    # Rings share no symbols, so each ring's rows reduce on their own.
+    witness = []
+    for ring, system in enumerate(_system(path).rings):
+        sats = sorted(per_ring[ring])
+        rows = [bit for sat in sats for bit in system.sat_rows[sat]]
+        labels = system.labels + tuple(
+            ("key", kid) for sat in sats for kid in system.sat_keys[sat]
+        )
+        residue, combo = _reduce(
+            _extend(system.basis, rows, len(system.labels)), _target_bit(system, ring, target)
+        )
+        if residue:
+            return False, []
+        witness.extend(label for i, label in enumerate(labels) if combo >> i & 1)
+    return True, witness
 
 
 @dataclass(frozen=True)
@@ -303,6 +380,23 @@ def _canonical_upper(path: RingPath, allow_attachments: bool, target: str) -> in
     return len(cand) if ok else None
 
 
+def _subsets(system: _RingSystem, candidates: list, prefix: tuple, basis, n_rows: int,
+             start: int, size: int):
+    """Extensions of ``prefix`` by ``size`` of ``candidates[start:]``, in
+    lexicographic order, each with its basis: every satellite added extends
+    a copy of its prefix's basis by that satellite's key rows."""
+    for idx in range(start, len(candidates) - size + 1):
+        sat = candidates[idx]
+        rows = system.sat_rows[sat]
+        extended = _extend(basis, rows, n_rows)
+        if size == 1:
+            yield prefix + (sat,), extended
+        else:
+            yield from _subsets(
+                system, candidates, prefix + (sat,), extended, n_rows + len(rows), idx + 1, size - 1
+            )
+
+
 def min_compromise(
     path: RingPath,
     allow_attachments: bool = True,
@@ -315,12 +409,16 @@ def min_compromise(
     single-ring minima (the example set concatenates per-ring examples).
     Within a ring the search enumerates subsets in size then lexicographic
     order, so the reported example is the lexicographically smallest
-    minimal set.  If the enumeration budget runs out a certified
-    lower/upper bracket is returned instead.
+    minimal set.  ``max_evals`` caps the number of subsets tested; if the
+    budget runs out a certified lower/upper bracket is returned instead.
     """
+    if target not in _TARGETS:
+        raise ValueError(f"unknown target: {target}")
     single = build_paths(
         path.n_sats, path.attach_a, path.attach_b, path.neighbor_range, n_rings=1
     )
+    system = _system(single).rings[0]
+    want = _target_bit(system, 0, target)
     candidates = list(range(path.n_sats))
     if not allow_attachments:
         candidates = [s for s in candidates if s not in (path.attach_a, path.attach_b)]
@@ -330,7 +428,8 @@ def min_compromise(
     cap = min(len(candidates), 2 * (2 * path.neighbor_range - 1))
     proven_lower = 1
     for size in range(1, cap + 1):
-        for combo in itertools.combinations(candidates, size):
+        subsets = _subsets(system, candidates, (), system.basis, len(system.labels), 0, size)
+        for combo, basis in subsets:
             evals += 1
             if evals > max_evals:
                 upper = _canonical_upper(single, allow_attachments, target)
@@ -338,8 +437,7 @@ def min_compromise(
                     False, None, example, proven_lower * path.n_rings,
                     None if upper is None else upper * path.n_rings,
                 )
-            ok, _ = adversary_can_recover(single, CompromiseScenario(frozenset(combo)), target)
-            if ok:
+            if not _reduce(basis, want)[0]:
                 found_size = size
                 example = combo
                 break

@@ -1,10 +1,12 @@
 """CLI tests: subcommands, exit codes, reproducible outputs."""
 
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
+from ringqkd import cli, relay
 from ringqkd.cli import main
 
 
@@ -68,6 +70,16 @@ def test_attachment_pair_warning_at_n10(command, tmp_path, caplog):
 def test_no_attachment_pair_warning_at_n12(command, tmp_path, caplog):
     assert run_cli(command, *fast_args(tmp_path), "--set", "constellation.num_sats=12") == 0
     assert attachment_warnings(caplog) == []
+
+
+@pytest.mark.parametrize("values, warned", [("10,12", ["num_sats=10"]), ("12,16", [])])
+def test_sweep_attachment_pair_warning(values, warned, tmp_path, caplog):
+    # every swept N = 2 (mod 4) gets the note, once
+    assert run_cli("sweep", *fast_args(tmp_path), "--axis", "ns", "--values", values) == 0
+    warnings = attachment_warnings(caplog)
+    assert len(warnings) == len(warned)
+    for record, text in zip(warnings, warned):
+        assert text in record.getMessage()
 
 
 def test_simulate_outputs_and_reproducibility(tmp_path):
@@ -156,6 +168,27 @@ def test_security_verdicts(tmp_path, capsys):
     payload = json.loads((tmp_path / "verdict.json").read_text())
     assert payload["recoverable"] is False
     assert payload["min_compromise"] == 3
+    assert payload["min_compromise_exact"] is True
+    assert payload["min_lower"] == payload["min_upper"] == 3
+    assert payload["min_example"] == [0, 1, 7]
+
+
+def test_security_min_compromise_bracket(tmp_path, monkeypatch):
+    # a search that runs out of budget reports its certified bracket
+    monkeypatch.setattr(cli, "min_compromise", functools.partial(relay.min_compromise, max_evals=20))
+    rc = run_cli(
+        "security", "--ns", "12", "--i", "0", "--k", "6",
+        "--min-compromise", "--output-dir", str(tmp_path),
+    )
+    assert rc == 0
+    payload = json.loads((tmp_path / "verdict.json").read_text())
+    assert payload["min_compromise"] is None
+    assert payload["min_compromise_exact"] is False
+    # the 12 singletons are tested, the budget runs out among the pairs, and
+    # the three satellites around an attachment certify the upper end
+    assert payload["min_lower"] == 2
+    assert payload["min_upper"] == 3
+    assert payload["min_example"] == []
 
 
 def test_security_bad_args_exit_code(tmp_path):

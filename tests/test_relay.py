@@ -3,12 +3,16 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ringqkd.relay import (
     GS1,
     GS2,
     CompromiseScenario,
+    MinCompromiseResult,
     build_paths,
     adversary_can_recover,
     crossing_keys,
@@ -206,7 +210,16 @@ def test_paper_consecutive_pairs_break_both_segments():
     p = build_paths(12, 0, 6)
     ok, witness = adversary_can_recover(p, scenario(2, 3, 9, 10))
     assert ok
-    assert witness  # combining subset reported
+    # the combining subset a from-scratch elimination reports: the messages
+    # after S1 and S11, unmasked by the keys crossing those cuts
+    assert witness == [
+        ("message", 0, "plus", 1),
+        ("message", 0, "minus", 11),
+        ("key", (0, "plus", "tf", 1, 3)),
+        ("key", (0, "plus", "tf", 2, 4)),
+        ("key", (0, "minus", "tf", 2, 4)),
+        ("key", (0, "minus", "tf", 1, 3)),
+    ]
 
 
 def test_paper_attachment_three_node_break():
@@ -391,3 +404,172 @@ def test_min_compromise_budget_bracket():
     assert res.upper == 3  # canonical attachment construction still certifies
     full = min_compromise(p)
     assert res.lower <= full.size <= res.upper
+
+
+# ------------------------------------------------- independent oracle checks
+
+
+@st.composite
+def ring_paths(draw):
+    """A path over n 4-14, r 2-3 and 1-2 rings that ``build_paths`` accepts."""
+    n = draw(st.integers(4, 14))
+    i = draw(st.integers(0, n - 1))
+    k = (i + draw(st.integers(1, n - 1))) % n
+    r = draw(st.integers(2, 3))
+    n_rings = draw(st.integers(1, 2))
+    try:
+        return build_paths(n, i, k, r=r, n_rings=n_rings)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def compromise(draw, path):
+    """Plain satellite indices, and on several rings also (ring, index) pairs."""
+    sats = st.integers(0, path.n_sats - 1)
+    items = draw(st.sets(sats, max_size=path.n_sats))
+    if path.n_rings > 1:
+        items |= draw(st.sets(st.tuples(st.integers(0, path.n_rings - 1), sats), max_size=6))
+    return CompromiseScenario(frozenset(items))
+
+
+TARGETS = st.sampled_from(["ring", "plus", "minus"])
+
+
+def gf2_rank(matrix):
+    m = matrix.copy()
+    rank = 0
+    for col in range(m.shape[1]):
+        rows = np.nonzero(m[rank:, col])[0]
+        if rows.size == 0:
+            continue
+        m[[rank, rank + rows[0]]] = m[[rank + rows[0], rank]]
+        others = np.nonzero(m[:, col])[0]
+        m[others[others != rank]] ^= m[rank]
+        rank += 1
+        if rank == m.shape[0]:
+            break
+    return rank
+
+
+def rank_decision(path, scen, target):
+    """Recoverability as rank([rows; target]) == rank(rows) over GF(2).
+
+    Symbols: every key of every segment, then one secret per segment.
+    Rows: each public message (its secret plus the keys crossing its cut)
+    and each key a compromised satellite of that ring holds.
+    """
+    segs = [(ring, seg) for ring in range(path.n_rings) for seg in ("plus", "minus")]
+    keys = [kid for ring, seg in segs for kid in segment_keys(path, ring, seg)]
+    col = {kid: c for c, kid in enumerate(keys)}
+    col.update({s: len(keys) + c for c, s in enumerate(segs)})
+    per_ring = scen.per_ring(path.n_rings)
+    rows = []
+    for ring, seg in segs:
+        for cut in range(len(path.walks[(ring, seg)]) - 1):
+            rows.append([(ring, seg)] + crossing_keys(path, ring, seg, cut))
+    for kid in keys:
+        if per_ring[kid[0]] & set(key_nodes(path, kid)):
+            rows.append([kid])
+    if target == "ring":
+        want = segs
+    else:
+        want = [(0, target)]
+    matrix = np.zeros((len(rows) + 1, len(col)), dtype=np.uint8)
+    for r, items in enumerate(rows + [want]):
+        for item in items:
+            matrix[r, col[item]] ^= 1
+    return gf2_rank(matrix) == gf2_rank(matrix[:-1])
+
+
+def replay_witness(path, scen, target, witness, seed):
+    """XOR of the witness items on real keys and transcripts; None if it
+    uses a key no compromised satellite of that ring holds."""
+    keys = generate_link_keys(path, 64, seed)
+    rng = random.Random(seed)
+    secrets, sent = {}, {}
+    for ring in range(path.n_rings):
+        for seg in ("plus", "minus"):
+            secrets[(ring, seg)] = rng.getrandbits(64)
+            for node, value in forward(path, seg, secrets[(ring, seg)], keys, ring=ring).messages:
+                sent[(ring, seg, node)] = value
+    per_ring = scen.per_ring(path.n_rings)
+    acc = 0
+    for item in witness:
+        if item[0] == "message":
+            acc ^= sent[item[1:]]
+        else:
+            kid = item[1]
+            if not per_ring[kid[0]] & set(key_nodes(path, kid)):
+                return None, 0
+            acc ^= keys[kid]
+    want = 0
+    for (ring, seg), x in secrets.items():
+        if target == "ring" or (ring, seg) == (0, target):
+            want ^= x
+    return acc, want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), ring_paths(), TARGETS, st.integers(0, 1 << 30))
+def test_oracle_agrees_with_rank_and_witness_replays(data, path, target, seed):
+    scen = data.draw(compromise(path))
+    ok, witness = adversary_can_recover(path, scen, target)
+    assert ok == rank_decision(path, scen, target)
+    if ok:
+        got, want = replay_witness(path, scen, target, witness, seed)
+        assert got == want
+    else:
+        assert witness == []
+
+
+def reference_min_compromise(path, allow_attachments, target, max_evals):
+    """The per-subset search the depth-first walk replaced: one oracle call
+    per subset, in ``itertools.combinations`` order."""
+    single = build_paths(path.n_sats, path.attach_a, path.attach_b, path.neighbor_range)
+
+    def recovers(sats):
+        return adversary_can_recover(single, CompromiseScenario(frozenset(sats)), target)[0]
+
+    r, n, a = path.neighbor_range, path.n_sats, path.attach_a
+    if allow_attachments:
+        canonical = {(a + d) % n for d in range(-(r - 1), r)}
+    else:
+        canonical = {(a + 1 + d) % n for d in range(r)} | {(a - 1 - d) % n for d in range(r)}
+    if not allow_attachments and {path.attach_a, path.attach_b} & canonical:
+        upper = None
+    else:
+        upper = len(canonical) if recovers(canonical) else None
+    candidates = [
+        s for s in range(n) if allow_attachments or s not in (path.attach_a, path.attach_b)
+    ]
+    evals = 0
+    lower = 1
+    for size in range(1, min(len(candidates), 2 * (2 * r - 1)) + 1):
+        for combo in itertools.combinations(candidates, size):
+            evals += 1
+            if evals > max_evals:
+                return MinCompromiseResult(
+                    False, None, (), lower * path.n_rings,
+                    None if upper is None else upper * path.n_rings,
+                )
+            if recovers(combo):
+                total = size * path.n_rings
+                example = combo if path.n_rings == 1 else tuple(
+                    (ring, sat) for ring in range(path.n_rings) for sat in combo
+                )
+                return MinCompromiseResult(True, total, example, total, total)
+        lower = size + 1
+    return MinCompromiseResult(True, None, (), lower, None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ring_paths(), st.booleans(), TARGETS, st.integers(1, 300))
+def test_min_compromise_matches_sequential_reference(path, allow_attachments, target, max_evals):
+    got = min_compromise(path, allow_attachments, target, max_evals)
+    assert got == reference_min_compromise(path, allow_attachments, target, max_evals)
+
+
+def test_min_compromise_n24_r3():
+    res = min_compromise(build_paths(24, 0, 12, r=3))
+    assert res == MinCompromiseResult(True, 5, (0, 1, 2, 22, 23), 5, 5)
