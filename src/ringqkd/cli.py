@@ -194,6 +194,8 @@ def _zenith_pass_rows(config: ScenarioConfig, dt: float):
 
 
 def cmd_linkbudget(args) -> int:
+    if not (args.uplink_pass or args.isl):
+        raise ValueError("linkbudget needs --uplink-pass and/or --isl")
     config = _load(args)
     outdir = _output_dir(args)
     _write_manifest(config, outdir)
@@ -219,8 +221,6 @@ def cmd_linkbudget(args) -> int:
             rows,
         )
         print(f"isl losses for {len(rows)} ring sizes written")
-    if not (args.uplink_pass or args.isl):
-        raise SystemExit("linkbudget needs --uplink-pass and/or --isl")
     return 0
 
 

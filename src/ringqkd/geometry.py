@@ -6,6 +6,11 @@ so the satellites form a ring that contracts near the poles and widens at the
 equator.  Type-2 spreads N_s satellites uniformly around a single equatorial
 orbit.  Orbits are circular two-body; ground stations rotate with the Earth at
 the sidereal rate.
+
+Each computation lives here once: ``zenith_from_positions`` turns satellite
+and station positions into zenith angles, and ``extract_sessions`` turns a
+sample grid and its zenith matrix into visibility sessions with their sample
+ranges.  ``find_sessions`` and the simulator's day loop both call them.
 """
 
 from __future__ import annotations
@@ -65,13 +70,6 @@ class ConstellationSpec:
 
 
 @dataclass(frozen=True)
-class SatellitePosition:
-    sat_index: int
-    position_km: np.ndarray  # ECI frame, shape (3,)
-    time_s: float
-
-
-@dataclass(frozen=True)
 class GroundStation:
     id: int
     latitude_deg: float
@@ -126,12 +124,6 @@ def positions_eci_km(spec: ConstellationSpec, times_s) -> np.ndarray:
     return out
 
 
-def propagate(spec: ConstellationSpec, t: float) -> list[SatellitePosition]:
-    """Positions of all satellites at time ``t`` (seconds, >= epoch)."""
-    arr = positions_eci_km(spec, [t])[0]
-    return [SatellitePosition(i, arr[i].copy(), float(t)) for i in range(spec.num_sats)]
-
-
 def gs_position_km(gs: GroundStation, times_s) -> np.ndarray:
     """ECI position of a ground station, shape (len(times), 3).
 
@@ -146,26 +138,6 @@ def gs_position_km(gs: GroundStation, times_s) -> np.ndarray:
     out[:, 1] = EARTH_RADIUS_KM * math.cos(lat) * np.sin(lon)
     out[:, 2] = EARTH_RADIUS_KM * math.sin(lat)
     return out
-
-
-def intersat_clearance(a: SatellitePosition, b: SatellitePosition) -> float:
-    """Minimum distance [km] from the Earth's centre to the segment a-b.
-
-    If the perpendicular foot of the centre lies between the endpoints this
-    is ||r_a x r_b|| / ||r_a - r_b||; otherwise the nearest endpoint radius.
-    Line of sight between the satellites holds iff the returned clearance
-    exceeds R_E + h_atm.
-    """
-    ra = np.asarray(a.position_km, dtype=float)
-    rb = np.asarray(b.position_km, dtype=float)
-    d = rb - ra
-    dd = float(d @ d)
-    if dd == 0.0:
-        raise ValueError("coincident satellite positions")
-    tstar = -float(ra @ d) / dd
-    if 0.0 <= tstar <= 1.0:
-        return float(np.linalg.norm(ra + tstar * d))
-    return float(min(np.linalg.norm(ra), np.linalg.norm(rb)))
 
 
 def clearance_segment_km(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
@@ -195,27 +167,15 @@ def min_ring_size(h_km: float, h_atm_km: float) -> int:
     return n
 
 
-def zenith_angle(sat: SatellitePosition, gs: GroundStation, t: float | None = None) -> float:
-    """Zenith angle [deg] of a satellite seen from a ground station.
+def zenith_from_positions(sat_km: np.ndarray, gs_km: np.ndarray) -> np.ndarray:
+    """Zenith angles [deg] of satellites seen from a ground station, shape (T, N).
 
-    ``t`` defaults to the satellite's own timestamp; it fixes the Earth
-    rotation applied to the station.
+    ``sat_km`` holds satellite positions (T, N, 3) and ``gs_km`` the
+    station's positions (T, 3) at the same instants; the station lies on
+    the Earth's surface.
     """
-    when = sat.time_s if t is None else t
-    rg = gs_position_km(gs, [when])[0]
-    v = np.asarray(sat.position_km, dtype=float) - rg
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise ValueError("satellite coincident with ground station")
-    cosz = float(v @ rg) / (nv * float(np.linalg.norm(rg)))
-    return math.degrees(math.acos(min(1.0, max(-1.0, cosz))))
-
-
-def zenith_angles_deg(spec: ConstellationSpec, gs: GroundStation, times_s) -> np.ndarray:
-    """Zenith angles for all satellites, shape (len(times), num_sats)."""
-    sat = positions_eci_km(spec, times_s)
-    rg = gs_position_km(gs, times_s)[:, None, :]
-    v = sat - rg
+    rg = gs_km[:, None, :]
+    v = sat_km - rg
     nv = np.linalg.norm(v, axis=-1)
     if np.any(nv == 0.0):
         raise ValueError("satellite coincident with ground station")
@@ -223,18 +183,17 @@ def zenith_angles_deg(spec: ConstellationSpec, gs: GroundStation, times_s) -> np
     return np.degrees(np.arccos(np.clip(cosz, -1.0, 1.0)))
 
 
-def _serving_state(spec, gs, times, theta_max_deg):
+def zenith_angles_deg(spec: ConstellationSpec, gs: GroundStation, times_s) -> np.ndarray:
+    """Zenith angles for all satellites, shape (len(times), num_sats)."""
+    return zenith_from_positions(positions_eci_km(spec, times_s), gs_position_km(gs, times_s))
+
+
+def _serving_state(z, theta_max_deg):
     """(serving index or -1) per sample plus the zenith of the serving sat."""
-    z = zenith_angles_deg(spec, gs, times)
     serving = np.argmin(z, axis=1)  # ties -> lowest index
     zmin = z[np.arange(z.shape[0]), serving]
     state = np.where(zmin <= theta_max_deg, serving, -1)
     return state, zmin
-
-
-def _state_at(spec, gs, t, theta_max_deg):
-    state, _ = _serving_state(spec, gs, np.array([t]), theta_max_deg)
-    return int(state[0])
 
 
 def _refine_boundary(spec, gs, t_lo, t_hi, state_lo, theta_max_deg, tol):
@@ -242,7 +201,8 @@ def _refine_boundary(spec, gs, t_lo, t_hi, state_lo, theta_max_deg, tol):
     lo, hi = t_lo, t_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _state_at(spec, gs, mid, theta_max_deg) == state_lo:
+        state, _ = _serving_state(zenith_angles_deg(spec, gs, np.array([mid])), theta_max_deg)
+        if state[0] == state_lo:
             lo = mid
         else:
             hi = mid
@@ -255,8 +215,7 @@ def _refine_min_zenith(spec, gs, sat, t_best, dt, t_lo, t_hi):
     b = min(t_hi, t_best + dt)
 
     def f(t):
-        z = zenith_angles_deg(spec, gs, np.array([t]))[0, sat]
-        return z
+        return zenith_angles_deg(spec, gs, np.array([t]))[0, sat]
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
@@ -274,6 +233,51 @@ def _refine_min_zenith(spec, gs, sat, t_best, dt, t_lo, t_hi):
     return min(fc, fd)
 
 
+def extract_sessions(
+    spec: ConstellationSpec, gs: GroundStation, times: np.ndarray, dt: float,
+    zenith_deg: np.ndarray, theta_max_deg: float,
+) -> tuple[list[VisibilitySession], list[tuple[int, int]]]:
+    """Visibility sessions on a sample grid, with each session's sample range.
+
+    ``zenith_deg`` holds the zenith angles of all satellites on ``times``,
+    shape (len(times), num_sats).  A session is a maximal run of samples
+    with the same minimum-zenith satellite inside the mask; its edges are
+    bisected between samples to within dt/100, and its minimum zenith angle
+    is polished within dt of its best sample.  Handover instants are shared
+    between the outgoing and incoming session, so continuous coverage tiles
+    the window without gaps.  Session k covers samples
+    ``ranges[k][0]:ranges[k][1]``.
+    """
+    state, zmin = _serving_state(zenith_deg, theta_max_deg)
+    tol = dt / 100.0
+    sessions: list[VisibilitySession] = []
+    ranges: list[tuple[int, int]] = []
+    n = len(times)
+    i = 0
+    boundary_left = times[0]
+    while i < n:
+        s = int(state[i])
+        j = i
+        while j + 1 < n and state[j + 1] == s:
+            j += 1
+        if j + 1 < n:
+            boundary_right = _refine_boundary(spec, gs, times[j], times[j + 1], s, theta_max_deg, tol)
+        else:
+            boundary_right = times[-1]
+        if s >= 0:
+            seg = zmin[i : j + 1]
+            k_best = i + int(np.argmin(seg))
+            min_z = _refine_min_zenith(spec, gs, s, times[k_best], dt, boundary_left, boundary_right)
+            min_z = min(min_z, float(np.min(seg)))
+            sessions.append(
+                VisibilitySession(gs.id, float(boundary_left), float(boundary_right), s, float(min_z))
+            )
+            ranges.append((i, j + 1))
+        boundary_left = boundary_right
+        i = j + 1
+    return sessions, ranges
+
+
 def find_sessions(
     spec: ConstellationSpec,
     gs: GroundStation,
@@ -282,13 +286,7 @@ def find_sessions(
     dt: float = 1.0,
     theta_max_deg: float = 70.0,
 ) -> list[VisibilitySession]:
-    """Extract visibility sessions over [t0, t1].
-
-    A session is a maximal interval during which the same satellite is the
-    minimum-zenith visible one.  Handover instants are shared between the
-    outgoing and incoming session, so continuous coverage tiles the window
-    without gaps.  Boundaries are bisected to within dt/100.
-    """
+    """Visibility sessions over [t0, t1], sampled every ``dt`` (see ``extract_sessions``)."""
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
     if dt <= 0:
@@ -297,43 +295,7 @@ def find_sessions(
     times = t0 + dt * np.arange(n + 1)
     if times[-1] < t1:
         times = np.append(times, t1)
-    state, zmin = _serving_state(spec, gs, times, theta_max_deg)
-
-    tol = dt / 100.0
-    sessions: list[VisibilitySession] = []
-    i = 0
-    boundary_left = times[0]
-    while i < len(times):
-        s = state[i]
-        j = i
-        while j + 1 < len(times) and state[j + 1] == s:
-            j += 1
-        # refine the right edge of this run
-        if j + 1 < len(times):
-            boundary_right = _refine_boundary(
-                spec, gs, times[j], times[j + 1], s, theta_max_deg, tol
-            )
-        else:
-            boundary_right = times[-1]
-        if s >= 0:
-            seg = slice(i, j + 1)
-            k_best = i + int(np.argmin(zmin[seg]))
-            min_z = _refine_min_zenith(
-                spec, gs, s, times[k_best], dt, boundary_left, boundary_right
-            )
-            min_z = min(min_z, float(np.min(zmin[seg])))
-            sessions.append(
-                VisibilitySession(
-                    gs_id=gs.id,
-                    t_start_s=float(boundary_left),
-                    t_end_s=float(boundary_right),
-                    serving_sat=int(s),
-                    min_zenith_deg=float(min_z),
-                )
-            )
-        boundary_left = boundary_right
-        i = j + 1
-    return sessions
+    return extract_sessions(spec, gs, times, dt, zenith_angles_deg(spec, gs, times), theta_max_deg)[0]
 
 
 def visibility_fraction(sessions, t_total_s: float) -> float:

@@ -39,7 +39,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from .constants import EARTH_RADIUS_KM
-from .geometry import VisibilitySession
 
 
 @dataclass(frozen=True)
@@ -103,21 +102,8 @@ class TurbulenceProfile:
             raise ValueError("wander_residual must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class LossSample:
-    time_s: float
-    zenith_deg: float
-    path_length_km: float
-    efficiency: float
-    loss_db: float
-
-
 def to_db(efficiency):
     return -10.0 * np.log10(efficiency)
-
-
-def from_db(loss_db):
-    return 10.0 ** (-np.asarray(loss_db, dtype=float) / 10.0)
 
 
 def slant_path_km(zenith_rad, altitude_km: float):
@@ -246,7 +232,7 @@ def uplink_factors(
     return {
         "eta_opt": params.optics_efficiency,
         "eta_atm": eta_atm**sec,
-        "free_space": (params.wavelength_m / (4.0 * math.pi * path_m)) ** 2,
+        "free_space": free_space_loss(params.wavelength_m, path_m),
         "gain_product": gt * gr,
         "turb_spread": spread,
         "turb_wander": wander,
@@ -291,54 +277,3 @@ def isl_efficiency(path_m, params: OpticalParams, include_pointing: bool = True)
         s2 = params.pointing_jitter_rad**2
         eta = eta * math.exp(-gt * s2) * math.exp(-gr * s2)
     return float(eta) if np.isscalar(path_m) else eta
-
-
-def isl_pointing_efficiency(params: OpticalParams) -> float:
-    gt, gr = antenna_gains(params)
-    s2 = params.pointing_jitter_rad**2
-    return math.exp(-gt * s2) * math.exp(-gr * s2)
-
-
-def effective_tf_link(ul: float, isl: float, mode: str = "max"):
-    """Effective twin-field link efficiency for an (uplink, ISL) arm pair.
-
-    ``max``        - the better arm sets the link (default reading);
-    ``asymmetric`` - keep both arm efficiencies for the asymmetric-arms
-                     key-rate model.
-    """
-    if not (0.0 < ul <= 1.0 and 0.0 < isl <= 1.0):
-        raise ValueError("efficiencies must lie in (0, 1]")
-    if mode == "max":
-        return max(ul, isl)
-    if mode == "asymmetric":
-        return (ul, isl)
-    raise ValueError(f"unknown effective-link mode: {mode}")
-
-
-def session_loss_profile(
-    session: VisibilitySession,
-    spec,
-    gs,
-    params: OpticalParams,
-    profile: TurbulenceProfile,
-    dt: float = 1.0,
-) -> list[LossSample]:
-    """Uplink loss samples over a visibility session, one per ``dt``."""
-    from .geometry import zenith_angles_deg
-
-    times = np.arange(session.t_start_s, session.t_end_s + dt / 2.0, dt)
-    z = zenith_angles_deg(spec, gs, times)[:, session.serving_sat]
-    z = np.clip(z, 0.0, 70.0)
-    zr = np.radians(z)
-    eta = uplink_efficiency(zr, params, profile, altitude_km=spec.altitude_km)
-    path = slant_path_km(zr, spec.altitude_km)
-    return [
-        LossSample(
-            time_s=float(t),
-            zenith_deg=float(zi),
-            path_length_km=float(pi_),
-            efficiency=float(ei),
-            loss_db=float(to_db(ei)),
-        )
-        for t, zi, pi_, ei in zip(times, z, path, eta)
-    ]

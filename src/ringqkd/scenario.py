@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .constants import SECONDS_PER_DAY
 from .geometry import ConstellationKind, ConstellationSpec, GroundStation, min_ring_size
@@ -143,6 +143,17 @@ _SCHEMA = {
 }
 
 
+def _convert(sec: str, key: str, raw: str):
+    """One scenario value from its text; non-finite floats are rejected."""
+    try:
+        value = _SCHEMA[sec][key][0](raw)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad value for {sec}.{key}: {raw!r}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{sec}.{key} must be finite, got {raw!r}")
+    return value
+
+
 def _resolve(parser: configparser.ConfigParser | None, overrides) -> dict:
     values = {sec: {k: d for k, (_, d) in keys.items()} for sec, keys in _SCHEMA.items()}
     if parser is not None:
@@ -152,11 +163,7 @@ def _resolve(parser: configparser.ConfigParser | None, overrides) -> dict:
             for key, raw in parser.items(sec):
                 if key not in _SCHEMA[sec]:
                     raise ValueError(f"unknown scenario key {sec}.{key}")
-                conv = _SCHEMA[sec][key][0]
-                try:
-                    values[sec][key] = conv(raw)
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"bad value for {sec}.{key}: {raw!r}") from exc
+                values[sec][key] = _convert(sec, key, raw)
     for item in overrides or ():
         try:
             dotted, raw = item.split("=", 1)
@@ -165,11 +172,7 @@ def _resolve(parser: configparser.ConfigParser | None, overrides) -> dict:
             raise ValueError(f"override must look like section.key=value: {item!r}") from exc
         if sec not in _SCHEMA or key not in _SCHEMA[sec]:
             raise ValueError(f"unknown override target {sec}.{key}")
-        conv = _SCHEMA[sec][key][0]
-        try:
-            values[sec][key] = conv(raw.strip())
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad value for {sec}.{key}: {raw!r}") from exc
+        values[sec][key] = _convert(sec, key, raw.strip())
     return values
 
 
@@ -357,10 +360,3 @@ def manifest(config: ScenarioConfig) -> str:
             out.write(f"{key} = {_fmt(val)}\n")
         out.write("\n")
     return out.getvalue()
-
-
-def with_updates(config: ScenarioConfig, **kw) -> ScenarioConfig:
-    """Functional update helper that re-validates the result."""
-    new = replace(config, **kw)
-    new.validate()
-    return new

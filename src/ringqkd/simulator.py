@@ -1,10 +1,12 @@
 """Daily key-yield campaigns over the satellite ring.
 
-One simulated day: extract visibility sessions for both ground stations,
-sample the uplink and the serving satellite's two inter-satellite chords
-along each session, form the effective twin-field link per sample, pool
-every sample of the same (ground station, partner satellite) link into one
-finite-key block, optimise the protocol parameters per link, and aggregate
+One simulated day: propagate the ring once on the day's sample grid, take
+each ground station's zenith matrix and visibility sessions from geometry
+(``zenith_from_positions``, ``extract_sessions``), sample the uplink and
+the serving satellite's two inter-satellite chords along each session,
+form the effective twin-field link per sample, pool every sample of the
+same (ground station, partner satellite) link into one finite-key block,
+optimise the protocol parameters per link, and aggregate
 
     SKL_protocol = sum over serving satellites i of
                    min{ SKL(GS1, i +/- 1), SKL(GS2, k +/- 1) },   k = i + N/2,
@@ -27,15 +29,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import EARTH_RADIUS_KM
 from .geometry import (
-    ConstellationSpec,
-    VisibilitySession,
+    extract_sessions,
     gs_position_km,
     positions_eci_km,
     visibility_fraction,
+    zenith_from_positions,
 )
-from .geometry import _refine_boundary, _refine_min_zenith  # session edge helpers
+# run_day extracts sessions through geometry.extract_sessions, which refines
+# their edges itself; these three names stay in this namespace, unused,
+# because the benchmark's per-layer trace (perfbench/tracing.py) hooks them
+# here and its tests expect every hooked name to exist.
+from .geometry import _refine_boundary, _refine_min_zenith  # noqa: F401
+from .geometry import extract_sessions as _sessions_from_state  # noqa: F401
 from .keyrate import SklBreakdown, accumulate_links
 # run_day optimises all of a day's links in one accumulate_links call; the
 # single-link accumulate_link stays in this namespace because the benchmark's
@@ -93,39 +99,6 @@ def day_phase_deg(config: ScenarioConfig, day_index: int) -> float:
     return (config.constellation.phase0_deg + 360.0 * frac) % 360.0
 
 
-def _sessions_from_state(config, spec, gs, times, state, zmin):
-    """Runs of constant serving state -> refined VisibilitySession list."""
-    dt = config.time_step_s
-    tol = dt / 100.0
-    sessions = []
-    session_samples = []  # parallel list of sample-index slices
-    i = 0
-    boundary_left = times[0]
-    n = len(times)
-    while i < n:
-        s = int(state[i])
-        j = i
-        while j + 1 < n and state[j + 1] == s:
-            j += 1
-        if j + 1 < n:
-            boundary_right = _refine_boundary(
-                spec, gs, times[j], times[j + 1], s, config.theta_max_deg, tol
-            )
-        else:
-            boundary_right = times[-1]
-        if s >= 0:
-            k_best = i + int(np.argmin(zmin[i : j + 1]))
-            min_z = _refine_min_zenith(spec, gs, s, times[k_best], dt, boundary_left, boundary_right)
-            min_z = min(min_z, float(np.min(zmin[i : j + 1])))
-            sessions.append(
-                VisibilitySession(gs.id, float(boundary_left), float(boundary_right), s, float(min_z))
-            )
-            session_samples.append((i, j + 1))
-        boundary_left = boundary_right
-        i = j + 1
-    return sessions, session_samples
-
-
 def _effective_bins(config, ul_eff, isl_eff):
     """Per-sample effective link -> {bin key: seconds}; key encodes the mode."""
     dt = config.time_step_s
@@ -174,19 +147,9 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
     link_session_bins: dict = {}  # (gs_id, partner) -> [per-session bin dict]
     rho = {}
     serving_time: dict[int, float] = {}
-    sessions_by_gs = {}
     for gs in (config.gs1, config.gs2):
-        rg = gs_position_km(gs, times)
-        v = pos - rg[:, None, :]
-        nv = np.linalg.norm(v, axis=-1)
-        z = np.degrees(
-            np.arccos(np.clip(np.sum(v * rg[:, None, :], axis=-1) / (nv * EARTH_RADIUS_KM), -1.0, 1.0))
-        )
-        serving = np.argmin(z, axis=1)
-        zmin = z[np.arange(z.shape[0]), serving]
-        state = np.where(zmin <= config.theta_max_deg, serving, -1)
-        sessions, sample_ranges = _sessions_from_state(config, spec, gs, times, state, zmin)
-        sessions_by_gs[gs.id] = sessions
+        z = zenith_from_positions(pos, gs_position_km(gs, times))
+        sessions, sample_ranges = extract_sessions(spec, gs, times, dt, z, config.theta_max_deg)
         rho[gs.id] = visibility_fraction(sessions, t_total)
         for session, (i0, i1) in zip(sessions, sample_ranges):
             sat = session.serving_sat

@@ -8,6 +8,7 @@ import pytest
 
 from ringqkd import cli, relay
 from ringqkd.cli import main
+from ringqkd.scenario import _SCHEMA
 
 
 def run_cli(*argv):
@@ -45,6 +46,27 @@ def test_validate_rejects_unknown_key(tmp_path):
     assert run_cli(
         "validate", "--output-dir", str(tmp_path), "--set", "constellation.bogus=1"
     ) == 2
+
+
+FLOAT_KEYS = [
+    f"{sec}.{key}" for sec, keys in _SCHEMA.items() for key, (conv, _) in keys.items() if conv is float
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_validate_rejects_non_finite_floats(value, tmp_path, capsys):
+    # every float key, from --set and from a scenario file alike
+    assert len(FLOAT_KEYS) > 30
+    for dotted in FLOAT_KEYS:
+        rc = run_cli("validate", "--output-dir", str(tmp_path), "--set", f"{dotted}={value}")
+        assert rc == 2, dotted
+        assert dotted in capsys.readouterr().err
+    sec, key = FLOAT_KEYS[0].split(".")
+    scenario = tmp_path / "s.ini"
+    scenario.write_text(f"[{sec}]\n{key} = {value}\n")
+    assert run_cli("validate", str(scenario), "--output-dir", str(tmp_path)) == 2
+    assert FLOAT_KEYS[0] in capsys.readouterr().err
+    assert not (tmp_path / "manifest.ini").exists()
 
 
 def attachment_warnings(caplog):
@@ -138,6 +160,14 @@ def test_linkbudget_isl_table(tmp_path):
     # monotone decreasing loss with ring size
     losses = [float(l.split(",")[2]) for l in lines[1:]]
     assert all(a > b for a, b in zip(losses, losses[1:]))
+
+
+def test_linkbudget_needs_a_profile(tmp_path, capsys):
+    # neither --uplink-pass nor --isl: a validation error before any file is written
+    out = tmp_path / "out"
+    assert run_cli("linkbudget", *fast_args(out)) == 2
+    assert "--uplink-pass" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_keyrate_dead_channel_row(tmp_path):

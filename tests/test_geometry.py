@@ -4,22 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringqkd.constants import EARTH_RADIUS_KM, EARTH_ROTATION_RAD_S
 from ringqkd.geometry import (
     ConstellationKind,
     ConstellationSpec,
     GroundStation,
-    SatellitePosition,
+    VisibilitySession,
+    _refine_boundary,
+    _refine_min_zenith,
+    clearance_segment_km,
+    extract_sessions,
     find_sessions,
     gs_position_km,
-    intersat_clearance,
     min_ring_size,
     positions_eci_km,
-    propagate,
     visibility_fraction,
-    zenith_angle,
     zenith_angles_deg,
+    zenith_from_positions,
 )
 
 
@@ -35,22 +39,22 @@ def spec_type1(n=12, h=500.0, **kw):
 
 
 def test_type2_uniform_phases_at_epoch():
-    sats = propagate(spec_type2(n=4), 0.0)
+    sats = positions_eci_km(spec_type2(n=4), 0.0)[0]
     r = EARTH_RADIUS_KM + 500.0
     for s in sats:
-        assert np.linalg.norm(s.position_km) == pytest.approx(r, rel=1e-12)
+        assert np.linalg.norm(s) == pytest.approx(r, rel=1e-12)
     # pairwise angle between adjacent satellites is 90 degrees
     for i in range(4):
-        a = sats[i].position_km / r
-        b = sats[(i + 1) % 4].position_km / r
+        a = sats[i] / r
+        b = sats[(i + 1) % 4] / r
         assert math.degrees(math.acos(np.clip(a @ b, -1, 1))) == pytest.approx(90.0, abs=1e-9)
 
 
 def test_type1_common_latitude_and_spacing():
-    sats = propagate(spec_type1(n=12), 0.0)
-    lats = [math.degrees(math.asin(s.position_km[2] / np.linalg.norm(s.position_km))) for s in sats]
+    sats = positions_eci_km(spec_type1(n=12), 0.0)[0]
+    lats = [math.degrees(math.asin(s[2] / np.linalg.norm(s))) for s in sats]
     assert max(abs(l) for l in lats) < 1e-9
-    lons = sorted(math.degrees(math.atan2(s.position_km[1], s.position_km[0])) % 360 for s in sats)
+    lons = sorted(math.degrees(math.atan2(s[1], s[0])) % 360 for s in sats)
     gaps = np.diff(lons + [lons[0] + 360.0])
     assert np.allclose(gaps, 30.0, atol=1e-9)
 
@@ -65,8 +69,8 @@ def test_type1_common_latitude_over_time():
 def test_adjacent_chord_matches_closed_form():
     # oracle: chord of a regular N-gon of radius R is 2 R sin(pi/N)
     n, h = 12, 500.0
-    sats = propagate(spec_type2(n=n, h=h), 0.0)
-    chord = np.linalg.norm(sats[0].position_km - sats[1].position_km)
+    sats = positions_eci_km(spec_type2(n=n, h=h), 0.0)[0]
+    chord = np.linalg.norm(sats[0] - sats[1])
     expected = 2.0 * (EARTH_RADIUS_KM + h) * math.sin(math.pi / n)
     assert chord == pytest.approx(expected, rel=1e-12)
     assert chord == pytest.approx(3556.7, abs=0.1)
@@ -100,50 +104,46 @@ def _clearance_oracle(ra, rb, samples=200001):
     return np.min(np.linalg.norm(pts, axis=1))
 
 
-def _sat(vec, idx=0, t=0.0):
-    return SatellitePosition(idx, np.asarray(vec, dtype=float), t)
-
-
 def test_clearance_antipodal_is_zero():
     r = EARTH_RADIUS_KM + 500.0
-    a = _sat([r, 0.0, 0.0])
-    b = _sat([-r, 0.0, 0.0], 1)
-    assert intersat_clearance(a, b) == pytest.approx(0.0, abs=1e-9)
+    a = np.array([r, 0.0, 0.0])
+    assert clearance_segment_km(a, -a) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_clearance_radial_degenerate_segment():
     r = EARTH_RADIUS_KM + 500.0
-    a = _sat([r, 0.0, 0.0])
-    b = _sat([r + 1.0, 0.0, 0.0], 1)
-    assert intersat_clearance(a, b) == pytest.approx(r)
+    a = np.array([r, 0.0, 0.0])
+    b = np.array([r + 1.0, 0.0, 0.0])
+    assert clearance_segment_km(a, b) == pytest.approx(r)
+    assert clearance_segment_km(b, a) == pytest.approx(r)
 
 
 def test_clearance_matches_brute_force():
     rng = np.random.default_rng(7)
     r = EARTH_RADIUS_KM + 500.0
-    for _ in range(25):
-        u = rng.normal(size=3)
-        v = rng.normal(size=3)
-        a = _sat(r * u / np.linalg.norm(u))
-        b = _sat(r * v / np.linalg.norm(v), 1)
-        got = intersat_clearance(a, b)
-        want = _clearance_oracle(a.position_km, b.position_km)
-        assert got == pytest.approx(want, abs=0.05)
+    u = rng.normal(size=(25, 3))
+    v = rng.normal(size=(25, 3))
+    a = r * u / np.linalg.norm(u, axis=1, keepdims=True)
+    b = r * v / np.linalg.norm(v, axis=1, keepdims=True)
+    got = clearance_segment_km(a, b)  # all 25 segments in one call
+    assert got.shape == (25,)
+    for k in range(25):
+        assert got[k] == pytest.approx(_clearance_oracle(a[k], b[k]), abs=0.05)
 
 
 def test_clearance_ring_formula():
     # perpendicular distance for a regular ring chord is R cos(pi/N)
-    sats = propagate(spec_type2(n=12), 0.0)
-    got = intersat_clearance(sats[0], sats[1])
+    sats = positions_eci_km(spec_type2(n=12), 0.0)[0]
+    got = clearance_segment_km(sats[0], sats[1])
     want = (EARTH_RADIUS_KM + 500.0) * math.cos(math.pi / 12)
     assert got == pytest.approx(want, rel=1e-12)
     assert got > EARTH_RADIUS_KM + 100.0  # LOS holds for N_s = 12 at 500 km
 
 
 def test_clearance_rejects_coincident():
-    a = _sat([7000.0, 0.0, 0.0])
+    a = np.array([7000.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        intersat_clearance(a, _sat([7000.0, 0.0, 0.0], 1))
+        clearance_segment_km(a, a.copy())
 
 
 # -------------------------------------------------------------- min ring size
@@ -175,19 +175,17 @@ def test_min_ring_size_full_period_clearance():
     for make in (spec_type1, spec_type2):
         for n in (n_min, n_min + 5):
             pos = positions_eci_km(make(n=n, h=h, phase0_deg=3.7), times)
-            for it in range(len(times)):
-                for i in range(n):
-                    a = _sat(pos[it, i], i)
-                    b = _sat(pos[it, (i + 1) % n], (i + 1) % n)
-                    assert intersat_clearance(a, b) > EARTH_RADIUS_KM + hatm
+            clearance = clearance_segment_km(pos, np.roll(pos, -1, axis=1))
+            assert clearance.shape == (len(times), n)
+            assert np.all(clearance > EARTH_RADIUS_KM + hatm)
 
 
 def test_min_ring_size_below_threshold_fails():
     # one satellite fewer must violate clearance at the widest ring state
     h, hatm = 500.0, 100.0
     n = min_ring_size(h, hatm) - 1
-    sats = propagate(spec_type2(n=n, h=h), 0.0)
-    assert intersat_clearance(sats[0], sats[1]) <= EARTH_RADIUS_KM + hatm
+    sats = positions_eci_km(spec_type2(n=n, h=h), 0.0)[0]
+    assert clearance_segment_km(sats[0], sats[1]) <= EARTH_RADIUS_KM + hatm
 
 
 def test_min_ring_size_rejects_inverted_shell():
@@ -198,13 +196,18 @@ def test_min_ring_size_rejects_inverted_shell():
 # ---------------------------------------------------------------- zenith angle
 
 
+def _zenith(sat_km, gs_km):
+    """Zenith angle [deg] of one satellite position seen from one station position."""
+    return float(zenith_from_positions(np.asarray(sat_km)[None, None, :], gs_km[None, :])[0, 0])
+
+
 def test_zenith_overhead_and_horizon():
     gs = GroundStation(1, 0.0, 0.0)
     rg = gs_position_km(gs, [0.0])[0]
-    overhead = _sat(rg * (1.0 + 500.0 / EARTH_RADIUS_KM))
-    assert zenith_angle(overhead, gs) == pytest.approx(0.0, abs=1e-9)
-    horiz = _sat(rg + np.array([0.0, 800.0, 0.0]))
-    assert zenith_angle(horiz, gs) == pytest.approx(90.0, abs=1e-9)
+    overhead = rg * (1.0 + 500.0 / EARTH_RADIUS_KM)
+    assert _zenith(overhead, rg) == pytest.approx(0.0, abs=1e-9)
+    horiz = rg + np.array([0.0, 800.0, 0.0])
+    assert _zenith(horiz, rg) == pytest.approx(90.0, abs=1e-9)
 
 
 def test_zenith_offset_geometry():
@@ -213,10 +216,10 @@ def test_zenith_offset_geometry():
     gs = GroundStation(1, 0.0, 0.0)
     g = math.radians(10.0)
     rs = 6871.0
-    sat = _sat([rs * math.cos(g), rs * math.sin(g), 0.0])
+    sat = [rs * math.cos(g), rs * math.sin(g), 0.0]
     slant = math.sqrt(EARTH_RADIUS_KM**2 + rs**2 - 2 * EARTH_RADIUS_KM * rs * math.cos(g))
     want = math.degrees(math.acos((rs * math.cos(g) - EARTH_RADIUS_KM) / slant))
-    assert zenith_angle(sat, gs) == pytest.approx(want, abs=1e-9)
+    assert _zenith(sat, gs_position_km(gs, [0.0])[0]) == pytest.approx(want, abs=1e-9)
     assert want == pytest.approx(71.656, abs=0.01)
 
 
@@ -227,15 +230,16 @@ def test_zenith_tracks_earth_rotation():
     rg = gs_position_km(gs, [t])[0]
     lon = math.degrees(math.atan2(rg[1], rg[0]))
     assert lon == pytest.approx(rot, abs=1e-9)
-    overhead = _sat(rg * 1.05, t=t)
-    assert zenith_angle(overhead, gs) == pytest.approx(0.0, abs=1e-9)
+    assert _zenith(rg * 1.05, rg) == pytest.approx(0.0, abs=1e-9)
+    # the same point is off zenith for the station as it stood at t = 0
+    assert _zenith(rg * 1.05, gs_position_km(gs, [0.0])[0]) > 10.0
 
 
 def test_zenith_rejects_coincident():
     gs = GroundStation(1, 0.0, 0.0)
-    sat = _sat(gs_position_km(gs, [0.0])[0])
+    rg = gs_position_km(gs, [0.0])[0]
     with pytest.raises(ValueError):
-        zenith_angle(sat, gs)
+        _zenith(rg.copy(), rg)
 
 
 # -------------------------------------------------------------------- sessions
@@ -318,3 +322,74 @@ def test_visibility_fraction_edges():
     assert visibility_fraction([s], 100.0) == 1.0
     with pytest.raises(ValueError):
         visibility_fraction([s], 0.0)
+
+
+# ------------------------------------------- sessions against the reference
+
+
+def _reference_sessions(spec, gs, times, dt, theta_max_deg):
+    """Sessions and sample ranges as the simulator's day loop extracted them
+    before extraction moved into geometry: its inline zenith block and its
+    copy of the session loop, kept as a reference for ``extract_sessions``.
+    The edge bisection and the minimum-zenith polish are geometry's own."""
+    pos = positions_eci_km(spec, times)
+    rg = gs_position_km(gs, times)
+    v = pos - rg[:, None, :]
+    nv = np.linalg.norm(v, axis=-1)
+    z = np.degrees(
+        np.arccos(np.clip(np.sum(v * rg[:, None, :], axis=-1) / (nv * EARTH_RADIUS_KM), -1.0, 1.0))
+    )
+    serving = np.argmin(z, axis=1)
+    zmin = z[np.arange(z.shape[0]), serving]
+    state = np.where(zmin <= theta_max_deg, serving, -1)
+    tol = dt / 100.0
+    sessions = []
+    session_samples = []
+    i = 0
+    boundary_left = times[0]
+    n = len(times)
+    while i < n:
+        s = int(state[i])
+        j = i
+        while j + 1 < n and state[j + 1] == s:
+            j += 1
+        if j + 1 < n:
+            boundary_right = _refine_boundary(spec, gs, times[j], times[j + 1], s, theta_max_deg, tol)
+        else:
+            boundary_right = times[-1]
+        if s >= 0:
+            k_best = i + int(np.argmin(zmin[i : j + 1]))
+            min_z = _refine_min_zenith(spec, gs, s, times[k_best], dt, boundary_left, boundary_right)
+            min_z = min(min_z, float(np.min(zmin[i : j + 1])))
+            sessions.append(
+                VisibilitySession(gs.id, float(boundary_left), float(boundary_right), s, float(min_z))
+            )
+            session_samples.append((i, j + 1))
+        boundary_left = boundary_right
+        i = j + 1
+    return sessions, session_samples
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(list(ConstellationKind)),
+    n=st.integers(4, 40),
+    latitude=st.floats(-90.0, 90.0),
+    longitude=st.floats(-180.0, 180.0, exclude_max=True),
+    phase0=st.floats(0.0, 360.0, exclude_max=True),
+    epoch=st.integers(0, 86400).map(lambda e: e + 0.1) | st.floats(0.01, 1e5),
+    dt=st.sampled_from([0.7, 1.0, 2.5, 5.0]),
+    window=st.floats(30.0, 11000.0),
+)
+def test_extract_sessions_matches_reference(kind, n, latitude, longitude, phase0, epoch, dt, window):
+    spec = ConstellationSpec(kind, n, 500.0, epoch_s=epoch, phase0_deg=phase0)
+    gs = GroundStation(1, latitude, longitude)
+    t1 = epoch + window
+    steps = int(math.floor((t1 - epoch) / dt))
+    times = epoch + dt * np.arange(steps + 1)
+    if times[-1] < t1:
+        times = np.append(times, t1)
+    want = _reference_sessions(spec, gs, times, dt, 70.0)
+    got = extract_sessions(spec, gs, times, dt, zenith_angles_deg(spec, gs, times), 70.0)
+    assert got == want
+    assert find_sessions(spec, gs, epoch, t1, dt=dt) == want[0]

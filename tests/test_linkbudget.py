@@ -10,13 +10,9 @@ from ringqkd.linkbudget import (
     TurbulenceProfile,
     antenna_gains,
     cn2,
-    effective_tf_link,
     free_space_loss,
     fried_r0,
-    from_db,
     isl_efficiency,
-    isl_pointing_efficiency,
-    session_loss_profile,
     slant_path_km,
     to_db,
     uplink_efficiency,
@@ -199,16 +195,20 @@ def test_isl_45db_anchor(optics):
 
 
 def test_isl_pointing_reference(optics):
+    # the pointing factor is what include_pointing adds, at any separation
     gt, gr = antenna_gains(optics)
     want = math.exp(-gt * 1e-12) * math.exp(-gr * 1e-12)
-    assert isl_pointing_efficiency(optics) == pytest.approx(want, rel=1e-12)
+    L = np.array([500e3, 3556.7e3, 6000e3])
+    ratio = isl_efficiency(L, optics) / isl_efficiency(L, optics, include_pointing=False)
+    assert ratio == pytest.approx(want, rel=1e-12)
     assert want == pytest.approx(0.2823, abs=2e-3)
     assert to_db(want) == pytest.approx(5.5, abs=0.05)
 
 
 def test_isl_no_jitter_no_pointing_loss():
     optics = OpticalParams(pointing_jitter_rad=0.0)
-    assert isl_pointing_efficiency(optics) == 1.0
+    L = np.array([500e3, 3556.7e3, 6000e3])
+    assert np.array_equal(isl_efficiency(L, optics), isl_efficiency(L, optics, include_pointing=False))
 
 
 def test_isl_loss_monotone_in_distance(optics):
@@ -233,25 +233,6 @@ def test_isl_dominates_zenith_uplink(optics, turbulence):
     assert isl > ul
 
 
-# ------------------------------------------------------------- effective link
-
-
-def test_effective_link_max():
-    assert effective_tf_link(1e-7, 1e-4) == 1e-4
-    assert effective_tf_link(3e-5, 3e-5) == 3e-5
-
-
-def test_effective_link_asymmetric_mode():
-    assert effective_tf_link(1e-7, 1e-4, mode="asymmetric") == (1e-7, 1e-4)
-
-
-def test_effective_link_validates():
-    with pytest.raises(ValueError):
-        effective_tf_link(0.0, 1e-4)
-    with pytest.raises(ValueError):
-        effective_tf_link(1e-4, 1e-4, mode="bogus")
-
-
 # --------------------------------------------------------------- loss profiles
 
 
@@ -268,15 +249,16 @@ def _zenith_pass_setup():
 
 
 def test_session_profile_shape_and_band(optics, turbulence):
+    # uplink loss sampled every second along a zenith-crossing session
+    from ringqkd.geometry import zenith_angles_deg
+
     spec, gs, session = _zenith_pass_setup()
-    samples = session_loss_profile(session, spec, gs, optics, turbulence, dt=1.0)
-    assert len(samples) == pytest.approx(294, abs=6)
-    losses = np.array([s.loss_db for s in samples])
+    times = np.arange(session.t_start_s, session.t_end_s + 0.5, 1.0)
+    zen = np.clip(zenith_angles_deg(spec, gs, times)[:, session.serving_sat], 0.0, 70.0)
+    losses = to_db(uplink_efficiency(np.radians(zen), optics, turbulence, altitude_km=spec.altitude_km))
+    assert len(losses) == pytest.approx(294, abs=6)
     assert np.all((losses >= 65.0) & (losses <= 150.0))
     # U-shape: strictly decreasing to the minimum, then increasing
     k = int(np.argmin(losses))
     assert np.all(np.diff(losses[: k + 1]) < 0)
     assert np.all(np.diff(losses[k:]) > 0)
-    # efficiency and loss stay consistent bijections
-    for s in samples[:20]:
-        assert s.efficiency == pytest.approx(float(from_db(s.loss_db)), rel=1e-12)

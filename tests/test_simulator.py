@@ -1,12 +1,24 @@
 """Simulator tests on shortened windows (full-day runs live in acceptance)."""
 
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ringqkd.scenario import load_scenario, manifest, with_updates
-from ringqkd.simulator import CampaignResult, day_phase_deg, run_campaign, run_day, sweep
+from ringqkd import simulator
+from ringqkd.scenario import load_scenario, manifest
+from ringqkd.simulator import (
+    CampaignResult,
+    _effective_bins,
+    day_phase_deg,
+    run_campaign,
+    run_day,
+    sweep,
+)
 
 
 def short_config(**over):
@@ -84,8 +96,66 @@ def test_day_phase_sequence_deterministic():
     phases = [day_phase_deg(cfg, d) for d in range(5)]
     assert phases == [day_phase_deg(cfg, d) for d in range(5)]
     assert len(set(round(p, 6) for p in phases)) == 5
-    frozen = with_updates(cfg, vary_phase=False)
+    frozen = replace(cfg, vary_phase=False)
     assert day_phase_deg(frozen, 3) == cfg.constellation.phase0_deg
+
+
+def test_neighbouring_seeds_share_shifted_days():
+    # intended: day d of seed s + 1 is day d + 1 of seed s (README model notes)
+    cfg = short_config()
+    assert [day_phase_deg(replace(cfg, seed=cfg.seed + 1), d) for d in range(4)] == [
+        day_phase_deg(cfg, d + 1) for d in range(4)
+    ]
+
+
+class _GridSeen(Exception):
+    pass
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    epoch=st.floats(0.0, 1e6),
+    t_total=st.floats(1.0, 86400.0),
+    dt=st.floats(0.1, 10.0) | st.sampled_from([0.7, 1.0, 2.5, 5.0]),
+)
+@example(epoch=0.1, t_total=1800.0, dt=0.7)
+@example(epoch=12.3, t_total=86400.0, dt=0.7)
+def test_run_day_sample_grid(epoch, t_total, dt):
+    # run_day samples epoch + dt * k for k = 0 .. floor(t_total / dt), then
+    # the window's end if the last step falls short of it
+    base = load_scenario()
+    cfg = replace(
+        base,
+        constellation=replace(base.constellation, epoch_s=epoch),
+        t_total_s=t_total,
+        time_step_s=dt,
+    )
+    seen = []
+
+    def capture(spec, times):
+        seen.append(times)
+        raise _GridSeen
+
+    with mock.patch.object(simulator, "positions_eci_km", capture), pytest.raises(_GridSeen):
+        run_day(cfg, 0)
+    want = epoch + dt * np.arange(int(math.floor(t_total / dt)) + 1)
+    if want[-1] < epoch + t_total:
+        want = np.append(want, epoch + t_total)
+    assert np.array_equal(seen[0], want)
+
+
+def test_effective_link_max():
+    # the better arm sets each sample's link; keys are losses in dB to 0.01
+    cfg = short_config()
+    bins = _effective_bins(cfg, np.array([1e-7, 3e-5, 2e-4]), np.array([1e-4, 3e-5, 1e-5]))
+    assert bins == {40.0: 1.0, 45.23: 1.0, 36.99: 1.0}
+
+
+def test_effective_link_asymmetric_mode():
+    # both arms are kept, (uplink dB, ISL dB), and equal samples share a bin
+    cfg = replace(short_config(), effective_mode="asymmetric")
+    bins = _effective_bins(cfg, np.array([1e-7, 1e-7]), np.array([1e-4, 1e-4]))
+    assert bins == {(70.0, 40.0): 2.0}
 
 
 def test_run_day_symmetric_links():
@@ -115,6 +185,23 @@ def test_run_day_protocol_is_min_sum():
     assert rep.per_sat_gs_skl == pytest.approx(total / len(rep.serving_sats), rel=1e-12)
 
 
+def test_run_day_sessions_are_find_sessions():
+    # with the epoch at 0 both sample the same grid; a 2.5 s step makes the
+    # dt/100 bisection tolerance take one halving fewer than 1 s would
+    from ringqkd.geometry import find_sessions, visibility_fraction
+
+    cfg = short_config(**{"campaign.time_step_s": 2.5})
+    rep = run_day(cfg, 0)
+    spec = replace(cfg.constellation, phase0_deg=rep.phase0_deg)
+    sessions = {
+        gs.id: find_sessions(spec, gs, 0.0, cfg.t_total_s, dt=2.5, theta_max_deg=cfg.theta_max_deg)
+        for gs in (cfg.gs1, cfg.gs2)
+    }
+    for gs_id, found in sessions.items():
+        assert rep.rho_vis[gs_id] == visibility_fraction(found, cfg.t_total_s)
+    assert rep.serving_sats == tuple(sorted({s.serving_sat for s in sessions[1]}))
+
+
 def test_run_day_high_latitude_type2_is_empty():
     cfg = short_config(**{"ground_stations.latitude_deg": 10.0})
     rep = run_day(cfg, 0)
@@ -133,7 +220,7 @@ def test_isl_reference_dominates():
 def test_session_pooling_never_beats_daily():
     cfg = short_config()
     daily = run_day(cfg, 0)
-    per_session = run_day(with_updates(cfg, pooling="session"), 0)
+    per_session = run_day(replace(cfg, pooling="session"), 0)
     assert per_session.block_size == pytest.approx(daily.block_size, rel=1e-9)
     # finite-key penalties are paid per block, so splitting cannot win
     assert per_session.protocol_skl <= daily.protocol_skl * (1 + 1e-9)
@@ -141,7 +228,7 @@ def test_session_pooling_never_beats_daily():
 
 def test_asymmetric_mode_is_bottlenecked():
     cfg = short_config()
-    asym = run_day(with_updates(cfg, effective_mode="asymmetric"), 0)
+    asym = run_day(replace(cfg, effective_mode="asymmetric"), 0)
     sym = run_day(cfg, 0)
     assert asym.protocol_skl < sym.protocol_skl
 
@@ -162,7 +249,7 @@ def test_campaign_stats_and_determinism():
 
 
 def test_campaign_frozen_phase_zero_std():
-    cfg = with_updates(short_config(), vary_phase=False)
+    cfg = replace(short_config(), vary_phase=False)
     res = run_campaign(cfg)
     for key, sd in res.std.items():
         assert sd == pytest.approx(0.0, abs=1e-9)
@@ -171,7 +258,7 @@ def test_campaign_frozen_phase_zero_std():
 def test_campaign_workers_match_serial():
     cfg = short_config()
     serial = run_campaign(cfg)
-    parallel = run_campaign(with_updates(cfg, workers=2))
+    parallel = run_campaign(replace(cfg, workers=2))
     assert serial.mean == parallel.mean
     assert serial.std == parallel.std
 
