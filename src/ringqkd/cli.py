@@ -36,7 +36,7 @@ from .relay import (
     feasible_neighbor_range,
     min_compromise,
 )
-from .scenario import ScenarioConfig, load_scenario, manifest
+from .scenario import ScenarioConfig, load_scenario, manifest, read_values
 from .simulator import run_campaign, sweep as run_sweep
 
 _FLOAT_FMT = ".17g"
@@ -139,12 +139,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load(args)
-    outdir = _output_dir(args)
-    _write_manifest(config, outdir)
     values = [float(v) for v in args.values.split(",") if v]
     axis = {"ns": "num_sats", "latitude": "latitude"}[args.axis]
     if axis == "num_sats":
+        if not all(v.is_integer() for v in values):
+            raise ValueError(f"--axis ns takes integer values, got {args.values!r}")
         values = [int(v) for v in values]
+    outdir = _output_dir(args)
+    _write_manifest(config, outdir)
     for n in values if axis == "num_sats" else [config.constellation.num_sats]:
         _note_attachment_pair(n)
     results = run_sweep(config, axis, values)
@@ -250,26 +252,21 @@ def cmd_keyrate(args) -> int:
     return 0
 
 
+# [security_scenario] file keys: (section, key) -> (parser, the option it sets)
+_SECURITY_FILE = {
+    ("security_scenario", "n_sats"): (int, "ns"),
+    ("security_scenario", "i"): (int, "i"),
+    ("security_scenario", "k"): (int, "k"),
+    ("security_scenario", "r"): (int, "r"),
+    ("security_scenario", "n_rings"): (int, "rings"),
+    ("security_scenario", "compromised"): (str, "compromised"),
+}
+
+
 def _security_args_from_file(args) -> None:
     """Fill attachment/compromise settings from a [security_scenario] file."""
-    import configparser
-
-    parser = configparser.ConfigParser()
-    with open(args.file, "r", encoding="utf-8") as fh:
-        parser.read_file(fh, source=args.file)
-    if not parser.has_section("security_scenario"):
-        raise ValueError("security scenario file needs a [security_scenario] section")
-    sec = parser["security_scenario"]
-    known = {"n_sats", "i", "k", "r", "n_rings", "compromised"}
-    unknown = set(sec.keys()) - known
-    if unknown:
-        raise ValueError(f"unknown security scenario keys: {sorted(unknown)}")
-    args.ns = sec.getint("n_sats", args.ns)
-    args.i = sec.getint("i", args.i)
-    args.k = sec.getint("k", args.k)
-    args.r = sec.getint("r", args.r)
-    args.rings = sec.getint("n_rings", args.rings)
-    args.compromised = sec.get("compromised", args.compromised)
+    for key, value in read_values(args.file, _SECURITY_FILE).items():
+        setattr(args, _SECURITY_FILE[key][1], value)
 
 
 def cmd_security(args) -> int:
@@ -291,6 +288,8 @@ def cmd_security(args) -> int:
         "recoverable": ok,
         "witness": [str(w) for w in witness],
     }
+    if args.budget_db is not None:
+        payload["feasible_neighbor_range"] = feasible_neighbor_range(args.ns, args.budget_db)
     if args.min_compromise:
         res = min_compromise(path, allow_attachments=not args.exclude_attachments)
         payload["min_compromise"] = res.size
@@ -298,8 +297,6 @@ def cmd_security(args) -> int:
         payload["min_lower"] = res.lower
         payload["min_upper"] = res.upper
         payload["min_example"] = list(res.example)
-    if args.budget_db is not None:
-        payload["feasible_neighbor_range"] = feasible_neighbor_range(args.ns, args.budget_db)
     _write_json(outdir / "verdict.json", payload)
     print(json.dumps(payload, sort_keys=True))
     return 0

@@ -51,14 +51,16 @@ class ConstellationSpec:
     phase0_deg: float = 0.0
 
     def __post_init__(self):
-        if self.num_sats < 3:
+        if not self.num_sats >= 3:
             raise ValueError(f"num_sats must be >= 3, got {self.num_sats}")
-        if self.altitude_km <= 0:
-            raise ValueError(f"altitude_km must be > 0, got {self.altitude_km}")
-        if self.atm_shell_km < 0:
+        if not 0 < self.altitude_km < math.inf:
+            raise ValueError(f"altitude_km must be positive and finite, got {self.altitude_km}")
+        if not self.atm_shell_km >= 0:
             raise ValueError("atm_shell_km must be >= 0")
-        if self.altitude_km <= self.atm_shell_km:
+        if not self.altitude_km > self.atm_shell_km:
             raise ValueError("orbit must lie above the atmospheric shell")
+        if not (math.isfinite(self.epoch_s) and math.isfinite(self.phase0_deg)):
+            raise ValueError("epoch_s and phase0_deg must be finite")
 
     @property
     def orbit_radius_km(self) -> float:

@@ -150,7 +150,7 @@ class ChannelModel:
             raise ValueError("dark_count_prob must lie in [0, 1)")
         if not 0.0 <= self.optical_error <= 0.5:
             raise ValueError("optical_error must lie in [0, 0.5]")
-        if self.rep_rate_hz <= 0 or self.error_correction_factor < 1.0:
+        if not (0 < self.rep_rate_hz < math.inf and 1.0 <= self.error_correction_factor < math.inf):
             raise ValueError("bad repetition rate or error-correction factor")
 
     def arm_transmittances(self) -> tuple[float, float]:

@@ -64,14 +64,14 @@ class OpticalParams:
             "sat_rx_diameter_m",
             "gs_beam_waist_m",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.pointing_jitter_rad < 0:
-            raise ValueError("pointing_jitter_rad must be >= 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.pointing_jitter_rad < math.inf:
+            raise ValueError("pointing_jitter_rad must be >= 0 and finite")
         if not 0.0 < self.optics_efficiency <= 1.0:
             raise ValueError("optics_efficiency must be in (0, 1]")
-        if self.atm_loss_db_zenith < 0:
-            raise ValueError("atm_loss_db_zenith must be >= 0")
+        if not 0 <= self.atm_loss_db_zenith < math.inf:
+            raise ValueError("atm_loss_db_zenith must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,10 @@ class TurbulenceProfile:
     def __post_init__(self):
         if self.model not in ("hufnagel_valley", "none"):
             raise ValueError(f"unknown turbulence model: {self.model}")
-        if self.wind_speed_mps < 0 or self.cn2_ground < 0:
-            raise ValueError("wind speed and cn2_ground must be >= 0")
-        if self.h_top_m <= self.gs_altitude_m:
-            raise ValueError("h_top_m must exceed gs_altitude_m")
+        if not (0 <= self.wind_speed_mps < math.inf and 0 <= self.cn2_ground < math.inf):
+            raise ValueError("wind speed and cn2_ground must be >= 0 and finite")
+        if not -math.inf < self.gs_altitude_m < self.h_top_m < math.inf:
+            raise ValueError("h_top_m must exceed gs_altitude_m, both finite")
         if not 0.0 <= self.wander_residual <= 1.0:
             raise ValueError("wander_residual must be in [0, 1]")
 

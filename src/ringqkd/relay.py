@@ -475,6 +475,8 @@ def feasible_neighbor_range(
 
     if n_sats < 3:
         raise ValueError("need at least three satellites")
+    if not math.isfinite(isl_budget_db):
+        raise ValueError(f"isl_budget_db must be finite, got {isl_budget_db}")
     optics = optics or OpticalParams()
     radius = EARTH_RADIUS_KM + altitude_km
     r = 1

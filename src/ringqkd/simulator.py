@@ -133,7 +133,6 @@ def _bins_to_profile(config, bins: dict):
 
 def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) -> DailyReport:
     """Simulate one 24-hour key-exchange cycle."""
-    config.validate()
     spec = replace(config.constellation, phase0_deg=day_phase_deg(config, day_index))
     n = spec.num_sats
     dt = config.time_step_s
@@ -281,7 +280,6 @@ def _isl_reference(config: ScenarioConfig, spec, pos) -> list:
 
 def run_campaign(config: ScenarioConfig) -> CampaignResult:
     """Simulate ``n_days`` independent days and aggregate their statistics."""
-    config.validate()
     cache: dict = {}
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -304,21 +302,20 @@ def _run_day_job(args):
 
 
 def sweep(config: ScenarioConfig, axis: str, values) -> list:
-    """One campaign per value of ``num_sats`` or ``latitude``."""
+    """One campaign per value of ``num_sats`` or ``latitude``; every swept
+    config is built, and so validated, before the first campaign runs."""
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
-    results = []
+    configs = []
     for v in values:
         if axis == "num_sats":
             spec = replace(config.constellation, num_sats=int(v))
-            cfg = replace(config, constellation=spec)
+            configs.append(replace(config, constellation=spec))
         elif axis == "latitude":
             gs1 = replace(config.gs1, latitude_deg=float(v))
             gs2 = replace(config.gs2, latitude_deg=float(v))
-            cfg = replace(config, gs1=gs1, gs2=gs2)
+            configs.append(replace(config, gs1=gs1, gs2=gs2))
         else:
             raise ValueError(f"unknown sweep axis: {axis}")
-        cfg.validate()
-        results.append((v, run_campaign(cfg)))
-    return results
+    return [(v, run_campaign(cfg)) for v, cfg in zip(values, configs)]

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from ringqkd import cli, relay
+from ringqkd import cli, relay, simulator
 from ringqkd.cli import main
-from ringqkd.scenario import _SCHEMA
+from ringqkd.scenario import _TABLE
 
 
 def run_cli(*argv):
@@ -48,9 +48,7 @@ def test_validate_rejects_unknown_key(tmp_path):
     ) == 2
 
 
-FLOAT_KEYS = [
-    f"{sec}.{key}" for sec, keys in _SCHEMA.items() for key, (conv, _) in keys.items() if conv is float
-]
+FLOAT_KEYS = [f"{sec}.{key}" for (sec, key), row in _TABLE.items() if row[0] is float]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -67,6 +65,15 @@ def test_validate_rejects_non_finite_floats(value, tmp_path, capsys):
     assert run_cli("validate", str(scenario), "--output-dir", str(tmp_path)) == 2
     assert FLOAT_KEYS[0] in capsys.readouterr().err
     assert not (tmp_path / "manifest.ini").exists()
+
+
+def test_boolean_keys_reject_other_spellings(tmp_path, capsys):
+    rc = run_cli("validate", "--output-dir", str(tmp_path), "--set", "campaign.vary_phase=off")
+    assert rc == 0
+    assert "vary_phase = false" in (tmp_path / "manifest.ini").read_text()
+    rc = run_cli("validate", "--output-dir", str(tmp_path), "--set", "campaign.vary_phase=maybe")
+    assert rc == 2
+    assert "campaign.vary_phase" in capsys.readouterr().err
 
 
 def attachment_warnings(caplog):
@@ -137,6 +144,16 @@ def test_sweep_curves(tmp_path):
     assert curve[0] == "ns,mean,std"
     assert len(curve) == 3
     assert (tmp_path / "curves" / "rho_vis_gs1.csv").exists()
+
+
+@pytest.mark.parametrize("values", ["12.5", "inf", "12,11"])
+def test_sweep_rejects_bad_ns_before_any_campaign(values, tmp_path, monkeypatch):
+    # a non-integer N, or an N that fails validation anywhere in the list,
+    # exits 2 before the first campaign runs
+    ran = []
+    monkeypatch.setattr(simulator, "run_campaign", ran.append)
+    assert run_cli("sweep", *fast_args(tmp_path), "--axis", "ns", "--values", values) == 2
+    assert ran == []
 
 
 def test_linkbudget_pass_profile(tmp_path):
@@ -227,6 +244,16 @@ def test_security_bad_args_exit_code(tmp_path):
     ) == 2
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_security_rejects_non_finite_budget(budget, tmp_path):
+    rc = run_cli(
+        "security", "--ns", "25", "--i", "0", "--k", "12",
+        "--budget-db", budget, "--output-dir", str(tmp_path),
+    )
+    assert rc == 2
+    assert not (tmp_path / "verdict.json").exists()
+
+
 def test_security_feasibility_flag(tmp_path):
     rc = run_cli(
         "security", "--ns", "25", "--i", "0", "--k", "12",
@@ -237,7 +264,7 @@ def test_security_feasibility_flag(tmp_path):
     assert payload["feasible_neighbor_range"] >= 3
 
 
-def test_security_scenario_file(tmp_path):
+def test_security_scenario_file(tmp_path, capsys):
     scen = tmp_path / "attack.ini"
     scen.write_text(
         "[security_scenario]\n"
@@ -247,8 +274,13 @@ def test_security_scenario_file(tmp_path):
     assert rc == 0
     payload = json.loads((tmp_path / "verdict.json").read_text())
     assert payload["recoverable"] is True
-    scen.write_text("[security_scenario]\nwarp = 1\n")
-    assert run_cli("security", "--file", str(scen), "--output-dir", str(tmp_path)) == 2
+    for text, named in [
+        ("warp = 1", "security_scenario.warp"),
+        ("n_sats = 12.5", "security_scenario.n_sats"),
+    ]:
+        scen.write_text(f"[security_scenario]\n{text}\n")
+        assert run_cli("security", "--file", str(scen), "--output-dir", str(tmp_path)) == 2
+        assert named in capsys.readouterr().err
 
 
 def test_validate_position_dump(tmp_path):

