@@ -10,14 +10,17 @@ the sidereal rate.
 Each computation lives here once: ``zenith_from_positions`` turns satellite
 and station positions into zenith angles, and ``extract_sessions`` turns a
 sample grid and its zenith matrix into visibility sessions with their sample
-ranges.  ``find_sessions`` and the simulator's day loop both call them.
+ranges, bisecting all of the grid's session edges in one array.
+``find_sessions`` and the simulator's day loop both call them; only
+``find_sessions`` polishes each session's minimum zenith angle between
+samples, since no campaign output reads it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,7 +89,12 @@ class GroundStation:
 
 @dataclass(frozen=True)
 class VisibilitySession:
-    """Maximal interval with a fixed serving satellite inside the zenith mask."""
+    """Maximal interval with a fixed serving satellite inside the zenith mask.
+
+    From ``find_sessions``, ``min_zenith_deg`` is polished between samples.
+    From ``extract_sessions`` it is the minimum over the session's samples:
+    the simulator's day, its other caller, never reads it.
+    """
 
     gs_id: int
     t_start_s: float
@@ -198,16 +206,20 @@ def _serving_state(z, theta_max_deg):
     return state, zmin
 
 
-def _refine_boundary(spec, gs, t_lo, t_hi, state_lo, theta_max_deg, tol):
-    """Bisect the instant where the serving state stops being ``state_lo``."""
-    lo, hi = t_lo, t_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        state, _ = _serving_state(zenith_angles_deg(spec, gs, np.array([mid])), theta_max_deg)
-        if state[0] == state_lo:
-            lo = mid
-        else:
-            hi = mid
+def _refine_boundaries(spec, gs, t_lo, t_hi, state_lo, theta_max_deg, tol):
+    """Bisect each instant in [t_lo[k], t_hi[k]] where the serving state stops
+    being ``state_lo[k]``: one zenith evaluation a step halves every interval
+    still wider than ``tol``, so each takes the steps its own width needs."""
+    lo = np.array(t_lo, dtype=float)
+    hi = np.array(t_hi, dtype=float)
+    active = np.flatnonzero(hi - lo > tol)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        state, _ = _serving_state(zenith_angles_deg(spec, gs, mid), theta_max_deg)
+        stay = state == state_lo[active]
+        lo[active[stay]] = mid[stay]
+        hi[active[~stay]] = mid[~stay]
+        active = active[hi[active] - lo[active] > tol]
     return 0.5 * (lo + hi)
 
 
@@ -244,39 +256,27 @@ def extract_sessions(
     ``zenith_deg`` holds the zenith angles of all satellites on ``times``,
     shape (len(times), num_sats).  A session is a maximal run of samples
     with the same minimum-zenith satellite inside the mask; its edges are
-    bisected between samples to within dt/100, and its minimum zenith angle
-    is polished within dt of its best sample.  Handover instants are shared
-    between the outgoing and incoming session, so continuous coverage tiles
-    the window without gaps.  Session k covers samples
-    ``ranges[k][0]:ranges[k][1]``.
+    bisected between samples to within dt/100, all of them together.
+    Handover instants are shared between the outgoing and incoming session,
+    so continuous coverage tiles the window without gaps.  Session k covers
+    samples ``ranges[k][0]:ranges[k][1]``, and its ``min_zenith_deg`` is the
+    grid minimum over them; ``find_sessions`` polishes it between samples.
     """
     state, zmin = _serving_state(zenith_deg, theta_max_deg)
-    tol = dt / 100.0
+    ends = np.flatnonzero(state[1:] != state[:-1])  # last sample of each run but the final one
+    edges = _refine_boundaries(
+        spec, gs, times[ends], times[ends + 1], state[ends], theta_max_deg, dt / 100.0
+    )
+    cuts = [0, *(ends + 1).tolist(), len(times)]
+    bounds = [times[0], *edges, times[-1]]
     sessions: list[VisibilitySession] = []
     ranges: list[tuple[int, int]] = []
-    n = len(times)
-    i = 0
-    boundary_left = times[0]
-    while i < n:
+    for i, j, left, right in zip(cuts, cuts[1:], bounds, bounds[1:]):
         s = int(state[i])
-        j = i
-        while j + 1 < n and state[j + 1] == s:
-            j += 1
-        if j + 1 < n:
-            boundary_right = _refine_boundary(spec, gs, times[j], times[j + 1], s, theta_max_deg, tol)
-        else:
-            boundary_right = times[-1]
         if s >= 0:
-            seg = zmin[i : j + 1]
-            k_best = i + int(np.argmin(seg))
-            min_z = _refine_min_zenith(spec, gs, s, times[k_best], dt, boundary_left, boundary_right)
-            min_z = min(min_z, float(np.min(seg)))
-            sessions.append(
-                VisibilitySession(gs.id, float(boundary_left), float(boundary_right), s, float(min_z))
-            )
-            ranges.append((i, j + 1))
-        boundary_left = boundary_right
-        i = j + 1
+            min_z = float(np.min(zmin[i:j]))
+            sessions.append(VisibilitySession(gs.id, float(left), float(right), s, min_z))
+            ranges.append((i, j))
     return sessions, ranges
 
 
@@ -288,7 +288,8 @@ def find_sessions(
     dt: float = 1.0,
     theta_max_deg: float = 70.0,
 ) -> list[VisibilitySession]:
-    """Visibility sessions over [t0, t1], sampled every ``dt`` (see ``extract_sessions``)."""
+    """Visibility sessions over [t0, t1], sampled every ``dt`` (see ``extract_sessions``),
+    each minimum zenith angle polished within dt of its best sample."""
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
     if dt <= 0:
@@ -297,7 +298,14 @@ def find_sessions(
     times = t0 + dt * np.arange(n + 1)
     if times[-1] < t1:
         times = np.append(times, t1)
-    return extract_sessions(spec, gs, times, dt, zenith_angles_deg(spec, gs, times), theta_max_deg)[0]
+    z = zenith_angles_deg(spec, gs, times)
+    sessions, ranges = extract_sessions(spec, gs, times, dt, z, theta_max_deg)
+    polished = []
+    for s, (i, j) in zip(sessions, ranges):
+        t_best = times[i + int(np.argmin(z[i:j, s.serving_sat]))]
+        min_z = _refine_min_zenith(spec, gs, s.serving_sat, t_best, dt, s.t_start_s, s.t_end_s)
+        polished.append(replace(s, min_zenith_deg=float(min(min_z, s.min_zenith_deg))))
+    return polished
 
 
 def visibility_fraction(sessions, t_total_s: float) -> float:

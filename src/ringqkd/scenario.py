@@ -85,6 +85,15 @@ def _bool(raw: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
+def _choice(*options: str):
+    """Parser for a string key that takes only ``options``."""
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"expected one of {', '.join(options)}")
+        return raw
+    return parse
+
+
 # (section, key) -> (parser, default in file units, target, field, unit scale).
 # The target dataclass receives ``value * scale`` as its field; GroundStation
 # is gs1.  Defaults stay in file units because 15.0 * 1e-6 != 15e-6.  The
@@ -108,7 +117,8 @@ _TABLE = {
     ("optics", "pointing_jitter_urad"): (float, 1.0, OpticalParams, "pointing_jitter_rad", 1e-6),
     ("optics", "optics_efficiency"): (float, 0.5, OpticalParams, "optics_efficiency", 1),
     ("optics", "atm_loss_db_zenith"): (float, 1.55, OpticalParams, "atm_loss_db_zenith", 1),
-    ("turbulence", "model"): (str, "hufnagel_valley", TurbulenceProfile, "model", 1),
+    ("turbulence", "model"): (
+        _choice("hufnagel_valley", "none"), "hufnagel_valley", TurbulenceProfile, "model", 1),
     ("turbulence", "wind_speed_mps"): (float, 21.0, TurbulenceProfile, "wind_speed_mps", 1),
     ("turbulence", "cn2_ground"): (float, 1.7e-14, TurbulenceProfile, "cn2_ground", 1),
     ("turbulence", "gs_altitude_m"): (float, 0.0, TurbulenceProfile, "gs_altitude_m", 1),
@@ -120,7 +130,8 @@ _TABLE = {
     ("channel", "rep_rate_ghz"): (float, 1.0, ChannelModel, "rep_rate_hz", 1e9),
     ("channel", "error_correction_factor"): (
         float, 1.11, ChannelModel, "error_correction_factor", 1),
-    ("channel", "effective_mode"): (str, "max", ScenarioConfig, "effective_mode", 1),
+    ("channel", "effective_mode"): (
+        _choice("max", "asymmetric"), "max", ScenarioConfig, "effective_mode", 1),
     # The published inter-satellite loss curves that the effective-link rule
     # points at carry only the optics and geometric-capture terms, so the
     # pointing factor stays out of the effective link by default.
@@ -136,7 +147,7 @@ _TABLE = {
     ("campaign", "seed"): (int, 1, ScenarioConfig, "seed", 1),
     ("campaign", "time_step_s"): (float, 1.0, ScenarioConfig, "time_step_s", 1),
     ("campaign", "theta_max_deg"): (float, 70.0, ScenarioConfig, "theta_max_deg", 1),
-    ("campaign", "pooling"): (str, "daily", ScenarioConfig, "pooling", 1),
+    ("campaign", "pooling"): (_choice("daily", "session"), "daily", ScenarioConfig, "pooling", 1),
     ("campaign", "vary_phase"): (_bool, True, ScenarioConfig, "vary_phase", 1),
     ("campaign", "optimizer_starts"): (int, 3, ScenarioConfig, "optimizer_starts", 1),
     ("campaign", "optimizer_evals"): (int, 400, ScenarioConfig, "optimizer_evals", 1),

@@ -36,11 +36,13 @@ from .geometry import (
     visibility_fraction,
     zenith_from_positions,
 )
-# run_day extracts sessions through geometry.extract_sessions, which refines
-# their edges itself; these three names stay in this namespace, unused,
-# because the benchmark's per-layer trace (perfbench/tracing.py) hooks them
-# here and its tests expect every hooked name to exist.
-from .geometry import _refine_boundary, _refine_min_zenith  # noqa: F401
+# run_day extracts sessions through geometry.extract_sessions, which bisects
+# their edges itself, and only geometry.find_sessions polishes; these three
+# names stay in this namespace, unused, because the benchmark's per-layer
+# trace (perfbench/tracing.py) hooks them here and its tests expect every
+# hooked name to exist.
+from .geometry import _refine_boundaries as _refine_boundary  # noqa: F401
+from .geometry import _refine_min_zenith  # noqa: F401
 from .geometry import extract_sessions as _sessions_from_state  # noqa: F401
 from .keyrate import SklBreakdown, accumulate_links
 # run_day optimises all of a day's links in one accumulate_links call; the

@@ -1,6 +1,7 @@
 """Geometry tests: propagation, clearance, ring sizing, sessions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from ringqkd.geometry import (
     ConstellationSpec,
     GroundStation,
     VisibilitySession,
-    _refine_boundary,
-    _refine_min_zenith,
+    _refine_boundaries,
+    _serving_state,
     clearance_segment_km,
     extract_sessions,
     find_sessions,
@@ -327,11 +328,51 @@ def test_visibility_fraction_edges():
 # ------------------------------------------- sessions against the reference
 
 
+def _scalar_bisection(spec, gs, t_lo, t_hi, state_lo, theta_max_deg, tol):
+    """One edge at a time, one (1, N) zenith evaluation per halving: the
+    bisection geometry ran before it stepped all edges in one array."""
+    lo, hi = t_lo, t_hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        state, _ = _serving_state(zenith_angles_deg(spec, gs, np.array([mid])), theta_max_deg)
+        if state[0] == state_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _scalar_polish(spec, gs, sat, t_best, dt, t_lo, t_hi):
+    """Golden-section polish of one satellite's minimum zenith angle, as
+    geometry ran it for every session before only find_sessions polished."""
+    a = max(t_lo, t_best - dt)
+    b = min(t_hi, t_best + dt)
+
+    def f(t):
+        return zenith_angles_deg(spec, gs, np.array([t]))[0, sat]
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(30):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return min(fc, fd)
+
+
 def _reference_sessions(spec, gs, times, dt, theta_max_deg):
     """Sessions and sample ranges as the simulator's day loop extracted them
     before extraction moved into geometry: its inline zenith block and its
-    copy of the session loop, kept as a reference for ``extract_sessions``.
-    The edge bisection and the minimum-zenith polish are geometry's own."""
+    copy of the session loop, with the scalar edge bisection and the
+    minimum-zenith polish on every session, kept as a reference for
+    ``extract_sessions`` and ``find_sessions``."""
     pos = positions_eci_km(spec, times)
     rg = gs_position_km(gs, times)
     v = pos - rg[:, None, :]
@@ -354,12 +395,12 @@ def _reference_sessions(spec, gs, times, dt, theta_max_deg):
         while j + 1 < n and state[j + 1] == s:
             j += 1
         if j + 1 < n:
-            boundary_right = _refine_boundary(spec, gs, times[j], times[j + 1], s, theta_max_deg, tol)
+            boundary_right = _scalar_bisection(spec, gs, times[j], times[j + 1], s, theta_max_deg, tol)
         else:
             boundary_right = times[-1]
         if s >= 0:
             k_best = i + int(np.argmin(zmin[i : j + 1]))
-            min_z = _refine_min_zenith(spec, gs, s, times[k_best], dt, boundary_left, boundary_right)
+            min_z = _scalar_polish(spec, gs, s, times[k_best], dt, boundary_left, boundary_right)
             min_z = min(min_z, float(np.min(zmin[i : j + 1])))
             sessions.append(
                 VisibilitySession(gs.id, float(boundary_left), float(boundary_right), s, float(min_z))
@@ -389,7 +430,56 @@ def test_extract_sessions_matches_reference(kind, n, latitude, longitude, phase0
     times = epoch + dt * np.arange(steps + 1)
     if times[-1] < t1:
         times = np.append(times, t1)
-    want = _reference_sessions(spec, gs, times, dt, 70.0)
-    got = extract_sessions(spec, gs, times, dt, zenith_angles_deg(spec, gs, times), 70.0)
-    assert got == want
-    assert find_sessions(spec, gs, epoch, t1, dt=dt) == want[0]
+    want, want_ranges = _reference_sessions(spec, gs, times, dt, 70.0)
+    z = zenith_angles_deg(spec, gs, times)
+    got, got_ranges = extract_sessions(spec, gs, times, dt, z, 70.0)
+    # extraction matches in everything but the polish, which it leaves out
+    assert got_ranges == want_ranges
+    assert [replace(s, min_zenith_deg=0.0) for s in got] == [
+        replace(s, min_zenith_deg=0.0) for s in want
+    ]
+    for s, (i, j) in zip(got, got_ranges):
+        assert s.min_zenith_deg == float(np.min(z[i:j, s.serving_sat]))
+    assert find_sessions(spec, gs, epoch, t1, dt=dt) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(list(ConstellationKind)),
+    n=st.integers(4, 40),
+    latitude=st.floats(-90.0, 90.0),
+    phase0=st.floats(0.0, 360.0, exclude_max=True),
+    epoch=st.floats(0.0, 1e5),
+    dt=st.sampled_from([0.7, 1.0, 2.5, 5.0]),
+    window=st.floats(30.0, 6000.0),
+    extra=st.lists(
+        st.tuples(
+            st.floats(0.0, 1.0),
+            # a full step, a short final interval, or one already within tol
+            st.just(1.0) | st.floats(0.011, 1.0) | st.floats(0.0, 0.01),
+            st.integers(-1, 39),
+        ),
+        max_size=20,
+    ),
+)
+def test_refine_boundaries_matches_scalar_bisection(
+    kind, n, latitude, phase0, epoch, dt, window, extra
+):
+    # the grid's own handovers, the last one into the appended end sample,
+    # plus random intervals with random starting states, all in one batch
+    spec = ConstellationSpec(kind, n, 500.0, epoch_s=epoch, phase0_deg=phase0)
+    gs = GroundStation(1, latitude, 0.0)
+    times = epoch + dt * np.arange(int(math.floor(window / dt)) + 1)
+    times = np.append(times, epoch + window) if times[-1] < epoch + window else times
+    state, _ = _serving_state(zenith_angles_deg(spec, gs, times), 70.0)
+    ends = np.flatnonzero(state[1:] != state[:-1])
+    t_lo = np.concatenate((times[ends], [epoch + f * window for f, _, _ in extra]))
+    t_hi = np.concatenate((times[ends + 1], t_lo[len(ends):] + [w * dt for _, w, _ in extra]))
+    state_lo = np.concatenate((state[ends], [min(s, n - 1) for _, _, s in extra])).astype(int)
+    tol = dt / 100.0
+    got = _refine_boundaries(spec, gs, t_lo, t_hi, state_lo, 70.0, tol)
+    want = [
+        _scalar_bisection(spec, gs, lo, hi, s, 70.0, tol)
+        for lo, hi, s in zip(t_lo, t_hi, state_lo)
+    ]
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()

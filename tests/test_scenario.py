@@ -168,8 +168,9 @@ INVALID_TEXT = ["nan", "inf", "-inf", "1e999", "", "bogus", "1.5x"]
     from_file=st.booleans(),
 )
 def test_bad_values_raise_value_error(key, raw, from_file, tmp_path):
-    # texts that no key accepts are rejected; any other number either builds
-    # a config or raises ValueError, never anything else
+    # texts that no key accepts are rejected with an error that names the
+    # key; any other number either builds a config or raises ValueError,
+    # never anything else
     sec, name = key
     try:
         if from_file:
@@ -178,7 +179,8 @@ def test_bad_values_raise_value_error(key, raw, from_file, tmp_path):
             load_scenario(str(path))
         else:
             load_scenario(overrides=[f"{sec}.{name}={raw}"])
-    except ValueError:
+    except ValueError as exc:
+        assert raw not in INVALID_TEXT or f"{sec}.{name}" in str(exc)
         return
     assert raw not in INVALID_TEXT
 

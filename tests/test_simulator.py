@@ -338,3 +338,16 @@ def test_campaign_consistent_with_single_link_evaluation():
     _, single = optimize_sns(channel, mean_seconds, cfg.eps, max_evals=200)
     assert single.skl_bits > 0
     assert mean_link_skl / 3.0 <= single.skl_bits <= mean_link_skl * 3.0
+
+
+def test_run_day_never_polishes_minimum_zenith(monkeypatch):
+    # no campaign output reads a session's polished minimum zenith angle, so
+    # a day must not pay for the polish
+    from ringqkd import geometry
+
+    def refuse(*args):
+        raise AssertionError("run_day polished a minimum zenith angle")
+
+    monkeypatch.setattr(geometry, "_refine_min_zenith", refuse)
+    rep = run_day(short_config(**{"campaign.t_total_s": 1800}), 0)
+    assert rep.rho_vis[1] > 0.0
