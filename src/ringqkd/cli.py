@@ -269,7 +269,49 @@ def _security_args_from_file(args) -> None:
         setattr(args, _SECURITY_FILE[key][1], value)
 
 
+def _minimum_cells(res) -> tuple[str, str]:
+    """CSV cells of a ``min_compromise`` result: the minimum, or its bracket
+    ``lower..upper`` when the search budget ran out, and the example set."""
+    if res.exact:
+        size = "" if res.size is None else str(res.size)
+    else:
+        size = f"{res.lower}..{'' if res.upper is None else res.upper}"
+    return size, " ".join(str(sat) for sat in res.example)
+
+
+def _security_sweep(args) -> int:
+    """Minimum compromise versus ring size at the feasible neighbour range."""
+    try:
+        sizes = [int(v) for v in args.sweep_ns.split(",")]
+    except ValueError:
+        raise ValueError(f"--sweep-ns takes integer ring sizes, got {args.sweep_ns!r}") from None
+    if args.budget_db is None:
+        raise ValueError("--sweep-ns needs --budget-db")
+    # every N and the budget are checked before any search runs or file is written
+    ranges = [(n, feasible_neighbor_range(n, args.budget_db)) for n in sizes]
+    rows = []
+    for n, r in ranges:
+        if r < 2:  # no twin-field key beyond the adjacent pair: nothing to forward
+            rows.append((n, r, "", "", "", ""))
+            print(f"N={n} r={r}: no forwarding")
+            continue
+        path = build_paths(n, 0, n // 2, r=r)
+        with_att = _minimum_cells(min_compromise(path, allow_attachments=True))
+        without = _minimum_cells(min_compromise(path, allow_attachments=False))
+        rows.append((n, r, *with_att, *without))
+        print(f"N={n} r={r}: minimum {with_att[0]} with attachments, {without[0]} without")
+    curves = _output_dir(args) / "curves"
+    curves.mkdir(exist_ok=True)
+    _write_csv(curves / "security.csv", [
+        "n_sats", "r_feasible", "min_with_attachments", "example_with_attachments",
+        "min_without_attachments", "example_without_attachments",
+    ], rows)
+    return 0
+
+
 def cmd_security(args) -> int:
+    if args.sweep_ns is not None:
+        return _security_sweep(args)
     outdir = _output_dir(args)
     if args.file:
         _security_args_from_file(args)
@@ -383,6 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-compromise", action="store_true")
     p.add_argument("--exclude-attachments", action="store_true")
     p.add_argument("--budget-db", type=float, default=None)
+    p.add_argument("--sweep-ns", default=None, metavar="N,N,...",
+                   help="minimum compromise for each ring size N, attachments 0 and N//2,"
+                        " at the neighbour range --budget-db allows; writes"
+                        " curves/security.csv and ignores the single-ring options")
     p.add_argument("--output-dir", default=None)
     p.set_defaults(func=cmd_security)
 

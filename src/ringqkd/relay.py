@@ -28,9 +28,19 @@ each satellite's key rows and the public message rows, reduced to echelon
 form once.  ``adversary_can_recover`` extends a copy of that basis by the
 compromised satellites' key rows only, in the order a from-scratch
 elimination would add them, so its answer and witness are those of a full
-elimination.  ``min_compromise`` walks the subsets depth-first in size then
-lexicographic order; each satellite added extends a copy of its prefix's
-basis, so a subset costs the reduction of one satellite's rows.
+elimination.
+
+The two segments share no key symbols, so the adversary's knowledge is the
+direct sum of the two segment systems: X_plus XOR X_minus is recoverable
+exactly when X_plus and X_minus both are, and only the attachment
+satellites hold keys of both segments.  ``min_compromise`` therefore fixes
+each set A of compromised attachments and searches each segment's interior
+satellites on its own, from the basis extended by A's keys; the ring
+minimum is the least |A| + m_plus(A) + m_minus(A).  Each segment search
+walks the subsets depth-first in size then lexicographic order; each
+satellite added extends a copy of its prefix's basis, so a subset costs the
+reduction of one satellite's rows.  Its budget counts the subsets tested
+over all segment searches.
 
 Parity at r = 2: every twin-field key joins slots of the same parity, so a
 segment's keys form two separate chains, and the public messages telescope
@@ -365,36 +375,42 @@ class MinCompromiseResult:
     upper: int | None
 
 
-def _canonical_upper(path: RingPath, allow_attachments: bool, target: str) -> int | None:
-    """Size of a known recovering construction, used for search brackets."""
-    r, n, a = path.neighbor_range, path.n_sats, path.attach_a
-    if allow_attachments:
-        cand = frozenset((a + d) % n for d in range(-(r - 1), r))
-    else:
-        cand = frozenset((a + 1 + d) % n for d in range(r)) | frozenset(
-            (a - 1 - d) % n for d in range(r)
-        )
-    if not allow_attachments and (path.attach_a in cand or path.attach_b in cand):
-        return None
-    ok, _ = adversary_can_recover(path, CompromiseScenario(cand), target)
-    return len(cand) if ok else None
-
-
 def _subsets(system: _RingSystem, candidates: list, prefix: tuple, basis, n_rows: int,
              start: int, size: int):
     """Extensions of ``prefix`` by ``size`` of ``candidates[start:]``, in
     lexicographic order, each with its basis: every satellite added extends
     a copy of its prefix's basis by that satellite's key rows."""
+    if size == 0:
+        yield prefix, basis
+        return
     for idx in range(start, len(candidates) - size + 1):
         sat = candidates[idx]
         rows = system.sat_rows[sat]
-        extended = _extend(basis, rows, n_rows)
-        if size == 1:
-            yield prefix + (sat,), extended
-        else:
-            yield from _subsets(
-                system, candidates, prefix + (sat,), extended, n_rows + len(rows), idx + 1, size - 1
-            )
+        yield from _subsets(
+            system, candidates, prefix + (sat,), _extend(basis, rows, n_rows),
+            n_rows + len(rows), idx + 1, size - 1,
+        )
+
+
+def _smallest_recovering(system: _RingSystem, basis, n_rows: int, candidates: list,
+                         want: int, max_size: int, budget: int):
+    """Lexicographically smallest of the smallest subsets of ``candidates``,
+    of at most ``max_size`` satellites, that together with ``basis`` recover
+    the bit ``want``; at most ``budget`` subsets are tested.
+
+    Returns (subset or None, subsets tested, first size not ruled out).  With
+    no subset found, that size is ``max_size + 1`` when the search finished
+    and at most ``max_size`` when the budget ran out.
+    """
+    tested = 0
+    for size in range(max_size + 1):
+        for subset, extended in _subsets(system, candidates, (), basis, n_rows, 0, size):
+            if tested == budget:
+                return None, tested, size
+            tested += 1
+            if not _reduce(extended, want)[0]:
+                return subset, tested, size
+    return None, tested, max_size + 1
 
 
 def min_compromise(
@@ -405,53 +421,78 @@ def min_compromise(
 ) -> MinCompromiseResult:
     """Smallest compromised-satellite set that recovers the secret.
 
-    Rings are independent, so the multi-ring minimum is the sum of
-    single-ring minima (the example set concatenates per-ring examples).
-    Within a ring the search enumerates subsets in size then lexicographic
-    order, so the reported example is the lexicographically smallest
-    minimal set.  ``max_evals`` caps the number of subsets tested; if the
-    budget runs out a certified lower/upper bracket is returned instead.
+    The two segments share no key symbols, so the adversary's knowledge is
+    the direct sum of the two segment systems, and X_plus XOR X_minus is
+    recoverable exactly when X_plus and X_minus both are.  Only the
+    attachment satellites hold keys of both segments.  The ring minimum is
+    therefore the minimum, over each set A of compromised attachments (only
+    the empty one when attachments are excluded), of |A| plus, per segment,
+    the smallest set of that segment's interior satellites that recovers its
+    secret together with A.  A segment target counts only its own segment.
+
+    Each per-segment search walks the interior subsets depth-first in size
+    then ascending-index lexicographic order, starting from the basis
+    extended by A's keys, and stops at sizes that can no longer tie the best
+    total found.  The union of the segments' lexicographically smallest
+    minimal sets is the lexicographically smallest minimal set for that A,
+    so the reported example is the one an exhaustive size-then-lexicographic
+    search over all satellites would find.
+
+    Rings are independent: a ``ring`` target on several rings needs the
+    per-ring minimum on every ring (the example lists it per ring as
+    (ring, satellite) pairs), while a segment target concerns ring 0 alone.
+    ``max_evals`` caps the total number of subsets tested over all
+    per-segment searches.  When it runs out the result is a certified
+    bracket: ``lower`` bounds every unsearched case from below, and
+    ``upper`` with ``example`` is the best recovering set found, if any.
+    A target that no set recovers gives an exact result with size None and,
+    per counted ring, a lower bound one above the number of satellites that
+    may be compromised.
     """
     if target not in _TARGETS:
         raise ValueError(f"unknown target: {target}")
-    single = build_paths(
-        path.n_sats, path.attach_a, path.attach_b, path.neighbor_range, n_rings=1
-    )
-    system = _system(single).rings[0]
-    want = _target_bit(system, 0, target)
-    candidates = list(range(path.n_sats))
-    if not allow_attachments:
-        candidates = [s for s in candidates if s not in (path.attach_a, path.attach_b)]
-    evals = 0
-    found_size = None
-    example: tuple = ()
-    cap = min(len(candidates), 2 * (2 * path.neighbor_range - 1))
-    proven_lower = 1
-    for size in range(1, cap + 1):
-        subsets = _subsets(system, candidates, (), system.basis, len(system.labels), 0, size)
-        for combo, basis in subsets:
-            evals += 1
-            if evals > max_evals:
-                upper = _canonical_upper(single, allow_attachments, target)
-                return MinCompromiseResult(
-                    False, None, example, proven_lower * path.n_rings,
-                    None if upper is None else upper * path.n_rings,
-                )
-            if not _reduce(basis, want)[0]:
-                found_size = size
-                example = combo
+    system = _system(path).rings[0]
+    segments = ("plus", "minus") if target == "ring" else (target,)
+    interiors = {seg: sorted(path.walks[(0, seg)][2:-2]) for seg in segments}
+    a, b = sorted((path.attach_a, path.attach_b))
+    choices = [(), (a,), (b,), (a, b)] if allow_attachments else [()]
+    rings = path.n_rings if target == "ring" else 1
+
+    def result(exact, size, example, lower, upper):
+        if path.n_rings > 1:
+            example = tuple((ring, sat) for ring in range(rings) for sat in example)
+        return MinCompromiseResult(
+            exact, None if size is None else size * rings, example, lower * rings,
+            None if upper is None else upper * rings,
+        )
+
+    evals, best, example = 0, None, ()
+    for index, attached in enumerate(choices):
+        rows = [bit for sat in attached for bit in system.sat_rows[sat]]
+        basis = _extend(system.basis, rows, len(system.labels))
+        chosen = attached
+        for seg in segments:
+            cap = len(interiors[seg]) if best is None else best - len(chosen)
+            found, tested, size = _smallest_recovering(
+                system, basis, len(system.labels) + len(rows), interiors[seg],
+                system.secrets[seg], cap, max_evals - evals,
+            )
+            evals += tested
+            if found is None and size <= cap:  # budget spent
+                pending = [len(chosen) + size] + [len(c) for c in choices[index + 1:]]
+                lower = min(pending if best is None else pending + [best])
+                return result(False, None, example, lower, best)
+            if found is None:  # no set recovers with these attachments, or none ties best
                 break
-        if found_size is not None:
-            break
-        proven_lower = size + 1
-    if found_size is None:
-        return MinCompromiseResult(True, None, (), proven_lower, None)
-    per_ring_size = found_size
-    total = per_ring_size * path.n_rings
-    full_example = tuple(
-        (ring, sat) for ring in range(path.n_rings) for sat in example
-    ) if path.n_rings > 1 else example
-    return MinCompromiseResult(True, total, full_example, total, total)
+            chosen += found
+        else:
+            chosen = tuple(sorted(chosen))
+            if best is None or (len(chosen), chosen) < (best, example):
+                best, example = len(chosen), chosen
+    if best is None:
+        sats = path.n_sats - (0 if allow_attachments else 2)
+        return result(True, None, (), sats + 1, None)
+    return result(True, best, example, best, best)
 
 
 def feasible_neighbor_range(

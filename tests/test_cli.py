@@ -231,11 +231,60 @@ def test_security_min_compromise_bracket(tmp_path, monkeypatch):
     payload = json.loads((tmp_path / "verdict.json").read_text())
     assert payload["min_compromise"] is None
     assert payload["min_compromise_exact"] is False
-    # the 12 singletons are tested, the budget runs out among the pairs, and
-    # the three satellites around an attachment certify the upper end
+    # the budget runs out in the third of the four attachment choices: the
+    # choice of attachment 0 alone has found (0, 1, 7), and no untried case
+    # can go below 2
     assert payload["min_lower"] == 2
     assert payload["min_upper"] == 3
-    assert payload["min_example"] == []
+    assert payload["min_example"] == [0, 1, 7]
+
+
+def read_sweep(tmp_path):
+    lines = (tmp_path / "curves" / "security.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def test_security_sweep_ns(tmp_path):
+    rc = run_cli(
+        "security", "--sweep-ns", "12,16,28", "--budget-db", "45", "--output-dir", str(tmp_path),
+    )
+    assert rc == 0
+    rows = read_sweep(tmp_path)
+    assert [(row["n_sats"], row["r_feasible"]) for row in rows] == [("12", "1"), ("16", "2"), ("28", "3")]
+    # r < 2 forwards nothing, so there is no minimum to report
+    assert [rows[0][key] for key in list(rows[0])[2:]] == ["", "", "", ""]
+    got = [(row["min_with_attachments"], row["min_without_attachments"]) for row in rows[1:]]
+    assert got == [("3", "4"), ("5", "6")]
+    assert rows[1]["example_with_attachments"] == "0 1 9"
+    assert rows[2]["example_without_attachments"] == "1 2 3 15 16 17"
+
+
+def test_security_sweep_writes_bracket_when_budget_runs_out(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "min_compromise", functools.partial(relay.min_compromise, max_evals=20))
+    rc = run_cli(
+        "security", "--sweep-ns", "16", "--budget-db", "45", "--output-dir", str(tmp_path),
+    )
+    assert rc == 0
+    (row,) = read_sweep(tmp_path)
+    res = relay.min_compromise(relay.build_paths(16, 0, 8), max_evals=20)
+    assert not res.exact
+    assert row["min_with_attachments"] == f"{res.lower}..{res.upper}"
+    assert row["example_with_attachments"] == " ".join(map(str, res.example))
+
+
+@pytest.mark.parametrize("extra", [
+    ["--sweep-ns", "12,x", "--budget-db", "45"],
+    ["--sweep-ns", "12.5", "--budget-db", "45"],
+    ["--sweep-ns", "12,2", "--budget-db", "45"],
+    ["--sweep-ns", "", "--budget-db", "45"],
+    ["--sweep-ns", "12,16"],
+    ["--sweep-ns", "12,16", "--budget-db", "nan"],
+])
+def test_security_sweep_rejects_bad_input(extra, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("security", *extra, "--output-dir", str(out)) == 2
+    assert not out.exists()
 
 
 def test_security_bad_args_exit_code(tmp_path):

@@ -397,11 +397,13 @@ def test_feasible_range_monotone_in_budget():
 
 
 def test_min_compromise_budget_bracket():
+    # the budget runs out in the third of the four attachment choices, after
+    # the choice of attachment 0 alone has certified (0, 1, 7)
     p = build_paths(12, 0, 6)
-    res = min_compromise(p, max_evals=5)
+    res = min_compromise(p, max_evals=20)
     assert not res.exact and res.size is None
     assert res.lower >= 1
-    assert res.upper == 3  # canonical attachment construction still certifies
+    assert res.upper == 3 and res.example == (0, 1, 7)
     full = min_compromise(p)
     assert res.lower <= full.size <= res.upper
 
@@ -411,8 +413,8 @@ def test_min_compromise_budget_bracket():
 
 @st.composite
 def ring_paths(draw):
-    """A path over n 4-14, r 2-3 and 1-2 rings that ``build_paths`` accepts."""
-    n = draw(st.integers(4, 14))
+    """A path over n 4-16, r 2-3 and 1-2 rings that ``build_paths`` accepts."""
+    n = draw(st.integers(4, 16))
     i = draw(st.integers(0, n - 1))
     k = (i + draw(st.integers(1, n - 1))) % n
     r = draw(st.integers(2, 3))
@@ -523,53 +525,116 @@ def test_oracle_agrees_with_rank_and_witness_replays(data, path, target, seed):
         assert witness == []
 
 
-def reference_min_compromise(path, allow_attachments, target, max_evals):
-    """The per-subset search the depth-first walk replaced: one oracle call
-    per subset, in ``itertools.combinations`` order."""
+def reference_min_compromise(path, allow_attachments, target):
+    """Exhaustive search over the satellites of one ring: one oracle call per
+    subset, in ``itertools.combinations`` order.  A segment target concerns
+    ring 0 alone; the ring target needs the per-ring set on every ring."""
     single = build_paths(path.n_sats, path.attach_a, path.attach_b, path.neighbor_range)
 
     def recovers(sats):
         return adversary_can_recover(single, CompromiseScenario(frozenset(sats)), target)[0]
 
-    r, n, a = path.neighbor_range, path.n_sats, path.attach_a
-    if allow_attachments:
-        canonical = {(a + d) % n for d in range(-(r - 1), r)}
-    else:
-        canonical = {(a + 1 + d) % n for d in range(r)} | {(a - 1 - d) % n for d in range(r)}
-    if not allow_attachments and {path.attach_a, path.attach_b} & canonical:
-        upper = None
-    else:
-        upper = len(canonical) if recovers(canonical) else None
+    rings = path.n_rings if target == "ring" else 1
     candidates = [
-        s for s in range(n) if allow_attachments or s not in (path.attach_a, path.attach_b)
+        s for s in range(path.n_sats)
+        if allow_attachments or s not in (path.attach_a, path.attach_b)
     ]
-    evals = 0
-    lower = 1
-    for size in range(1, min(len(candidates), 2 * (2 * r - 1)) + 1):
+    if not recovers(candidates):  # knowledge only grows with the set
+        lower = (len(candidates) + 1) * rings
+        return MinCompromiseResult(True, None, (), lower, None)
+    for size in itertools.count(1):
         for combo in itertools.combinations(candidates, size):
-            evals += 1
-            if evals > max_evals:
-                return MinCompromiseResult(
-                    False, None, (), lower * path.n_rings,
-                    None if upper is None else upper * path.n_rings,
-                )
             if recovers(combo):
-                total = size * path.n_rings
                 example = combo if path.n_rings == 1 else tuple(
-                    (ring, sat) for ring in range(path.n_rings) for sat in combo
+                    (ring, sat) for ring in range(rings) for sat in combo
                 )
+                total = size * rings
                 return MinCompromiseResult(True, total, example, total, total)
-        lower = size + 1
-    return MinCompromiseResult(True, None, (), lower, None)
 
 
 @settings(max_examples=80, deadline=None)
-@given(ring_paths(), st.booleans(), TARGETS, st.integers(1, 300))
-def test_min_compromise_matches_sequential_reference(path, allow_attachments, target, max_evals):
-    got = min_compromise(path, allow_attachments, target, max_evals)
-    assert got == reference_min_compromise(path, allow_attachments, target, max_evals)
+@given(ring_paths(), st.booleans(), TARGETS)
+def test_min_compromise_matches_sequential_reference(path, allow_attachments, target):
+    got = min_compromise(path, allow_attachments, target, max_evals=10**9)
+    assert got == reference_min_compromise(path, allow_attachments, target)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_paths(), st.booleans(), TARGETS)
+def test_min_compromise_budget_gives_exact_answer_or_bracket(path, allow_attachments, target):
+    exact = min_compromise(path, allow_attachments, target)
+    for budget in range(1, 301):
+        got = min_compromise(path, allow_attachments, target, max_evals=budget)
+        if got.exact:
+            assert got == exact
+            continue
+        assert got.size is None and got.lower <= exact.lower
+        if exact.size is None:
+            assert got.upper is None and got.example == ()
+        elif got.upper is None:
+            assert got.example == ()
+        else:
+            assert exact.size <= got.upper == len(got.example)
+            scen = CompromiseScenario(frozenset(got.example))
+            assert adversary_can_recover(path, scen, target)[0]
+
+
+def brute_force_minimum(path, allow_attachments, target):
+    """Smallest (ring, satellite) sets that recover the target, by size."""
+    items = [
+        (ring, sat)
+        for ring in range(path.n_rings)
+        for sat in range(path.n_sats)
+        if allow_attachments or sat not in (path.attach_a, path.attach_b)
+    ]
+    for size in range(len(items) + 1):
+        hits = [
+            combo for combo in itertools.combinations(items, size)
+            if adversary_can_recover(path, CompromiseScenario(frozenset(combo)), target)[0]
+        ]
+        if hits:
+            return size, hits
+    return None, []
+
+
+@pytest.mark.parametrize("n_rings", [1, 2])
+@pytest.mark.parametrize("target", ["ring", "plus", "minus"])
+def test_min_compromise_matches_joint_brute_force(n_rings, target):
+    # every path with n <= 8 on a single ring; a sample of them on two rings,
+    # where the joint search over (ring, satellite) sets is costlier
+    cases = [(n, 0, k, r) for n in range(4, 9) for k in range(1, n) for r in (2, 3)]
+    if n_rings == 2:
+        cases = [(4, 0, 2, 2), (5, 0, 1, 2), (6, 0, 3, 2), (7, 0, 3, 3), (8, 0, 4, 2), (8, 0, 3, 3)]
+    for n, i, k, r in cases:
+        try:
+            path = build_paths(n, i, k, r=r, n_rings=n_rings)
+        except ValueError:
+            continue
+        for allow in (True, False):
+            res = min_compromise(path, allow, target)
+            size, hits = brute_force_minimum(path, allow, target)
+            assert res.size == size, (n, k, r, allow)
+            if size is not None:
+                tagged = res.example if n_rings > 1 else tuple((0, s) for s in res.example)
+                assert tuple(sorted(tagged)) in hits, (n, k, r, allow)
+
+
+def test_segment_target_counts_ring_zero_only():
+    # ring 1 holds no part of the ring-0 segment secret
+    path = build_paths(12, 0, 6, r=2, n_rings=2)
+    res = min_compromise(path, target="plus")
+    assert res == MinCompromiseResult(True, 2, ((0, 0), (0, 1)), 2, 2)
+    assert adversary_can_recover(path, CompromiseScenario(frozenset(res.example)), "plus")[0]
 
 
 def test_min_compromise_n24_r3():
     res = min_compromise(build_paths(24, 0, 12, r=3))
     assert res == MinCompromiseResult(True, 5, (0, 1, 2, 22, 23), 5, 5)
+
+
+def test_min_compromise_n30_r4():
+    path = build_paths(30, 0, 15, r=4)
+    assert min_compromise(path) == MinCompromiseResult(True, 7, (0, 1, 2, 3, 27, 28, 29), 7, 7)
+    assert min_compromise(path, allow_attachments=False) == MinCompromiseResult(
+        True, 8, (1, 2, 3, 4, 16, 17, 18, 19), 8, 8
+    )
