@@ -15,14 +15,13 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .constants import EARTH_RADIUS_KM
 from .geometry import min_ring_size
-from .keyrate import ChannelModel, optimize_sns
+from .keyrate import accumulate_link, symmetric_arms
 from .linkbudget import (
     isl_efficiency,
     slant_path_km,
@@ -198,6 +197,11 @@ def _zenith_pass_rows(config: ScenarioConfig, dt: float):
 def cmd_linkbudget(args) -> int:
     if not (args.uplink_pass or args.isl):
         raise ValueError("linkbudget needs --uplink-pass and/or --isl")
+    if not 0.0 < args.dt < math.inf:
+        raise ValueError(f"--dt must be finite and > 0, got {args.dt}")
+    if not 3 <= args.isl_min_sats <= args.isl_max_sats:
+        raise ValueError(f"--isl-min-sats/--isl-max-sats need 3 <= min <= max, got"
+                         f" {args.isl_min_sats}/{args.isl_max_sats}")
     config = _load(args)
     outdir = _output_dir(args)
     _write_manifest(config, outdir)
@@ -227,16 +231,17 @@ def cmd_linkbudget(args) -> int:
 
 
 def cmd_keyrate(args) -> int:
+    if not 0.0 <= args.loss_db < math.inf:
+        raise ValueError(f"--loss-db must be finite and >= 0, got {args.loss_db}")
+    if not 0.0 < args.duration_s < math.inf:
+        raise ValueError(f"--duration-s must be finite and > 0, got {args.duration_s}")
     config = _load(args)
     outdir = _output_dir(args)
     _write_manifest(config, outdir)
-    channel = replace(config.channel, efficiency=10.0 ** (-args.loss_db / 10.0))
-    params, out = optimize_sns(
-        channel,
-        args.duration_s,
-        config.eps,
-        n_starts=config.optimizer_starts,
-        max_evals=config.optimizer_evals,
+    arms = symmetric_arms(10.0 ** (-args.loss_db / 10.0))
+    params, out = accumulate_link(
+        [(arms, config.channel.rep_rate_hz * args.duration_s)], config.channel, config.eps,
+        n_starts=config.optimizer_starts, max_evals=config.optimizer_evals,
     )
     header = [
         "loss_db", "duration_s", "skl_bits", "n1", "e1ph", "qber_z", "lambda_ec",

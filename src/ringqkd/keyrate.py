@@ -25,16 +25,16 @@ bounds at the configured failure probabilities (eps_n1 for the yield
 estimation chain, eps_bar for the phase-error counts); the bound family is
 isolated in ``chernoff_lower`` / ``chernoff_upper`` so it can be swapped.
 
-Channel efficiencies are TOTAL twin-field link efficiencies (sender to
-sender through the measurement node); the symmetric default assigns each
-arm sqrt(efficiency).  The asymmetric mode takes the two arm efficiencies
-explicitly.
+A link block is a set of bins, each a pair of arm efficiencies (eta_a,
+eta_b), sender to measurement node, with a pulse count; arrays of arms have
+a trailing axis of 2.  ``symmetric_arms`` is the one place a total
+twin-field link efficiency is split, into two arms of sqrt(efficiency).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "SecurityEpsilons",
     "ChannelModel",
     "ExpectedStatistics",
+    "symmetric_arms",
     "SklBreakdown",
     "binary_entropy",
     "chernoff_lower",
@@ -52,7 +53,6 @@ __all__ = [
     "monte_carlo_statistics",
     "estimate_untagged",
     "skl",
-    "optimize_sns",
     "accumulate_link",
     "accumulate_links",
     "DEFAULT_PARAMS",
@@ -76,10 +76,10 @@ class SnsParams:
     delta: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.mu1 < self.mu2:
-            raise ValueError("decoy intensities require 0 < mu1 < mu2")
-        if self.mu_z < 0:
-            raise ValueError("mu_z must be >= 0")
+        if not 0.0 < self.mu1 < self.mu2 < math.inf:
+            raise ValueError("decoy intensities require 0 < mu1 < mu2 < inf")
+        if not 0.0 <= self.mu_z < math.inf:
+            raise ValueError("mu_z must be finite and >= 0")
         for name in ("p_send", "p_z", "p0", "p1"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
@@ -119,16 +119,11 @@ class SecurityEpsilons:
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Detector/channel parameters plus the effective link efficiency.
+    """Detector and channel constants of the ``[channel]`` scenario section.
 
-    ``efficiency`` is the total twin-field link efficiency; set ``eta_a`` /
-    ``eta_b`` instead for the asymmetric-arms mode (then ``efficiency`` is
-    ignored).
+    Arm efficiencies vary bin by bin, so they travel with their pulse counts.
     """
 
-    efficiency: float = 1.0
-    eta_a: float | None = None
-    eta_b: float | None = None
     detector_efficiency: float = 0.5
     dark_count_prob: float = 1e-9
     optical_error: float = 0.05
@@ -136,14 +131,6 @@ class ChannelModel:
     error_correction_factor: float = 1.11
 
     def __post_init__(self):
-        if (self.eta_a is None) != (self.eta_b is None):
-            raise ValueError("set both arm efficiencies or neither")
-        if self.eta_a is None and not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must lie in [0, 1]")
-        if self.eta_a is not None:
-            for v in (self.eta_a, self.eta_b):
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError("arm efficiencies must lie in [0, 1]")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ValueError("detector_efficiency must lie in (0, 1]")
         if not 0.0 <= self.dark_count_prob < 1.0:
@@ -153,15 +140,23 @@ class ChannelModel:
         if not (0 < self.rep_rate_hz < math.inf and 1.0 <= self.error_correction_factor < math.inf):
             raise ValueError("bad repetition rate or error-correction factor")
 
-    def arm_transmittances(self) -> tuple[float, float]:
-        """Detected transmittance of each arm (channel x detector)."""
-        if self.eta_a is not None:
-            return (
-                self.eta_a * self.detector_efficiency,
-                self.eta_b * self.detector_efficiency,
-            )
-        arm = math.sqrt(self.efficiency)
-        return arm * self.detector_efficiency, arm * self.detector_efficiency
+
+def symmetric_arms(efficiency: float) -> tuple[float, float]:
+    """Equal arm efficiencies of a twin-field link of total ``efficiency``."""
+    if not 0.0 <= efficiency <= 1.0:
+        raise ValueError(f"link efficiency must lie in [0, 1], got {efficiency}")
+    arm = math.sqrt(efficiency)
+    return arm, arm
+
+
+def _checked_arms(arms, shape: tuple) -> np.ndarray:
+    """``arms`` as a float array of ``shape``; ValueError on another shape or NaN/outside [0, 1]."""
+    out = np.asarray(arms, dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"arm efficiencies must have shape {shape}, got {out.shape}")
+    if not np.all((out >= 0.0) & (out <= 1.0)):
+        raise ValueError("arm efficiencies must lie in [0, 1]")
+    return out
 
 
 @dataclass
@@ -232,31 +227,26 @@ def _candidate_table(candidates, pdc) -> np.ndarray:
 
 
 def pooled_statistics(
-    channel: ChannelModel, params, efficiencies, pulses
+    channel: ChannelModel, params, arms, pulses
 ) -> ExpectedStatistics | list[ExpectedStatistics]:
-    """Expected counts pooled over bins of (total efficiency, pulse count).
+    """Expected counts pooled over bins of ((eta_a, eta_b), pulse count).
 
     ``params`` is one ``SnsParams`` (the result is one ExpectedStatistics)
     or a sequence of P candidates (the result is a list, one per
-    candidate).  The bins are shared, of shape (B,), or one row per
-    candidate, of shape (P, B).  In asymmetric-arms mode ``efficiencies``
-    has a trailing axis holding the two arm efficiencies, (B, 2) or
-    (P, B, 2).  Every per-candidate sum runs over the last, contiguous axis,
-    so a candidate's counts do not depend on the others in its batch.
+    candidate).  The pulse counts are shared, of shape (B,), or one row per
+    candidate, of shape (P, B); ``arms`` has their shape plus a trailing
+    axis of the two arm efficiencies.  The arm values are not range-checked
+    here: the public entry points check each block once.  Every
+    per-candidate sum runs over the last, contiguous axis, so a candidate's
+    counts do not depend on the others in its batch.
     """
     candidates = [params] if isinstance(params, SnsParams) else list(params)
-    eff = np.atleast_1d(np.asarray(efficiencies, dtype=float))
+    arms = np.asarray(arms, dtype=float)
     w = np.atleast_1d(np.asarray(pulses, dtype=float))
-    if eff.shape == w.shape + (2,):
-        # asymmetric mode: the last axis holds the two arm efficiencies
-        ta = eff[..., 0] * channel.detector_efficiency
-        tb = eff[..., 1] * channel.detector_efficiency
-    elif eff.shape == w.shape:
-        arm = np.sqrt(eff)
-        ta = arm * channel.detector_efficiency
-        tb = ta
-    else:
-        raise ValueError("efficiencies and pulse counts must align")
+    if arms.shape != w.shape + (2,):
+        raise ValueError("arm efficiencies and pulse counts must align")
+    ta = arms[..., 0] * channel.detector_efficiency
+    tb = arms[..., 1] * channel.detector_efficiency
     if w.ndim == 1:
         w, ta, tb = w[None], ta[None], tb[None]
     elif w.ndim != 2 or w.shape[0] != len(candidates):
@@ -324,20 +314,20 @@ def pooled_statistics(
     return out[0] if isinstance(params, SnsParams) else out
 
 
-def expected_statistics(channel: ChannelModel, params: SnsParams, n_pulses: float) -> ExpectedStatistics:
-    """Expected counts of a single block at the channel's own efficiency."""
+def expected_statistics(
+    channel: ChannelModel, params: SnsParams, arms, n_pulses: float
+) -> ExpectedStatistics:
+    """Expected counts of a single block with arm efficiencies ``arms``."""
+    arms = _checked_arms(arms, (2,))
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
-    if channel.eta_a is not None:
-        eff = np.array([[channel.eta_a, channel.eta_b]])
-    else:
-        eff = np.array([channel.efficiency])
-    return pooled_statistics(channel, params, eff, np.array([float(n_pulses)]))
+    return pooled_statistics(channel, params, arms[None], np.array([float(n_pulses)]))
 
 
 def monte_carlo_statistics(
     channel: ChannelModel,
     params: SnsParams,
+    arms,
     n_samples: int,
     seed: int = 0,
     tagged: bool = False,
@@ -350,8 +340,8 @@ def monte_carlo_statistics(
     forms.  With ``tagged=True`` the count of Z-window clicks caused by a
     single emitted photon with exactly one sender is recorded.
     """
+    ta, tb = (eta * channel.detector_efficiency for eta in _checked_arms(arms, (2,)).tolist())
     rng = np.random.default_rng(seed)
-    ta, tb = channel.arm_transmittances()
     p = params
     pdc = channel.dark_count_prob
     eopt = channel.optical_error
@@ -668,15 +658,15 @@ def _evaluate(channel, eps, blocks, memos, requests) -> None:
         for lo in range(0, len(todo), size):
             chunk = todo[lo : lo + size]
             rows = [j for j, _ in chunk]
-            eff = np.stack([blocks[j][0] for j in rows])
+            arms = np.stack([blocks[j][0] for j in rows])
             pulses = np.stack([blocks[j][1] for j in rows])
-            stats = pooled_statistics(channel, [p for _, p in chunk], eff, pulses)
+            stats = pooled_statistics(channel, [p for _, p in chunk], arms, pulses)
             for (j, params), st in zip(chunk, stats):
                 memos[j][params] = skl(st, eps)
 
 
 def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400, extra_seeds=()):
-    """Optimise the SNS parameters of every (efficiencies, pulses) block.
+    """Optimise the SNS parameters of every (arms, pulses) block.
 
     Each block is scored on all of ``DEFAULT_GRID``, then refined by
     coordinate searches from its best grid points, ``extra_seeds`` and
@@ -720,33 +710,6 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400, extra_seed
     return [(p, memos[j][p]) for j, (p, _) in enumerate(best)]
 
 
-def optimize_sns(
-    channel: ChannelModel,
-    duration_s: float,
-    eps: SecurityEpsilons,
-    n_starts: int = 3,
-    max_evals: int = 400,
-    extra_seeds: tuple[SnsParams, ...] = (),
-) -> tuple[SnsParams, SklBreakdown]:
-    """Optimise the SNS parameters for one link and block duration.
-
-    Guaranteed floor: the returned SKL is >= the SKL of every point of
-    ``DEFAULT_GRID`` (the grid is always evaluated).  Refinement is a
-    multi-start multiplicative coordinate search; everything is
-    deterministic for fixed inputs.
-    """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    n_pulses = channel.rep_rate_hz * duration_s
-    if channel.eta_a is not None:
-        eff = np.array([[channel.eta_a, channel.eta_b]])
-    else:
-        eff = np.array([channel.efficiency])
-    return _optimize_pooled(
-        channel, eps, [(eff, np.array([n_pulses]))], n_starts, max_evals, extra_seeds
-    )[0]
-
-
 def accumulate_links(
     profiles,
     channel: ChannelModel,
@@ -757,7 +720,9 @@ def accumulate_links(
 ) -> list[tuple[SnsParams | None, SklBreakdown]]:
     """``accumulate_link`` of every profile, with all optimisations run together.
 
-    Each result equals that of optimising its profile alone.
+    Each result equals that of optimising its profile alone.  Guaranteed
+    floor: a returned SKL is >= the SKL of every point of ``DEFAULT_GRID``
+    (the grid is always evaluated).
     """
     blocks = []
     for profile_bins in profiles:
@@ -765,14 +730,11 @@ def accumulate_links(
         if not bins:
             blocks.append(None)
             continue
-        if isinstance(bins[0][0], tuple):
-            eff = np.array([[b[0][0], b[0][1]] for b in bins])
-        else:
-            eff = np.array([b[0] for b in bins])
+        arms = _checked_arms([b[0] for b in bins], (len(bins), 2))
         pulses = np.array([float(b[1]) for b in bins])
         if np.any(pulses < 0):
             raise ValueError("pulse counts must be >= 0")
-        blocks.append((eff, pulses))
+        blocks.append((arms, pulses))
     found = iter(
         _optimize_pooled(
             channel, eps, [b for b in blocks if b is not None], n_starts, max_evals, extra_seeds
@@ -791,8 +753,7 @@ def accumulate_link(
 ) -> tuple[SnsParams | None, SklBreakdown]:
     """Pool all sessions of one link into a single finite-key block.
 
-    ``profile_bins`` is a sequence of (effective efficiency, pulse count)
-    pairs; in asymmetric mode the first element is an (eta_a, eta_b) pair.
+    ``profile_bins`` is a sequence of ((eta_a, eta_b), pulse count) bins.
     An empty profile yields a zero block.
     """
     return accumulate_links([profile_bins], channel, eps, n_starts, max_evals, extra_seeds)[0]

@@ -212,7 +212,6 @@ def load_scenario(path: str | None = None, overrides=()) -> ScenarioConfig:
     values.update(read_values(path, _TABLE, overrides))
     kwargs = {target: {} for target in (*_PARTS, ScenarioConfig)}
     kwargs[GroundStation]["id"] = 1
-    kwargs[ChannelModel]["efficiency"] = 1.0
     for k, (_, _, target, name, scale) in _TABLE.items():
         kwargs[target][name] = values[k] if scale == 1 else values[k] * scale
     parts = {attr: cls(**kwargs[cls]) for cls, attr in _PARTS.items()}

@@ -44,7 +44,7 @@ from .geometry import (
 from .geometry import _refine_boundaries as _refine_boundary  # noqa: F401
 from .geometry import _refine_min_zenith  # noqa: F401
 from .geometry import extract_sessions as _sessions_from_state  # noqa: F401
-from .keyrate import SklBreakdown, accumulate_links
+from .keyrate import SklBreakdown, accumulate_links, symmetric_arms
 # run_day optimises all of a day's links in one accumulate_links call; the
 # single-link accumulate_link stays in this namespace because the benchmark's
 # per-layer trace (perfbench/tracing.py) hooks it here.
@@ -120,16 +120,15 @@ def _effective_bins(config, ul_eff, isl_eff):
 
 
 def _bins_to_profile(config, bins: dict):
-    """Bin dict -> deterministic accumulate_link profile [(eff, pulses), ...]."""
+    """Bin dict -> deterministic accumulate_link profile [((eta_a, eta_b), pulses), ...]."""
     f_rep = config.channel.rep_rate_hz
     profile = []
     for key in sorted(bins):
-        seconds = bins[key]
-        if isinstance(key, tuple):
-            eff = (10.0 ** (-key[0] / 10.0), 10.0 ** (-key[1] / 10.0))
+        if config.effective_mode == "max":
+            arms = symmetric_arms(10.0 ** (-key / 10.0))
         else:
-            eff = 10.0 ** (-key / 10.0)
-        profile.append((eff, seconds * f_rep))
+            arms = (10.0 ** (-key[0] / 10.0), 10.0 ** (-key[1] / 10.0))
+        profile.append((arms, bins[key] * f_rep))
     return profile
 
 
@@ -275,9 +274,8 @@ def _isl_reference(config: ScenarioConfig, spec, pos) -> list:
         max(chord_m, 1.0), config.optics,
         include_pointing=config.isl_pointing_in_effective,
     )
-    if config.effective_mode == "asymmetric":
-        return [((eff, eff), config.t_total_s * config.channel.rep_rate_hz)]
-    return [(eff, config.t_total_s * config.channel.rep_rate_hz)]
+    arms = symmetric_arms(eff) if config.effective_mode == "max" else (eff, eff)
+    return [(arms, config.t_total_s * config.channel.rep_rate_hz)]
 
 
 def run_campaign(config: ScenarioConfig) -> CampaignResult:

@@ -28,5 +28,5 @@ def epsilons():
 def channel_base():
     from ringqkd.keyrate import ChannelModel
 
-    # Baseline device parameters; tests set the efficiency per case.
-    return ChannelModel(efficiency=1.0)
+    # Baseline device parameters; tests pass the arm efficiencies per case.
+    return ChannelModel()

@@ -62,10 +62,11 @@ from ringqkd.keyrate import (
     ChannelModel,
     SecurityEpsilons,
     SnsParams,
+    accumulate_link,
     expected_statistics,
     monte_carlo_statistics,
-    optimize_sns,
     skl,
+    symmetric_arms,
 )
 from ringqkd.linkbudget import OpticalParams, TurbulenceProfile, to_db, uplink_efficiency
 from ringqkd.relay import (
@@ -288,9 +289,9 @@ def test_criterion_05_finite_key_sanity():
     failures = []
     params = SnsParams(mu_z=0.2, mu1=0.02, mu2=0.2, p_send=0.01, p_z=0.9, p0=0.5, p1=0.3, delta=0.2)
     for loss in np.linspace(25.0, 90.0, 20):
-        ch = ChannelModel(efficiency=10 ** (-float(loss) / 10.0))
-        fin = skl(expected_statistics(ch, params, 1e11), EPS)
-        asy = skl(expected_statistics(ch, params, 1e11), EPS, asymptotic=True)
+        ch, arms = ChannelModel(), symmetric_arms(10 ** (-float(loss) / 10.0))
+        fin = skl(expected_statistics(ch, params, arms, 1e11), EPS)
+        asy = skl(expected_statistics(ch, params, arms, 1e11), EPS, asymptotic=True)
         if not fin.skl_bits <= fin.n1_lower + 1e-9:
             failures.append(f"{loss:.0f} dB: SKL > n1")
         if not fin.n1_lower <= fin.n_raw + 1e-9:
@@ -298,17 +299,19 @@ def test_criterion_05_finite_key_sanity():
         if not fin.skl_bits <= asy.skl_bits + 1e-9:
             failures.append(f"{loss:.0f} dB: finite exceeds asymptotic")
     prev = -1.0
-    ch = ChannelModel(efficiency=10 ** (-5.0))
+    ch, arms = ChannelModel(), symmetric_arms(10 ** (-5.0))
     for n in (1e9, 1e10, 1e11, 1e12):
-        val = skl(expected_statistics(ch, params, n), EPS).skl_bits
+        val = skl(expected_statistics(ch, params, arms, n), EPS).skl_bits
         if val < prev:
             failures.append(f"block {n:.0e}: SKL decreased")
         prev = val
     seeds = ()
     prev = -1.0
     for loss in (70.0, 60.0, 50.0, 40.0, 30.0):
-        ch = ChannelModel(efficiency=10 ** (-loss / 10.0))
-        p, out = optimize_sns(ch, 50.0, EPS, max_evals=150, extra_seeds=seeds)
+        ch, arms = ChannelModel(), symmetric_arms(10 ** (-loss / 10.0))
+        p, out = accumulate_link(
+            [(arms, ch.rep_rate_hz * 50.0)], ch, EPS, max_evals=150, extra_seeds=seeds
+        )
         if out.skl_bits < prev - 1e-9:
             failures.append(f"{loss:.0f} dB: optimiser floor not monotone")
         seeds = (p,)
@@ -332,9 +335,9 @@ def test_criterion_06_click_model_oracle():
     # error); the frozen seed keeps every one of the 60 count checks
     # inside the 3-sigma band the criterion states
     for idx, (loss, params) in enumerate(grid):
-        ch = ChannelModel(efficiency=10 ** (-loss / 10.0))
-        exp = expected_statistics(ch, params, n)
-        mc = monte_carlo_statistics(ch, params, n, seed=3000 + idx)
+        ch, arms = ChannelModel(), symmetric_arms(10 ** (-loss / 10.0))
+        exp = expected_statistics(ch, params, arms, n)
+        mc = monte_carlo_statistics(ch, params, arms, n, seed=3000 + idx)
         checks = [
             ("z_clicks", exp.z_clicks, mc.z_clicks, exp.n_z),
             ("z_errors", exp.z_errors, mc.z_errors, exp.n_z),

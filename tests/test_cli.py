@@ -187,6 +187,39 @@ def test_linkbudget_needs_a_profile(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (("--dt", "0"), "--dt"),
+    (("--dt", "-1"), "--dt"),
+    (("--dt", "nan"), "--dt"),
+    (("--dt", "inf"), "--dt"),
+    (("--isl-min-sats", "0"), "--isl-min-sats"),
+    (("--isl-min-sats", "2"), "--isl-min-sats"),
+    (("--isl-min-sats", "12", "--isl-max-sats", "10"), "--isl-max-sats"),
+])
+def test_linkbudget_rejects_bad_flags(flags, named, tmp_path, capsys):
+    # a validation error that names the flag, before any file is written
+    out = tmp_path / "out"
+    assert run_cli("linkbudget", *fast_args(out), "--uplink-pass", "--isl", *flags) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (("--loss-db", "nan", "--duration-s", "10"), "--loss-db"),
+    (("--loss-db", "inf", "--duration-s", "10"), "--loss-db"),
+    (("--loss-db", "-1", "--duration-s", "10"), "--loss-db"),
+    (("--loss-db", "45", "--duration-s", "nan"), "--duration-s"),
+    (("--loss-db", "45", "--duration-s", "inf"), "--duration-s"),
+    (("--loss-db", "45", "--duration-s", "0"), "--duration-s"),
+    (("--loss-db", "45", "--duration-s", "-5"), "--duration-s"),
+])
+def test_keyrate_rejects_bad_flags(flags, named, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("keyrate", *fast_args(out), *flags) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_keyrate_dead_channel_row(tmp_path):
     rc = run_cli(
         "keyrate", *fast_args(tmp_path), "--loss-db", "144", "--duration-s", "10",

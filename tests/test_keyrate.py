@@ -23,9 +23,9 @@ from ringqkd.keyrate import (
     estimate_untagged,
     expected_statistics,
     monte_carlo_statistics,
-    optimize_sns,
     pooled_statistics,
     skl,
+    symmetric_arms,
 )
 from ringqkd.keyrate import _BOUNDS, _COORDS, _params_to_vector, _vector_to_params
 
@@ -33,7 +33,8 @@ EPS = SecurityEpsilons()
 
 
 def make_channel(loss_db, **kw):
-    return ChannelModel(efficiency=10 ** (-loss_db / 10.0), **kw)
+    """Channel constants and the equal arms of a link of total loss ``loss_db``."""
+    return ChannelModel(**kw), symmetric_arms(10 ** (-loss_db / 10.0))
 
 
 # -------------------------------------------------------------- binary entropy
@@ -68,13 +69,29 @@ def test_sns_params_validation():
         SnsParams(p0=0.6, p1=0.4)
     with pytest.raises(ValueError):
         SnsParams(delta=3.2)
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError):
+            SnsParams(mu_z=bad)
+    for mu1, mu2 in ((math.nan, 0.25), (0.02, math.nan), (0.02, math.inf), (math.inf, math.inf)):
+        with pytest.raises(ValueError):
+            SnsParams(mu1=mu1, mu2=mu2)
 
 
 def test_channel_validation():
-    with pytest.raises(ValueError):
-        ChannelModel(efficiency=1.5)
-    with pytest.raises(ValueError):
-        ChannelModel(eta_a=1e-3, eta_b=None)
+    for bad in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            symmetric_arms(bad)
+    ch = ChannelModel()
+    # an arm outside [0, 1], a half-set or NaN arm, and a lone total efficiency
+    for bad in ((1.5, 1e-3), (1e-3, -1e-3), (1e-3, None), (1e-3, math.nan), (1e-3,), 1e-3):
+        with pytest.raises(ValueError):
+            expected_statistics(ch, SnsParams(), bad, 1e6)
+        with pytest.raises(ValueError):
+            monte_carlo_statistics(ch, SnsParams(), bad, 100)
+        with pytest.raises(ValueError):
+            accumulate_link([(bad, 1e6)], ch, EPS, max_evals=1)
+    with pytest.raises(ValueError):  # one bin of total efficiency among arm pairs
+        accumulate_link([((1e-3, 1e-3), 1e6), (1e-3, 1e6)], ch, EPS, max_evals=1)
     with pytest.raises(ValueError):
         ChannelModel(dark_count_prob=1.0)
 
@@ -89,16 +106,16 @@ def test_epsilons_composition():
 
 
 def test_zero_efficiency_zero_dark_gives_zero_counts():
-    ch = ChannelModel(efficiency=0.0, dark_count_prob=0.0)
-    stats = expected_statistics(ch, SnsParams(), 1e6)
+    ch = ChannelModel(dark_count_prob=0.0)
+    stats = expected_statistics(ch, SnsParams(), symmetric_arms(0.0), 1e6)
     assert stats.z_clicks == 0.0
     assert np.all(stats.x_clicks == 0.0)
     assert stats.slice_error_clicks == 0.0
 
 
 def test_vacuum_click_probability_is_dark_rate():
-    ch = ChannelModel(efficiency=0.0, dark_count_prob=1e-6)
-    stats = expected_statistics(ch, SnsParams(), 1e9)
+    ch = ChannelModel(dark_count_prob=1e-6)
+    stats = expected_statistics(ch, SnsParams(), symmetric_arms(0.0), 1e9)
     vac = stats.x_clicks[0, 0] / stats.x_pairs[0, 0]
     assert vac == pytest.approx(1e-6, rel=1e-9)
 
@@ -111,13 +128,20 @@ def _assert_counts_close(exp, mc, n_mc, what):
     assert abs(rate_exp - rate_mc) <= 3.2 * sigma + 1e-12, what
 
 
-@pytest.mark.parametrize("loss_db", [30.0, 50.0, 70.0])
+@pytest.mark.parametrize("loss_db", [
+    30.0, 50.0, 70.0,
+    # unequal arms: (arm a, arm b) losses in dB
+    pytest.param((25.0, 40.0), id="25-40"), pytest.param((40.0, 25.0), id="40-25"),
+])
 def test_expected_statistics_match_monte_carlo(loss_db):
-    ch = make_channel(loss_db)
+    if isinstance(loss_db, tuple):
+        ch, arms = ChannelModel(), tuple(10 ** (-db / 10.0) for db in loss_db)
+    else:
+        ch, arms = make_channel(loss_db)
     params = SnsParams(mu_z=0.4, mu1=0.03, mu2=0.3, p_send=0.1, p_z=0.7, p0=0.4, p1=0.35, delta=0.8)
     n = 2_000_000
-    exp = expected_statistics(ch, params, n)
-    mc = monte_carlo_statistics(ch, params, n, seed=int(loss_db))
+    exp = expected_statistics(ch, params, arms, n)
+    mc = monte_carlo_statistics(ch, params, arms, n, seed=int(np.sum(loss_db)))
     _assert_counts_close((exp.z_clicks, exp.n_z), (mc.z_clicks, mc.n_z), n, "z clicks")
     _assert_counts_close((exp.z_errors, exp.n_z), (mc.z_errors, mc.n_z), n, "z errors")
     for u, v in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]:
@@ -136,11 +160,12 @@ def test_expected_statistics_match_monte_carlo(loss_db):
 
 
 def test_pooled_statistics_additive():
-    ch = make_channel(40.0)
+    ch, _ = make_channel(40.0)
     params = SnsParams()
-    one = pooled_statistics(ch, params, np.array([1e-4, 1e-5]), np.array([1e8, 2e8]))
-    a = pooled_statistics(ch, params, np.array([1e-4]), np.array([1e8]))
-    b = pooled_statistics(ch, params, np.array([1e-5]), np.array([2e8]))
+    arms_a, arms_b = symmetric_arms(1e-4), symmetric_arms(1e-5)
+    one = pooled_statistics(ch, params, np.array([arms_a, arms_b]), np.array([1e8, 2e8]))
+    a = pooled_statistics(ch, params, np.array([arms_a]), np.array([1e8]))
+    b = pooled_statistics(ch, params, np.array([arms_b]), np.array([2e8]))
     assert one.z_clicks == pytest.approx(a.z_clicks + b.z_clicks, rel=1e-12)
     assert one.slice_error_clicks == pytest.approx(
         a.slice_error_clicks + b.slice_error_clicks, rel=1e-12
@@ -151,15 +176,15 @@ def test_pooled_statistics_additive():
 
 
 def test_untagged_zero_when_no_detections():
-    ch = ChannelModel(efficiency=0.0, dark_count_prob=0.0)
-    stats = expected_statistics(ch, SnsParams(), 1e6)
+    ch = ChannelModel(dark_count_prob=0.0)
+    stats = expected_statistics(ch, SnsParams(), symmetric_arms(0.0), 1e6)
     n1, _ = estimate_untagged(stats, EPS)
     assert n1 == 0.0
 
 
 def test_asymptotic_bound_dominates_finite():
-    ch = make_channel(40.0)
-    stats = expected_statistics(ch, SnsParams(), 1e10)
+    ch, arms = make_channel(40.0)
+    stats = expected_statistics(ch, SnsParams(), arms, 1e10)
     n1_fin, _ = estimate_untagged(stats, EPS)
     n1_asy, _ = estimate_untagged(stats, EPS, asymptotic=True)
     assert n1_asy >= n1_fin
@@ -168,10 +193,10 @@ def test_asymptotic_bound_dominates_finite():
 def test_untagged_brackets_tagged_monte_carlo():
     # small instance: the analytic bound must sit within [0.5x, 1.0x] of the
     # photon-number-tagged truth
-    ch = make_channel(30.0)
+    ch, arms = make_channel(30.0)
     params = SnsParams(mu_z=0.4, mu1=0.03, mu2=0.3, p_send=0.1, p_z=0.7, p0=0.4, p1=0.35, delta=0.8)
     n = 1_000_000
-    mc = monte_carlo_statistics(ch, params, n, seed=11, tagged=True)
+    mc = monte_carlo_statistics(ch, params, arms, n, seed=11, tagged=True)
     n1, _ = estimate_untagged(mc, EPS, asymptotic=True)
     truth = mc.tagged_untagged_clicks
     assert truth > 0
@@ -179,8 +204,8 @@ def test_untagged_brackets_tagged_monte_carlo():
 
 
 def test_decoy_needs_all_ensembles():
-    ch = make_channel(30.0)
-    stats = expected_statistics(ch, SnsParams(), 1e8)
+    ch, arms = make_channel(30.0)
+    stats = expected_statistics(ch, SnsParams(), arms, 1e8)
     stats.x_pairs[0, 0] = 0.0
     with pytest.raises(ValueError):
         estimate_untagged(stats, EPS)
@@ -191,8 +216,8 @@ def test_decoy_needs_all_ensembles():
 
 def test_skl_zero_cases():
     # no untagged bits -> zero key
-    ch = ChannelModel(efficiency=0.0, dark_count_prob=0.0)
-    stats = expected_statistics(ch, SnsParams(), 1e6)
+    ch = ChannelModel(dark_count_prob=0.0)
+    stats = expected_statistics(ch, SnsParams(), symmetric_arms(0.0), 1e6)
     out = skl(stats, EPS)
     assert out.skl_bits == 0.0
     assert out.n_raw == 0.0
@@ -206,8 +231,8 @@ def test_correction_term_closed_form():
 
 
 def test_lambda_ec_exact():
-    ch = make_channel(45.0)
-    stats = expected_statistics(ch, SnsParams(), 1e11)
+    ch, arms = make_channel(45.0)
+    stats = expected_statistics(ch, SnsParams(), arms, 1e11)
     out = skl(stats, EPS)
     assert out.lambda_ec == pytest.approx(
         1.11 * out.n_raw * binary_entropy(out.qber_z), rel=1e-12
@@ -217,8 +242,8 @@ def test_lambda_ec_exact():
 def test_skl_invariants_over_channel_grid():
     # SKL <= n1 <= n_raw, finite <= asymptotic, across a loss grid
     for loss in np.linspace(20, 90, 20):
-        ch = make_channel(float(loss))
-        stats = expected_statistics(ch, SnsParams(p_send=0.03), 1e11)
+        ch, arms = make_channel(float(loss))
+        stats = expected_statistics(ch, SnsParams(p_send=0.03), arms, 1e11)
         fin = skl(stats, EPS)
         asy = skl(stats, EPS, asymptotic=True)
         assert fin.skl_bits <= fin.n1_lower + 1e-9
@@ -230,19 +255,19 @@ GOOD_50DB = SnsParams(mu_z=0.2, mu1=0.02, mu2=0.2, p_send=0.01, p_z=0.9, p0=0.5,
 
 
 def test_skl_monotone_in_block_size():
-    ch = make_channel(50.0)
+    ch, arms = make_channel(50.0)
     prev = -1.0
     for n in [1e9, 1e10, 1e11, 1e12]:
-        out = skl(expected_statistics(ch, GOOD_50DB, n), EPS)
+        out = skl(expected_statistics(ch, GOOD_50DB, arms, n), EPS)
         assert out.skl_bits >= prev
         prev = out.skl_bits
 
 
 def test_block_doubling_doubles_and_improves():
-    ch = make_channel(50.0)
+    ch, arms = make_channel(50.0)
     params = GOOD_50DB
-    one = skl(expected_statistics(ch, params, 1e11), EPS)
-    two = skl(expected_statistics(ch, params, 2e11), EPS)
+    one = skl(expected_statistics(ch, params, arms, 1e11), EPS)
+    two = skl(expected_statistics(ch, params, arms, 2e11), EPS)
     assert two.n_pulses == pytest.approx(2 * one.n_pulses)
     assert two.n_raw == pytest.approx(2 * one.n_raw, rel=1e-12)
     assert two.skl_bits > one.skl_bits
@@ -252,22 +277,22 @@ def test_block_doubling_doubles_and_improves():
 
 
 def test_optimizer_beats_grid_floor():
-    ch = make_channel(55.0)
-    params, out = optimize_sns(ch, 100.0, EPS, max_evals=150)
+    ch, arms = make_channel(55.0)
+    params, out = accumulate_link([(arms, ch.rep_rate_hz * 100.0)], ch, EPS, max_evals=150)
     for g in DEFAULT_GRID:
-        floor = skl(expected_statistics(ch, g, ch.rep_rate_hz * 100.0), EPS)
+        floor = skl(expected_statistics(ch, g, arms, ch.rep_rate_hz * 100.0), EPS)
         assert out.skl_bits >= floor.skl_bits - 1e-9
 
 
 def test_optimizer_dead_channel_returns_zero():
-    ch = make_channel(144.0)
-    params, out = optimize_sns(ch, 10.0, EPS, max_evals=60)
+    ch, arms = make_channel(144.0)
+    params, out = accumulate_link([(arms, ch.rep_rate_hz * 10.0)], ch, EPS, max_evals=60)
     assert out.skl_bits == 0.0
 
 
 def test_optimizer_positive_at_70db_294s():
-    ch = make_channel(70.0)
-    params, out = optimize_sns(ch, 294.0, EPS, max_evals=200)
+    ch, arms = make_channel(70.0)
+    params, out = accumulate_link([(arms, ch.rep_rate_hz * 294.0)], ch, EPS, max_evals=200)
     assert out.skl_bits > 0.0
 
 
@@ -276,17 +301,19 @@ def test_optimizer_monotone_in_loss_with_warm_start():
     prev_params = ()
     prev_skl = -1.0
     for loss in losses:
-        ch = make_channel(loss)
-        p, out = optimize_sns(ch, 50.0, EPS, max_evals=120, extra_seeds=prev_params)
+        ch, arms = make_channel(loss)
+        p, out = accumulate_link(
+            [(arms, ch.rep_rate_hz * 50.0)], ch, EPS, max_evals=120, extra_seeds=prev_params
+        )
         assert out.skl_bits >= prev_skl - 1e-9
         prev_params = (p,)
         prev_skl = out.skl_bits
 
 
 def test_optimizer_deterministic():
-    ch = make_channel(48.0)
-    a = optimize_sns(ch, 30.0, EPS, max_evals=100)
-    b = optimize_sns(ch, 30.0, EPS, max_evals=100)
+    ch, arms = make_channel(48.0)
+    a = accumulate_link([(arms, ch.rep_rate_hz * 30.0)], ch, EPS, max_evals=100)
+    b = accumulate_link([(arms, ch.rep_rate_hz * 30.0)], ch, EPS, max_evals=100)
     assert a[0] == b[0]
     assert a[1].skl_bits == b[1].skl_bits
 
@@ -301,8 +328,8 @@ def test_accumulate_empty_is_zero():
 
 
 def test_accumulate_duplicated_session_doubles_block():
-    ch = make_channel(50.0)
-    bins = [(10 ** (-50.0 / 10.0), 1e11)]
+    ch, _ = make_channel(50.0)
+    bins = [(symmetric_arms(10 ** (-50.0 / 10.0)), 1e11)]
     _, one = accumulate_link(bins, ch, EPS, max_evals=80)
     _, two = accumulate_link(bins * 2, ch, EPS, max_evals=80)
     assert two.n_pulses == pytest.approx(2 * one.n_pulses)
@@ -310,13 +337,13 @@ def test_accumulate_duplicated_session_doubles_block():
 
 
 def test_asymmetric_mode_runs():
-    ch = ChannelModel(eta_a=1e-3, eta_b=1e-5)
-    stats = expected_statistics(ch, SnsParams(p_send=0.03), 1e12)
+    ch = ChannelModel()
+    stats = expected_statistics(ch, SnsParams(p_send=0.03), (1e-3, 1e-5), 1e12)
     out = skl(stats, EPS)
     assert out.n_raw > 0
     # asymmetric arms are strictly worse than the best-arm symmetric reading
-    sym = ChannelModel(efficiency=1e-3)
-    out_sym = skl(expected_statistics(sym, SnsParams(p_send=0.03), 1e12), EPS)
+    sym = symmetric_arms(1e-3)
+    out_sym = skl(expected_statistics(ch, SnsParams(p_send=0.03), sym, 1e12), EPS)
     assert out_sym.skl_bits >= out.skl_bits
 
 
@@ -341,16 +368,18 @@ def sns_params(draw):
 
 @st.composite
 def loss_bins(draw, max_bins=20):
-    """(efficiencies, pulses) of 1..max_bins bins; asymmetric ones are (B, 2)."""
+    """(arms, pulses) of 1..max_bins bins; arms (B, 2), equal or unequal pairs."""
     n = draw(st.integers(1, max_bins))
     asymmetric = draw(st.booleans())
     losses = draw(st.lists(st.floats(5.0, 90.0), min_size=n * (1 + asymmetric),
                            max_size=n * (1 + asymmetric)))
     eff = 10.0 ** (-np.array(losses) / 10.0)
     if asymmetric:
-        eff = eff.reshape(n, 2)
+        arms = eff.reshape(n, 2)
+    else:
+        arms = np.array([symmetric_arms(e) for e in eff.tolist()])
     pulses = np.array(draw(st.lists(st.floats(1e6, 1e12), min_size=n, max_size=n)))
-    return eff, pulses
+    return arms, pulses
 
 
 STAT_FIELDS = ("n_pulses", "n_z", "z_clicks", "z_errors", "slice_pairs",
@@ -367,14 +396,14 @@ def assert_same_statistics(a, b):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(sns_params(), min_size=1, max_size=12), loss_bins())
 def test_batched_pooled_statistics_rows_are_bit_identical(candidates, bins):
-    eff, pulses = bins
+    arms, pulses = bins
     ch = ChannelModel()
-    shared = pooled_statistics(ch, candidates, eff, pulses)
+    shared = pooled_statistics(ch, candidates, arms, pulses)
     per_row = pooled_statistics(
-        ch, candidates, np.stack([eff] * len(candidates)), np.stack([pulses] * len(candidates))
+        ch, candidates, np.stack([arms] * len(candidates)), np.stack([pulses] * len(candidates))
     )
     for i, params in enumerate(candidates):
-        one = pooled_statistics(ch, params, eff, pulses)
+        one = pooled_statistics(ch, params, arms, pulses)
         assert_same_statistics(shared[i], one)
         assert_same_statistics(per_row[i], one)
 
@@ -382,9 +411,11 @@ def test_batched_pooled_statistics_rows_are_bit_identical(candidates, bins):
 def test_pooled_statistics_rejects_misaligned_bins():
     ch = ChannelModel()
     with pytest.raises(ValueError):
-        pooled_statistics(ch, SnsParams(), np.array([1e-4, 1e-5]), np.array([1e8]))
+        pooled_statistics(ch, SnsParams(), np.full((2, 2), 1e-4), np.array([1e8]))
     with pytest.raises(ValueError):
-        pooled_statistics(ch, [SnsParams()] * 3, np.ones((2, 4)) * 1e-4, np.ones((2, 4)))
+        pooled_statistics(ch, [SnsParams()] * 3, np.ones((2, 4, 2)) * 1e-4, np.ones((2, 4)))
+    with pytest.raises(ValueError):  # total efficiencies, not arm pairs
+        pooled_statistics(ch, SnsParams(), np.array([1e-4, 1e-5]), np.array([1e8, 2e8]))
 
 
 def _reference_search(objective, start, max_evals):
@@ -417,9 +448,9 @@ def _reference_search(objective, start, max_evals):
     return best_p, best_v
 
 
-def _reference_optimize(channel, eps, eff, pulses, n_starts, max_evals, extra_seeds=()):
+def _reference_optimize(channel, eps, arms, pulses, n_starts, max_evals, extra_seeds=()):
     def objective(params):
-        return skl(pooled_statistics(channel, params, eff, pulses), eps).skl_bits
+        return skl(pooled_statistics(channel, params, arms, pulses), eps).skl_bits
 
     scored = [(objective(p), i, p) for i, p in enumerate(DEFAULT_GRID)]
     scored.sort(key=lambda t: (-t[0], t[1]))
@@ -430,7 +461,7 @@ def _reference_optimize(channel, eps, eff, pulses, n_starts, max_evals, extra_se
         p, v = _reference_search(objective, seed, max_evals)
         if v > best_v:
             best_v, best_p = v, p
-    return best_p, skl(pooled_statistics(channel, best_p, eff, pulses), eps)
+    return best_p, skl(pooled_statistics(channel, best_p, arms, pulses), eps)
 
 
 @st.composite
@@ -442,10 +473,10 @@ def link_profile(draw):
     profile = []
     for _ in range(n):
         if asymmetric:
-            eff = (10.0 ** (-draw(loss) / 10.0), 10.0 ** (-draw(loss) / 10.0))
+            arms = (10.0 ** (-draw(loss) / 10.0), 10.0 ** (-draw(loss) / 10.0))
         else:
-            eff = 10.0 ** (-draw(loss) / 10.0)
-        profile.append((eff, draw(st.floats(1e9, 1e12))))
+            arms = symmetric_arms(10.0 ** (-draw(loss) / 10.0))
+        profile.append((arms, draw(st.floats(1e9, 1e12))))
     return profile
 
 
@@ -459,8 +490,7 @@ def test_lockstep_optimiser_matches_sequential_reference(profiles, n_starts, max
     ch = ChannelModel()
     together = accumulate_links(profiles, ch, EPS, n_starts=n_starts, max_evals=max_evals)
     for profile, got in zip(profiles, together):
-        asym = isinstance(profile[0][0], tuple)
-        eff = np.array([list(b[0]) if asym else b[0] for b in profile])
+        arms = np.array([b[0] for b in profile])
         pulses = np.array([b[1] for b in profile])
-        assert got == _reference_optimize(ch, EPS, eff, pulses, n_starts, max_evals)
+        assert got == _reference_optimize(ch, EPS, arms, pulses, n_starts, max_evals)
         assert accumulate_link(profile, ch, EPS, n_starts=n_starts, max_evals=max_evals) == got

@@ -18,9 +18,6 @@ from ringqkd.scenario import _PARTS, _TABLE, ScenarioConfig, load_scenario, mani
 
 # fields set by the program, not by a scenario key
 DERIVED = {
-    (ChannelModel, "efficiency"),
-    (ChannelModel, "eta_a"),
-    (ChannelModel, "eta_b"),
     (GroundStation, "id"),
     (ScenarioConfig, "gs2"),
 }

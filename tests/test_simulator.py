@@ -319,9 +319,7 @@ def test_campaign_consistent_with_single_link_evaluation():
     # the mean per-link daily yield agrees within a factor of three with a
     # standalone evaluation at the dominant effective loss and the mean
     # accumulated per-link duration (campaign-level consistency)
-    from dataclasses import replace as drep
-
-    from ringqkd.keyrate import optimize_sns
+    from ringqkd.keyrate import accumulate_link, symmetric_arms
     from ringqkd.linkbudget import isl_efficiency
 
     cfg = load_scenario(overrides=["constellation.kind=type1", "campaign.optimizer_evals=200"])
@@ -334,8 +332,8 @@ def test_campaign_consistent_with_single_link_evaluation():
     n = cfg.constellation.num_sats
     chord_m = 2.0 * cfg.constellation.orbit_radius_km * 1e3 * math.sin(math.pi / n)
     eff = isl_efficiency(chord_m, cfg.optics, include_pointing=cfg.isl_pointing_in_effective)
-    channel = drep(cfg.channel, efficiency=eff)
-    _, single = optimize_sns(channel, mean_seconds, cfg.eps, max_evals=200)
+    block = [(symmetric_arms(eff), cfg.channel.rep_rate_hz * mean_seconds)]
+    _, single = accumulate_link(block, cfg.channel, cfg.eps, max_evals=200)
     assert single.skl_bits > 0
     assert mean_link_skl / 3.0 <= single.skl_bits <= mean_link_skl * 3.0
 
