@@ -29,11 +29,25 @@ A link block is a set of bins, each a pair of arm efficiencies (eta_a,
 eta_b), sender to measurement node, with a pulse count; arrays of arms have
 a trailing axis of 2.  ``symmetric_arms`` is the one place a total
 twin-field link efficiency is split, into two arms of sqrt(efficiency).
+
+The optimiser scores a block too large to batch (more than half of
+``_BATCH_CELLS`` bins) one candidate a call, and keeps that block's costly
+click kernels in a memo: the Z-window clicks keyed by mu_z, the X-window
+clicks of every decoy pair keyed by (mu1, mu2), and the phase-slice
+Gauss-Legendre sums keyed by (mu1, delta).  A candidate that changes only
+p_send, p_z, p0 or p1 reuses all three.  Each kind is a least-recently-used
+memo of at most ``_KERNEL_CAPS`` entries, which bounds its memory.  Batched
+evaluations of small blocks compute their kernels inline: there the arrays
+are small, and per-call overhead, not the kernels, sets the cost.  Either
+way each count is computed by the same numpy operations on the same array
+layout, so results are bit-identical.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +72,8 @@ __all__ = [
     "DEFAULT_PARAMS",
     "DEFAULT_GRID",
 ]
+
+log = logging.getLogger(__name__)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
@@ -226,8 +242,69 @@ def _candidate_table(candidates, pdc) -> np.ndarray:
     return np.array(rows)
 
 
+def _z_clicks(ta, tb, mu_z, pdc):
+    """Z-window kernel: single-sender clicks c_a + c_b and both-sender clicks c_ab."""
+    c_a = _click(mu_z * ta, pdc)
+    c_b = _click(mu_z * tb, pdc)
+    c_ab = _click(mu_z * (ta + tb), pdc)
+    return c_a + c_b, c_ab
+
+
+def _x_clicks(ta, tb, mus, pdc):
+    """X-window kernel: clicks of every decoy intensity pair (u, v), shape (P, 3, 3, B)."""
+    ta4, tb4 = ta[:, None, None, :], tb[:, None, None, :]
+    arrive = mus[:, :, None, None] * ta4 + mus[:, None, :, None] * tb4
+    return _click(arrive, pdc)
+
+
+def _slice_clicks(ta, tb, mu1, delta, eopt, pdc):
+    """Phase-slice kernel: per-bin error and correct clicks, Gauss-Legendre over +-delta."""
+    colsum = ta + tb
+    vis = np.where(colsum > 0, 2.0 * np.sqrt(ta * tb) / np.where(colsum > 0, colsum, 1.0), 0.0)
+    base = 0.5 * (mu1 * colsum)[..., None]
+    mod = (vis * (1.0 - 2.0 * eopt))[..., None] * np.cos(delta * _GL_NODES)[:, None, :]
+    wmean = _GL_WEIGHTS / 2.0
+    err = (_click(base * (1.0 - mod), pdc) * wmean).sum(axis=-1)
+    cor = (_click(base * (1.0 + mod), pdc) * wmean).sum(axis=-1)
+    return err, cor
+
+
+# Entries each block's kernel memo keeps per kind, least recently used out.
+_KERNEL_CAPS = {"z": 4, "x": 4, "slice": 8}
+
+
+class _KernelMemo:
+    """One block's click kernels, reused across one-candidate evaluations.
+
+    Each kind is keyed by the only parameters its kernel reads: ``z`` by
+    mu_z, ``x`` by (mu1, mu2), ``slice`` by (mu1, delta).  The block's arms
+    and the channel are fixed for the memo's lifetime.
+    """
+
+    def __init__(self):
+        self.caches = {kind: OrderedDict() for kind in _KERNEL_CAPS}
+        self.hits = dict.fromkeys(_KERNEL_CAPS, 0)
+        self.misses = dict.fromkeys(_KERNEL_CAPS, 0)
+
+    def __call__(self, kind, key, kernel, *args):
+        cache = self.caches[kind]
+        if key in cache:
+            self.hits[kind] += 1
+            cache.move_to_end(key)
+            return cache[key]
+        self.misses[kind] += 1
+        value = cache[key] = kernel(*args)
+        if len(cache) > _KERNEL_CAPS[kind]:
+            cache.popitem(last=False)
+        return value
+
+
+def _inline(kind, key, kernel, *args):
+    return kernel(*args)
+
+
 def pooled_statistics(
-    channel: ChannelModel, params, arms, pulses
+    channel: ChannelModel, params, arms, pulses, kernels: _KernelMemo | None = None
 ) -> ExpectedStatistics | list[ExpectedStatistics]:
     """Expected counts pooled over bins of ((eta_a, eta_b), pulse count).
 
@@ -238,7 +315,8 @@ def pooled_statistics(
     axis of the two arm efficiencies.  The arm values are not range-checked
     here: the public entry points check each block once.  Every
     per-candidate sum runs over the last, contiguous axis, so a candidate's
-    counts do not depend on the others in its batch.
+    counts do not depend on the others in its batch.  ``kernels``, the
+    optimiser's memo for this block and channel, serves one candidate only.
     """
     candidates = [params] if isinstance(params, SnsParams) else list(params)
     arms = np.asarray(arms, dtype=float)
@@ -251,6 +329,12 @@ def pooled_statistics(
         w, ta, tb = w[None], ta[None], tb[None]
     elif w.ndim != 2 or w.shape[0] != len(candidates):
         raise ValueError("per-candidate bins need one row per candidate")
+    if kernels is None:
+        kernel = _inline
+    elif len(candidates) == 1:
+        kernel = kernels
+    else:
+        raise ValueError("a kernel memo serves one candidate a call")
     pdc = channel.dark_count_prob
     eopt = channel.optical_error
     table = _candidate_table(candidates, pdc)
@@ -260,32 +344,28 @@ def pooled_statistics(
     )
     nz = w * p_z
     nx = w * p_x
+    first = candidates[0]  # the memo's key; _inline ignores it
 
     # Z windows: send/not-send patterns
-    c_a = _click(mu_z * ta, pdc)
-    c_b = _click(mu_z * tb, pdc)
-    c_ab = _click(mu_z * (ta + tb), pdc)
-    singles = ps_single * (c_a + c_b)
+    c_sum, c_ab = kernel("z", first.mu_z, _z_clicks, ta, tb, mu_z, pdc)
+    singles = ps_single * c_sum
     z_clicks = (nz * (singles + ps_both * c_ab + none_dark)).sum(axis=-1)
     z_errors = (nz * (ps_both * c_ab + none_dark + eopt * singles)).sum(axis=-1)
 
     # X windows: all ordered decoy intensity pairs (u, v) on axes 1 and 2
     mus, probs = table[:, 0:3], table[:, 3:6]
     pairs = nx[:, None, None, :] * probs[:, :, None, None] * probs[:, None, :, None]
-    ta4, tb4 = ta[:, None, None, :], tb[:, None, None, :]
-    arrive = mus[:, :, None, None] * ta4 + mus[:, None, :, None] * tb4
     x_pairs = pairs.sum(axis=-1)
-    x_clicks = (pairs * _click(arrive, pdc)).sum(axis=-1)
+    clicks = kernel("x", (first.mu1, first.mu2), _x_clicks, ta, tb, mus, pdc)
+    x_clicks = (pairs * clicks).sum(axis=-1)
 
-    # phase-slice subsample of the (mu1, mu1) pairs, Gauss-Legendre over [-delta, delta]
+    # phase-slice subsample of the (mu1, mu1) pairs
     sl_pairs = nx * p1 * p1 * f_slice
-    colsum = ta + tb
-    vis = np.where(colsum > 0, 2.0 * np.sqrt(ta * tb) / np.where(colsum > 0, colsum, 1.0), 0.0)
-    base = 0.5 * (mu1 * colsum)[..., None]
-    mod = (vis * (1.0 - 2.0 * eopt))[..., None] * np.cos(delta * _GL_NODES)[:, None, :]
-    wmean = _GL_WEIGHTS / 2.0
-    err = (sl_pairs * (_click(base * (1.0 - mod), pdc) * wmean).sum(axis=-1)).sum(axis=-1)
-    cor = (sl_pairs * (_click(base * (1.0 + mod), pdc) * wmean).sum(axis=-1)).sum(axis=-1)
+    err_in, cor_in = kernel(
+        "slice", (first.mu1, first.delta), _slice_clicks, ta, tb, mu1, delta, eopt, pdc
+    )
+    err = (sl_pairs * err_in).sum(axis=-1)
+    cor = (sl_pairs * cor_in).sum(axis=-1)
 
     n_pulses = np.broadcast_to(w.sum(axis=-1), (len(candidates),))
     columns = zip(
@@ -319,7 +399,7 @@ def expected_statistics(
 ) -> ExpectedStatistics:
     """Expected counts of a single block with arm efficiencies ``arms``."""
     arms = _checked_arms(arms, (2,))
-    if n_pulses < 1:
+    if not n_pulses >= 1:
         raise ValueError("n_pulses must be >= 1")
     return pooled_statistics(channel, params, arms[None], np.array([float(n_pulses)]))
 
@@ -636,17 +716,19 @@ def _coordinate_search(start: SnsParams, max_evals: int):
 
 
 # Largest candidates x bins product of one batched evaluation.  Blocks with
-# more bins than this are evaluated one candidate per call: there a batch
-# only adds memory traffic (and peak memory) to compute-bound arrays.
+# more bins than half this are evaluated one candidate per call: there a
+# batch only adds memory traffic (and peak memory) to compute-bound arrays.
 _BATCH_CELLS = 4096
 
 
-def _evaluate(channel, eps, blocks, memos, requests) -> None:
+def _evaluate(channel, eps, blocks, memos, kernels, requests) -> None:
     """Fill ``memos[j][params]`` with the ledger of every (j, params) request.
 
     Requests already memoised, or repeated, are evaluated once.  Blocks are
     batched only with blocks of the same bin count, never padded: padding
-    changes numpy's pairwise sums, and with them the counts.
+    changes numpy's pairwise sums, and with them the counts.  A block too
+    large to batch is evaluated one candidate a call, reusing the click
+    kernels in its memo ``kernels[j]``; batches compute theirs inline.
     """
     by_shape: dict = {}
     for j, params in requests:
@@ -655,6 +737,12 @@ def _evaluate(channel, eps, blocks, memos, requests) -> None:
     for shape, pending in by_shape.items():
         todo = list(pending)
         size = max(1, _BATCH_CELLS // shape[0])
+        if size == 1:
+            for j, params in todo:
+                arms, pulses = blocks[j]
+                stats = pooled_statistics(channel, params, arms, pulses, kernels[j])
+                memos[j][params] = skl(stats, eps)
+            continue
         for lo in range(0, len(todo), size):
             chunk = todo[lo : lo + size]
             rows = [j for j, _ in chunk]
@@ -677,8 +765,9 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400, extra_seed
     Returns one (params, SklBreakdown) per block.
     """
     memos: list[dict] = [{} for _ in blocks]
+    kernels = [_KernelMemo() for _ in blocks]
     grid = [(j, p) for j in range(len(blocks)) for p in DEFAULT_GRID]
-    _evaluate(channel, eps, blocks, memos, grid)
+    _evaluate(channel, eps, blocks, memos, kernels, grid)
     best = []  # per block: (params, value), the grid's best to start with
     searches = []  # [block, search, pending candidate, result], seed order within a block
     for j, memo in enumerate(memos):
@@ -692,7 +781,7 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400, extra_seed
 
     live = searches
     while live:
-        _evaluate(channel, eps, blocks, memos, [(j, cand) for j, _, cand, _ in live])
+        _evaluate(channel, eps, blocks, memos, kernels, [(j, cand) for j, _, cand, _ in live])
         for entry in live:
             j, search, cand, _ = entry
             memo = memos[j]
@@ -707,6 +796,15 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400, extra_seed
     for j, _, _, (p, v) in searches:
         if v > best[j][1]:
             best[j] = (p, v)
+    if log.isEnabledFor(logging.DEBUG):
+        counts = ", ".join(
+            f"{kind} {sum(k.hits[kind] for k in kernels)}/{sum(k.misses[kind] for k in kernels)}"
+            for kind in _KERNEL_CAPS
+        )
+        log.debug(
+            "optimised %d blocks in %d evaluations; kernel memo hits/misses: %s",
+            len(blocks), sum(map(len, memos)), counts,
+        )
     return [(p, memos[j][p]) for j, (p, _) in enumerate(best)]
 
 
@@ -732,7 +830,7 @@ def accumulate_links(
             continue
         arms = _checked_arms([b[0] for b in bins], (len(bins), 2))
         pulses = np.array([float(b[1]) for b in bins])
-        if np.any(pulses < 0):
+        if not np.all(pulses >= 0):
             raise ValueError("pulse counts must be >= 0")
         blocks.append((arms, pulses))
     found = iter(

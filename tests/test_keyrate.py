@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringqkd import keyrate
 from ringqkd.keyrate import (
     DEFAULT_GRID,
     DEFAULT_PARAMS,
@@ -27,7 +28,16 @@ from ringqkd.keyrate import (
     skl,
     symmetric_arms,
 )
-from ringqkd.keyrate import _BOUNDS, _COORDS, _params_to_vector, _vector_to_params
+from ringqkd.keyrate import (
+    _BATCH_CELLS,
+    _BOUNDS,
+    _COORDS,
+    _KERNEL_CAPS,
+    _evaluate,
+    _KernelMemo,
+    _params_to_vector,
+    _vector_to_params,
+)
 
 EPS = SecurityEpsilons()
 
@@ -94,6 +104,19 @@ def test_channel_validation():
         accumulate_link([((1e-3, 1e-3), 1e6), (1e-3, 1e6)], ch, EPS, max_evals=1)
     with pytest.raises(ValueError):
         ChannelModel(dark_count_prob=1.0)
+
+
+def test_pulse_counts_validation():
+    ch = ChannelModel()
+    arms = (1e-3, 1e-3)
+    for bad in (math.nan, -1.0):
+        with pytest.raises(ValueError):
+            accumulate_link([(arms, 1e9), (arms, bad)], ch, EPS, max_evals=1)
+        with pytest.raises(ValueError):
+            accumulate_links([[(arms, 1e9)], [(arms, bad)]], ch, EPS, max_evals=1)
+    for bad in (math.nan, 0.5):
+        with pytest.raises(ValueError):
+            expected_statistics(ch, SnsParams(), arms, bad)
 
 
 def test_epsilons_composition():
@@ -494,3 +517,95 @@ def test_lockstep_optimiser_matches_sequential_reference(profiles, n_starts, max
         pulses = np.array([b[1] for b in profile])
         assert got == _reference_optimize(ch, EPS, arms, pulses, n_starts, max_evals)
         assert accumulate_link(profile, ch, EPS, n_starts=n_starts, max_evals=max_evals) == got
+
+
+def large_profile(seed, n_bins):
+    """Asymmetric profile of ``n_bins`` bins, arms within 3 dB of each other, 20-40 dB."""
+    rng = np.random.default_rng(seed)
+    loss_a = rng.uniform(20.0, 40.0, n_bins)
+    loss_b = loss_a + rng.uniform(-3.0, 3.0, n_bins)
+    arms = 10.0 ** (-np.stack([loss_a, loss_b], axis=1) / 10.0)
+    pulses = rng.uniform(1e7, 1e9, n_bins)
+    return list(zip(map(tuple, arms.tolist()), pulses.tolist()))
+
+
+# one candidate a call, through each block's kernel memo
+LARGE = _BATCH_CELLS // 2 + 1
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2),
+    st.integers(LARGE, LARGE + 251),
+    link_profile(),
+    st.integers(1, 3),
+    st.integers(1, 30),
+)
+def test_lockstep_optimiser_matches_reference_on_large_blocks(
+    seeds, n_bins, small, n_starts, max_evals
+):
+    ch = ChannelModel()
+    profiles = [large_profile(seed, n_bins) for seed in seeds] + [small]
+    together = accumulate_links(profiles, ch, EPS, n_starts=n_starts, max_evals=max_evals)
+    for profile, got in zip(profiles, together):
+        arms = np.array([b[0] for b in profile])
+        pulses = np.array([b[1] for b in profile])
+        assert got == _reference_optimize(ch, EPS, arms, pulses, n_starts, max_evals)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(keyrate, name)
+    monkeypatch.setattr(keyrate, name, lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+def test_kernel_memo_skips_recomputing_unchanged_kernels(monkeypatch):
+    ch = ChannelModel()
+    profile = large_profile(7, LARGE)
+    block = (np.array([b[0] for b in profile]), np.array([b[1] for b in profile]))
+    base = SnsParams()
+    candidates = [base, SnsParams(p_send=0.1), SnsParams(p_z=0.6), SnsParams(p0=0.4),
+                  SnsParams(p1=0.2), SnsParams(p_send=0.2, p_z=0.5, p0=0.3, p1=0.4)]
+    want = [skl(pooled_statistics(ch, p, *block), EPS) for p in candidates]
+    calls = {name: count_calls(monkeypatch, name)
+             for name in ("_z_clicks", "_x_clicks", "_slice_clicks")}
+    memos, kernels = [{}], [_KernelMemo()]
+    _evaluate(ch, EPS, [block], memos, kernels, [(0, p) for p in candidates])
+    assert [memos[0][p] for p in candidates] == want
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
+    assert kernels[0].hits == dict.fromkeys(_KERNEL_CAPS, len(candidates) - 1)
+    # a batched block of a few bins computes its kernels inline
+    small = (block[0][:3], block[1][:3])
+    _evaluate(ch, EPS, [small], [{}], kernels, [(0, p) for p in candidates])
+    assert len(calls["_slice_clicks"]) == 2
+    assert kernels[0].misses == dict.fromkeys(_KERNEL_CAPS, 1)
+
+
+def test_kernel_memo_stays_within_its_caps(monkeypatch):
+    made = []
+
+    class Recorded(_KernelMemo):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(keyrate, "_KernelMemo", Recorded)
+    profiles = [large_profile(3, LARGE), large_profile(4, LARGE + 10), [((1e-3, 1e-3), 1e12)]]
+    accumulate_links(profiles, ChannelModel(), EPS, max_evals=120)
+    assert len(made) == len(profiles)
+    for memo in made[:2]:
+        assert memo.misses["slice"] > _KERNEL_CAPS["slice"]  # the cap was reached
+        for kind, cache in memo.caches.items():
+            assert len(cache) <= _KERNEL_CAPS[kind]
+
+
+def test_optimiser_logs_one_debug_line_per_call(caplog, capsys):
+    profiles = [large_profile(5, LARGE), [((1e-3, 1e-3), 1e12)]]
+    accumulate_links(profiles, ChannelModel(), EPS, max_evals=20)
+    assert capsys.readouterr() == ("", "")
+    with caplog.at_level("DEBUG", logger="ringqkd.keyrate"):
+        accumulate_links(profiles, ChannelModel(), EPS, max_evals=20)
+    (record,) = caplog.records
+    assert record.getMessage().startswith("optimised 2 blocks in ")
+    assert "kernel memo hits/misses: z " in record.getMessage()
