@@ -8,9 +8,14 @@ orbit.  Orbits are circular two-body; ground stations rotate with the Earth at
 the sidereal rate.
 
 Each computation lives here once: ``zenith_from_positions`` turns satellite
-and station positions into zenith angles, and ``extract_sessions`` turns a
-sample grid and its zenith matrix into visibility sessions with their sample
-ranges, bisecting all of the grid's session edges in one array.
+and station positions into zenith angles; ``serving_state`` gives each
+instant's serving satellite and its zenith angle, evaluating only the 4
+satellites that can be nearest (all N where they nearly tie) and equal bit
+for bit to the argmin of the full zenith row; and ``extract_sessions`` turns
+a sample grid's serving state into visibility sessions with their sample
+ranges, bisecting all of the grid's session edges in one array through
+``serving_state``.  ``positions_eci_km`` propagates any selection of
+satellites, so a caller computes only the columns it reads.
 ``find_sessions`` and the simulator's day loop both call them; only
 ``find_sessions`` polishes each session's minimum zenith angle between
 samples, since no campaign output reads it.
@@ -107,8 +112,14 @@ class VisibilitySession:
         return self.t_end_s - self.t_start_s
 
 
-def positions_eci_km(spec: ConstellationSpec, times_s) -> np.ndarray:
-    """ECI positions of all satellites, shape (len(times), num_sats, 3)."""
+def positions_eci_km(spec: ConstellationSpec, times_s, sats=None) -> np.ndarray:
+    """ECI positions of satellites, shape (len(times), k, 3).
+
+    ``sats`` selects them: None for all ``num_sats``, k cyclic indices for
+    the same satellites at every instant, or a (len(times), k) array of
+    indices per instant.  A selection takes the same float operations in
+    the same order as the full array, so it equals its slice bit for bit.
+    """
     t = np.atleast_1d(np.asarray(times_s, dtype=float))
     if np.any(t < spec.epoch_s):
         raise ValueError("time precedes the constellation epoch")
@@ -117,17 +128,22 @@ def positions_eci_km(spec: ConstellationSpec, times_s) -> np.ndarray:
     w = spec.mean_motion_rad_s
     base = np.radians(spec.phase0_deg) + w * (t - spec.epoch_s)  # (T,)
     idx = 2.0 * np.pi * np.arange(n) / n  # (N,)
-    out = np.empty((t.size, n, 3))
+    pick = np.arange(n)[None, :] if sats is None else np.asarray(sats, dtype=np.intp) % n
+    if pick.ndim == 1:
+        pick = pick[None, :]
+    if pick.ndim != 2 or pick.shape[0] not in (1, t.size):
+        raise ValueError("sats must be (k,) indices or one row of indices per instant")
+    out = np.empty((t.size, pick.shape[1], 3))
     if spec.kind is ConstellationKind.TYPE1_POLAR:
         # Plane i has right ascension idx[i]; all satellites share u(t).
         u = base[:, None]
         cu, su = np.cos(u), np.sin(u)
-        co, so = np.cos(idx)[None, :], np.sin(idx)[None, :]
+        co, so = np.cos(idx)[pick], np.sin(idx)[pick]
         out[:, :, 0] = r * cu * co
         out[:, :, 1] = r * cu * so
         out[:, :, 2] = r * su + np.zeros_like(co)
     else:
-        phase = base[:, None] + idx[None, :]
+        phase = base[:, None] + idx[pick]
         out[:, :, 0] = r * np.cos(phase)
         out[:, :, 1] = r * np.sin(phase)
         out[:, :, 2] = 0.0
@@ -193,17 +209,73 @@ def zenith_from_positions(sat_km: np.ndarray, gs_km: np.ndarray) -> np.ndarray:
     return np.degrees(np.arccos(np.clip(cosz, -1.0, 1.0)))
 
 
-def zenith_angles_deg(spec: ConstellationSpec, gs: GroundStation, times_s) -> np.ndarray:
-    """Zenith angles for all satellites, shape (len(times), num_sats)."""
-    return zenith_from_positions(positions_eci_km(spec, times_s), gs_position_km(gs, times_s))
+def zenith_angles_deg(spec: ConstellationSpec, gs: GroundStation, times_s, sats=None) -> np.ndarray:
+    """Zenith angles of the satellites ``sats`` selects (see ``positions_eci_km``),
+    shape (len(times), k); all ``num_sats`` by default."""
+    return zenith_from_positions(
+        positions_eci_km(spec, times_s, sats), gs_position_km(gs, times_s)
+    )
 
 
-def _serving_state(z, theta_max_deg):
-    """(serving index or -1) per sample plus the zenith of the serving sat."""
-    serving = np.argmin(z, axis=1)  # ties -> lowest index
-    zmin = z[np.arange(z.shape[0]), serving]
-    state = np.where(zmin <= theta_max_deg, serving, -1)
-    return state, zmin
+# Below this |cos u cos(lat)| (Type-1) or cos(lat) (Type-2) the satellites'
+# dot products with the station nearly tie, so the whole row is searched.
+_TIE_COS = 1e-6
+
+
+def _candidates(spec: ConstellationSpec, gs: GroundStation, t: np.ndarray):
+    """The 4 satellites that can serve each instant, (T, 4) indices sorted in
+    each row, and the instants (indices into ``t``) whose rows need all N.
+
+    The orbit radius is common, so the zenith angle falls as the dot product
+    of station and satellite positions rises, and that is rR [c cos(a - l)
+    + s] with l the station's ECI longitude and s the same for every
+    satellite.  Type-2: a is satellite i's phase and c = cos(lat).  Type-1:
+    a is plane i's right ascension, c = cos u cos(lat), and s = sin u
+    sin(lat).  With x = (l - a_0 (+ pi where c < 0)) N / 2pi, satellites
+    floor(x) - 1 .. floor(x) + 2 hold the best one, which lies within pi/N
+    of l, and every other lies at least 4 pi/N away: its dot product falls
+    short by at least rR |c| (cos(pi/N) - cos(4pi/N)).  For |c| >= _TIE_COS
+    that is about 1 km^2 at N = 60 (it shrinks as 1/N^2), far above the
+    rounding of the zenith formula, which is below 1e-6 km^2.  For N <= 4
+    the 4 are all N (N = 3 repeats one, which argmin reads as the same).
+    """
+    n = spec.num_sats
+    lon = math.radians(gs.longitude_deg) + EARTH_ROTATION_RAD_S * t
+    base = math.radians(spec.phase0_deg) + spec.mean_motion_rad_s * (t - spec.epoch_s)
+    cos_lat = math.cos(math.radians(gs.latitude_deg))
+    if spec.kind is ConstellationKind.TYPE1_POLAR:
+        c = np.cos(base) * cos_lat
+        x = (lon + np.where(c < 0.0, np.pi, 0.0)) * (n / (2.0 * np.pi))
+    else:
+        c = np.full(t.size, cos_lat)
+        x = (lon - base) * (n / (2.0 * np.pi))
+    first = np.floor(x).astype(np.intp) - 1
+    cols = np.sort((first[:, None] + np.arange(4)) % n, axis=1)
+    return cols, np.flatnonzero(np.abs(c) < _TIE_COS)
+
+
+def serving_state(spec: ConstellationSpec, gs: GroundStation, times_s, theta_max_deg: float):
+    """(serving index or -1, zenith angle of the nearest satellite) per instant.
+
+    Equals the argmin of the full zenith row, ties going to the lowest
+    index, bit for bit: only the candidates of ``_candidates`` are
+    evaluated, each row's in index order, and the full row where they may
+    tie.  The second array is the serving satellite's zenith angle wherever
+    one serves.
+    """
+    t = np.atleast_1d(np.asarray(times_s, dtype=float))
+    cols, full = _candidates(spec, gs, t)
+    z = zenith_angles_deg(spec, gs, t, cols)
+    best = np.argmin(z, axis=1)
+    rows = np.arange(t.size)
+    serving = cols[rows, best]
+    zmin = z[rows, best]
+    if full.size:
+        z_full = zenith_angles_deg(spec, gs, t[full])
+        best = np.argmin(z_full, axis=1)
+        serving[full] = best
+        zmin[full] = z_full[np.arange(full.size), best]
+    return np.where(zmin <= theta_max_deg, serving, -1), zmin
 
 
 def _refine_boundaries(spec, gs, t_lo, t_hi, state_lo, theta_max_deg, tol):
@@ -215,7 +287,7 @@ def _refine_boundaries(spec, gs, t_lo, t_hi, state_lo, theta_max_deg, tol):
     active = np.flatnonzero(hi - lo > tol)
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
-        state, _ = _serving_state(zenith_angles_deg(spec, gs, mid), theta_max_deg)
+        state, _ = serving_state(spec, gs, mid, theta_max_deg)
         stay = state == state_lo[active]
         lo[active[stay]] = mid[stay]
         hi[active[~stay]] = mid[~stay]
@@ -229,7 +301,7 @@ def _refine_min_zenith(spec, gs, sat, t_best, dt, t_lo, t_hi):
     b = min(t_hi, t_best + dt)
 
     def f(t):
-        return zenith_angles_deg(spec, gs, np.array([t]))[0, sat]
+        return zenith_angles_deg(spec, gs, np.array([t]), [sat])[0, 0]
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
@@ -249,20 +321,18 @@ def _refine_min_zenith(spec, gs, sat, t_best, dt, t_lo, t_hi):
 
 def extract_sessions(
     spec: ConstellationSpec, gs: GroundStation, times: np.ndarray, dt: float,
-    zenith_deg: np.ndarray, theta_max_deg: float,
+    state: np.ndarray, zmin: np.ndarray, theta_max_deg: float,
 ) -> tuple[list[VisibilitySession], list[tuple[int, int]]]:
     """Visibility sessions on a sample grid, with each session's sample range.
 
-    ``zenith_deg`` holds the zenith angles of all satellites on ``times``,
-    shape (len(times), num_sats).  A session is a maximal run of samples
-    with the same minimum-zenith satellite inside the mask; its edges are
+    ``state`` and ``zmin`` are ``serving_state`` on ``times``.  A session is
+    a maximal run of samples with the same serving satellite; its edges are
     bisected between samples to within dt/100, all of them together.
     Handover instants are shared between the outgoing and incoming session,
     so continuous coverage tiles the window without gaps.  Session k covers
     samples ``ranges[k][0]:ranges[k][1]``, and its ``min_zenith_deg`` is the
     grid minimum over them; ``find_sessions`` polishes it between samples.
     """
-    state, zmin = _serving_state(zenith_deg, theta_max_deg)
     ends = np.flatnonzero(state[1:] != state[:-1])  # last sample of each run but the final one
     edges = _refine_boundaries(
         spec, gs, times[ends], times[ends + 1], state[ends], theta_max_deg, dt / 100.0
@@ -298,11 +368,11 @@ def find_sessions(
     times = t0 + dt * np.arange(n + 1)
     if times[-1] < t1:
         times = np.append(times, t1)
-    z = zenith_angles_deg(spec, gs, times)
-    sessions, ranges = extract_sessions(spec, gs, times, dt, z, theta_max_deg)
+    state, zmin = serving_state(spec, gs, times, theta_max_deg)
+    sessions, ranges = extract_sessions(spec, gs, times, dt, state, zmin, theta_max_deg)
     polished = []
     for s, (i, j) in zip(sessions, ranges):
-        t_best = times[i + int(np.argmin(z[i:j, s.serving_sat]))]
+        t_best = times[i + int(np.argmin(zmin[i:j]))]
         min_z = _refine_min_zenith(spec, gs, s.serving_sat, t_best, dt, s.t_start_s, s.t_end_s)
         polished.append(replace(s, min_zenith_deg=float(min(min_z, s.min_zenith_deg))))
     return polished

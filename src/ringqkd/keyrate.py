@@ -399,8 +399,8 @@ def expected_statistics(
 ) -> ExpectedStatistics:
     """Expected counts of a single block with arm efficiencies ``arms``."""
     arms = _checked_arms(arms, (2,))
-    if not n_pulses >= 1:
-        raise ValueError("n_pulses must be >= 1")
+    if not (n_pulses >= 1 and math.isfinite(n_pulses)):
+        raise ValueError("n_pulses must be finite and >= 1")
     return pooled_statistics(channel, params, arms[None], np.array([float(n_pulses)]))
 
 
@@ -830,8 +830,8 @@ def accumulate_links(
             continue
         arms = _checked_arms([b[0] for b in bins], (len(bins), 2))
         pulses = np.array([float(b[1]) for b in bins])
-        if not np.all(pulses >= 0):
-            raise ValueError("pulse counts must be >= 0")
+        if not np.all((pulses >= 0) & np.isfinite(pulses)):
+            raise ValueError("pulse counts must be finite and >= 0")
         blocks.append((arms, pulses))
     found = iter(
         _optimize_pooled(

@@ -1,12 +1,14 @@
 """Daily key-yield campaigns over the satellite ring.
 
-One simulated day: propagate the ring once on the day's sample grid, take
-each ground station's zenith matrix and visibility sessions from geometry
-(``zenith_from_positions``, ``extract_sessions``), sample the uplink and
-the serving satellite's two inter-satellite chords along each session,
-form the effective twin-field link per sample, pool every sample of the
-same (ground station, partner satellite) link into one finite-key block,
-optimise the protocol parameters per link, and aggregate
+One simulated day: take each ground station's serving satellite, its
+zenith angle and the visibility sessions on the day's sample grid from
+geometry (``serving_state``, ``extract_sessions``), which evaluate only the
+few satellites that can serve each sample; along each session, sample the
+uplink and the serving satellite's two inter-satellite chords, propagating
+only those three satellites; form the effective twin-field link per
+sample, pool every sample of the same (ground station, partner satellite)
+link into one finite-key block, optimise the protocol parameters per link,
+and aggregate
 
     SKL_protocol = sum over serving satellites i of
                    min{ SKL(GS1, i +/- 1), SKL(GS2, k +/- 1) },   k = i + N/2,
@@ -23,24 +25,28 @@ ConsistencyError is raised if it ever undercuts the ground links it feeds.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import (
+    _candidates,
     extract_sessions,
-    gs_position_km,
     positions_eci_km,
+    serving_state,
     visibility_fraction,
-    zenith_from_positions,
 )
-# run_day extracts sessions through geometry.extract_sessions, which bisects
-# their edges itself, and only geometry.find_sessions polishes; these three
-# names stay in this namespace, unused, because the benchmark's per-layer
-# trace (perfbench/tracing.py) hooks them here and its tests expect every
-# hooked name to exist.
+# run_day places the stations through geometry.serving_state, extracts
+# sessions through geometry.extract_sessions, which bisects their edges
+# itself, and only geometry.find_sessions polishes; these four names stay in
+# this namespace, unused, because the benchmark's per-layer trace
+# (perfbench/tracing.py) hooks them here and its tests expect every hooked
+# name to exist.
+from .geometry import gs_position_km  # noqa: F401
 from .geometry import _refine_boundaries as _refine_boundary  # noqa: F401
 from .geometry import _refine_min_zenith  # noqa: F401
 from .geometry import extract_sessions as _sessions_from_state  # noqa: F401
@@ -53,6 +59,8 @@ from .linkbudget import isl_efficiency, to_db, uplink_efficiency
 from .scenario import ScenarioConfig
 
 GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
+
+log = logging.getLogger(__name__)
 
 
 class ConsistencyError(RuntimeError):
@@ -143,26 +151,37 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
     if times[-1] < spec.epoch_s + t_total:
         times = np.append(times, spec.epoch_s + t_total)
 
-    pos = positions_eci_km(spec, times)  # (T, N, 3)
     link_session_bins: dict = {}  # (gs_id, partner) -> [per-session bin dict]
     rho = {}
     serving_time: dict[int, float] = {}
     for gs in (config.gs1, config.gs2):
-        z = zenith_from_positions(pos, gs_position_km(gs, times))
-        sessions, sample_ranges = extract_sessions(spec, gs, times, dt, z, config.theta_max_deg)
+        t_zenith = time.perf_counter()
+        state, zmin = serving_state(spec, gs, times, config.theta_max_deg)
+        t_zenith = time.perf_counter() - t_zenith
+        sessions, sample_ranges = extract_sessions(
+            spec, gs, times, dt, state, zmin, config.theta_max_deg
+        )
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "day %d station %d: %d samples, %d on full rows; %d sessions; zenith %.3f s",
+                day_index, gs.id, times.size, _candidates(spec, gs, times)[1].size,
+                len(sessions), t_zenith,
+            )
         rho[gs.id] = visibility_fraction(sessions, t_total)
         for session, (i0, i1) in zip(sessions, sample_ranges):
             sat = session.serving_sat
             if gs.id == 1:
                 serving_time[sat] = serving_time.get(sat, 0.0) + session.duration_s
-            zen = np.radians(np.clip(z[i0:i1, sat], 0.0, config.theta_max_deg))
+            # zmin is the serving satellite's zenith angle inside a session
+            zen = np.radians(np.clip(zmin[i0:i1], 0.0, config.theta_max_deg))
             ul = uplink_efficiency(
                 zen, config.optics, config.turbulence,
                 altitude_km=spec.altitude_km, theta_max_deg=config.theta_max_deg,
             )
+            pos = positions_eci_km(spec, times[i0:i1], [sat - 1, sat, sat + 1])
             for side in (-1, 1):
                 partner = (sat + side) % n
-                chord_m = np.linalg.norm(pos[i0:i1, sat] - pos[i0:i1, partner], axis=-1) * 1e3
+                chord_m = np.linalg.norm(pos[:, 1] - pos[:, 1 + side], axis=-1) * 1e3
                 isl = isl_efficiency(
                     np.maximum(chord_m, 1.0), config.optics,
                     include_pointing=config.isl_pointing_in_effective,
@@ -185,7 +204,7 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
             link_profiles[link] = [_bins_to_profile(config, merged)]
         else:  # per-session blocks, summed afterwards
             link_profiles[link] = [_bins_to_profile(config, bins) for bins in session_bins]
-    isl_profile = _isl_reference(config, spec, pos)
+    isl_profile = _isl_reference(config, spec, times)
     isl_sig = ("isl-ref", tuple(isl_profile))
     wanted = {tuple(pr): pr for prs in link_profiles.values() for pr in prs}
     wanted[isl_sig] = isl_profile
@@ -262,13 +281,14 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
     )
 
 
-def _isl_reference(config: ScenarioConfig, spec, pos) -> list:
+def _isl_reference(config: ScenarioConfig, spec, times) -> list:
     """Profile of the daily block of one adjacent inter-satellite twin-field link.
 
     Uses the widest adjacent chord of the day (the worst instantaneous ISL
     loss), a full-day block, and the same effective-link rule with both
     arms on inter-satellite chords.
     """
+    pos = positions_eci_km(spec, times, [0, 1])
     chord_m = float(np.max(np.linalg.norm(pos[:, 0, :] - pos[:, 1, :], axis=-1))) * 1e3
     eff = isl_efficiency(
         max(chord_m, 1.0), config.optics,

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringqkd.constants import EARTH_RADIUS_KM, EARTH_ROTATION_RAD_S
@@ -14,14 +14,15 @@ from ringqkd.geometry import (
     ConstellationSpec,
     GroundStation,
     VisibilitySession,
+    _candidates,
     _refine_boundaries,
-    _serving_state,
     clearance_segment_km,
     extract_sessions,
     find_sessions,
     gs_position_km,
     min_ring_size,
     positions_eci_km,
+    serving_state,
     visibility_fraction,
     zenith_angles_deg,
     zenith_from_positions,
@@ -82,6 +83,26 @@ def test_radius_conserved_under_propagation():
         pos = positions_eci_km(spec, np.linspace(0.0, 20000.0, 57))
         radii = np.linalg.norm(pos, axis=2)
         assert np.max(np.abs(radii / spec.orbit_radius_km - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("make", [spec_type1, spec_type2])
+def test_selected_positions_are_slices_of_the_full_array(make):
+    # columns (cyclic, in any order, repeated) and per-instant indices give
+    # the matching slice of the full array bit for bit, and so do zenith angles
+    spec = make(n=13, phase0_deg=3.7, epoch_s=5.0)
+    gs = GroundStation(1, 41.3, -72.9)
+    times = 5.0 + np.linspace(0.0, 9000.0, 1001)
+    full = positions_eci_km(spec, times)
+    cols = positions_eci_km(spec, times, [12, 0, 5, 5, -1])
+    assert cols.tobytes() == full[:, [12, 0, 5, 5, 12]].tobytes()
+    idx = np.random.default_rng(0).integers(0, 13, size=(times.size, 4))
+    per_instant = positions_eci_km(spec, times, idx)
+    assert per_instant.tobytes() == np.take_along_axis(full, idx[:, :, None], axis=1).tobytes()
+    z = zenith_angles_deg(spec, gs, times, idx)
+    want = np.take_along_axis(zenith_angles_deg(spec, gs, times), idx, axis=1)
+    assert z.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        positions_eci_km(spec, times, idx[:-1])
 
 
 def test_propagate_rejects_bad_specs():
@@ -328,6 +349,15 @@ def test_visibility_fraction_edges():
 # ------------------------------------------- sessions against the reference
 
 
+def _serving_state(z, theta_max_deg):
+    """(serving index or -1, zenith of the nearest satellite) per sample from
+    the full zenith matrix: the oracle for ``serving_state``."""
+    serving = np.argmin(z, axis=1)  # ties -> lowest index
+    zmin = z[np.arange(z.shape[0]), serving]
+    state = np.where(zmin <= theta_max_deg, serving, -1)
+    return state, zmin
+
+
 def _scalar_bisection(spec, gs, t_lo, t_hi, state_lo, theta_max_deg, tol):
     """One edge at a time, one (1, N) zenith evaluation per halving: the
     bisection geometry ran before it stepped all edges in one array."""
@@ -432,7 +462,8 @@ def test_extract_sessions_matches_reference(kind, n, latitude, longitude, phase0
         times = np.append(times, t1)
     want, want_ranges = _reference_sessions(spec, gs, times, dt, 70.0)
     z = zenith_angles_deg(spec, gs, times)
-    got, got_ranges = extract_sessions(spec, gs, times, dt, z, 70.0)
+    state, zmin = serving_state(spec, gs, times, 70.0)
+    got, got_ranges = extract_sessions(spec, gs, times, dt, state, zmin, 70.0)
     # extraction matches in everything but the polish, which it leaves out
     assert got_ranges == want_ranges
     assert [replace(s, min_zenith_deg=0.0) for s in got] == [
@@ -441,6 +472,68 @@ def test_extract_sessions_matches_reference(kind, n, latitude, longitude, phase0
     for s, (i, j) in zip(got, got_ranges):
         assert s.min_zenith_deg == float(np.min(z[i:j, s.serving_sat]))
     assert find_sessions(spec, gs, epoch, t1, dt=dt) == want
+
+
+_POLAR = ConstellationKind.TYPE1_POLAR
+_EQUATORIAL = ConstellationKind.TYPE2_EQUATORIAL
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(list(ConstellationKind)),
+    n=st.integers(3, 60),
+    latitude=st.floats(-90.0, 90.0),
+    longitude=st.floats(-180.0, 180.0, exclude_max=True),
+    phase0=st.floats(0.0, 360.0, exclude_max=True),
+    epoch=st.floats(0.0, 1e5),
+    dt=st.sampled_from([0.7, 1.0, 2.5, 5.0]),
+)
+@example(kind=_EQUATORIAL, n=60, latitude=0.0, longitude=0.0, phase0=0.0, epoch=0.0, dt=1.0)
+@example(kind=_POLAR, n=60, latitude=0.0, longitude=12.5, phase0=3.0, epoch=7.0, dt=1.0)
+# satellites 59 and 0 tie exactly at t = 0: the tie goes to 0
+@example(kind=_POLAR, n=60, latitude=0.0, longitude=-3.0, phase0=357.0, epoch=0.0, dt=1.0)
+@example(kind=_POLAR, n=24, latitude=89.9, longitude=0.0, phase0=80.0, epoch=0.0, dt=1.0)
+@example(kind=_POLAR, n=24, latitude=-89.9, longitude=30.0, phase0=260.0, epoch=0.0, dt=0.7)
+@example(kind=_POLAR, n=24, latitude=90.0, longitude=0.0, phase0=85.0, epoch=0.0, dt=5.0)
+@example(kind=_POLAR, n=37, latitude=-90.0, longitude=0.0, phase0=265.0, epoch=3.0, dt=2.5)
+@example(kind=_EQUATORIAL, n=12, latitude=90.0, longitude=0.0, phase0=0.0, epoch=0.0, dt=5.0)
+@example(kind=_EQUATORIAL, n=3, latitude=-90.0, longitude=10.0, phase0=0.0, epoch=0.0, dt=5.0)
+def test_serving_state_matches_full_matrix(kind, n, latitude, longitude, phase0, epoch, dt):
+    # the candidate-column serving state, and the sessions built on it, are
+    # bit-identical to the argmin of the full zenith matrix
+    spec = ConstellationSpec(kind, n, 500.0, epoch_s=epoch, phase0_deg=phase0)
+    gs = GroundStation(1, latitude, longitude)
+    t1 = epoch + 3000.0
+    times = epoch + dt * np.arange(int(math.floor(3000.0 / dt)) + 1)
+    if times[-1] < t1:
+        times = np.append(times, t1)
+    state, zmin = serving_state(spec, gs, times, 70.0)
+    want_state, want_zmin = _serving_state(zenith_angles_deg(spec, gs, times), 70.0)
+    assert state.tobytes() == want_state.tobytes()
+    served = want_state >= 0
+    assert zmin[served].tobytes() == want_zmin[served].tobytes()
+    want, want_ranges = _reference_sessions(spec, gs, times, dt, 70.0)
+    got, got_ranges = extract_sessions(spec, gs, times, dt, state, zmin, 70.0)
+    assert got_ranges == want_ranges
+    assert [replace(s, min_zenith_deg=0.0) for s in got] == [
+        replace(s, min_zenith_deg=0.0) for s in want
+    ]
+    assert find_sessions(spec, gs, epoch, t1, dt=dt) == want
+
+
+def test_serving_state_searches_tied_rows_in_full():
+    # at u = 90 deg every Type-1 satellite is over the pole, so the rows
+    # there are searched in full; an 85N station sees them
+    spec = spec_type1(n=24, phase0_deg=90.0)
+    gs = GroundStation(1, 85.0, 0.0)
+    times = np.arange(0.0, 600.0)
+    _, full = _candidates(spec, gs, times)
+    assert full.tolist() == [0]
+    state, zmin = serving_state(spec, gs, times, 70.0)
+    want_state, want_zmin = _serving_state(zenith_angles_deg(spec, gs, times), 70.0)
+    assert state[0] >= 0
+    assert state.tobytes() == want_state.tobytes()
+    assert zmin.tobytes() == want_zmin.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -109,12 +109,13 @@ def test_channel_validation():
 def test_pulse_counts_validation():
     ch = ChannelModel()
     arms = (1e-3, 1e-3)
-    for bad in (math.nan, -1.0):
+    # an infinite bin would give infinite pulses and a NaN lambda_ec
+    for bad in (math.nan, -1.0, math.inf):
         with pytest.raises(ValueError):
             accumulate_link([(arms, 1e9), (arms, bad)], ch, EPS, max_evals=1)
         with pytest.raises(ValueError):
             accumulate_links([[(arms, 1e9)], [(arms, bad)]], ch, EPS, max_evals=1)
-    for bad in (math.nan, 0.5):
+    for bad in (math.nan, 0.5, math.inf):
         with pytest.raises(ValueError):
             expected_statistics(ch, SnsParams(), arms, bad)
 

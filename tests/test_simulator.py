@@ -1,5 +1,6 @@
 """Simulator tests on shortened windows (full-day runs live in acceptance)."""
 
+import logging
 import math
 from dataclasses import replace
 from unittest import mock
@@ -131,16 +132,26 @@ def test_run_day_sample_grid(epoch, t_total, dt):
     )
     seen = []
 
-    def capture(spec, times):
+    def capture(spec, gs, times, theta_max_deg):
         seen.append(times)
         raise _GridSeen
 
-    with mock.patch.object(simulator, "positions_eci_km", capture), pytest.raises(_GridSeen):
+    with mock.patch.object(simulator, "serving_state", capture), pytest.raises(_GridSeen):
         run_day(cfg, 0)
     want = epoch + dt * np.arange(int(math.floor(t_total / dt)) + 1)
     if want[-1] < epoch + t_total:
         want = np.append(want, epoch + t_total)
     assert np.array_equal(seen[0], want)
+
+
+def test_run_day_logs_each_station_day(caplog):
+    # one DEBUG line per station-day: samples, samples searched in full,
+    # sessions and the seconds the serving state took
+    caplog.set_level(logging.DEBUG, logger="ringqkd.simulator")
+    run_day(short_config(), 0)
+    lines = [r.getMessage() for r in caplog.records if r.name == "ringqkd.simulator"]
+    assert [line.split(":")[0] for line in lines] == ["day 0 station 1", "day 0 station 2"]
+    assert all("7201 samples, 0 on full rows;" in line for line in lines)
 
 
 def test_effective_link_max():
