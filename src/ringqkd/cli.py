@@ -36,7 +36,7 @@ from .relay import (
     min_compromise,
 )
 from .scenario import ScenarioConfig, load_scenario, manifest, read_values
-from .simulator import run_campaign, sweep as run_sweep
+from .simulator import run_campaign, sweep_configs
 
 _FLOAT_FMT = ".17g"
 
@@ -144,11 +144,12 @@ def cmd_sweep(args) -> int:
         if not all(v.is_integer() for v in values):
             raise ValueError(f"--axis ns takes integer values, got {args.values!r}")
         values = [int(v) for v in values]
+    configs = sweep_configs(config, axis, values)
     outdir = _output_dir(args)
     _write_manifest(config, outdir)
     for n in values if axis == "num_sats" else [config.constellation.num_sats]:
         _note_attachment_pair(n)
-    results = run_sweep(config, axis, values)
+    results = [(v, run_campaign(cfg)) for v, cfg in zip(values, configs)]
     curves = outdir / "curves"
     curves.mkdir(exist_ok=True)
     metrics = results[0][1].mean.keys()
@@ -236,11 +237,14 @@ def cmd_keyrate(args) -> int:
     if not 0.0 < args.duration_s < math.inf:
         raise ValueError(f"--duration-s must be finite and > 0, got {args.duration_s}")
     config = _load(args)
+    pulses = config.channel.rep_rate_hz * args.duration_s
+    if not math.isfinite(pulses):
+        raise ValueError(f"--duration-s {args.duration_s} overflows the pulse count")
     outdir = _output_dir(args)
     _write_manifest(config, outdir)
     arms = symmetric_arms(10.0 ** (-args.loss_db / 10.0))
     params, out = accumulate_link(
-        [(arms, config.channel.rep_rate_hz * args.duration_s)], config.channel, config.eps,
+        [(arms, pulses)], config.channel, config.eps,
         n_starts=config.optimizer_starts, max_evals=config.optimizer_evals,
     )
     header = [
@@ -350,6 +354,8 @@ def cmd_security(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.dump_positions < 0:
+        raise ValueError(f"--dump-positions must be >= 0, got {args.dump_positions}")
     config = _load(args)
     _note_attachment_pair(config.constellation.num_sats)
     outdir = _output_dir(args)

@@ -7,7 +7,8 @@ sends a phase-randomised pulse of intensity mu_z with probability p_send
 one of the decoy intensities {0, mu1, mu2} with probabilities
 {p0, p1, 1 - p0 - p1} and a uniformly random phase.  The measurement node
 reports clicks; pairs where both sides sent mu1 with phases inside a slice
-of half-width delta (around 0 or pi) estimate the phase-flip error.
+of half-width delta (around 0 or pi) estimate the phase-flip error from the
+clicks of their error port alone, so the model computes no other port.
 
 Detection is a threshold-detector click model: a pulse ensemble with mean
 detected photon number nu clicks with probability
@@ -34,13 +35,13 @@ The optimiser scores a block too large to batch (more than half of
 ``_BATCH_CELLS`` bins) one candidate a call, and keeps that block's costly
 click kernels in a memo: the Z-window clicks keyed by mu_z, the X-window
 clicks of every decoy pair keyed by (mu1, mu2), and the phase-slice
-Gauss-Legendre sums keyed by (mu1, delta).  A candidate that changes only
-p_send, p_z, p0 or p1 reuses all three.  Each kind is a least-recently-used
-memo of at most ``_KERNEL_CAPS`` entries, which bounds its memory.  Batched
-evaluations of small blocks compute their kernels inline: there the arrays
-are small, and per-call overhead, not the kernels, sets the cost.  Either
-way each count is computed by the same numpy operations on the same array
-layout, so results are bit-identical.
+error-port Gauss-Legendre sums keyed by (mu1, delta).  A candidate that
+changes only p_send, p_z, p0 or p1 reuses all three.  Each kind is a
+least-recently-used memo of at most ``_KERNEL_CAPS`` entries, which bounds
+its memory.  Batched evaluations of small blocks compute their kernels
+inline: there the arrays are small, and per-call overhead, not the kernels,
+sets the cost.  Either way each count is computed by the same numpy
+operations on the same array layout, so results are bit-identical.
 """
 
 from __future__ import annotations
@@ -180,13 +181,14 @@ class ExpectedStatistics:
     """Deterministic expected counts of one pooled block.
 
     ``x_pairs`` / ``x_clicks`` are 3x3 arrays indexed by (side-a intensity,
-    side-b intensity) with 0 = vacuum, 1 = mu1, 2 = mu2.
+    side-b intensity) with 0 = vacuum, 1 = mu1, 2 = mu2.  The phase-error
+    bound reads only the slice's error port; the last two fields are counted
+    by the Monte-Carlo oracle alone and stay unset on expected counts.
     """
 
     params: SnsParams
     n_pulses: float
     dark_count_prob: float
-    optical_error: float
     error_correction_factor: float
     n_z: float = 0.0
     z_clicks: float = 0.0
@@ -195,8 +197,8 @@ class ExpectedStatistics:
     x_clicks: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
     slice_pairs: float = 0.0
     slice_error_clicks: float = 0.0
+    # counted by the Monte-Carlo oracle only, the tagged clicks with tagged=True
     slice_correct_clicks: float = 0.0
-    # filled by the tagged Monte-Carlo oracle only
     tagged_untagged_clicks: float | None = None
 
 
@@ -258,15 +260,12 @@ def _x_clicks(ta, tb, mus, pdc):
 
 
 def _slice_clicks(ta, tb, mu1, delta, eopt, pdc):
-    """Phase-slice kernel: per-bin error and correct clicks, Gauss-Legendre over +-delta."""
+    """Phase-slice kernel: per-bin error-port clicks, Gauss-Legendre over +-delta."""
     colsum = ta + tb
     vis = np.where(colsum > 0, 2.0 * np.sqrt(ta * tb) / np.where(colsum > 0, colsum, 1.0), 0.0)
     base = 0.5 * (mu1 * colsum)[..., None]
     mod = (vis * (1.0 - 2.0 * eopt))[..., None] * np.cos(delta * _GL_NODES)[:, None, :]
-    wmean = _GL_WEIGHTS / 2.0
-    err = (_click(base * (1.0 - mod), pdc) * wmean).sum(axis=-1)
-    cor = (_click(base * (1.0 + mod), pdc) * wmean).sum(axis=-1)
-    return err, cor
+    return (_click(base * (1.0 - mod), pdc) * (_GL_WEIGHTS / 2.0)).sum(axis=-1)
 
 
 # Entries each block's kernel memo keeps per kind, least recently used out.
@@ -361,24 +360,22 @@ def pooled_statistics(
 
     # phase-slice subsample of the (mu1, mu1) pairs
     sl_pairs = nx * p1 * p1 * f_slice
-    err_in, cor_in = kernel(
+    err_in = kernel(
         "slice", (first.mu1, first.delta), _slice_clicks, ta, tb, mu1, delta, eopt, pdc
     )
     err = (sl_pairs * err_in).sum(axis=-1)
-    cor = (sl_pairs * cor_in).sum(axis=-1)
 
     n_pulses = np.broadcast_to(w.sum(axis=-1), (len(candidates),))
     columns = zip(
         candidates, n_pulses.tolist(), nz.sum(axis=-1).tolist(), z_clicks.tolist(),
         z_errors.tolist(), x_pairs, x_clicks, sl_pairs.sum(axis=-1).tolist(),
-        err.tolist(), cor.tolist(),
+        err.tolist(),
     )
     out = [
         ExpectedStatistics(
             params=p,
             n_pulses=n,
             dark_count_prob=pdc,
-            optical_error=eopt,
             error_correction_factor=channel.error_correction_factor,
             n_z=n_z,
             z_clicks=zc,
@@ -387,9 +384,8 @@ def pooled_statistics(
             x_clicks=xc,
             slice_pairs=sp,
             slice_error_clicks=se,
-            slice_correct_clicks=sc,
         )
-        for p, n, n_z, zc, ze, xp, xc, sp, se, sc in columns
+        for p, n, n_z, zc, ze, xp, xc, sp, se in columns
     ]
     return out[0] if isinstance(params, SnsParams) else out
 
@@ -429,7 +425,6 @@ def monte_carlo_statistics(
         params=p,
         n_pulses=float(n_samples),
         dark_count_prob=pdc,
-        optical_error=eopt,
         error_correction_factor=channel.error_correction_factor,
     )
     mus = np.array([0.0, p.mu1, p.mu2])

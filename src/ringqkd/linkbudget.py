@@ -158,24 +158,14 @@ def _cn2_path_integral(profile: TurbulenceProfile) -> float:
     return val
 
 
-def fried_r0(
-    profile: TurbulenceProfile,
-    wavelength_m: float,
-    zenith_rad: float,
-    h_top_m: float | None = None,
-) -> float:
-    """Fried coherence length r0 [m]; ``inf`` when the profile has no turbulence."""
+def fried_r0(profile: TurbulenceProfile, wavelength_m: float, zenith_rad: float) -> float:
+    """Fried coherence length r0 [m]; ``inf`` when the profile has no turbulence.
+
+    The path integral runs from the profile's ``gs_altitude_m`` to its
+    ``h_top_m``.
+    """
     if not 0.0 <= zenith_rad < math.pi / 2.0:
         raise ValueError("zenith angle must lie in [0, 90) degrees")
-    if h_top_m is not None and h_top_m != profile.h_top_m:
-        profile = TurbulenceProfile(
-            model=profile.model,
-            wind_speed_mps=profile.wind_speed_mps,
-            cn2_ground=profile.cn2_ground,
-            gs_altitude_m=profile.gs_altitude_m,
-            h_top_m=h_top_m,
-            wander_residual=profile.wander_residual,
-        )
     integral = _cn2_path_integral(profile)
     if integral == 0.0:
         return math.inf
@@ -236,7 +226,6 @@ def uplink_factors(
         "gain_product": gt * gr,
         "turb_spread": spread,
         "turb_wander": wander,
-        "path_m": path_m,
     }
 
 

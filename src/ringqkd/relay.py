@@ -251,7 +251,6 @@ class ForwardTranscript:
     ring: int
     segment: str
     messages: tuple
-    secret: int  # held by Alice; kept for round-trip checks
 
 
 def forward(path: RingPath, segment: str, x: int, keys: dict, ring: int = 0) -> ForwardTranscript:
@@ -266,7 +265,7 @@ def forward(path: RingPath, segment: str, x: int, keys: dict, ring: int = 0) -> 
                 raise KeyError(f"missing link key {kid}")
             value ^= keys[kid]
         messages.append((walk[slot], value))
-    return ForwardTranscript(ring, segment, tuple(messages), x)
+    return ForwardTranscript(ring, segment, tuple(messages))
 
 
 def recover(path: RingPath, transcript: ForwardTranscript, keys: dict) -> int:
@@ -495,22 +494,16 @@ def min_compromise(
     return result(True, best, example, best, best)
 
 
-def feasible_neighbor_range(
-    n_sats: int,
-    isl_budget_db: float,
-    optics=None,
-    h_atm_km: float = ATM_SHELL_KM,
-    altitude_km: float = 500.0,
-    include_pointing: bool = False,
-) -> int:
+def feasible_neighbor_range(n_sats: int, isl_budget_db: float) -> int:
     """Largest usable twin-field neighbour range under an ISL loss budget.
 
     A range-r key between S_j and S_(j+r) is measured at the node adjacent
     to one endpoint, so its longest optical arm spans ring distance r - 1.
-    That arm's chord must stay inside the loss budget and clear the
-    atmospheric shell.  Pointing loss is excluded by default, matching the
-    published feasibility envelope where the budget refers to the
-    optics-plus-geometry loss alone.
+    That arm's chord, on a 500 km ring with the default ``OpticalParams``,
+    must stay inside the loss budget and clear the ``ATM_SHELL_KM``
+    atmospheric shell.  Pointing loss is excluded, matching the published
+    feasibility envelope where the budget refers to the optics-plus-geometry
+    loss alone.
     """
     from .linkbudget import OpticalParams, isl_efficiency, to_db
 
@@ -518,16 +511,16 @@ def feasible_neighbor_range(
         raise ValueError("need at least three satellites")
     if not math.isfinite(isl_budget_db):
         raise ValueError(f"isl_budget_db must be finite, got {isl_budget_db}")
-    optics = optics or OpticalParams()
-    radius = EARTH_RADIUS_KM + altitude_km
+    optics = OpticalParams()
+    radius = EARTH_RADIUS_KM + 500.0
     r = 1
     while True:
         arm = r  # candidate range r+1 has longest arm r
         if arm >= n_sats / 2.0:
             break
         chord_km = 2.0 * radius * math.sin(arm * math.pi / n_sats)
-        clear = radius * math.cos(arm * math.pi / n_sats) > EARTH_RADIUS_KM + h_atm_km
-        loss = to_db(isl_efficiency(chord_km * 1e3, optics, include_pointing=include_pointing))
+        clear = radius * math.cos(arm * math.pi / n_sats) > EARTH_RADIUS_KM + ATM_SHELL_KM
+        loss = to_db(isl_efficiency(chord_km * 1e3, optics, include_pointing=False))
         if clear and loss <= isl_budget_db:
             r += 1
         else:

@@ -72,7 +72,6 @@ class DailyReport:
     day_index: int
     phase0_deg: float
     per_link_skl: dict
-    per_link_params: dict
     serving_sats: tuple
     rho_vis: dict
     protocol_skl: float
@@ -153,7 +152,7 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
 
     link_session_bins: dict = {}  # (gs_id, partner) -> [per-session bin dict]
     rho = {}
-    serving_time: dict[int, float] = {}
+    serving_sats: set[int] = set()
     for gs in (config.gs1, config.gs2):
         t_zenith = time.perf_counter()
         state, zmin = serving_state(spec, gs, times, config.theta_max_deg)
@@ -171,7 +170,7 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
         for session, (i0, i1) in zip(sessions, sample_ranges):
             sat = session.serving_sat
             if gs.id == 1:
-                serving_time[sat] = serving_time.get(sat, 0.0) + session.duration_s
+                serving_sats.add(sat)
             # zmin is the serving satellite's zenith angle inside a session
             zen = np.radians(np.clip(zmin[i0:i1], 0.0, config.theta_max_deg))
             ul = uplink_efficiency(
@@ -218,29 +217,24 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
         n_starts=config.optimizer_starts,
         max_evals=config.optimizer_evals,
     )
-    cache.update(zip(pending, results))
+    cache.update(zip(pending, (breakdown for _, breakdown in results)))
 
+    # A link's blocks add up field-wise, with the worst error rates; a daily
+    # link's one block comes out unchanged (0 + x == x for these counts).
     per_link_skl: dict = {}
-    per_link_params: dict = {}
     for link, profiles in link_profiles.items():
         parts = [cache[tuple(pr)] for pr in profiles]
-        if config.pooling == "daily":
-            params, breakdown = parts[0]
-        else:
-            params = max(parts, key=lambda pb: pb[1].n_pulses)[0]
-            breakdown = SklBreakdown(
-                n_pulses=sum(p[1].n_pulses for p in parts),
-                n_raw=sum(p[1].n_raw for p in parts),
-                qber_z=max(p[1].qber_z for p in parts),
-                n1_lower=sum(p[1].n1_lower for p in parts),
-                e1ph_upper=max(p[1].e1ph_upper for p in parts),
-                lambda_ec=sum(p[1].lambda_ec for p in parts),
-                skl_bits=sum(p[1].skl_bits for p in parts),
-            )
-        per_link_skl[link] = breakdown
-        per_link_params[link] = params
+        per_link_skl[link] = SklBreakdown(
+            n_pulses=sum(p.n_pulses for p in parts),
+            n_raw=sum(p.n_raw for p in parts),
+            qber_z=max(p.qber_z for p in parts),
+            n1_lower=sum(p.n1_lower for p in parts),
+            e1ph_upper=max(p.e1ph_upper for p in parts),
+            lambda_ec=sum(p.lambda_ec for p in parts),
+            skl_bits=sum(p.skl_bits for p in parts),
+        )
 
-    serving = tuple(sorted(serving_time))
+    serving = tuple(sorted(serving_sats))
     protocol = 0.0
     for i in serving:
         k = (i + n // 2) % n
@@ -257,7 +251,7 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
     raw_bits = float(sum(b.n_raw for b in per_link_skl.values()))
     block = float(sum(b.n_pulses for b in per_link_skl.values()))
 
-    isl_ref = cache[isl_sig][1]
+    isl_ref = cache[isl_sig]
     best_gs = max((b.skl_bits for b in per_link_skl.values()), default=0.0)
     if isl_ref.skl_bits < best_gs:
         raise ConsistencyError(
@@ -269,7 +263,6 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
         day_index=day_index,
         phase0_deg=spec.phase0_deg,
         per_link_skl=per_link_skl,
-        per_link_params=per_link_params,
         serving_sats=serving,
         rho_vis=rho,
         protocol_skl=float(protocol),
@@ -321,9 +314,9 @@ def _run_day_job(args):
     return run_day(config, day)
 
 
-def sweep(config: ScenarioConfig, axis: str, values) -> list:
-    """One campaign per value of ``num_sats`` or ``latitude``; every swept
-    config is built, and so validated, before the first campaign runs."""
+def sweep_configs(config: ScenarioConfig, axis: str, values) -> list:
+    """One config per value of ``num_sats`` or ``latitude``, each built, and
+    so validated, here."""
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
@@ -338,4 +331,12 @@ def sweep(config: ScenarioConfig, axis: str, values) -> list:
             configs.append(replace(config, gs1=gs1, gs2=gs2))
         else:
             raise ValueError(f"unknown sweep axis: {axis}")
+    return configs
+
+
+def sweep(config: ScenarioConfig, axis: str, values) -> list:
+    """One campaign per value of ``num_sats`` or ``latitude``; every swept
+    config is built, and so validated, before the first campaign runs."""
+    values = list(values)
+    configs = sweep_configs(config, axis, values)
     return [(v, run_campaign(cfg)) for v, cfg in zip(values, configs)]

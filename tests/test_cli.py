@@ -212,12 +212,27 @@ def test_linkbudget_rejects_bad_flags(flags, named, tmp_path, capsys):
     (("--loss-db", "45", "--duration-s", "inf"), "--duration-s"),
     (("--loss-db", "45", "--duration-s", "0"), "--duration-s"),
     (("--loss-db", "45", "--duration-s", "-5"), "--duration-s"),
+    (("--loss-db", "0", "--duration-s", "1e300"), "--duration-s"),  # pulse count overflows
 ])
 def test_keyrate_rejects_bad_flags(flags, named, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("keyrate", *fast_args(out), *flags) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("sweep", "--axis", "latitude", "--values", "95"), "latitude"),
+    (("sweep", "--axis", "ns", "--values", "13"), "even number of satellites"),
+    (("sweep", "--axis", "ns", "--values", ","), "value"),
+    (("validate", "--dump-positions", "-5"), "--dump-positions"),
+])
+def test_bad_input_writes_nothing(argv, named, tmp_path, capsys):
+    # rejected at the boundary with exit 2, before the output directory gets a file
+    out = tmp_path / "out"
+    assert run_cli(*argv, *fast_args(out)) == 2
+    assert named in capsys.readouterr().err
+    assert list(out.glob("**/*")) == []
 
 
 def test_keyrate_dead_channel_row(tmp_path):

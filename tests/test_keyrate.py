@@ -406,8 +406,7 @@ def loss_bins(draw, max_bins=20):
     return arms, pulses
 
 
-STAT_FIELDS = ("n_pulses", "n_z", "z_clicks", "z_errors", "slice_pairs",
-               "slice_error_clicks", "slice_correct_clicks")
+STAT_FIELDS = ("n_pulses", "n_z", "z_clicks", "z_errors", "slice_pairs", "slice_error_clicks")
 
 
 def assert_same_statistics(a, b):

@@ -8,6 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ringqkd.constants import ATM_SHELL_KM, EARTH_RADIUS_KM
+from ringqkd.geometry import (
+    ConstellationKind,
+    ConstellationSpec,
+    clearance_segment_km,
+    positions_eci_km,
+)
+from ringqkd.linkbudget import OpticalParams, isl_efficiency, to_db
 from ringqkd.relay import (
     GS1,
     GS2,
@@ -156,7 +164,7 @@ def test_flipped_bit_propagates_linearly():
     tampered[-1] = (sender, v ^ 0x0040)
     from ringqkd.relay import ForwardTranscript
 
-    bad = ForwardTranscript(0, "plus", tuple(tampered), x)
+    bad = ForwardTranscript(0, "plus", tuple(tampered))
     assert recover(p, bad, keys) == x ^ 0x0040
 
 
@@ -394,6 +402,27 @@ def test_feasible_range_thresholds():
 
 def test_feasible_range_monotone_in_budget():
     assert feasible_neighbor_range(30, 50.0) >= feasible_neighbor_range(30, 42.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(3, 100), budget=st.floats(30.0, 60.0))
+def test_feasible_range_matches_chord_oracle(n, budget):
+    # independent oracle: propagated positions of a 500 km Type-2 ring, each
+    # arm's segment clearance and its ISL loss without pointing
+    r = feasible_neighbor_range(n, budget)
+    spec = ConstellationSpec(ConstellationKind.TYPE2_EQUATORIAL, n, 500.0)
+    pos = positions_eci_km(spec, [0.0])[0]
+    shell_km = EARTH_RADIUS_KM + ATM_SHELL_KM
+
+    def arm_ok(arm):
+        clearance_km = float(clearance_segment_km(pos[0], pos[arm]))
+        chord_m = float(np.linalg.norm(pos[arm] - pos[0])) * 1e3
+        loss = float(to_db(isl_efficiency(chord_m, OpticalParams(), include_pointing=False)))
+        assume(abs(clearance_km - shell_km) > 1e-9 and abs(loss - budget) > 1e-9)
+        return clearance_km > shell_km and loss <= budget
+
+    assert all(arm_ok(arm) for arm in range(1, r))
+    assert r >= n / 2 or not arm_ok(r)
 
 
 def test_min_compromise_budget_bracket():
