@@ -170,17 +170,10 @@ def _zenith_pass_rows(config: ScenarioConfig, dt: float):
     h = config.constellation.altitude_km
     w = config.constellation.mean_motion_rad_s
     theta_max = math.radians(config.theta_max_deg)
-    # central angle at which the zenith angle reaches the cutoff
+    # central angle at which the zenith angle reaches the cutoff: the zenith
+    # angle is the central angle plus the nadir angle asin(ratio * sin(zenith))
     ratio = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + h)
-    lo, hi = 0.0, math.pi / 2
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        zen = math.atan2(math.sin(mid), math.cos(mid) - ratio)
-        if zen < theta_max:
-            lo = mid
-        else:
-            hi = mid
-    gamma_max = 0.5 * (lo + hi)
+    gamma_max = theta_max - math.asin(ratio * math.sin(theta_max))
     t_half = gamma_max / w
     times = np.arange(-math.floor(t_half / dt) * dt, t_half + dt / 2, dt)
     rows = []
@@ -321,7 +314,6 @@ def _security_sweep(args) -> int:
 def cmd_security(args) -> int:
     if args.sweep_ns is not None:
         return _security_sweep(args)
-    outdir = _output_dir(args)
     if args.file:
         _security_args_from_file(args)
     if args.ns is None or args.i is None or args.k is None:
@@ -348,7 +340,7 @@ def cmd_security(args) -> int:
         payload["min_lower"] = res.lower
         payload["min_upper"] = res.upper
         payload["min_example"] = list(res.example)
-    _write_json(outdir / "verdict.json", payload)
+    _write_json(_output_dir(args) / "verdict.json", payload)
     print(json.dumps(payload, sort_keys=True))
     return 0
 

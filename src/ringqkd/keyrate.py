@@ -748,15 +748,16 @@ def _evaluate(channel, eps, blocks, memos, kernels, requests) -> None:
                 memos[j][params] = skl(st, eps)
 
 
-def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400, extra_seeds=()):
+def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
     """Optimise the SNS parameters of every (arms, pulses) block.
 
     Each block is scored on all of ``DEFAULT_GRID``, then refined by
-    coordinate searches from its best grid points, ``extra_seeds`` and
-    ``DEFAULT_PARAMS``.  All searches of all blocks run in lockstep: every
-    round evaluates the pending candidate of each live search in one batched
-    evaluation, and a search advances without one through points its block
-    has already evaluated (a revisit still counts toward ``max_evals``).
+    coordinate searches from the first ``n_starts`` (at least one) of its
+    best grid point, ``DEFAULT_PARAMS`` and its second-best grid point.  All
+    searches of all blocks run in lockstep: every round evaluates the
+    pending candidate of each live search in one batched evaluation, and a
+    search advances without one through points its block has already
+    evaluated (a revisit still counts toward ``max_evals``).
     Returns one (params, SklBreakdown) per block.
     """
     memos: list[dict] = [{} for _ in blocks]
@@ -769,8 +770,7 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400, extra_seed
         scored = [(memo[p].skl_bits, i, p) for i, p in enumerate(DEFAULT_GRID)]
         scored.sort(key=lambda t: (-t[0], t[1]))
         best.append((scored[0][2], scored[0][0]))
-        seeds = [scored[0][2], *extra_seeds, DEFAULT_PARAMS, scored[1][2]]
-        for seed in seeds[: max(n_starts, 1 + len(extra_seeds))]:
+        for seed in [scored[0][2], DEFAULT_PARAMS, scored[1][2]][: max(n_starts, 1)]:
             search = _coordinate_search(seed, max_evals)
             searches.append([j, search, next(search), None])
 
@@ -809,7 +809,6 @@ def accumulate_links(
     eps: SecurityEpsilons,
     n_starts: int = 3,
     max_evals: int = 400,
-    extra_seeds: tuple[SnsParams, ...] = (),
 ) -> list[tuple[SnsParams | None, SklBreakdown]]:
     """``accumulate_link`` of every profile, with all optimisations run together.
 
@@ -828,11 +827,9 @@ def accumulate_links(
         if not np.all((pulses >= 0) & np.isfinite(pulses)):
             raise ValueError("pulse counts must be finite and >= 0")
         blocks.append((arms, pulses))
-    found = iter(
-        _optimize_pooled(
-            channel, eps, [b for b in blocks if b is not None], n_starts, max_evals, extra_seeds
-        )
-    )
+    found = iter(_optimize_pooled(
+        channel, eps, [b for b in blocks if b is not None], n_starts, max_evals
+    ))
     return [(None, SklBreakdown.zero()) if b is None else next(found) for b in blocks]
 
 
@@ -842,11 +839,10 @@ def accumulate_link(
     eps: SecurityEpsilons,
     n_starts: int = 3,
     max_evals: int = 400,
-    extra_seeds: tuple[SnsParams, ...] = (),
 ) -> tuple[SnsParams | None, SklBreakdown]:
     """Pool all sessions of one link into a single finite-key block.
 
     ``profile_bins`` is a sequence of ((eta_a, eta_b), pulse count) bins.
     An empty profile yields a zero block.
     """
-    return accumulate_links([profile_bins], channel, eps, n_starts, max_evals, extra_seeds)[0]
+    return accumulate_links([profile_bins], channel, eps, n_starts, max_evals)[0]

@@ -17,40 +17,38 @@ Adversary model: every forwarded message is public, a compromised satellite
 reveals every key it holds, and ground stations are never compromised.  Keys
 are independent uniform strings, so "the adversary can reconstruct the
 secret" is exactly a linear-algebra question over GF(2) with one symbol per
-key and per segment secret; ``adversary_can_recover`` decides it by Gaussian
-elimination, independent of the key length.
+key and per segment secret, independent of the key length.
 
-Each path's key table and GF(2) system are built once, on first use, and
-kept in a small cache keyed by the path's value fields.  The table lists
-every segment's key identities, the keys at each slot and the keys crossing
-each cut; forwarding, recovery and the oracle all read it.  The system holds
-each satellite's key rows and the public message rows, reduced to echelon
-form once.  ``adversary_can_recover`` extends a copy of that basis by the
-compromised satellites' key rows only, in the order a from-scratch
-elimination would add them, so its answer and witness are those of a full
-elimination.
+No two segments share a key symbol, so the adversary's knowledge is the
+direct sum of the segment systems: X_plus XOR X_minus is recoverable exactly
+when X_plus and X_minus both are, and each segment is decided on its own
+rows.  Only the attachment satellites hold keys of both segments of a ring.
+Each (ring, segment) therefore gets one table, built on first use and cached
+per path value: its key identities, the keys at each slot and crossing each
+cut (forwarding and recovery read these), its message rows reduced to
+echelon form once, each satellite's key rows and the secret's bit.
 
-The two segments share no key symbols, so the adversary's knowledge is the
-direct sum of the two segment systems: X_plus XOR X_minus is recoverable
-exactly when X_plus and X_minus both are, and only the attachment
-satellites hold keys of both segments.  ``min_compromise`` therefore fixes
-each set A of compromised attachments and searches each segment's interior
-satellites on its own, from the basis extended by A's keys; the ring
-minimum is the least |A| + m_plus(A) + m_minus(A).  Each segment search
-walks the subsets depth-first in size then lexicographic order; each
-satellite added extends a copy of its prefix's basis, so a subset costs the
-reduction of one satellite's rows.  Its budget counts the subsets tested
-over all segment searches.
+``adversary_can_recover`` extends a copy of each segment's basis by the
+compromised satellites' rows, in the order a from-scratch elimination over
+the whole ring would add them, and lists the witness in that elimination's
+row order, so its answer and witness are those of the joint elimination.
+``min_compromise`` fixes each set A of compromised attachments and searches
+each segment's interior satellites on its own, from that segment's basis
+extended by A's rows; the ring minimum is the least
+|A| + m_plus(A) + m_minus(A).  Each segment search walks the subsets
+depth-first in size then lexicographic order; each satellite added extends
+a copy of its prefix's basis, so a subset costs the reduction of one
+satellite's rows.  Its budget counts the subsets tested over all segment
+searches.
 
 Parity at r = 2: every twin-field key joins slots of the same parity, so a
 segment's keys form two separate chains, and the public messages telescope
 along them (m_(j-1) XOR m_j = tf(j-2, j) XOR tf(j, j+2)).  Two satellites at
 odd segment distance therefore hold both end masks of an odd run of
-consecutive messages and unmask that segment.  The attachment satellites
-are the only nodes on both segments; when both attachment separations are
-odd (antipodal attachments with N = 2 mod 4) the two attachments alone
-recover the ring secret, one below the 2r - 1 = 3 floor that holds
-otherwise.
+consecutive messages and unmask that segment.  When both attachment
+separations are odd (antipodal attachments with N = 2 mod 4) the two
+attachments alone recover the ring secret, one below the 2r - 1 = 3 floor
+that holds otherwise.
 """
 
 from __future__ import annotations
@@ -130,90 +128,62 @@ def build_paths(n_sats: int, i: int, k: int, r: int = 2, n_rings: int = 1) -> Ri
     return RingPath(n_sats, i, k, r, n_rings, walks)
 
 
-# ------------------------------------------------- per-path key table and system
+# ------------------------------------------ key table and GF(2) system per segment
 
 
 @dataclass(frozen=True)
-class _SegmentTable:
-    """Key identities of one directed segment, indexed by slot and by cut."""
+class _Segment:
+    """Key table and GF(2) system of one directed segment of one ring.
+
+    Symbols are bits: one per key, in key order, then the segment secret.
+    The public message rows are reduced to echelon form once; a compromised
+    satellite adds one unit row per key it holds.
+    """
 
     keys: tuple  # point-to-point keys, then twin-field keys by slot_u and distance
     at_slot: tuple  # at_slot[s]: the keys with an endpoint at slot s
     crossing: tuple  # crossing[c]: the keys with slot_u <= c < slot_v
-
-
-@dataclass(frozen=True)
-class _RingSystem:
-    """GF(2) knowledge system of one ring.
-
-    Symbols are bits: one per key of the ring (plus-segment keys, then
-    minus-segment keys), then the plus and minus segment secrets.  The public
-    message rows are reduced to echelon form once; a compromised satellite
-    adds one unit row per key it holds.
-    """
-
     labels: tuple  # knowledge item of each message row, in row order
     basis: tuple  # echelon basis of the message rows (see _extend); never mutated
-    sat_rows: tuple  # sat_rows[sat]: bit of every key the satellite holds
-    sat_keys: tuple  # sat_keys[sat]: the matching key identities
-    secrets: dict  # segment -> secret bit
+    sat_rows: dict  # satellite -> ((key id, bit), ...) of the keys it holds, in key order
+    secret: int  # bit of the segment secret
 
 
-@dataclass(frozen=True)
-class _PathSystem:
-    segments: dict  # (ring, segment) -> _SegmentTable
-    rings: tuple  # _RingSystem per ring
-
-
-def _segment_table(walk: tuple, ring: int, segment: str, r: int) -> _SegmentTable:
+def _segment(walk: tuple, ring: int, segment: str, r: int) -> _Segment:
     m = len(walk) - 1
     keys = [(ring, segment, "p2p", 0, 1), (ring, segment, "p2p", m - 1, m)]
     for u in range(m + 1):
         for d in range(2, r + 1):
             if u + d <= m:
                 keys.append((ring, segment, "tf", u, u + d))
-    at_slot = tuple(tuple(k for k in keys if s in (k[3], k[4])) for s in range(m + 1))
+    bit = {kid: 1 << i for i, kid in enumerate(keys)}
+    secret = 1 << len(keys)
     crossing = tuple(tuple(k for k in keys if k[3] <= c < k[4]) for c in range(m))
-    return _SegmentTable(tuple(keys), at_slot, crossing)
+    rows = [secret ^ functools.reduce(int.__xor__, map(bit.get, kids), 0) for kids in crossing]
+    sat_rows: dict = {}
+    for kid in keys:
+        for node in (walk[kid[3]], walk[kid[4]]):
+            if node not in (GS1, GS2):
+                sat_rows.setdefault(node, []).append((kid, bit[kid]))
+    return _Segment(
+        keys=tuple(keys),
+        at_slot=tuple(tuple(k for k in keys if s in (k[3], k[4])) for s in range(m + 1)),
+        crossing=crossing,
+        labels=tuple(("message", ring, segment, walk[c]) for c in range(m)),
+        basis=_extend((0, {}), rows, 0),
+        sat_rows={sat: tuple(held) for sat, held in sat_rows.items()},
+        secret=secret,
+    )
 
 
 @functools.lru_cache(maxsize=32)
-def _system(path: RingPath) -> _PathSystem:
-    """Key table and GF(2) system of a path, built once per path value."""
-    segments = {
-        (ring, segment): _segment_table(
-            path.walks[(ring, segment)], ring, segment, path.neighbor_range
-        )
+def _system(path: RingPath) -> dict:
+    """{(ring, segment): _Segment} of a path, built once per path value."""
+    return {
+        (ring, segment): _segment(path.walks[(ring, segment)], ring, segment, path.neighbor_range)
         for ring in range(path.n_rings)
         for segment in ("plus", "minus")
     }
-    rings = []
-    for ring in range(path.n_rings):
-        key_ids = segments[(ring, "plus")].keys + segments[(ring, "minus")].keys
-        key_bit = {kid: 1 << i for i, kid in enumerate(key_ids)}
-        secrets = {"plus": 1 << len(key_ids), "minus": 1 << (len(key_ids) + 1)}
-        rows, labels = [], []
-        for segment in ("plus", "minus"):
-            walk = path.walks[(ring, segment)]
-            for cut, crossing in enumerate(segments[(ring, segment)].crossing):
-                vec = secrets[segment]
-                for kid in crossing:
-                    vec ^= key_bit[kid]
-                rows.append(vec)
-                labels.append(("message", ring, segment, walk[cut]))
-        held = [[] for _ in range(path.n_sats)]
-        for kid in key_ids:
-            for node in key_nodes(path, kid):
-                if node not in (GS1, GS2):
-                    held[node].append(kid)
-        rings.append(_RingSystem(
-            labels=tuple(labels),
-            basis=_extend((0, {}), rows, 0),
-            sat_rows=tuple(tuple(key_bit[kid] for kid in kids) for kids in held),
-            sat_keys=tuple(tuple(kids) for kids in held),
-            secrets=secrets,
-        ))
-    return _PathSystem(segments, tuple(rings))
 
 
 def segment_keys(path: RingPath, ring: int, segment: str) -> list[tuple]:
@@ -222,7 +192,7 @@ def segment_keys(path: RingPath, ring: int, segment: str) -> list[tuple]:
     Twin-field keys join slots at distance 2..r; point-to-point keys join
     each ground station to its attachment satellite.
     """
-    return list(_system(path).segments[(ring, segment)].keys)
+    return list(_system(path)[(ring, segment)].keys)
 
 
 def key_nodes(path: RingPath, key_id: tuple):
@@ -256,7 +226,7 @@ class ForwardTranscript:
 def forward(path: RingPath, segment: str, x: int, keys: dict, ring: int = 0) -> ForwardTranscript:
     """Run the masked forwarding chain of one segment; returns all messages."""
     walk = path.walks[(ring, segment)]
-    at_slot = _system(path).segments[(ring, segment)].at_slot
+    at_slot = _system(path)[(ring, segment)].at_slot
     messages = []
     value = x
     for slot in range(len(walk) - 1):  # every sender except Bob
@@ -276,7 +246,7 @@ def recover(path: RingPath, transcript: ForwardTranscript, keys: dict) -> int:
     if len(transcript.messages) != len(walk) - 1:
         raise ValueError("transcript is missing hops")
     value = transcript.messages[-1][1]
-    for kid in _system(path).segments[(transcript.ring, transcript.segment)].at_slot[-1]:
+    for kid in _system(path)[(transcript.ring, transcript.segment)].at_slot[-1]:
         if kid not in keys:
             raise KeyError(f"missing link key {kid}")
         value ^= keys[kid]
@@ -285,7 +255,7 @@ def recover(path: RingPath, transcript: ForwardTranscript, keys: dict) -> int:
 
 def crossing_keys(path: RingPath, ring: int, segment: str, cut: int) -> list[tuple]:
     """Keys whose slot pair straddles the cut between slot ``cut`` and cut+1."""
-    crossing = _system(path).segments[(ring, segment)].crossing
+    crossing = _system(path)[(ring, segment)].crossing
     return list(crossing[cut]) if 0 <= cut < len(crossing) else []
 
 
@@ -326,12 +296,6 @@ def _reduce(basis: tuple, vec: int, combo: int = 0) -> tuple[int, int]:
     return vec, combo
 
 
-def _target_bit(system: _RingSystem, ring: int, target: str) -> int:
-    if target == "ring":
-        return system.secrets["plus"] ^ system.secrets["minus"]
-    return system.secrets[target] if ring == 0 else 0
-
-
 def adversary_can_recover(
     path: RingPath, scenario: CompromiseScenario, target: str = "ring"
 ) -> tuple[bool, list]:
@@ -348,20 +312,25 @@ def adversary_can_recover(
                 raise ValueError(f"bad compromised satellite index: {s!r}")
     if target not in _TARGETS:
         raise ValueError(f"unknown target: {target}")
-    # Rings share no symbols, so each ring's rows reduce on their own.
+    system = _system(path)
+    segments = ("plus", "minus") if target == "ring" else (target,)
     witness = []
-    for ring, system in enumerate(_system(path).rings):
+    for ring in range(path.n_rings if target == "ring" else 1):
         sats = sorted(per_ring[ring])
-        rows = [bit for sat in sats for bit in system.sat_rows[sat]]
-        labels = system.labels + tuple(
-            ("key", kid) for sat in sats for kid in system.sat_keys[sat]
-        )
-        residue, combo = _reduce(
-            _extend(system.basis, rows, len(system.labels)), _target_bit(system, ring, target)
-        )
-        if residue:
-            return False, []
-        witness.extend(label for i, label in enumerate(labels) if combo >> i & 1)
+        messages, keys = [], []
+        for name in segments:
+            seg = system[(ring, name)]
+            rows = [(sat, kid, bit) for sat in sats for kid, bit in seg.sat_rows.get(sat, ())]
+            basis = _extend(seg.basis, [bit for _, _, bit in rows], len(seg.labels))
+            residue, combo = _reduce(basis, seg.secret)
+            if residue:
+                return False, []
+            messages += [label for i, label in enumerate(seg.labels) if combo >> i & 1]
+            combo >>= len(seg.labels)
+            keys += [(sat, kid) for i, (sat, kid, _) in enumerate(rows) if combo >> i & 1]
+        # a joint elimination holds each satellite's rows together, plus keys first
+        keys.sort(key=lambda item: item[0])
+        witness += messages + [("key", kid) for _, kid in keys]
     return True, witness
 
 
@@ -374,7 +343,7 @@ class MinCompromiseResult:
     upper: int | None
 
 
-def _subsets(system: _RingSystem, candidates: list, prefix: tuple, basis, n_rows: int,
+def _subsets(seg: _Segment, candidates: list, prefix: tuple, basis, n_rows: int,
              start: int, size: int):
     """Extensions of ``prefix`` by ``size`` of ``candidates[start:]``, in
     lexicographic order, each with its basis: every satellite added extends
@@ -384,18 +353,18 @@ def _subsets(system: _RingSystem, candidates: list, prefix: tuple, basis, n_rows
         return
     for idx in range(start, len(candidates) - size + 1):
         sat = candidates[idx]
-        rows = system.sat_rows[sat]
+        rows = [bit for _, bit in seg.sat_rows[sat]]
         yield from _subsets(
-            system, candidates, prefix + (sat,), _extend(basis, rows, n_rows),
+            seg, candidates, prefix + (sat,), _extend(basis, rows, n_rows),
             n_rows + len(rows), idx + 1, size - 1,
         )
 
 
-def _smallest_recovering(system: _RingSystem, basis, n_rows: int, candidates: list,
-                         want: int, max_size: int, budget: int):
+def _smallest_recovering(seg: _Segment, basis, n_rows: int, candidates: list,
+                         max_size: int, budget: int):
     """Lexicographically smallest of the smallest subsets of ``candidates``,
     of at most ``max_size`` satellites, that together with ``basis`` recover
-    the bit ``want``; at most ``budget`` subsets are tested.
+    the segment secret; at most ``budget`` subsets are tested.
 
     Returns (subset or None, subsets tested, first size not ruled out).  With
     no subset found, that size is ``max_size + 1`` when the search finished
@@ -403,11 +372,11 @@ def _smallest_recovering(system: _RingSystem, basis, n_rows: int, candidates: li
     """
     tested = 0
     for size in range(max_size + 1):
-        for subset, extended in _subsets(system, candidates, (), basis, n_rows, 0, size):
+        for subset, extended in _subsets(seg, candidates, (), basis, n_rows, 0, size):
             if tested == budget:
                 return None, tested, size
             tested += 1
-            if not _reduce(extended, want)[0]:
+            if not _reduce(extended, seg.secret)[0]:
                 return subset, tested, size
     return None, tested, max_size + 1
 
@@ -420,14 +389,12 @@ def min_compromise(
 ) -> MinCompromiseResult:
     """Smallest compromised-satellite set that recovers the secret.
 
-    The two segments share no key symbols, so the adversary's knowledge is
-    the direct sum of the two segment systems, and X_plus XOR X_minus is
-    recoverable exactly when X_plus and X_minus both are.  Only the
-    attachment satellites hold keys of both segments.  The ring minimum is
-    therefore the minimum, over each set A of compromised attachments (only
-    the empty one when attachments are excluded), of |A| plus, per segment,
-    the smallest set of that segment's interior satellites that recovers its
-    secret together with A.  A segment target counts only its own segment.
+    The ring minimum is the minimum, over each set A of compromised
+    attachments (only the empty one when attachments are excluded), of |A|
+    plus, per segment, the smallest set of that segment's interior
+    satellites that recovers its secret together with A; this is exact by
+    the direct sum in the module docstring.  A segment target counts only
+    its own segment.
 
     Each per-segment search walks the interior subsets depth-first in size
     then ascending-index lexicographic order, starting from the basis
@@ -450,9 +417,7 @@ def min_compromise(
     """
     if target not in _TARGETS:
         raise ValueError(f"unknown target: {target}")
-    system = _system(path).rings[0]
     segments = ("plus", "minus") if target == "ring" else (target,)
-    interiors = {seg: sorted(path.walks[(0, seg)][2:-2]) for seg in segments}
     a, b = sorted((path.attach_a, path.attach_b))
     choices = [(), (a,), (b,), (a, b)] if allow_attachments else [()]
     rings = path.n_rings if target == "ring" else 1
@@ -467,14 +432,15 @@ def min_compromise(
 
     evals, best, example = 0, None, ()
     for index, attached in enumerate(choices):
-        rows = [bit for sat in attached for bit in system.sat_rows[sat]]
-        basis = _extend(system.basis, rows, len(system.labels))
         chosen = attached
-        for seg in segments:
-            cap = len(interiors[seg]) if best is None else best - len(chosen)
+        for name in segments:
+            seg = _system(path)[(0, name)]
+            interior = sorted(path.walks[(0, name)][2:-2])
+            rows = [bit for sat in attached for _, bit in seg.sat_rows[sat]]
+            cap = len(interior) if best is None else best - len(chosen)
             found, tested, size = _smallest_recovering(
-                system, basis, len(system.labels) + len(rows), interiors[seg],
-                system.secrets[seg], cap, max_evals - evals,
+                seg, _extend(seg.basis, rows, len(seg.labels)), len(seg.labels) + len(rows),
+                interior, cap, max_evals - evals,
             )
             evals += tested
             if found is None and size <= cap:  # budget spent

@@ -226,13 +226,18 @@ def test_keyrate_rejects_bad_flags(flags, named, tmp_path, capsys):
     (("sweep", "--axis", "ns", "--values", "13"), "even number of satellites"),
     (("sweep", "--axis", "ns", "--values", ","), "value"),
     (("validate", "--dump-positions", "-5"), "--dump-positions"),
+    (("security", "--ns", "12", "--i", "0", "--k", "6", "--budget-db", "nan"), "isl_budget_db"),
+    (("security", "--ns", "12", "--i", "0", "--k", "6", "--r", "9"), "neighbor_range 9"),
+    (("security", "--ns", "12", "--i", "0", "--k", "6", "--compromised", "12"), "satellite index"),
+    (("security", "--ns", "12"), "--ns/--i/--k"),
 ])
 def test_bad_input_writes_nothing(argv, named, tmp_path, capsys):
-    # rejected at the boundary with exit 2, before the output directory gets a file
+    # rejected at the boundary with exit 2, before the output directory is made
     out = tmp_path / "out"
-    assert run_cli(*argv, *fast_args(out)) == 2
+    extra = ["--output-dir", str(out)] if argv[0] == "security" else fast_args(out)
+    assert run_cli(*argv, *extra) == 2
     assert named in capsys.readouterr().err
-    assert list(out.glob("**/*")) == []
+    assert not out.exists()
 
 
 def test_keyrate_dead_channel_row(tmp_path):

@@ -320,17 +320,12 @@ def test_optimizer_positive_at_70db_294s():
     assert out.skl_bits > 0.0
 
 
-def test_optimizer_monotone_in_loss_with_warm_start():
-    losses = [60.0, 50.0, 40.0]
-    prev_params = ()
+def test_optimizer_monotone_in_loss():
     prev_skl = -1.0
-    for loss in losses:
+    for loss in [60.0, 50.0, 40.0]:
         ch, arms = make_channel(loss)
-        p, out = accumulate_link(
-            [(arms, ch.rep_rate_hz * 50.0)], ch, EPS, max_evals=120, extra_seeds=prev_params
-        )
+        _, out = accumulate_link([(arms, ch.rep_rate_hz * 50.0)], ch, EPS, max_evals=120)
         assert out.skl_bits >= prev_skl - 1e-9
-        prev_params = (p,)
         prev_skl = out.skl_bits
 
 
@@ -471,16 +466,14 @@ def _reference_search(objective, start, max_evals):
     return best_p, best_v
 
 
-def _reference_optimize(channel, eps, arms, pulses, n_starts, max_evals, extra_seeds=()):
+def _reference_optimize(channel, eps, arms, pulses, n_starts, max_evals):
     def objective(params):
         return skl(pooled_statistics(channel, params, arms, pulses), eps).skl_bits
 
     scored = [(objective(p), i, p) for i, p in enumerate(DEFAULT_GRID)]
     scored.sort(key=lambda t: (-t[0], t[1]))
     best_v, _, best_p = scored[0]
-    seeds = [best_p, *extra_seeds, DEFAULT_PARAMS, scored[1][2]]
-    seeds = seeds[: max(n_starts, 1 + len(extra_seeds))]
-    for seed in seeds:
+    for seed in [best_p, DEFAULT_PARAMS, scored[1][2]][: max(n_starts, 1)]:
         p, v = _reference_search(objective, seed, max_evals)
         if v > best_v:
             best_v, best_p = v, p

@@ -554,6 +554,63 @@ def test_oracle_agrees_with_rank_and_witness_replays(data, path, target, seed):
         assert witness == []
 
 
+def joint_elimination(path, scen, target):
+    """Witness of a from-scratch elimination over each ring's whole system.
+
+    Symbols: the ring's plus keys, its minus keys, then the plus and minus
+    secrets.  Rows, in order: the plus messages, the minus messages, then
+    each compromised satellite's keys (ascending satellite, plus keys before
+    minus keys, in key order).  Each row is reduced against the pivots in
+    insertion order and kept, keyed by its lowest bit, with the mask of the
+    rows it combines.  A segment target concerns ring 0 alone.
+    """
+    per_ring = scen.per_ring(path.n_rings)
+    witness = []
+    for ring in range(path.n_rings if target == "ring" else 1):
+        keys = segment_keys(path, ring, "plus") + segment_keys(path, ring, "minus")
+        bit = {kid: 1 << i for i, kid in enumerate(keys)}
+        secret = {"plus": 1 << len(keys), "minus": 1 << (len(keys) + 1)}
+        rows, labels = [], []
+        for seg in ("plus", "minus"):
+            walk = path.walks[(ring, seg)]
+            for cut in range(len(walk) - 1):
+                vec = secret[seg]
+                for kid in crossing_keys(path, ring, seg, cut):
+                    vec ^= bit[kid]
+                rows.append(vec)
+                labels.append(("message", ring, seg, walk[cut]))
+        for sat in sorted(per_ring[ring]):
+            for kid in keys:
+                if sat in key_nodes(path, kid):
+                    rows.append(bit[kid])
+                    labels.append(("key", kid))
+        pivots = []  # (lowest bit, vector, row mask) in insertion order
+
+        def reduce(vec, mask):
+            for low, pvec, pmask in pivots:
+                if vec & low:
+                    vec, mask = vec ^ pvec, mask ^ pmask
+            return vec, mask
+
+        for j, row in enumerate(rows):
+            vec, mask = reduce(row, 1 << j)
+            if vec:
+                pivots.append((vec & -vec, vec, mask))
+        want = secret["plus"] ^ secret["minus"] if target == "ring" else secret[target]
+        vec, mask = reduce(want, 0)
+        if vec:
+            return False, []
+        witness += [label for j, label in enumerate(labels) if mask >> j & 1]
+    return True, witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), ring_paths(), TARGETS)
+def test_witness_is_that_of_a_joint_elimination(data, path, target):
+    scen = data.draw(compromise(path))
+    assert adversary_can_recover(path, scen, target) == joint_elimination(path, scen, target)
+
+
 def reference_min_compromise(path, allow_attachments, target):
     """Exhaustive search over the satellites of one ring: one oracle call per
     subset, in ``itertools.combinations`` order.  A segment target concerns
