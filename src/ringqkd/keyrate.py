@@ -24,14 +24,23 @@ on the untagged single-photon bits n1, and a click-count upper bound on
 e1_ph.  Statistical deviations use two-sided multiplicative Chernoff-style
 bounds at the configured failure probabilities (eps_n1 for the yield
 estimation chain, eps_bar for the phase-error counts); the bound family is
-isolated in ``chernoff_lower`` / ``chernoff_upper`` so it can be swapped.
+isolated in ``_chernoff_lower`` / ``_chernoff_upper`` so it can be swapped.
+The chain runs on one row of 24 pooled counts (``_ROW``) per block, as
+plain Python floats: ``skl`` and ``estimate_untagged`` read an
+``ExpectedStatistics`` through the same ``_Scorer`` that the optimiser
+runs, with its epsilon terms taken once, on every candidate of a batched
+``pooled_statistics`` call.
 
 A link block is a set of bins, each a pair of arm efficiencies (eta_a,
 eta_b), sender to measurement node, with a pulse count; arrays of arms have
 a trailing axis of 2.  ``symmetric_arms`` is the one place a total
 twin-field link efficiency is split, into two arms of sqrt(efficiency).
 
-The optimiser scores a block too large to batch (more than half of
+The optimiser batches the candidates of blocks of at most 128 bins by
+band, bins >> 3, padding each batch to its widest block with zero-pulse,
+zero-arm bins; numpy's pairwise sums make that padding exact (see
+``_evaluate``).  Larger blocks batch only with blocks of their own bin
+count.  It scores a block too large to batch (more than half of
 ``_BATCH_CELLS`` bins) one candidate a call, and keeps that block's costly
 click kernels in a memo: the Z-window clicks keyed by mu_z, the X-window
 clicks of every decoy pair keyed by (mu1, mu2), and the phase-slice
@@ -61,8 +70,6 @@ __all__ = [
     "symmetric_arms",
     "SklBreakdown",
     "binary_entropy",
-    "chernoff_lower",
-    "chernoff_upper",
     "expected_statistics",
     "pooled_statistics",
     "monte_carlo_statistics",
@@ -211,18 +218,18 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def chernoff_lower(expected: float, eps: float) -> float:
-    """Lower bound compatible with failure probability ``eps``."""
+def _chernoff_lower(expected: float, log_inv_eps: float) -> float:
+    """Lower bound compatible with failure probability eps; takes log(1/eps)."""
     if expected <= 0.0:
         return 0.0
-    return max(0.0, expected - math.sqrt(2.0 * expected * math.log(1.0 / eps)))
+    return max(0.0, expected - math.sqrt(2.0 * expected * log_inv_eps))
 
 
-def chernoff_upper(expected: float, eps: float) -> float:
-    """Upper bound compatible with failure probability ``eps``."""
+def _chernoff_upper(expected: float, log_inv_eps: float) -> float:
+    """Upper bound compatible with failure probability eps; takes log(1/eps)."""
     if expected < 0.0:
         raise ValueError("expected count must be >= 0")
-    return expected + math.sqrt(2.0 * expected * math.log(1.0 / eps)) + math.log(1.0 / eps)
+    return expected + math.sqrt(2.0 * expected * log_inv_eps) + log_inv_eps
 
 
 def _click(nu, pdc):
@@ -260,12 +267,23 @@ def _x_clicks(ta, tb, mus, pdc):
 
 
 def _slice_clicks(ta, tb, mu1, delta, eopt, pdc):
-    """Phase-slice kernel: per-bin error-port clicks, Gauss-Legendre over +-delta."""
+    """Phase-slice kernel: per-bin error-port clicks, Gauss-Legendre over +-delta.
+
+    The (..., B, 24) node terms are built once and taken through the
+    operations of ``_click(base * (1 - mod), pdc) * weights`` in place.
+    """
     colsum = ta + tb
     vis = np.where(colsum > 0, 2.0 * np.sqrt(ta * tb) / np.where(colsum > 0, colsum, 1.0), 0.0)
     base = 0.5 * (mu1 * colsum)[..., None]
-    mod = (vis * (1.0 - 2.0 * eopt))[..., None] * np.cos(delta * _GL_NODES)[:, None, :]
-    return (_click(base * (1.0 - mod), pdc) * (_GL_WEIGHTS / 2.0)).sum(axis=-1)
+    terms = (vis * (1.0 - 2.0 * eopt))[..., None] * np.cos(delta * _GL_NODES)[:, None, :]
+    np.subtract(1.0, terms, out=terms)
+    np.multiply(base, terms, out=terms)
+    np.negative(terms, out=terms)
+    np.exp(terms, out=terms)
+    np.multiply(1.0 - pdc, terms, out=terms)
+    np.subtract(1.0, terms, out=terms)
+    np.multiply(terms, _GL_WEIGHTS / 2.0, out=terms)
+    return terms.sum(axis=-1)
 
 
 # Entries each block's kernel memo keeps per kind, least recently used out.
@@ -302,22 +320,22 @@ def _inline(kind, key, kernel, *args):
     return kernel(*args)
 
 
-def pooled_statistics(
-    channel: ChannelModel, params, arms, pulses, kernels: _KernelMemo | None = None
-) -> ExpectedStatistics | list[ExpectedStatistics]:
-    """Expected counts pooled over bins of ((eta_a, eta_b), pulse count).
+# Layout of one row of pooled counts: n_pulses, n_z, z_clicks, z_errors, the
+# 3x3 x_pairs from _XP and the 3x3 x_clicks from _XC (both row-major), then
+# slice_pairs and slice_error_clicks from _SL.
+_XP, _XC, _SL, _ROW = 4, 13, 22, 24
 
-    ``params`` is one ``SnsParams`` (the result is one ExpectedStatistics)
-    or a sequence of P candidates (the result is a list, one per
-    candidate).  The pulse counts are shared, of shape (B,), or one row per
-    candidate, of shape (P, B); ``arms`` has their shape plus a trailing
-    axis of the two arm efficiencies.  The arm values are not range-checked
-    here: the public entry points check each block once.  Every
-    per-candidate sum runs over the last, contiguous axis, so a candidate's
-    counts do not depend on the others in its batch.  ``kernels``, the
-    optimiser's memo for this block and channel, serves one candidate only.
+
+def _pooled_rows(channel: ChannelModel, candidates, arms, pulses, kernel=_inline) -> np.ndarray:
+    """The (P, ``_ROW``) pooled counts of the P candidates.
+
+    The bins are shared, of shape (B,), or one row per candidate, of shape
+    (P, B), with ``arms`` of their shape plus a trailing axis of 2.  All
+    per-bin terms of the call go into one (P, _ROW, B) array, reduced by one
+    sum over its last, contiguous axis, so a candidate's counts do not
+    depend on the others in its batch.  ``kernel`` is ``_inline`` or the
+    optimiser's ``_KernelMemo`` of this block, which serves one candidate.
     """
-    candidates = [params] if isinstance(params, SnsParams) else list(params)
     arms = np.asarray(arms, dtype=float)
     w = np.atleast_1d(np.asarray(pulses, dtype=float))
     if arms.shape != w.shape + (2,):
@@ -328,11 +346,7 @@ def pooled_statistics(
         w, ta, tb = w[None], ta[None], tb[None]
     elif w.ndim != 2 or w.shape[0] != len(candidates):
         raise ValueError("per-candidate bins need one row per candidate")
-    if kernels is None:
-        kernel = _inline
-    elif len(candidates) == 1:
-        kernel = kernels
-    else:
+    if kernel is not _inline and len(candidates) != 1:
         raise ValueError("a kernel memo serves one candidate a call")
     pdc = channel.dark_count_prob
     eopt = channel.optical_error
@@ -341,51 +355,93 @@ def pooled_statistics(
     (_, mu1, _, _, p1, _, mu_z, p_z, p_x, delta, ps_single, ps_both, none_dark, f_slice) = (
         table.T[:, :, None]
     )
-    nz = w * p_z
-    nx = w * p_x
+    n = len(candidates)
+    terms = np.empty((n, _ROW, w.shape[-1]))
+    n_pulses, nz, z_clicks, z_errors = terms[:, 0], terms[:, 1], terms[:, 2], terms[:, 3]
+    x_pairs = terms[:, _XP:_XC].reshape(n, 3, 3, -1)
+    x_clicks = terms[:, _XC:_SL].reshape(n, 3, 3, -1)
+    sl_pairs, sl_err = terms[:, _SL], terms[:, _SL + 1]
     first = candidates[0]  # the memo's key; _inline ignores it
+
+    n_pulses[...] = w
+    np.multiply(w, p_z, out=nz)
+    nx = w * p_x
 
     # Z windows: send/not-send patterns
     c_sum, c_ab = kernel("z", first.mu_z, _z_clicks, ta, tb, mu_z, pdc)
     singles = ps_single * c_sum
-    z_clicks = (nz * (singles + ps_both * c_ab + none_dark)).sum(axis=-1)
-    z_errors = (nz * (ps_both * c_ab + none_dark + eopt * singles)).sum(axis=-1)
+    both = ps_both * c_ab
+    np.add(singles, both, out=z_clicks)
+    np.add(z_clicks, none_dark, out=z_clicks)
+    np.multiply(nz, z_clicks, out=z_clicks)
+    np.add(both, none_dark, out=z_errors)
+    np.add(z_errors, np.multiply(eopt, singles, out=singles), out=z_errors)
+    np.multiply(nz, z_errors, out=z_errors)
 
     # X windows: all ordered decoy intensity pairs (u, v) on axes 1 and 2
     mus, probs = table[:, 0:3], table[:, 3:6]
-    pairs = nx[:, None, None, :] * probs[:, :, None, None] * probs[:, None, :, None]
-    x_pairs = pairs.sum(axis=-1)
+    np.multiply(nx[:, None, None, :], probs[:, :, None, None], out=x_pairs)
+    np.multiply(x_pairs, probs[:, None, :, None], out=x_pairs)
     clicks = kernel("x", (first.mu1, first.mu2), _x_clicks, ta, tb, mus, pdc)
-    x_clicks = (pairs * clicks).sum(axis=-1)
+    np.multiply(x_pairs, clicks, out=x_clicks)
 
     # phase-slice subsample of the (mu1, mu1) pairs
-    sl_pairs = nx * p1 * p1 * f_slice
+    np.multiply(nx, p1, out=sl_pairs)
+    np.multiply(sl_pairs, p1, out=sl_pairs)
+    np.multiply(sl_pairs, f_slice, out=sl_pairs)
     err_in = kernel(
         "slice", (first.mu1, first.delta), _slice_clicks, ta, tb, mu1, delta, eopt, pdc
     )
-    err = (sl_pairs * err_in).sum(axis=-1)
+    np.multiply(sl_pairs, err_in, out=sl_err)
+    return terms.sum(axis=-1)
 
-    n_pulses = np.broadcast_to(w.sum(axis=-1), (len(candidates),))
-    columns = zip(
-        candidates, n_pulses.tolist(), nz.sum(axis=-1).tolist(), z_clicks.tolist(),
-        z_errors.tolist(), x_pairs, x_clicks, sl_pairs.sum(axis=-1).tolist(),
-        err.tolist(),
-    )
+
+def _row(stats: ExpectedStatistics) -> list:
+    """The counts of ``stats`` as one row in the ``_ROW`` layout."""
+    return [
+        stats.n_pulses, stats.n_z, stats.z_clicks, stats.z_errors,
+        *stats.x_pairs.ravel().tolist(), *stats.x_clicks.ravel().tolist(),
+        stats.slice_pairs, stats.slice_error_clicks,
+    ]
+
+
+def pooled_statistics(
+    channel: ChannelModel, params, arms, pulses, kernels: _KernelMemo | None = None
+) -> ExpectedStatistics | list[ExpectedStatistics]:
+    """Expected counts pooled over bins of ((eta_a, eta_b), pulse count).
+
+    ``params`` is one ``SnsParams`` (the result is one ExpectedStatistics)
+    or a sequence of P candidates (the result is a list, one per
+    candidate).  The pulse counts are shared, of shape (B,), or one row per
+    candidate, of shape (P, B); ``arms`` has their shape plus a trailing
+    axis of the two arm efficiencies.  The arm values are not range-checked
+    here: the public entry points check each block once.  A candidate's
+    counts do not depend on the others in its batch.  Bins of zero pulses
+    and zero arms add exactly +0.0 to every count, so a block of at most
+    128 bins padded with them to any width in its band, bins >> 3, has
+    bit-identical counts (numpy's pairwise sums; see ``_evaluate``).
+    ``kernels``, the optimiser's memo for this block and channel, serves
+    one candidate only.  The x arrays of a batch are views of one array.
+    """
+    candidates = [params] if isinstance(params, SnsParams) else list(params)
+    sums = _pooled_rows(channel, candidates, arms, pulses, _inline if kernels is None else kernels)
+    x_pairs = sums[:, _XP:_XC].reshape(-1, 3, 3)
+    x_clicks = sums[:, _XC:_SL].reshape(-1, 3, 3)
     out = [
         ExpectedStatistics(
             params=p,
-            n_pulses=n,
-            dark_count_prob=pdc,
+            n_pulses=row[0],
+            dark_count_prob=channel.dark_count_prob,
             error_correction_factor=channel.error_correction_factor,
-            n_z=n_z,
-            z_clicks=zc,
-            z_errors=ze,
+            n_z=row[1],
+            z_clicks=row[2],
+            z_errors=row[3],
             x_pairs=xp,
             x_clicks=xc,
-            slice_pairs=sp,
-            slice_error_clicks=se,
+            slice_pairs=row[_SL],
+            slice_error_clicks=row[_SL + 1],
         )
-        for p, n, n_z, zc, ze, xp, xc, sp, se in columns
+        for p, row, xp, xc in zip(candidates, sums.tolist(), x_pairs, x_clicks)
     ]
     return out[0] if isinstance(params, SnsParams) else out
 
@@ -493,77 +549,6 @@ def monte_carlo_statistics(
     return stats
 
 
-def _decoy_y1_side(stats: ExpectedStatistics, side: str, eps_n1: float, asymptotic: bool) -> float:
-    """Two-decoy lower bound on the single-photon yield of one arm."""
-    p = stats.params
-    xp, xc = stats.x_pairs.tolist(), stats.x_clicks.tolist()  # scalar math on Python floats
-    if side == "a":
-        pairs = (xp[1][0], xp[2][0])
-        clicks = (xc[1][0], xc[2][0])
-    else:
-        pairs = (xp[0][1], xp[0][2])
-        clicks = (xc[0][1], xc[0][2])
-    pairs0, clicks0 = xp[0][0], xc[0][0]
-    if min(pairs0, pairs[0], pairs[1]) <= 0:
-        raise ValueError("decoy estimation needs vacuum and both decoy ensembles")
-    if min(clicks0, clicks[0], clicks[1]) < 0:
-        raise ValueError("non-physical statistics: negative click counts")
-    if asymptotic:
-        s1 = clicks[0] / pairs[0]
-        s2 = clicks[1] / pairs[1]
-        s0 = clicks0 / pairs0
-        s0_low = s0
-    else:
-        s1 = chernoff_lower(clicks[0], eps_n1) / pairs[0]
-        s2 = min(1.0, chernoff_upper(clicks[1], eps_n1) / pairs[1])
-        s0 = min(1.0, chernoff_upper(clicks0, eps_n1) / pairs0)
-        s0_low = chernoff_lower(clicks0, eps_n1) / pairs0
-    mu1, mu2 = p.mu1, p.mu2
-    num = mu2**2 * (s1 * math.exp(mu1) - s0) - mu1**2 * (s2 * math.exp(mu2) - s0_low)
-    y1 = num / (mu1 * mu2 * (mu2 - mu1))
-    return min(1.0, max(0.0, y1))
-
-
-def estimate_untagged(
-    stats: ExpectedStatistics,
-    eps: SecurityEpsilons,
-    asymptotic: bool = False,
-) -> tuple[float, dict]:
-    """Lower bound on the untagged single-photon Z bits of the block."""
-    p = stats.params
-    y1a = _decoy_y1_side(stats, "a", eps.eps_n1, asymptotic)
-    y1b = _decoy_y1_side(stats, "b", eps.eps_n1, asymptotic)
-    # single-send single-photon emission rate in Z windows per side
-    base = stats.n_z * p.p_send * (1.0 - p.p_send) * p.mu_z * math.exp(-p.mu_z)
-    n1 = base * (y1a + y1b)
-    if not asymptotic:
-        n1 = chernoff_lower(n1, eps.eps_n1)
-    return max(0.0, n1), {"y1_a": y1a, "y1_b": y1b}
-
-
-def _phase_error_upper(
-    stats: ExpectedStatistics,
-    eps: SecurityEpsilons,
-    y1_mean: float,
-    asymptotic: bool,
-) -> float:
-    """Upper bound on the phase-flip error of untagged bits from slice counts."""
-    p = stats.params
-    if stats.slice_pairs <= 0:
-        return 0.5
-    vac_err = stats.slice_pairs * math.exp(-2.0 * p.mu1) * stats.dark_count_prob
-    if asymptotic:
-        num = stats.slice_error_clicks - vac_err
-    else:
-        num = chernoff_upper(stats.slice_error_clicks, eps.eps_bar) - chernoff_lower(
-            vac_err, eps.eps_bar
-        )
-    singles = stats.slice_pairs * 2.0 * p.mu1 * math.exp(-2.0 * p.mu1) * y1_mean
-    if singles <= 0.0:
-        return 0.5
-    return min(0.5, max(0.0, num / singles))
-
-
 def correction_term(eps: SecurityEpsilons) -> float:
     """Epsilon-dependent subtraction of the key-length formula, in bits (>= 0).
 
@@ -591,31 +576,117 @@ class SklBreakdown:
         return SklBreakdown(0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0)
 
 
+class _Scorer:
+    """The finite-key chain, run on rows of pooled counts (``_ROW`` layout).
+
+    One scorer serves every row of a call: log(1/eps) of both bound families
+    and the epsilon correction are taken once.  Each row is scored by scalar
+    math on Python floats.
+    """
+
+    def __init__(self, eps: SecurityEpsilons, dark_count_prob: float,
+                 error_correction_factor: float, asymptotic: bool = False):
+        self.ln_n1 = math.log(1.0 / eps.eps_n1)
+        self.ln_bar = math.log(1.0 / eps.eps_bar)
+        self.correction = correction_term(eps)
+        self.pdc = dark_count_prob
+        self.f_ec = error_correction_factor
+        self.asymptotic = asymptotic
+
+    def _y1(self, p: SnsParams, row, stride: int) -> float:
+        """Two-decoy lower bound on the single-photon yield of one arm.
+
+        The arm's vacuum, mu1 and mu2 ensembles are the 3x3 entries 0,
+        ``stride`` and 2 ``stride``: stride 3 for arm a, 1 for arm b.
+        """
+        pairs0, pairs1, pairs2 = row[_XP], row[_XP + stride], row[_XP + 2 * stride]
+        clicks0, clicks1, clicks2 = row[_XC], row[_XC + stride], row[_XC + 2 * stride]
+        if min(pairs0, pairs1, pairs2) <= 0:
+            raise ValueError("decoy estimation needs vacuum and both decoy ensembles")
+        if min(clicks0, clicks1, clicks2) < 0:
+            raise ValueError("non-physical statistics: negative click counts")
+        if self.asymptotic:
+            s1 = clicks1 / pairs1
+            s2 = clicks2 / pairs2
+            s0 = clicks0 / pairs0
+            s0_low = s0
+        else:
+            ln = self.ln_n1
+            s1 = _chernoff_lower(clicks1, ln) / pairs1
+            s2 = min(1.0, _chernoff_upper(clicks2, ln) / pairs2)
+            s0 = min(1.0, _chernoff_upper(clicks0, ln) / pairs0)
+            s0_low = _chernoff_lower(clicks0, ln) / pairs0
+        mu1, mu2 = p.mu1, p.mu2
+        num = mu2**2 * (s1 * math.exp(mu1) - s0) - mu1**2 * (s2 * math.exp(mu2) - s0_low)
+        y1 = num / (mu1 * mu2 * (mu2 - mu1))
+        return min(1.0, max(0.0, y1))
+
+    def untagged(self, p: SnsParams, row) -> tuple[float, float, float]:
+        """Lower bound on the untagged single-photon Z bits, and both arms' y1."""
+        y1a = self._y1(p, row, 3)
+        y1b = self._y1(p, row, 1)
+        # single-send single-photon emission rate in Z windows per side
+        base = row[1] * p.p_send * (1.0 - p.p_send) * p.mu_z * math.exp(-p.mu_z)
+        n1 = base * (y1a + y1b)
+        if not self.asymptotic:
+            n1 = _chernoff_lower(n1, self.ln_n1)
+        return max(0.0, n1), y1a, y1b
+
+    def _phase_error(self, p: SnsParams, row, y1_mean: float) -> float:
+        """Upper bound on the phase-flip error of untagged bits from slice counts."""
+        pairs, errors = row[_SL], row[_SL + 1]
+        if pairs <= 0:
+            return 0.5
+        vac_err = pairs * math.exp(-2.0 * p.mu1) * self.pdc
+        if self.asymptotic:
+            num = errors - vac_err
+        else:
+            num = _chernoff_upper(errors, self.ln_bar) - _chernoff_lower(vac_err, self.ln_bar)
+        singles = pairs * 2.0 * p.mu1 * math.exp(-2.0 * p.mu1) * y1_mean
+        if singles <= 0.0:
+            return 0.5
+        return min(0.5, max(0.0, num / singles))
+
+    def __call__(self, p: SnsParams, row) -> SklBreakdown:
+        """Secret-key length of the block whose counts are ``row``."""
+        n_raw = row[2]
+        if n_raw <= 0.0:
+            return SklBreakdown(row[0], 0.0, 0.0, 0.0, 0.5, 0.0, 0.0)
+        qber = min(1.0, row[3] / n_raw)
+        n1, y1a, y1b = self.untagged(p, row)
+        e1 = self._phase_error(p, row, 0.5 * (y1a + y1b))
+        lam_ec = self.f_ec * n_raw * binary_entropy(qber)
+        bits = n1 * (1.0 - binary_entropy(e1)) - lam_ec - self.correction
+        return SklBreakdown(
+            n_pulses=row[0],
+            n_raw=n_raw,
+            qber_z=qber,
+            n1_lower=n1,
+            e1ph_upper=e1,
+            lambda_ec=lam_ec,
+            skl_bits=max(0.0, bits),
+        )
+
+
+def estimate_untagged(
+    stats: ExpectedStatistics,
+    eps: SecurityEpsilons,
+    asymptotic: bool = False,
+) -> tuple[float, dict]:
+    """Lower bound on the untagged single-photon Z bits of the block."""
+    scorer = _Scorer(eps, stats.dark_count_prob, stats.error_correction_factor, asymptotic)
+    n1, y1a, y1b = scorer.untagged(stats.params, _row(stats))
+    return n1, {"y1_a": y1a, "y1_b": y1b}
+
+
 def skl(
     stats: ExpectedStatistics,
     eps: SecurityEpsilons,
     asymptotic: bool = False,
 ) -> SklBreakdown:
     """Secret-key length of a block from its (expected or sampled) counts."""
-    n_raw = stats.z_clicks
-    if n_raw <= 0.0:
-        return SklBreakdown(stats.n_pulses, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0)
-    qber = min(1.0, stats.z_errors / n_raw)
-    n1, info = estimate_untagged(stats, eps, asymptotic)
-    e1 = _phase_error_upper(
-        stats, eps, 0.5 * (info["y1_a"] + info["y1_b"]), asymptotic
-    )
-    lam_ec = stats.error_correction_factor * n_raw * binary_entropy(qber)
-    bits = n1 * (1.0 - binary_entropy(e1)) - lam_ec - correction_term(eps)
-    return SklBreakdown(
-        n_pulses=stats.n_pulses,
-        n_raw=n_raw,
-        qber_z=qber,
-        n1_lower=n1,
-        e1ph_upper=e1,
-        lambda_ec=lam_ec,
-        skl_bits=max(0.0, bits),
-    )
+    scorer = _Scorer(eps, stats.dark_count_prob, stats.error_correction_factor, asymptotic)
+    return scorer(stats.params, _row(stats))
 
 
 DEFAULT_PARAMS = SnsParams()
@@ -715,37 +786,70 @@ def _coordinate_search(start: SnsParams, max_evals: int):
 # batch only adds memory traffic (and peak memory) to compute-bound arrays.
 _BATCH_CELLS = 4096
 
+# The longest row that numpy's pairwise summation adds without splitting it
+# (PW_BLOCKSIZE in numpy's loops_utils.h.src).  The band rule of _evaluate
+# rests on that summation's order, which is numpy's internal choice;
+# checked on numpy 2.4.6, and guarded by
+# test_zero_padding_inside_the_band_keeps_counts_bit_identical.
+_PAIRWISE_BLOCK = 128
 
-def _evaluate(channel, eps, blocks, memos, kernels, requests) -> None:
+
+def _padded(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(arms, pulses) of the blocks, one row each, zero-padded to the widest."""
+    width = max(len(pulses) for _, pulses in blocks)
+    arms = np.zeros((len(blocks), width, 2))
+    pulses = np.zeros((len(blocks), width))
+    for row, (a, w) in enumerate(blocks):
+        arms[row, : len(w)] = a
+        pulses[row, : len(w)] = w
+    return arms, pulses
+
+
+def _evaluate(channel, eps, blocks, memos, kernels, requests) -> int:
     """Fill ``memos[j][params]`` with the ledger of every (j, params) request.
 
-    Requests already memoised, or repeated, are evaluated once.  Blocks are
-    batched only with blocks of the same bin count, never padded: padding
-    changes numpy's pairwise sums, and with them the counts.  A block too
-    large to batch is evaluated one candidate a call, reusing the click
-    kernels in its memo ``kernels[j]``; batches compute theirs inline.
+    Requests already memoised, or repeated, are evaluated once.  Returns the
+    number of ``pooled_statistics`` calls made.
+
+    Blocks of at most ``_PAIRWISE_BLOCK`` bins are batched by band, bins >>
+    3, and each batch is padded to its widest block with bins of zero pulses
+    and zero arms.  Every count stays bit-identical, because numpy sums a
+    contiguous row of n <= 128 floats in one of two ways.  Below 8 elements
+    it adds them in order.  Otherwise eight accumulators take the elements
+    before n - n % 8, by position mod 8, and the rest are added in order.
+    A zero-pulse bin adds exactly +0.0 to every sum (its kernels are finite:
+    clicks = P_dc, visibility 0), so zeros that keep n inside its band
+    [8k, 8k + 7] change no partial sum.  A longer row is split in halves at
+    points that depend on n, so larger blocks batch only with blocks of the
+    same bin count.  A block too large to batch is evaluated one candidate a
+    call, reusing the click kernels in its memo ``kernels[j]``; batches
+    compute theirs inline.
     """
-    by_shape: dict = {}
+    scorer = _Scorer(eps, channel.dark_count_prob, channel.error_correction_factor)
+    groups: dict = {}
     for j, params in requests:
         if params not in memos[j]:
-            by_shape.setdefault(blocks[j][0].shape, {})[(j, params)] = None
-    for shape, pending in by_shape.items():
+            bins = len(blocks[j][1])
+            key = ("band", bins >> 3) if bins <= _PAIRWISE_BLOCK else ("bins", bins)
+            groups.setdefault(key, {})[(j, params)] = None
+    calls = 0
+    for pending in groups.values():
         todo = list(pending)
-        size = max(1, _BATCH_CELLS // shape[0])
-        if size == 1:
-            for j, params in todo:
-                arms, pulses = blocks[j]
-                stats = pooled_statistics(channel, params, arms, pulses, kernels[j])
-                memos[j][params] = skl(stats, eps)
-            continue
+        size = max(1, _BATCH_CELLS // max(len(blocks[j][1]) for j, _ in todo))
         for lo in range(0, len(todo), size):
             chunk = todo[lo : lo + size]
-            rows = [j for j, _ in chunk]
-            arms = np.stack([blocks[j][0] for j in rows])
-            pulses = np.stack([blocks[j][1] for j in rows])
-            stats = pooled_statistics(channel, [p for _, p in chunk], arms, pulses)
+            candidates = [p for _, p in chunk]
+            if size == 1:
+                ((j, _),) = chunk
+                stats = pooled_statistics(channel, candidates, *blocks[j], kernels[j])
+            else:
+                stats = pooled_statistics(
+                    channel, candidates, *_padded([blocks[j] for j, _ in chunk])
+                )
+            calls += 1
             for (j, params), st in zip(chunk, stats):
-                memos[j][params] = skl(st, eps)
+                memos[j][params] = scorer(params, _row(st))
+    return calls
 
 
 def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
@@ -763,7 +867,7 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
     memos: list[dict] = [{} for _ in blocks]
     kernels = [_KernelMemo() for _ in blocks]
     grid = [(j, p) for j in range(len(blocks)) for p in DEFAULT_GRID]
-    _evaluate(channel, eps, blocks, memos, kernels, grid)
+    calls = _evaluate(channel, eps, blocks, memos, kernels, grid)
     best = []  # per block: (params, value), the grid's best to start with
     searches = []  # [block, search, pending candidate, result], seed order within a block
     for j, memo in enumerate(memos):
@@ -776,7 +880,9 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
 
     live = searches
     while live:
-        _evaluate(channel, eps, blocks, memos, kernels, [(j, cand) for j, _, cand, _ in live])
+        calls += _evaluate(
+            channel, eps, blocks, memos, kernels, [(j, cand) for j, _, cand, _ in live]
+        )
         for entry in live:
             j, search, cand, _ = entry
             memo = memos[j]
@@ -797,8 +903,9 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
             for kind in _KERNEL_CAPS
         )
         log.debug(
-            "optimised %d blocks in %d evaluations; kernel memo hits/misses: %s",
-            len(blocks), sum(map(len, memos)), counts,
+            "optimised %d blocks in %d evaluations over %d batched calls; "
+            "kernel memo hits/misses: %s",
+            len(blocks), sum(map(len, memos)), calls, counts,
         )
     return [(p, memos[j][p]) for j, (p, _) in enumerate(best)]
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+import scipy  # noqa: F401  16 ms: keeps scipy and its version loaded in runs that never integrate
 
 from .constants import EARTH_RADIUS_KM
 
@@ -147,8 +147,15 @@ def cn2(h_m, profile: TurbulenceProfile):
 
 @lru_cache(maxsize=32)
 def _cn2_path_integral(profile: TurbulenceProfile) -> float:
-    """Vertical integral of Cn^2 from the station altitude to h_top [m^(1/3)]."""
-    val, _ = quad(
+    """Vertical integral of Cn^2 from the station altitude to h_top [m^(1/3)].
+
+    ``scipy.integrate`` is imported here, on first use: it is most of the
+    package's import time, and the ``validate``, ``keyrate`` and
+    ``security`` commands never integrate.
+    """
+    import scipy.integrate
+
+    val, _ = scipy.integrate.quad(
         lambda h: cn2(h, profile),
         profile.gs_altitude_m,
         profile.h_top_m,

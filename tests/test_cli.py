@@ -2,6 +2,9 @@
 
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -396,3 +399,22 @@ def test_validate_position_dump(tmp_path):
     _, _, x, y, z = lines[1].split(",")
     radius = (float(x) ** 2 + float(y) ** 2 + float(z) ** 2) ** 0.5
     assert radius == pytest.approx(6871.0, rel=1e-9)
+
+
+def test_validate_does_not_import_scipy_integrate(tmp_path):
+    # scipy.integrate is most of the package's import time; only the
+    # turbulence integral needs it, and validate never integrates.
+    code = (
+        "import sys\n"
+        "from ringqkd.cli import main\n"
+        f"assert main(['validate', '--output-dir', {str(tmp_path)!r}]) == 0\n"
+        "print('scipy' in sys.modules, 'scipy.integrate' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["True", "False"]

@@ -18,8 +18,6 @@ from ringqkd.keyrate import (
     accumulate_link,
     accumulate_links,
     binary_entropy,
-    chernoff_lower,
-    chernoff_upper,
     correction_term,
     estimate_untagged,
     expected_statistics,
@@ -33,8 +31,10 @@ from ringqkd.keyrate import (
     _BOUNDS,
     _COORDS,
     _KERNEL_CAPS,
+    _PAIRWISE_BLOCK,
     _evaluate,
     _KernelMemo,
+    _row,
     _params_to_vector,
     _vector_to_params,
 )
@@ -426,6 +426,50 @@ def test_batched_pooled_statistics_rows_are_bit_identical(candidates, bins):
         assert_same_statistics(per_row[i], one)
 
 
+def row_bytes(stats):
+    return np.array(_row(stats)).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(sns_params(), min_size=1, max_size=6), loss_bins(max_bins=_PAIRWISE_BLOCK),
+       st.data())
+def test_zero_padding_inside_the_band_keeps_counts_bit_identical(candidates, bins, data):
+    # numpy sums rows of at most 128 floats with eight accumulators by
+    # position mod 8, so trailing +0.0 terms up to 8k + 7 change no sum
+    arms, pulses = bins
+    n = len(pulses)
+    width = data.draw(st.integers(n, min(n | 7, _PAIRWISE_BLOCK)), label="padded width")
+    padded_arms = np.zeros((width, 2))
+    padded_arms[:n] = arms
+    padded_pulses = np.zeros(width)
+    padded_pulses[:n] = pulses
+    ch = ChannelModel()
+    want = [row_bytes(s) for s in pooled_statistics(ch, candidates, arms, pulses)]
+    shared = pooled_statistics(ch, candidates, padded_arms, padded_pulses)
+    rows = len(candidates)
+    per_row = pooled_statistics(
+        ch, candidates, np.stack([padded_arms] * rows), np.stack([padded_pulses] * rows)
+    )
+    assert [row_bytes(s) for s in shared] == want
+    assert [row_bytes(s) for s in per_row] == want
+
+
+def test_small_blocks_batch_by_band():
+    rng = np.random.default_rng(2)
+    blocks = []
+    for n in (1, 3, 7, 8, 15, 130):
+        arms = 10.0 ** (-rng.uniform(20.0, 50.0, (n, 2)) / 10.0)
+        blocks.append((arms, rng.uniform(1e9, 1e11, n)))
+    ch = ChannelModel()
+    memos = [{} for _ in blocks]
+    requests = [(j, p) for j in range(len(blocks)) for p in DEFAULT_GRID]
+    calls = _evaluate(ch, EPS, blocks, memos, [_KernelMemo() for _ in blocks], requests)
+    # one call for 1-7 bins, one for 8-15, and two for 130 bins (31 candidates a call)
+    assert calls == 4
+    for memo, (arms, pulses) in zip(memos, blocks):
+        assert memo == {p: skl(pooled_statistics(ch, p, arms, pulses), EPS) for p in DEFAULT_GRID}
+
+
 def test_pooled_statistics_rejects_misaligned_bins():
     ch = ChannelModel()
     with pytest.raises(ValueError):
@@ -482,8 +526,8 @@ def _reference_optimize(channel, eps, arms, pulses, n_starts, max_evals):
 
 @st.composite
 def link_profile(draw):
-    """accumulate_link profile of 1-4 bins between 20 and 60 dB."""
-    n = draw(st.integers(1, 4))
+    """accumulate_link profile of 1-20 bins between 20 and 60 dB."""
+    n = draw(st.integers(1, 20))
     asymmetric = draw(st.booleans())
     loss = st.floats(20.0, 60.0)
     profile = []
@@ -593,12 +637,17 @@ def test_kernel_memo_stays_within_its_caps(monkeypatch):
             assert len(cache) <= _KERNEL_CAPS[kind]
 
 
-def test_optimiser_logs_one_debug_line_per_call(caplog, capsys):
+def test_optimiser_logs_one_debug_line_per_call(caplog, capsys, monkeypatch):
     profiles = [large_profile(5, LARGE), [((1e-3, 1e-3), 1e12)]]
     accumulate_links(profiles, ChannelModel(), EPS, max_evals=20)
     assert capsys.readouterr() == ("", "")
+    # each batched evaluation is one call of the public pooled_statistics,
+    # so profilers that wrap that name see every one
+    calls = count_calls(monkeypatch, "pooled_statistics")
     with caplog.at_level("DEBUG", logger="ringqkd.keyrate"):
         accumulate_links(profiles, ChannelModel(), EPS, max_evals=20)
     (record,) = caplog.records
-    assert record.getMessage().startswith("optimised 2 blocks in ")
-    assert "kernel memo hits/misses: z " in record.getMessage()
+    message = record.getMessage()
+    assert message.startswith("optimised 2 blocks in ")
+    assert f" evaluations over {len(calls)} batched calls; " in message
+    assert "kernel memo hits/misses: z " in message
