@@ -41,16 +41,25 @@ band, bins >> 3, padding each batch to its widest block with zero-pulse,
 zero-arm bins; numpy's pairwise sums make that padding exact (see
 ``_evaluate``).  Larger blocks batch only with blocks of their own bin
 count.  It scores a block too large to batch (more than half of
-``_BATCH_CELLS`` bins) one candidate a call, and keeps that block's costly
-click kernels in a memo: the Z-window clicks keyed by mu_z, the X-window
-clicks of every decoy pair keyed by (mu1, mu2), and the phase-slice
-error-port Gauss-Legendre sums keyed by (mu1, delta).  A candidate that
-changes only p_send, p_z, p0 or p1 reuses all three.  Each kind is a
-least-recently-used memo of at most ``_KERNEL_CAPS`` entries, which bounds
-its memory.  Batched evaluations of small blocks compute their kernels
-inline: there the arrays are small, and per-call overhead, not the kernels,
-sets the cost.  Either way each count is computed by the same numpy
-operations on the same array layout, so results are bit-identical.
+``_BATCH_CELLS`` bins) one candidate a call, through that block's memo.  It
+keeps the pooled sums of each group of count rows (``_GROUPS``), keyed by
+the parameters the group reads: n_pulses once per block, the Z rows by
+(p_z, p_send, mu_z), the X rows by (p_z, p0, p1, mu1, mu2) and the slice
+rows by (p_z, p1, mu1, delta).  Only a group whose key is new is built and
+summed.  Its costly click kernel comes from a second memo: the Z-window
+clicks keyed by mu_z, the X-window clicks of every decoy pair keyed by
+(mu1, mu2), and the phase-slice error-port Gauss-Legendre sums keyed by
+(mu1, delta), each kind a least-recently-used memo of at most
+``_KERNEL_CAPS`` entries, which bounds its memory.  Batched evaluations of
+small blocks compute every group and kernel inline: there the arrays are
+small, and per-call overhead, not the kernels, sets the cost.  Either way
+each count is the same numpy operations summed as the same contiguous row,
+so results are bit-identical.
+
+The phase-slice kernel evaluates the 12 negative Gauss-Legendre nodes and
+mirrors their terms into the other 12: numpy's leggauss nodes are exactly
+antisymmetric, its weights exactly symmetric, and cos is even, so the
+24-node sum is bit-identical to evaluating every node.
 """
 
 from __future__ import annotations
@@ -58,7 +67,8 @@ from __future__ import annotations
 import logging
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -111,10 +121,19 @@ class SnsParams:
             raise ValueError("p0 + p1 must leave room for the mu2 decoy")
         if not 0.0 < self.delta < math.pi:
             raise ValueError("delta must lie in (0, pi)")
+        # the hash the dataclass would compute, taken once: the optimiser's
+        # dicts look each candidate up many times
+        object.__setattr__(self, "_hash", hash(_sns_fields(self)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def p2(self) -> float:
         return 1.0 - self.p0 - self.p1
+
+
+_sns_fields = attrgetter(*(f.name for f in fields(SnsParams)))
 
 
 @dataclass(frozen=True)
@@ -266,42 +285,145 @@ def _x_clicks(ta, tb, mus, pdc):
     return _click(arrive, pdc)
 
 
+# The 12 negative Gauss-Legendre nodes.  leggauss makes its nodes exactly
+# antisymmetric and its weights exactly symmetric, and cos is even, so the
+# terms of the positive nodes are those of the negative ones, mirrored.
+_GL_HALF = len(_GL_NODES) // 2
+
+
 def _slice_clicks(ta, tb, mu1, delta, eopt, pdc):
     """Phase-slice kernel: per-bin error-port clicks, Gauss-Legendre over +-delta.
 
-    The (..., B, 24) node terms are built once and taken through the
-    operations of ``_click(base * (1 - mod), pdc) * weights`` in place.
+    The (..., B, 12) terms of the negative nodes are built once and taken
+    through the operations of ``_click(base * (1 - mod), pdc) * weights`` in
+    place.  They and their mirror image fill one (..., B, 24) array, which
+    is summed over the 24 nodes as if each had been evaluated.
     """
     colsum = ta + tb
     vis = np.where(colsum > 0, 2.0 * np.sqrt(ta * tb) / np.where(colsum > 0, colsum, 1.0), 0.0)
     base = 0.5 * (mu1 * colsum)[..., None]
-    terms = (vis * (1.0 - 2.0 * eopt))[..., None] * np.cos(delta * _GL_NODES)[:, None, :]
-    np.subtract(1.0, terms, out=terms)
-    np.multiply(base, terms, out=terms)
-    np.negative(terms, out=terms)
-    np.exp(terms, out=terms)
-    np.multiply(1.0 - pdc, terms, out=terms)
-    np.subtract(1.0, terms, out=terms)
-    np.multiply(terms, _GL_WEIGHTS / 2.0, out=terms)
+    half = (vis * (1.0 - 2.0 * eopt))[..., None] * np.cos(delta * _GL_NODES[:_GL_HALF])[:, None, :]
+    np.subtract(1.0, half, out=half)
+    np.multiply(base, half, out=half)
+    np.negative(half, out=half)
+    np.exp(half, out=half)
+    np.multiply(1.0 - pdc, half, out=half)
+    np.subtract(1.0, half, out=half)
+    np.multiply(half, _GL_WEIGHTS[:_GL_HALF] / 2.0, out=half)
+    terms = np.empty(half.shape[:-1] + (2 * _GL_HALF,))
+    terms[..., :_GL_HALF] = half
+    terms[..., _GL_HALF:] = half[..., ::-1]
     return terms.sum(axis=-1)
 
 
+# Layout of one row of pooled counts: n_pulses, n_z, z_clicks, z_errors, the
+# 3x3 x_pairs from _XP and the 3x3 x_clicks from _XC (both row-major), then
+# slice_pairs and slice_error_clicks from _SL.
+_XP, _XC, _SL, _ROW = 4, 13, 22, 24
+
+
+def _inline(kind, key, kernel, *args):
+    return kernel(*args)
+
+
+class _Terms:
+    """Writes the per-bin terms of one call's groups of rows.
+
+    Holds the bins (pulses ``w`` and detected arm efficiencies ``ta``,
+    ``tb``, each of shape (1 or P, B)), the (P, 1) constant columns of the
+    P candidates, and ``kernel``: ``_inline`` or the block's ``_KernelMemo``,
+    from which the click kernels come.  Each method fills a (P, rows, B)
+    array with the terms of one group of ``_GROUPS``.
+    """
+
+    def __init__(self, channel: ChannelModel, candidates, w, ta, tb, kernel):
+        self.w, self.ta, self.tb, self.kernel = w, ta, tb, kernel
+        self.pdc, self.eopt = channel.dark_count_prob, channel.optical_error
+        self.first = candidates[0]  # the memo's key; _inline ignores it
+        table = _candidate_table(candidates, self.pdc)
+        self.mus, self.probs = table[:, 0:3], table[:, 3:6]
+        (_, self.mu1, _, _, self.p1, _, self.mu_z, self.p_z, self.p_x, self.delta,
+         self.ps_single, self.ps_both, self.none_dark, self.f_slice) = table.T[:, :, None]
+
+    def pulses(self, out):
+        out[:, 0] = self.w
+
+    def z(self, out):
+        """n_z, z_clicks and z_errors, from the send/not-send patterns."""
+        nz, z_clicks, z_errors = out[:, 0], out[:, 1], out[:, 2]
+        np.multiply(self.w, self.p_z, out=nz)
+        c_sum, c_ab = self.kernel(
+            "z", self.first.mu_z, _z_clicks, self.ta, self.tb, self.mu_z, self.pdc
+        )
+        singles = self.ps_single * c_sum
+        both = self.ps_both * c_ab
+        np.add(singles, both, out=z_clicks)
+        np.add(z_clicks, self.none_dark, out=z_clicks)
+        np.multiply(nz, z_clicks, out=z_clicks)
+        np.add(both, self.none_dark, out=z_errors)
+        np.add(z_errors, np.multiply(self.eopt, singles, out=singles), out=z_errors)
+        np.multiply(nz, z_errors, out=z_errors)
+
+    def x(self, out):
+        """x_pairs and x_clicks: all ordered decoy intensity pairs (u, v) on axes 1 and 2."""
+        n = len(out)
+        x_pairs = out[:, : _XC - _XP].reshape(n, 3, 3, -1)
+        x_clicks = out[:, _XC - _XP :].reshape(n, 3, 3, -1)
+        nx = self.w * self.p_x
+        np.multiply(nx[:, None, None, :], self.probs[:, :, None, None], out=x_pairs)
+        np.multiply(x_pairs, self.probs[:, None, :, None], out=x_pairs)
+        clicks = self.kernel(
+            "x", (self.first.mu1, self.first.mu2), _x_clicks, self.ta, self.tb, self.mus, self.pdc
+        )
+        np.multiply(x_pairs, clicks, out=x_clicks)
+
+    def phase_slice(self, out):
+        """slice_pairs and slice_error_clicks: the phase slice of the (mu1, mu1) pairs."""
+        sl_pairs, sl_err = out[:, 0], out[:, 1]
+        np.multiply(self.w, self.p_x, out=sl_pairs)
+        np.multiply(sl_pairs, self.p1, out=sl_pairs)
+        np.multiply(sl_pairs, self.p1, out=sl_pairs)
+        np.multiply(sl_pairs, self.f_slice, out=sl_pairs)
+        err_in = self.kernel(
+            "slice", (self.first.mu1, self.first.delta), _slice_clicks,
+            self.ta, self.tb, self.mu1, self.delta, self.eopt, self.pdc,
+        )
+        np.multiply(sl_pairs, err_in, out=sl_err)
+
+
+# The groups of rows of the _ROW layout: name -> (rows, the SnsParams fields
+# their counts read, the _Terms method that writes their per-bin terms).
+_GROUPS = {
+    "n": (slice(0, 1), (), _Terms.pulses),
+    "z": (slice(1, _XP), ("p_z", "p_send", "mu_z"), _Terms.z),
+    "x": (slice(_XP, _SL), ("p_z", "p0", "p1", "mu1", "mu2"), _Terms.x),
+    "slice": (slice(_SL, _ROW), ("p_z", "p1", "mu1", "delta"), _Terms.phase_slice),
+}
+
 # Entries each block's kernel memo keeps per kind, least recently used out.
-_KERNEL_CAPS = {"z": 4, "x": 4, "slice": 8}
+# A kernel is looked up only when its group's sums miss.  On the optimiser's
+# search paths of an asymmetric day, z and x caps of 4 then hit exactly as
+# often as caps of 2, and the larger caps only hold memory.
+_KERNEL_CAPS = {"z": 2, "x": 2, "slice": 8}
 
 
 class _KernelMemo:
-    """One block's click kernels, reused across one-candidate evaluations.
+    """One block's click kernels and pooled sums, reused across one-candidate evaluations.
 
-    Each kind is keyed by the only parameters its kernel reads: ``z`` by
-    mu_z, ``x`` by (mu1, mu2), ``slice`` by (mu1, delta).  The block's arms
-    and the channel are fixed for the memo's lifetime.
+    Each kernel kind is keyed by the only parameters it reads: ``z`` by
+    mu_z, ``x`` by (mu1, mu2), ``slice`` by (mu1, delta).  Each group of
+    ``_GROUPS`` keeps its pooled sums keyed by the fields its counts read; a
+    few floats an entry, so that memo is not bounded.  The block's arms and
+    the channel are fixed for the memo's lifetime.
     """
 
     def __init__(self):
         self.caches = {kind: OrderedDict() for kind in _KERNEL_CAPS}
         self.hits = dict.fromkeys(_KERNEL_CAPS, 0)
         self.misses = dict.fromkeys(_KERNEL_CAPS, 0)
+        self.sums = {group: {} for group in _GROUPS}
+        self.sum_hits = dict.fromkeys(_GROUPS, 0)
+        self.sum_misses = dict.fromkeys(_GROUPS, 0)
 
     def __call__(self, kind, key, kernel, *args):
         cache = self.caches[kind]
@@ -315,26 +437,38 @@ class _KernelMemo:
             cache.popitem(last=False)
         return value
 
+    def pooled(self, terms: _Terms) -> np.ndarray:
+        """The (1, ``_ROW``) pooled counts of the one candidate of ``terms``.
 
-def _inline(kind, key, kernel, *args):
-    return kernel(*args)
+        Only a group whose key is new has its terms written, into a (1,
+        rows, B) array of its own, and summed.  numpy sums each contiguous
+        row of B floats the same way there as inside a (P, _ROW, B) array.
+        """
+        out = np.empty((1, _ROW))
+        for group, (rows, names, write) in _GROUPS.items():
+            key = tuple(getattr(terms.first, name) for name in names)
+            sums = self.sums[group].get(key)
+            if sums is None:
+                self.sum_misses[group] += 1
+                part = np.empty((1, rows.stop - rows.start, terms.w.shape[-1]))
+                write(terms, part)
+                sums = self.sums[group][key] = part.sum(axis=-1)
+            else:
+                self.sum_hits[group] += 1
+            out[:, rows] = sums
+        return out
 
 
-# Layout of one row of pooled counts: n_pulses, n_z, z_clicks, z_errors, the
-# 3x3 x_pairs from _XP and the 3x3 x_clicks from _XC (both row-major), then
-# slice_pairs and slice_error_clicks from _SL.
-_XP, _XC, _SL, _ROW = 4, 13, 22, 24
-
-
-def _pooled_rows(channel: ChannelModel, candidates, arms, pulses, kernel=_inline) -> np.ndarray:
+def _pooled_rows(channel: ChannelModel, candidates, arms, pulses, memo=None) -> np.ndarray:
     """The (P, ``_ROW``) pooled counts of the P candidates.
 
     The bins are shared, of shape (B,), or one row per candidate, of shape
     (P, B), with ``arms`` of their shape plus a trailing axis of 2.  All
     per-bin terms of the call go into one (P, _ROW, B) array, reduced by one
     sum over its last, contiguous axis, so a candidate's counts do not
-    depend on the others in its batch.  ``kernel`` is ``_inline`` or the
-    optimiser's ``_KernelMemo`` of this block, which serves one candidate.
+    depend on the others in its batch.  ``memo``, the optimiser's
+    ``_KernelMemo`` of this block, serves one candidate instead, and
+    recomputes only the groups of rows whose parameters it has not seen.
     """
     arms = np.asarray(arms, dtype=float)
     w = np.atleast_1d(np.asarray(pulses, dtype=float))
@@ -346,54 +480,15 @@ def _pooled_rows(channel: ChannelModel, candidates, arms, pulses, kernel=_inline
         w, ta, tb = w[None], ta[None], tb[None]
     elif w.ndim != 2 or w.shape[0] != len(candidates):
         raise ValueError("per-candidate bins need one row per candidate")
-    if kernel is not _inline and len(candidates) != 1:
+    if memo is not None and len(candidates) != 1:
         raise ValueError("a kernel memo serves one candidate a call")
-    pdc = channel.dark_count_prob
-    eopt = channel.optical_error
-    table = _candidate_table(candidates, pdc)
-    # (P, 1) columns against bins of shape (1 or P, B)
-    (_, mu1, _, _, p1, _, mu_z, p_z, p_x, delta, ps_single, ps_both, none_dark, f_slice) = (
-        table.T[:, :, None]
-    )
-    n = len(candidates)
-    terms = np.empty((n, _ROW, w.shape[-1]))
-    n_pulses, nz, z_clicks, z_errors = terms[:, 0], terms[:, 1], terms[:, 2], terms[:, 3]
-    x_pairs = terms[:, _XP:_XC].reshape(n, 3, 3, -1)
-    x_clicks = terms[:, _XC:_SL].reshape(n, 3, 3, -1)
-    sl_pairs, sl_err = terms[:, _SL], terms[:, _SL + 1]
-    first = candidates[0]  # the memo's key; _inline ignores it
-
-    n_pulses[...] = w
-    np.multiply(w, p_z, out=nz)
-    nx = w * p_x
-
-    # Z windows: send/not-send patterns
-    c_sum, c_ab = kernel("z", first.mu_z, _z_clicks, ta, tb, mu_z, pdc)
-    singles = ps_single * c_sum
-    both = ps_both * c_ab
-    np.add(singles, both, out=z_clicks)
-    np.add(z_clicks, none_dark, out=z_clicks)
-    np.multiply(nz, z_clicks, out=z_clicks)
-    np.add(both, none_dark, out=z_errors)
-    np.add(z_errors, np.multiply(eopt, singles, out=singles), out=z_errors)
-    np.multiply(nz, z_errors, out=z_errors)
-
-    # X windows: all ordered decoy intensity pairs (u, v) on axes 1 and 2
-    mus, probs = table[:, 0:3], table[:, 3:6]
-    np.multiply(nx[:, None, None, :], probs[:, :, None, None], out=x_pairs)
-    np.multiply(x_pairs, probs[:, None, :, None], out=x_pairs)
-    clicks = kernel("x", (first.mu1, first.mu2), _x_clicks, ta, tb, mus, pdc)
-    np.multiply(x_pairs, clicks, out=x_clicks)
-
-    # phase-slice subsample of the (mu1, mu1) pairs
-    np.multiply(nx, p1, out=sl_pairs)
-    np.multiply(sl_pairs, p1, out=sl_pairs)
-    np.multiply(sl_pairs, f_slice, out=sl_pairs)
-    err_in = kernel(
-        "slice", (first.mu1, first.delta), _slice_clicks, ta, tb, mu1, delta, eopt, pdc
-    )
-    np.multiply(sl_pairs, err_in, out=sl_err)
-    return terms.sum(axis=-1)
+    terms = _Terms(channel, candidates, w, ta, tb, _inline if memo is None else memo)
+    if memo is not None:
+        return memo.pooled(terms)
+    out = np.empty((len(candidates), _ROW, w.shape[-1]))
+    for rows, _, write in _GROUPS.values():
+        write(terms, out[:, rows])
+    return out.sum(axis=-1)
 
 
 def _row(stats: ExpectedStatistics) -> list:
@@ -420,11 +515,12 @@ def pooled_statistics(
     and zero arms add exactly +0.0 to every count, so a block of at most
     128 bins padded with them to any width in its band, bins >> 3, has
     bit-identical counts (numpy's pairwise sums; see ``_evaluate``).
-    ``kernels``, the optimiser's memo for this block and channel, serves
-    one candidate only.  The x arrays of a batch are views of one array.
+    ``kernels``, the optimiser's memo of click kernels and pooled sums for
+    this block and channel, serves one candidate only.  The x arrays of a
+    batch are views of one array.
     """
     candidates = [params] if isinstance(params, SnsParams) else list(params)
-    sums = _pooled_rows(channel, candidates, arms, pulses, _inline if kernels is None else kernels)
+    sums = _pooled_rows(channel, candidates, arms, pulses, kernels)
     x_pairs = sums[:, _XP:_XC].reshape(-1, 3, 3)
     x_clicks = sums[:, _XC:_SL].reshape(-1, 3, 3)
     out = [
@@ -898,14 +994,18 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
         if v > best[j][1]:
             best[j] = (p, v)
     if log.isEnabledFor(logging.DEBUG):
-        counts = ", ".join(
-            f"{kind} {sum(k.hits[kind] for k in kernels)}/{sum(k.misses[kind] for k in kernels)}"
-            for kind in _KERNEL_CAPS
-        )
+        def counts(hits, misses, names):
+            return ", ".join(
+                f"{name} {sum(getattr(k, hits)[name] for k in kernels)}"
+                f"/{sum(getattr(k, misses)[name] for k in kernels)}"
+                for name in names
+            )
+
         log.debug(
             "optimised %d blocks in %d evaluations over %d batched calls; "
-            "kernel memo hits/misses: %s",
-            len(blocks), sum(map(len, memos)), calls, counts,
+            "kernel memo hits/misses: %s; sum memo hits/misses: %s",
+            len(blocks), sum(map(len, memos)), calls,
+            counts("hits", "misses", _KERNEL_CAPS), counts("sum_hits", "sum_misses", _GROUPS),
         )
     return [(p, memos[j][p]) for j, (p, _) in enumerate(best)]
 

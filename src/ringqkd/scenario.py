@@ -74,6 +74,10 @@ class ScenarioConfig:
             raise ValueError("theta_max_deg must lie in (0, 90)")
         if not (0.0 < self.t_total_s < math.inf and 0.0 < self.time_step_s < math.inf):
             raise ValueError("t_total_s and time_step_s must be positive and finite")
+        if self.time_step_s > self.t_total_s:
+            raise ValueError(
+                f"time_step_s={self.time_step_s} exceeds the day window t_total_s={self.t_total_s}"
+            )
         if not (self.n_days >= 1 and self.optimizer_starts >= 1 and self.optimizer_evals >= 1):
             raise ValueError("n_days and optimiser budgets must be >= 1")
         if not self.workers >= 1:

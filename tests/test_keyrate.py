@@ -34,7 +34,10 @@ from ringqkd.keyrate import (
     _PAIRWISE_BLOCK,
     _evaluate,
     _KernelMemo,
+    _click,
+    _pooled_rows,
     _row,
+    _slice_clicks,
     _params_to_vector,
     _vector_to_params,
 )
@@ -611,12 +614,79 @@ def test_kernel_memo_skips_recomputing_unchanged_kernels(monkeypatch):
     _evaluate(ch, EPS, [block], memos, kernels, [(0, p) for p in candidates])
     assert [memos[0][p] for p in candidates] == want
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
-    assert kernels[0].hits == dict.fromkeys(_KERNEL_CAPS, len(candidates) - 1)
+    # a group's sums are reused while the fields its counts read repeat:
+    # z reads (p_z, p_send, mu_z), x (p_z, p0, p1, mu1, mu2), slice (p_z, p1, mu1, delta)
+    assert kernels[0].sum_hits == {"n": 5, "z": 2, "x": 1, "slice": 2}
+    assert kernels[0].sum_misses == {"n": 1, "z": 4, "x": 5, "slice": 4}
+    # and only a sum miss looks its kernel up
+    assert kernels[0].hits == {"z": 3, "x": 4, "slice": 3}
     # a batched block of a few bins computes its kernels inline
     small = (block[0][:3], block[1][:3])
     _evaluate(ch, EPS, [small], [{}], kernels, [(0, p) for p in candidates])
     assert len(calls["_slice_clicks"]) == 2
     assert kernels[0].misses == dict.fromkeys(_KERNEL_CAPS, 1)
+
+
+@st.composite
+def candidate_walk(draw):
+    """2-12 candidates whose fields come from two values each, so groups repeat."""
+    def pick(a, b):
+        return draw(st.sampled_from((a, b)))
+
+    return [
+        SnsParams(mu_z=pick(0.2, 0.45), mu1=pick(0.01, 0.02), mu2=pick(0.1, 0.3),
+                  p_send=pick(0.02, 0.1), p_z=pick(0.6, 0.9), p0=pick(0.3, 0.5),
+                  p1=pick(0.2, 0.3), delta=pick(0.3, 1.0))
+        for _ in range(draw(st.integers(2, 12)))
+    ]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), candidate_walk())
+def test_memoised_rows_equal_the_inline_rows(seed, candidates):
+    profile = large_profile(seed, LARGE)
+    arms = np.array([b[0] for b in profile])
+    pulses = np.array([b[1] for b in profile])
+    ch = ChannelModel()
+    memo = _KernelMemo()
+    for params in candidates:
+        got = _pooled_rows(ch, [params], arms, pulses, memo)
+        assert (got == _pooled_rows(ch, [params], arms, pulses)).all()
+    assert memo.sum_hits["n"] == len(candidates) - 1
+    assert sum(memo.sum_hits.values()) + sum(memo.sum_misses.values()) == 4 * len(candidates)
+
+
+def slice_clicks_all_nodes(ta, tb, mu1, delta, eopt, pdc):
+    """The phase-slice kernel evaluated at all 24 Gauss-Legendre nodes."""
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    colsum = ta + tb
+    vis = np.where(colsum > 0, 2.0 * np.sqrt(ta * tb) / np.where(colsum > 0, colsum, 1.0), 0.0)
+    mod = (vis * (1.0 - 2.0 * eopt))[..., None] * np.cos(delta * nodes)[:, None, :]
+    nu = 0.5 * (mu1 * colsum)[..., None] * (1.0 - mod)
+    return (_click(nu, pdc) * (weights / 2.0)).sum(axis=-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3), st.integers(1, 300), st.integers(0, 2**32 - 1),
+    st.floats(0.0, 0.5), st.floats(0.0, 0.999),
+)
+def test_slice_kernel_mirrors_its_negative_nodes(rows, n_bins, seed, eopt, pdc):
+    # _slice_clicks evaluates 12 nodes and mirrors them: it rests on numpy's
+    # leggauss making nodes exactly antisymmetric and weights exactly symmetric
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(weights, weights[::-1])
+    rng = np.random.default_rng(seed)
+    ta, tb = 10.0 ** (-rng.uniform(0.0, 9.0, (2, rows, n_bins)))
+    ta[rng.random(ta.shape) < 0.05] = 0.0  # dead arms and zero-padding bins
+    tb[rng.random(tb.shape) < 0.05] = 0.0
+    mu1 = rng.uniform(1e-4, 1.5, (rows, 1))
+    delta = rng.uniform(0.01, 1.5, (rows, 1))
+    assert np.array_equal(
+        _slice_clicks(ta, tb, mu1, delta, eopt, pdc),
+        slice_clicks_all_nodes(ta, tb, mu1, delta, eopt, pdc),
+    )
 
 
 def test_kernel_memo_stays_within_its_caps(monkeypatch):

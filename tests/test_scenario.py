@@ -88,7 +88,8 @@ def _finite(lo, hi, **kw):
 
 
 # valid file-unit values for every key; constraints between keys are met by
-# the ranges (altitude >= 500 km keeps 12 satellites above the ring minimum)
+# the ranges (altitude >= 500 km keeps 12 satellites above the ring minimum),
+# except that the time step must fit the day window (see time_step_fits)
 VALID = {
     ("constellation", "kind"): st.sampled_from(["type1", "type2"]),
     ("constellation", "num_sats"): st.sampled_from([12, 16, 24, 36]),
@@ -141,8 +142,18 @@ def test_valid_strategies_cover_the_table():
     assert list(VALID) == list(_TABLE)
 
 
+def time_step_fits(values):
+    return values[("campaign", "time_step_s")] <= values[("campaign", "t_total_s")]
+
+
+def test_time_step_must_fit_the_day_window():
+    load_scenario(overrides=["campaign.t_total_s=60", "campaign.time_step_s=60"])
+    with pytest.raises(ValueError, match="time_step_s"):
+        load_scenario(overrides=["campaign.t_total_s=60", "campaign.time_step_s=60.5"])
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(values=st.fixed_dictionaries(VALID))
+@given(values=st.fixed_dictionaries(VALID).filter(time_step_fits))
 def test_manifest_round_trips_any_valid_config(values, tmp_path):
     cfg = load_scenario(overrides=[f"{sec}.{key}={v}" for (sec, key), v in values.items()])
     text = manifest(cfg)
