@@ -25,11 +25,16 @@ e1_ph.  Statistical deviations use two-sided multiplicative Chernoff-style
 bounds at the configured failure probabilities (eps_n1 for the yield
 estimation chain, eps_bar for the phase-error counts); the bound family is
 isolated in ``_chernoff_lower`` / ``_chernoff_upper`` so it can be swapped.
-The chain runs on one row of 24 pooled counts (``_ROW``) per block, as
-plain Python floats: ``skl`` and ``estimate_untagged`` read an
-``ExpectedStatistics`` through the same ``_Scorer`` that the optimiser
-runs, with its epsilon terms taken once, on every candidate of a batched
-``pooled_statistics`` call.
+The chain runs on rows of 24 pooled counts (``_ROW``), one per block and
+candidate, in ``_Scorer``: one numpy pass scores P rows, with the same bits
+as scoring each row alone in Python floats.  Only the per-candidate
+transcendental calls (four exps and the four log2 of the two binary
+entropies) and the squares mu1 ** 2 and mu2 ** 2 stay in ``math``, one
+candidate at a time: numpy's SIMD exp and log need not match libm, and
+CPython's ``x ** 2`` calls libm ``pow``, which is not always ``x * x``.
+``skl`` and ``estimate_untagged`` read an ``ExpectedStatistics`` through
+a pass of one row; the optimiser scores the rows of all the batched
+``pooled_statistics`` calls of a round in one pass.
 
 A link block is a set of bins, each a pair of arm efficiencies (eta_a,
 eta_b), sender to measurement node, with a pulse count; arrays of arms have
@@ -37,10 +42,11 @@ a trailing axis of 2.  ``symmetric_arms`` is the one place a total
 twin-field link efficiency is split, into two arms of sqrt(efficiency).
 
 The optimiser batches the candidates of blocks of at most 128 bins by
-band, bins >> 3, padding each batch to its widest block with zero-pulse,
-zero-arm bins; numpy's pairwise sums make that padding exact (see
-``_evaluate``).  Larger blocks batch only with blocks of their own bin
-count.  It scores a block too large to batch (more than half of
+band, bins >> 3.  Each band's blocks are stacked once, padded to the
+widest block of the band with zero-pulse, zero-arm bins, and a batch
+gathers its rows from the stack; numpy's pairwise sums make that padding
+exact (see ``_Evaluator``).  Larger blocks batch only with blocks of their
+own bin count.  It scores a block too large to batch (more than half of
 ``_BATCH_CELLS`` bins) one candidate a call, through that block's memo.  It
 keeps the pooled sums of each group of count rows (``_GROUPS``), keyed by
 the parameters the group reads: n_pulses once per block, the Z rows by
@@ -68,6 +74,7 @@ import logging
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -237,18 +244,56 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _chernoff_lower(expected: float, log_inv_eps: float) -> float:
-    """Lower bound compatible with failure probability eps; takes log(1/eps)."""
-    if expected <= 0.0:
-        return 0.0
-    return max(0.0, expected - math.sqrt(2.0 * expected * log_inv_eps))
+def _min3(a, b, c):
+    """Python's ``min(a, b, c)`` elementwise: a later value replaces only a larger one."""
+    least = np.where(b < a, b, a)
+    return np.where(c < least, c, least)
 
 
-def _chernoff_upper(expected: float, log_inv_eps: float) -> float:
-    """Upper bound compatible with failure probability eps; takes log(1/eps)."""
-    if expected < 0.0:
-        raise ValueError("expected count must be >= 0")
-    return expected + math.sqrt(2.0 * expected * log_inv_eps) + log_inv_eps
+def _min(bound: float, x):
+    """Python's ``min(bound, x)`` elementwise, for a constant ``bound`` > 0.
+
+    ``fmin`` gives ``bound`` for NaN, as ``min`` does, and a tie is one float.
+    """
+    return np.fmin(x, bound)
+
+
+def _max0(x):
+    """Python's ``max(0.0, x)`` elementwise.
+
+    ``fmax`` gives 0 for NaN, as ``max`` does; adding +0.0 turns a -0.0
+    into the +0.0 that ``max`` keeps on a tie.
+    """
+    return np.fmax(x, 0.0) + 0.0
+
+
+def _chernoff_lower(expected, log_inv_eps: float):
+    """Lower bound compatible with failure probability eps; takes log(1/eps) > 0.
+
+    0 where the expected count is <= 0: the difference is then 0 or NaN.
+    """
+    return _max0(expected - np.sqrt(2.0 * expected * log_inv_eps))
+
+
+def _chernoff_upper(expected, log_inv_eps: float):
+    """Upper bound compatible with failure probability eps; takes log(1/eps).
+
+    The scorer rejects a negative count it would bound before calling this.
+    """
+    return expected + np.sqrt(2.0 * expected * log_inv_eps) + log_inv_eps
+
+
+def _entropy(x):
+    """``binary_entropy`` of an array whose reached entries lie in [0, 1].
+
+    The two log2 of each entry are libm's, as in ``binary_entropy``: taken
+    by ``math.log2``, one entry at a time.  Entries outside (0, 1) take the
+    logs of 0.5 instead, which no reached entry reads.
+    """
+    inside = np.where((0.0 < x) & (x < 1.0), x, 0.5)
+    log_x = np.array(list(map(math.log2, inside.ravel().tolist()))).reshape(x.shape)
+    log_rest = np.array(list(map(math.log2, (1.0 - inside).ravel().tolist()))).reshape(x.shape)
+    return np.where((x == 0.0) | (x == 1.0), 0.0, -x * log_x - (1.0 - x) * log_rest)
 
 
 def _click(nu, pdc):
@@ -514,7 +559,7 @@ def pooled_statistics(
     counts do not depend on the others in its batch.  Bins of zero pulses
     and zero arms add exactly +0.0 to every count, so a block of at most
     128 bins padded with them to any width in its band, bins >> 3, has
-    bit-identical counts (numpy's pairwise sums; see ``_evaluate``).
+    bit-identical counts (numpy's pairwise sums; see ``_Evaluator``).
     ``kernels``, the optimiser's memo of click kernels and pooled sums for
     this block and channel, serves one candidate only.  The x arrays of a
     batch are views of one array.
@@ -672,12 +717,42 @@ class SklBreakdown:
         return SklBreakdown(0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0)
 
 
+# The 3x3 x_pairs / x_clicks entries of each arm's vacuum, mu1 and mu2
+# ensembles, one row an arm: entries 0, s and 2s, with stride s = 3 for arm
+# a and 1 for arm b.
+_ARMS = np.array([[0, 3, 6], [0, 1, 2]])
+
+# The errors of the chain, in the order it meets them on a row: each arm's
+# decoy pairs and clicks (arm a, then arm b), the slice's error clicks under
+# _chernoff_upper, and the domain of binary_entropy(qber).
+_CHAIN_ERRORS = (
+    "decoy estimation needs vacuum and both decoy ensembles",
+    "non-physical statistics: negative click counts",
+    "decoy estimation needs vacuum and both decoy ensembles",
+    "non-physical statistics: negative click counts",
+    "expected count must be >= 0",
+    "binary_entropy argument outside [0, 1]: {}",
+)
+
+
 class _Scorer:
     """The finite-key chain, run on rows of pooled counts (``_ROW`` layout).
 
-    One scorer serves every row of a call: log(1/eps) of both bound families
-    and the epsilon correction are taken once.  Each row is scored by scalar
-    math on Python floats.
+    One call scores P candidates and their (P, ``_ROW``) rows in one numpy
+    pass; log(1/eps) of both bound families and the epsilon correction are
+    taken once per scorer.  The pass gives the bits of the chain run on one
+    row of Python floats at a time.  ``+ - * /`` and ``sqrt`` are correctly
+    rounded in numpy as in Python, so they run in numpy in the same order,
+    and every branch is an ``np.where`` or one of ``_min``, ``_max0`` and
+    ``_min3``, which are Python's ``min`` and ``max`` for NaN and signed
+    zeros too.  The transcendental calls stay in ``math``, one candidate at
+    a time: ``exp(mu1)``, ``exp(mu2)``, ``exp(-mu_z)``, ``exp(-2 mu1)`` and
+    the four log2 of the two binary entropies, since numpy's SIMD exp and
+    log need not match libm.  So do the squares ``mu1 ** 2`` and
+    ``mu2 ** 2``: CPython's ``x ** 2`` calls libm ``pow``, which is not
+    always ``x * x`` (at mu2 = 0.18750000000000003 they differ by 1 ulp).
+    A row raises the ``ValueError`` that the one-row chain would raise, and
+    only where that chain reaches the check.
     """
 
     def __init__(self, eps: SecurityEpsilons, dark_count_prob: float,
@@ -689,79 +764,103 @@ class _Scorer:
         self.f_ec = error_correction_factor
         self.asymptotic = asymptotic
 
-    def _y1(self, p: SnsParams, row, stride: int) -> float:
-        """Two-decoy lower bound on the single-photon yield of one arm.
+    @staticmethod
+    def _constants(candidates):
+        """(10, P): mu1, mu2, their squares and exps, p_send, mu_z, exp(-mu_z), exp(-2 mu1)."""
+        columns = [
+            (p.mu1, p.mu2, p.mu1 ** 2, p.mu2 ** 2, math.exp(p.mu1), math.exp(p.mu2),
+             p.p_send, p.mu_z, math.exp(-p.mu_z), math.exp(-2.0 * p.mu1))
+            for p in candidates
+        ]
+        flat = np.fromiter(chain.from_iterable(columns), float, 10 * len(columns))
+        return flat.reshape(-1, 10).T
 
-        The arm's vacuum, mu1 and mu2 ensembles are the 3x3 entries 0,
-        ``stride`` and 2 ``stride``: stride 3 for arm a, 1 for arm b.
+    def _check(self, pairs, clicks, live, rows=None, qber=None):
+        """Raise the first of ``_CHAIN_ERRORS`` on the ``live`` rows, rows in order.
+
+        ``pairs`` and ``clicks`` are the (P, 2, 3) decoy ensembles of both
+        arms.  Without ``qber`` only the decoy checks of ``untagged`` apply.
         """
-        pairs0, pairs1, pairs2 = row[_XP], row[_XP + stride], row[_XP + 2 * stride]
-        clicks0, clicks1, clicks2 = row[_XC], row[_XC + stride], row[_XC + 2 * stride]
-        if min(pairs0, pairs1, pairs2) <= 0:
-            raise ValueError("decoy estimation needs vacuum and both decoy ensembles")
-        if min(clicks0, clicks1, clicks2) < 0:
-            raise ValueError("non-physical statistics: negative click counts")
-        if self.asymptotic:
-            s1 = clicks1 / pairs1
-            s2 = clicks2 / pairs2
-            s0 = clicks0 / pairs0
-            s0_low = s0
-        else:
-            ln = self.ln_n1
-            s1 = _chernoff_lower(clicks1, ln) / pairs1
-            s2 = min(1.0, _chernoff_upper(clicks2, ln) / pairs2)
-            s0 = min(1.0, _chernoff_upper(clicks0, ln) / pairs0)
-            s0_low = _chernoff_lower(clicks0, ln) / pairs0
-        mu1, mu2 = p.mu1, p.mu2
-        num = mu2**2 * (s1 * math.exp(mu1) - s0) - mu1**2 * (s2 * math.exp(mu2) - s0_low)
-        y1 = num / (mu1 * mu2 * (mu2 - mu1))
-        return min(1.0, max(0.0, y1))
+        least_pairs = _min3(pairs[..., 0], pairs[..., 1], pairs[..., 2])
+        least_clicks = _min3(clicks[..., 0], clicks[..., 1], clicks[..., 2])
+        checks = [least_pairs[:, 0] <= 0, least_clicks[:, 0] < 0,
+                  least_pairs[:, 1] <= 0, least_clicks[:, 1] < 0]
+        if qber is not None:
+            bounded = ~(rows[:, _SL] <= 0) & (not self.asymptotic)
+            checks.append(bounded & (rows[:, _SL + 1] < 0.0))
+            checks.append(~((0.0 <= qber) & (qber <= 1.0)))
+        bad = np.stack(checks, axis=1) & live[:, None]
+        if bad.any():
+            row = int(bad.any(axis=1).argmax())
+            message = _CHAIN_ERRORS[int(bad[row].argmax())]
+            raise ValueError(message.format(None if qber is None else float(qber[row])))
 
-    def untagged(self, p: SnsParams, row) -> tuple[float, float, float]:
-        """Lower bound on the untagged single-photon Z bits, and both arms' y1."""
-        y1a = self._y1(p, row, 3)
-        y1b = self._y1(p, row, 1)
+    def _yields(self, const, pairs, clicks):
+        """Two-decoy lower bounds on the single-photon yields of both arms, (P, 2)."""
+        if self.asymptotic:
+            low = high = clicks / pairs
+        else:
+            low = _chernoff_lower(clicks, self.ln_n1) / pairs
+            high = _min(1.0, _chernoff_upper(clicks, self.ln_n1) / pairs)
+        mu1, mu2, mu1_sq, mu2_sq, exp_mu1, exp_mu2 = const[:6, :, None]
+        # ensembles 0, 1, 2: vacuum, mu1 and mu2
+        num = (mu2_sq * (low[..., 1] * exp_mu1 - high[..., 0])
+               - mu1_sq * (high[..., 2] * exp_mu2 - low[..., 0]))
+        y1 = num / (mu1 * mu2 * (mu2 - mu1))
+        return _min(1.0, _max0(y1))
+
+    def _untagged(self, const, rows, pairs, clicks):
+        y1 = self._yields(const, pairs, clicks)
+        y1a, y1b = y1[:, 0], y1[:, 1]
+        p_send, mu_z, exp_neg_mu_z = const[6:9]
         # single-send single-photon emission rate in Z windows per side
-        base = row[1] * p.p_send * (1.0 - p.p_send) * p.mu_z * math.exp(-p.mu_z)
+        base = rows[:, 1] * p_send * (1.0 - p_send) * mu_z * exp_neg_mu_z
         n1 = base * (y1a + y1b)
         if not self.asymptotic:
             n1 = _chernoff_lower(n1, self.ln_n1)
-        return max(0.0, n1), y1a, y1b
+        return _max0(n1), y1a, y1b
 
-    def _phase_error(self, p: SnsParams, row, y1_mean: float) -> float:
+    def untagged(self, candidates, rows):
+        """(P,) lower bounds on the untagged single-photon Z bits, and both arms' y1."""
+        pairs, clicks = rows[:, _XP + _ARMS], rows[:, _XC + _ARMS]
+        with np.errstate(all="ignore"):
+            self._check(pairs, clicks, np.full(len(rows), True))
+            return self._untagged(self._constants(candidates), rows, pairs, clicks)
+
+    def _phase_error(self, const, rows, y1_mean):
         """Upper bound on the phase-flip error of untagged bits from slice counts."""
-        pairs, errors = row[_SL], row[_SL + 1]
-        if pairs <= 0:
-            return 0.5
-        vac_err = pairs * math.exp(-2.0 * p.mu1) * self.pdc
+        pairs, errors = rows[:, _SL], rows[:, _SL + 1]
+        mu1, exp_neg_2mu1 = const[0], const[9]
+        vac_err = pairs * exp_neg_2mu1 * self.pdc
         if self.asymptotic:
             num = errors - vac_err
         else:
             num = _chernoff_upper(errors, self.ln_bar) - _chernoff_lower(vac_err, self.ln_bar)
-        singles = pairs * 2.0 * p.mu1 * math.exp(-2.0 * p.mu1) * y1_mean
-        if singles <= 0.0:
-            return 0.5
-        return min(0.5, max(0.0, num / singles))
+        singles = pairs * 2.0 * mu1 * exp_neg_2mu1 * y1_mean
+        e1 = _min(0.5, _max0(num / singles))
+        return np.where((pairs <= 0) | (singles <= 0.0), 0.5, e1)
 
-    def __call__(self, p: SnsParams, row) -> SklBreakdown:
-        """Secret-key length of the block whose counts are ``row``."""
-        n_raw = row[2]
-        if n_raw <= 0.0:
-            return SklBreakdown(row[0], 0.0, 0.0, 0.0, 0.5, 0.0, 0.0)
-        qber = min(1.0, row[3] / n_raw)
-        n1, y1a, y1b = self.untagged(p, row)
-        e1 = self._phase_error(p, row, 0.5 * (y1a + y1b))
-        lam_ec = self.f_ec * n_raw * binary_entropy(qber)
-        bits = n1 * (1.0 - binary_entropy(e1)) - lam_ec - self.correction
-        return SklBreakdown(
-            n_pulses=row[0],
-            n_raw=n_raw,
-            qber_z=qber,
-            n1_lower=n1,
-            e1ph_upper=e1,
-            lambda_ec=lam_ec,
-            skl_bits=max(0.0, bits),
-        )
+    def __call__(self, candidates, rows) -> list[tuple]:
+        """The ledger of each candidate's block, as a tuple of ``SklBreakdown``'s fields.
+
+        ``rows`` holds the (P, ``_ROW``) pooled counts of the P candidates.
+        """
+        const = self._constants(candidates)
+        pairs, clicks = rows[:, _XP + _ARMS], rows[:, _XC + _ARMS]
+        with np.errstate(all="ignore"):
+            n_raw = rows[:, 2]
+            live = ~(n_raw <= 0.0)
+            qber = _min(1.0, rows[:, 3] / n_raw)
+            self._check(pairs, clicks, live, rows, qber)
+            n1, y1a, y1b = self._untagged(const, rows, pairs, clicks)
+            e1 = self._phase_error(const, rows, 0.5 * (y1a + y1b))
+            h_qber, h_e1 = _entropy(np.stack((qber, e1)))
+            lam_ec = self.f_ec * n_raw * h_qber
+            bits = n1 * (1.0 - h_e1) - lam_ec - self.correction
+            ledger = np.stack((rows[:, 0], n_raw, qber, n1, e1, lam_ec, _max0(bits)), axis=1)
+        # a block without raw clicks: the zero ledger, with its pulse count
+        ledger[~live, 1:] = (0.0, 0.0, 0.0, 0.5, 0.0, 0.0)
+        return list(map(tuple, ledger.tolist()))
 
 
 def estimate_untagged(
@@ -771,7 +870,7 @@ def estimate_untagged(
 ) -> tuple[float, dict]:
     """Lower bound on the untagged single-photon Z bits of the block."""
     scorer = _Scorer(eps, stats.dark_count_prob, stats.error_correction_factor, asymptotic)
-    n1, y1a, y1b = scorer.untagged(stats.params, _row(stats))
+    n1, y1a, y1b = (v.item() for v in scorer.untagged([stats.params], np.array([_row(stats)])))
     return n1, {"y1_a": y1a, "y1_b": y1b}
 
 
@@ -782,7 +881,8 @@ def skl(
 ) -> SklBreakdown:
     """Secret-key length of a block from its (expected or sampled) counts."""
     scorer = _Scorer(eps, stats.dark_count_prob, stats.error_correction_factor, asymptotic)
-    return scorer(stats.params, _row(stats))
+    (ledger,) = scorer([stats.params], np.array([_row(stats)]))
+    return SklBreakdown(*ledger)
 
 
 DEFAULT_PARAMS = SnsParams()
@@ -883,7 +983,7 @@ def _coordinate_search(start: SnsParams, max_evals: int):
 _BATCH_CELLS = 4096
 
 # The longest row that numpy's pairwise summation adds without splitting it
-# (PW_BLOCKSIZE in numpy's loops_utils.h.src).  The band rule of _evaluate
+# (PW_BLOCKSIZE in numpy's loops_utils.h.src).  The band rule of _Evaluator
 # rests on that summation's order, which is numpy's internal choice;
 # checked on numpy 2.4.6, and guarded by
 # test_zero_padding_inside_the_band_keeps_counts_bit_identical.
@@ -901,51 +1001,89 @@ def _padded(blocks) -> tuple[np.ndarray, np.ndarray]:
     return arms, pulses
 
 
-def _evaluate(channel, eps, blocks, memos, kernels, requests) -> int:
-    """Fill ``memos[j][params]`` with the ledger of every (j, params) request.
+class _Evaluator:
+    """The optimiser's blocks and the ledger of every (block, candidate) it has scored.
 
-    Requests already memoised, or repeated, are evaluated once.  Returns the
-    number of ``pooled_statistics`` calls made.
+    ``memos[j]`` maps each candidate evaluated on block j to its ledger, a
+    tuple of ``SklBreakdown``'s fields.  ``calls`` counts the
+    ``pooled_statistics`` calls made and ``passes`` the scoring passes.
 
-    Blocks of at most ``_PAIRWISE_BLOCK`` bins are batched by band, bins >>
-    3, and each batch is padded to its widest block with bins of zero pulses
-    and zero arms.  Every count stays bit-identical, because numpy sums a
+    Blocks of at most ``_PAIRWISE_BLOCK`` bins batch by band, bins >> 3;
+    larger ones only with blocks of their own bin count.  Each group's
+    blocks are stacked once, padded to the widest block of the group with
+    bins of zero pulses and zero arms, and a batch gathers its rows from
+    that stack.  Every count stays bit-identical, because numpy sums a
     contiguous row of n <= 128 floats in one of two ways.  Below 8 elements
     it adds them in order.  Otherwise eight accumulators take the elements
     before n - n % 8, by position mod 8, and the rest are added in order.
     A zero-pulse bin adds exactly +0.0 to every sum (its kernels are finite:
     clicks = P_dc, visibility 0), so zeros that keep n inside its band
     [8k, 8k + 7] change no partial sum.  A longer row is split in halves at
-    points that depend on n, so larger blocks batch only with blocks of the
-    same bin count.  A block too large to batch is evaluated one candidate a
-    call, reusing the click kernels in its memo ``kernels[j]``; batches
-    compute theirs inline.
+    points that depend on n, so a group of larger blocks needs no padding.
+    A group too large to batch (more than half of ``_BATCH_CELLS`` bins) has
+    no stack: its blocks are evaluated one candidate a call, reusing the
+    click kernels and pooled sums in the block's memo ``kernels[j]``;
+    batches compute theirs inline.
     """
-    scorer = _Scorer(eps, channel.dark_count_prob, channel.error_correction_factor)
-    groups: dict = {}
-    for j, params in requests:
-        if params not in memos[j]:
-            bins = len(blocks[j][1])
+
+    def __init__(self, channel: ChannelModel, eps: SecurityEpsilons, blocks):
+        self.channel = channel
+        self.scorer = _Scorer(eps, channel.dark_count_prob, channel.error_correction_factor)
+        self.blocks = blocks
+        self.memos = [{} for _ in blocks]
+        self.kernels = [_KernelMemo() for _ in blocks]
+        self.calls = self.passes = 0
+        self.group = []  # per block, its batch group
+        self.slot = []  # per block, its row in the group's stack
+        members: dict = {}
+        for j, (_, pulses) in enumerate(blocks):
+            bins = len(pulses)
             key = ("band", bins >> 3) if bins <= _PAIRWISE_BLOCK else ("bins", bins)
-            groups.setdefault(key, {})[(j, params)] = None
-    calls = 0
-    for pending in groups.values():
-        todo = list(pending)
-        size = max(1, _BATCH_CELLS // max(len(blocks[j][1]) for j, _ in todo))
-        for lo in range(0, len(todo), size):
-            chunk = todo[lo : lo + size]
-            candidates = [p for _, p in chunk]
-            if size == 1:
-                ((j, _),) = chunk
-                stats = pooled_statistics(channel, candidates, *blocks[j], kernels[j])
-            else:
-                stats = pooled_statistics(
-                    channel, candidates, *_padded([blocks[j] for j, _ in chunk])
-                )
-            calls += 1
-            for (j, params), st in zip(chunk, stats):
-                memos[j][params] = scorer(params, _row(st))
-    return calls
+            self.group.append(key)
+            self.slot.append(len(members.setdefault(key, [])))
+            members[key].append(j)
+        # per group: (candidates a call, stacked arms, stacked pulses), or None
+        self.stacks = {}
+        for key, js in members.items():
+            size = _BATCH_CELLS // max(len(blocks[j][1]) for j in js)
+            self.stacks[key] = (size, *_padded([blocks[j] for j in js])) if size > 1 else None
+
+    def evaluate(self, requests) -> None:
+        """Score every (j, params) request not yet in ``memos[j]``, in one scoring pass.
+
+        Repeated requests are evaluated once.  Each batch of a group, and
+        each candidate of a block too large to batch, is one
+        ``pooled_statistics`` call; the rows of all of them are then scored
+        together.
+        """
+        pending: dict = {}
+        for j, params in requests:
+            if params not in self.memos[j]:
+                pending.setdefault(self.group[j], {})[(j, params)] = None
+        todo, rows = [], []
+        for key, group in pending.items():
+            group = list(group)
+            todo.extend(group)
+            stack = self.stacks[key]
+            if stack is None:  # one candidate a call, through the block's memo
+                for j, params in group:
+                    arms, pulses = self.blocks[j]
+                    stats = pooled_statistics(self.channel, params, arms, pulses, self.kernels[j])
+                    rows.append(_row(stats))
+                self.calls += len(group)
+                continue
+            size, arms, pulses = stack
+            for lo in range(0, len(group), size):
+                chunk = group[lo : lo + size]
+                at = [self.slot[j] for j, _ in chunk]
+                stats = pooled_statistics(self.channel, [p for _, p in chunk], arms[at], pulses[at])
+                rows.extend(map(_row, stats))
+                self.calls += 1
+        if todo:
+            ledgers = self.scorer([p for _, p in todo], np.array(rows))
+            self.passes += 1
+            for (j, params), ledger in zip(todo, ledgers):
+                self.memos[j][params] = ledger
 
 
 def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
@@ -955,19 +1093,19 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
     coordinate searches from the first ``n_starts`` (at least one) of its
     best grid point, ``DEFAULT_PARAMS`` and its second-best grid point.  All
     searches of all blocks run in lockstep: every round evaluates the
-    pending candidate of each live search in one batched evaluation, and a
-    search advances without one through points its block has already
-    evaluated (a revisit still counts toward ``max_evals``).
+    pending candidate of each live search in one ``_Evaluator.evaluate``
+    call, and a search advances without one through points its block has
+    already evaluated (a revisit still counts toward ``max_evals``).
     Returns one (params, SklBreakdown) per block.
     """
-    memos: list[dict] = [{} for _ in blocks]
-    kernels = [_KernelMemo() for _ in blocks]
-    grid = [(j, p) for j in range(len(blocks)) for p in DEFAULT_GRID]
-    calls = _evaluate(channel, eps, blocks, memos, kernels, grid)
+    evaluator = _Evaluator(channel, eps, blocks)
+    memos = evaluator.memos
+    evaluator.evaluate([(j, p) for j in range(len(blocks)) for p in DEFAULT_GRID])
     best = []  # per block: (params, value), the grid's best to start with
     searches = []  # [block, search, pending candidate, result], seed order within a block
     for j, memo in enumerate(memos):
-        scored = [(memo[p].skl_bits, i, p) for i, p in enumerate(DEFAULT_GRID)]
+        # a ledger's last field is skl_bits
+        scored = [(memo[p][-1], i, p) for i, p in enumerate(DEFAULT_GRID)]
         scored.sort(key=lambda t: (-t[0], t[1]))
         best.append((scored[0][2], scored[0][0]))
         for seed in [scored[0][2], DEFAULT_PARAMS, scored[1][2]][: max(n_starts, 1)]:
@@ -976,15 +1114,13 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
 
     live = searches
     while live:
-        calls += _evaluate(
-            channel, eps, blocks, memos, kernels, [(j, cand) for j, _, cand, _ in live]
-        )
+        evaluator.evaluate([(j, cand) for j, _, cand, _ in live])
         for entry in live:
             j, search, cand, _ = entry
             memo = memos[j]
             try:
                 while cand in memo:
-                    cand = search.send(memo[cand].skl_bits)
+                    cand = search.send(memo[cand][-1])
                 entry[2] = cand
             except StopIteration as done:
                 entry[3] = done.value
@@ -994,6 +1130,8 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
         if v > best[j][1]:
             best[j] = (p, v)
     if log.isEnabledFor(logging.DEBUG):
+        kernels = evaluator.kernels
+
         def counts(hits, misses, names):
             return ", ".join(
                 f"{name} {sum(getattr(k, hits)[name] for k in kernels)}"
@@ -1002,12 +1140,12 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
             )
 
         log.debug(
-            "optimised %d blocks in %d evaluations over %d batched calls; "
-            "kernel memo hits/misses: %s; sum memo hits/misses: %s",
-            len(blocks), sum(map(len, memos)), calls,
+            "optimised %d blocks in %d evaluations over %d batched calls and %d scoring "
+            "passes; kernel memo hits/misses: %s; sum memo hits/misses: %s",
+            len(blocks), sum(map(len, memos)), evaluator.calls, evaluator.passes,
             counts("hits", "misses", _KERNEL_CAPS), counts("sum_hits", "sum_misses", _GROUPS),
         )
-    return [(p, memos[j][p]) for j, (p, _) in enumerate(best)]
+    return [(p, SklBreakdown(*memos[j][p])) for j, (p, _) in enumerate(best)]
 
 
 def accumulate_links(

@@ -292,10 +292,15 @@ def _isl_reference(config: ScenarioConfig, spec, times) -> list:
 
 
 def run_campaign(config: ScenarioConfig) -> CampaignResult:
-    """Simulate ``n_days`` independent days and aggregate their statistics."""
+    """Simulate ``n_days`` independent days and aggregate their statistics.
+
+    Days run in a pool of at most one worker a day, or serially when that is
+    one worker.
+    """
     cache: dict = {}
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, config.n_days)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             days = list(pool.map(_run_day_job, [(config, d) for d in range(config.n_days)]))
     else:
         days = [run_day(config, d, cache) for d in range(config.n_days)]

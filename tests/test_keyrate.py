@@ -1,6 +1,7 @@
 """Key-rate tests: click model vs Monte-Carlo oracle, decoy bounds, SKL."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -32,8 +33,9 @@ from ringqkd.keyrate import (
     _COORDS,
     _KERNEL_CAPS,
     _PAIRWISE_BLOCK,
-    _evaluate,
+    _Evaluator,
     _KernelMemo,
+    _Scorer,
     _click,
     _pooled_rows,
     _row,
@@ -464,13 +466,16 @@ def test_small_blocks_batch_by_band():
         arms = 10.0 ** (-rng.uniform(20.0, 50.0, (n, 2)) / 10.0)
         blocks.append((arms, rng.uniform(1e9, 1e11, n)))
     ch = ChannelModel()
-    memos = [{} for _ in blocks]
-    requests = [(j, p) for j in range(len(blocks)) for p in DEFAULT_GRID]
-    calls = _evaluate(ch, EPS, blocks, memos, [_KernelMemo() for _ in blocks], requests)
+    evaluator = _Evaluator(ch, EPS, blocks)
+    evaluator.evaluate([(j, p) for j in range(len(blocks)) for p in DEFAULT_GRID])
     # one call for 1-7 bins, one for 8-15, and two for 130 bins (31 candidates a call)
-    assert calls == 4
-    for memo, (arms, pulses) in zip(memos, blocks):
-        assert memo == {p: skl(pooled_statistics(ch, p, arms, pulses), EPS) for p in DEFAULT_GRID}
+    assert evaluator.calls == 4
+    # each band is stacked once, padded to its widest block
+    assert [stack[2].shape for stack in evaluator.stacks.values()] == [(3, 7), (2, 15), (1, 130)]
+    for memo, (arms, pulses) in zip(evaluator.memos, blocks):
+        assert memo == {
+            p: astuple(skl(pooled_statistics(ch, p, arms, pulses), EPS)) for p in DEFAULT_GRID
+        }
 
 
 def test_pooled_statistics_rejects_misaligned_bins():
@@ -481,6 +486,244 @@ def test_pooled_statistics_rejects_misaligned_bins():
         pooled_statistics(ch, [SnsParams()] * 3, np.ones((2, 4, 2)) * 1e-4, np.ones((2, 4)))
     with pytest.raises(ValueError):  # total efficiencies, not arm pairs
         pooled_statistics(ch, SnsParams(), np.array([1e-4, 1e-5]), np.array([1e8, 2e8]))
+
+
+# ------------------------------------------- the vector scorer vs the scalar chain
+
+
+def scalar_chernoff_lower(expected, log_inv_eps):
+    if expected <= 0.0:
+        return 0.0
+    return max(0.0, expected - math.sqrt(2.0 * expected * log_inv_eps))
+
+
+def scalar_chernoff_upper(expected, log_inv_eps):
+    if expected < 0.0:
+        raise ValueError("expected count must be >= 0")
+    return expected + math.sqrt(2.0 * expected * log_inv_eps) + log_inv_eps
+
+
+class ScalarScorer:
+    """The finite-key chain on one row of Python floats: the reference for ``_Scorer``."""
+
+    def __init__(self, eps, dark_count_prob, error_correction_factor, asymptotic=False):
+        self.ln_n1 = math.log(1.0 / eps.eps_n1)
+        self.ln_bar = math.log(1.0 / eps.eps_bar)
+        self.correction = correction_term(eps)
+        self.pdc = dark_count_prob
+        self.f_ec = error_correction_factor
+        self.asymptotic = asymptotic
+
+    def y1(self, p, row, stride):
+        xp, xc = 4, 13  # offsets of x_pairs and x_clicks in the row
+        pairs0, pairs1, pairs2 = row[xp], row[xp + stride], row[xp + 2 * stride]
+        clicks0, clicks1, clicks2 = row[xc], row[xc + stride], row[xc + 2 * stride]
+        if min(pairs0, pairs1, pairs2) <= 0:
+            raise ValueError("decoy estimation needs vacuum and both decoy ensembles")
+        if min(clicks0, clicks1, clicks2) < 0:
+            raise ValueError("non-physical statistics: negative click counts")
+        if self.asymptotic:
+            s1 = clicks1 / pairs1
+            s2 = clicks2 / pairs2
+            s0 = clicks0 / pairs0
+            s0_low = s0
+        else:
+            ln = self.ln_n1
+            s1 = scalar_chernoff_lower(clicks1, ln) / pairs1
+            s2 = min(1.0, scalar_chernoff_upper(clicks2, ln) / pairs2)
+            s0 = min(1.0, scalar_chernoff_upper(clicks0, ln) / pairs0)
+            s0_low = scalar_chernoff_lower(clicks0, ln) / pairs0
+        mu1, mu2 = p.mu1, p.mu2
+        num = mu2**2 * (s1 * math.exp(mu1) - s0) - mu1**2 * (s2 * math.exp(mu2) - s0_low)
+        y1 = num / (mu1 * mu2 * (mu2 - mu1))
+        return min(1.0, max(0.0, y1))
+
+    def untagged(self, p, row):
+        y1a = self.y1(p, row, 3)
+        y1b = self.y1(p, row, 1)
+        base = row[1] * p.p_send * (1.0 - p.p_send) * p.mu_z * math.exp(-p.mu_z)
+        n1 = base * (y1a + y1b)
+        if not self.asymptotic:
+            n1 = scalar_chernoff_lower(n1, self.ln_n1)
+        return max(0.0, n1), y1a, y1b
+
+    def phase_error(self, p, row, y1_mean):
+        pairs, errors = row[22], row[23]
+        if pairs <= 0:
+            return 0.5
+        vac_err = pairs * math.exp(-2.0 * p.mu1) * self.pdc
+        if self.asymptotic:
+            num = errors - vac_err
+        else:
+            num = (scalar_chernoff_upper(errors, self.ln_bar)
+                   - scalar_chernoff_lower(vac_err, self.ln_bar))
+        singles = pairs * 2.0 * p.mu1 * math.exp(-2.0 * p.mu1) * y1_mean
+        if singles <= 0.0:
+            return 0.5
+        return min(0.5, max(0.0, num / singles))
+
+    def __call__(self, p, row):
+        n_raw = row[2]
+        if n_raw <= 0.0:
+            return SklBreakdown(row[0], 0.0, 0.0, 0.0, 0.5, 0.0, 0.0)
+        qber = min(1.0, row[3] / n_raw)
+        n1, y1a, y1b = self.untagged(p, row)
+        e1 = self.phase_error(p, row, 0.5 * (y1a + y1b))
+        lam_ec = self.f_ec * n_raw * binary_entropy(qber)
+        bits = n1 * (1.0 - binary_entropy(e1)) - lam_ec - self.correction
+        return SklBreakdown(row[0], n_raw, qber, n1, e1, lam_ec, max(0.0, bits))
+
+
+def scalar_skl(stats, eps, asymptotic=False):
+    scorer = ScalarScorer(eps, stats.dark_count_prob, stats.error_correction_factor, asymptotic)
+    return scorer(stats.params, _row(stats))
+
+
+def bits_of(ledgers):
+    """The bytes of every float of the ledgers, so that -0.0 and 0.0 differ."""
+    return np.array([tuple(ledger) for ledger in ledgers], dtype=float).tobytes()
+
+
+def scalar_outcome(scorer, candidates, rows):
+    """The ledgers of the rows scored one at a time, or the first ValueError's message."""
+    try:
+        return [astuple(scorer(p, row)) for p, row in zip(candidates, rows.tolist())]
+    except ValueError as err:
+        return str(err)
+
+
+def vector_outcome(scorer, candidates, rows):
+    try:
+        return scorer(candidates, rows)
+    except ValueError as err:
+        return str(err)
+
+
+EPS_SETS = (EPS, SecurityEpsilons(eps_cor=1e-6, eps_pa=1e-3, eps_hat=1e-5, eps_bar=1e-2,
+                                  eps_n1=1e-4))
+
+# what a drawn row is made into: (entries, value), or None for the pooled
+# counts as they are; each other edit takes the chain down one of its branches
+ROW_EDITS = {
+    "pooled": None,
+    "no raw clicks": (2, 0.0),
+    "negative raw clicks": (2, -1.0),
+    "no slice pairs": (22, 0.0),
+    # no decoy clicks on either arm: both y1 are 0, so no single-photon events
+    "zero singles": (slice(13, 22), 0.0),
+    "signed zero clicks": (slice(13, 22), -0.0),
+    "signed zero slice errors": (23, -0.0),
+    "errors beyond clicks": (3, 1e30),
+    "no errors": (3, 0.0),
+}
+
+# edits that the chain rejects where it reaches them
+BAD_EDITS = {
+    "no vacuum pairs": (4, 0.0),
+    "no mu2 pairs of arm b": (6, 0.0),
+    "negative mu2 clicks of arm a": (19, -1.0),
+    "negative mu1 clicks of arm b": (14, -1.0),
+    "negative slice errors": (23, -1.0),
+    "negative errors": (3, -1.0),
+}
+
+
+@st.composite
+def scored_rows(draw, edits):
+    """(candidates, (P, 24) rows, P_dc): pooled rows of random bins, each edited by ``edits``."""
+    candidates = draw(st.lists(sns_params(), min_size=1, max_size=8))
+    arms, pulses = draw(loss_bins(max_bins=6))
+    pdc = draw(st.sampled_from((0.0, 1e-9, 1e-6)))
+    rows = _pooled_rows(ChannelModel(dark_count_prob=pdc), candidates, arms, pulses)
+    for row in rows:
+        edit = edits[draw(st.sampled_from(sorted(edits)))]
+        if edit is not None:
+            row[edit[0]] = edit[1]
+    if draw(st.booleans()):  # a dead block: no clicks at all
+        rows[draw(st.integers(0, len(rows) - 1)), 2:] = 0.0
+    return candidates, rows, pdc
+
+
+@settings(max_examples=150, deadline=None)
+@given(scored_rows(ROW_EDITS), st.sampled_from(EPS_SETS), st.booleans(),
+       st.sampled_from((1.0, 1.11, 1.2)))
+def test_vector_scorer_matches_the_scalar_chain_bit_for_bit(drawn, eps, asymptotic, f_ec):
+    candidates, rows, pdc = drawn
+    want = scalar_outcome(ScalarScorer(eps, pdc, f_ec, asymptotic), candidates, rows)
+    got = vector_outcome(_Scorer(eps, pdc, f_ec, asymptotic), candidates, rows)
+    if isinstance(want, str):  # a zeroed decoy ensemble on a live row
+        assert got == want
+    else:
+        assert bits_of(got) == bits_of(want)
+        assert all(type(v) is float for ledger in got for v in ledger)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_rows(BAD_EDITS), st.sampled_from(EPS_SETS), st.booleans())
+def test_vector_scorer_raises_where_the_scalar_chain_raises(drawn, eps, asymptotic):
+    candidates, rows, pdc = drawn
+    want = scalar_outcome(ScalarScorer(eps, pdc, 1.11, asymptotic), candidates, rows)
+    got = vector_outcome(_Scorer(eps, pdc, 1.11, asymptotic), candidates, rows)
+    if isinstance(want, str):
+        assert got == want
+    else:  # every bad row was dead, or its bad count was not read
+        assert bits_of(got) == bits_of(want)
+
+
+def test_every_error_of_the_chain_is_raised():
+    ch, arms = make_channel(30.0)
+    row = _pooled_rows(ch, [SnsParams()], np.array([arms]), np.array([1e10]))
+    for name, (entries, value) in BAD_EDITS.items():
+        bad = row.copy()
+        bad[0, entries] = value
+        want = scalar_outcome(ScalarScorer(EPS, 1e-9, 1.11), [SnsParams()], bad)
+        assert isinstance(want, str), name
+        assert vector_outcome(_Scorer(EPS, 1e-9, 1.11), [SnsParams()], bad) == want, name
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 17])
+def test_signed_zeros_match_the_scalar_chain(rows):
+    # numpy's fmax returns either zero for (-0.0, 0.0), depending on the
+    # element's position; Python's max(0.0, -0.0) is 0.0.  With no dark
+    # counts and -0.0 slice errors, the asymptotic phase error is max(0.0, -0.0)
+    ch, arms = make_channel(30.0)
+    candidates = [SnsParams()] * rows
+    counts = _pooled_rows(ChannelModel(dark_count_prob=0.0), candidates, np.array([arms]),
+                          np.array([1e11]))
+    counts[:, 23] = -0.0
+    counts[1::2, 23] = 0.0
+    for asymptotic in (False, True):
+        want = scalar_outcome(ScalarScorer(EPS, 0.0, 1.11, asymptotic), candidates, counts)
+        got = _Scorer(EPS, 0.0, 1.11, asymptotic)(candidates, counts)
+        assert bits_of(got) == bits_of(want)
+
+
+def test_squares_stay_libm_pow():
+    # CPython's x ** 2 calls libm pow, which is not always x * x; the scorer
+    # squares mu1 and mu2 in Python, so that its bits stay the scalar chain's
+    trap = 0.18750000000000003
+    assert trap**2 != trap * trap
+    candidates = [SnsParams(mu1=trap * r, mu2=trap) for r in (0.05, 0.1, 0.2, 0.5)]
+    candidates += [SnsParams(mu1=trap, mu2=mu2) for mu2 in (0.25, 0.5, 1.0)]
+    ch, arms = make_channel(30.0)
+    rows = _pooled_rows(ch, candidates, np.array([arms]), np.array([1e11]))
+    for asymptotic in (False, True):
+        want = scalar_outcome(ScalarScorer(EPS, 1e-9, 1.11, asymptotic), candidates, rows)
+        got = _Scorer(EPS, 1e-9, 1.11, asymptotic)(candidates, rows)
+        assert bits_of(got) == bits_of(want)
+
+
+def test_skl_and_estimate_untagged_equal_the_scalar_chain():
+    for loss in (20.0, 45.0, 70.0, 144.0):
+        ch, arms = make_channel(loss)
+        for params in DEFAULT_GRID[::7]:
+            stats = expected_statistics(ch, params, arms, 1e11)
+            for asymptotic in (False, True):
+                want = scalar_skl(stats, EPS, asymptotic)
+                assert bits_of([astuple(skl(stats, EPS, asymptotic))]) == bits_of([astuple(want)])
+                scorer = ScalarScorer(EPS, 1e-9, 1.11, asymptotic)
+                n1, y1 = estimate_untagged(stats, EPS, asymptotic)
+                assert (n1, y1["y1_a"], y1["y1_b"]) == scorer.untagged(params, _row(stats))
 
 
 def _reference_search(objective, start, max_evals):
@@ -515,7 +758,7 @@ def _reference_search(objective, start, max_evals):
 
 def _reference_optimize(channel, eps, arms, pulses, n_starts, max_evals):
     def objective(params):
-        return skl(pooled_statistics(channel, params, arms, pulses), eps).skl_bits
+        return scalar_skl(pooled_statistics(channel, params, arms, pulses), eps).skl_bits
 
     scored = [(objective(p), i, p) for i, p in enumerate(DEFAULT_GRID)]
     scored.sort(key=lambda t: (-t[0], t[1]))
@@ -524,7 +767,7 @@ def _reference_optimize(channel, eps, arms, pulses, n_starts, max_evals):
         p, v = _reference_search(objective, seed, max_evals)
         if v > best_v:
             best_v, best_p = v, p
-    return best_p, skl(pooled_statistics(channel, best_p, arms, pulses), eps)
+    return best_p, scalar_skl(pooled_statistics(channel, best_p, arms, pulses), eps)
 
 
 @st.composite
@@ -600,6 +843,43 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def count_method_calls(monkeypatch, cls, name):
+    """The arguments, after self, of every call of ``cls.name``."""
+    calls = []
+    original = getattr(cls, name)
+    monkeypatch.setattr(
+        cls, name, lambda self, *args: calls.append(args) or original(self, *args)
+    )
+    return calls
+
+
+def test_one_evaluate_call_is_one_scoring_pass(monkeypatch):
+    # banded blocks, a block of 130 bins and one too large to batch, which
+    # evaluates one candidate a call through its memo: all rows of the
+    # call are scored together
+    rng = np.random.default_rng(5)
+    blocks = []
+    for n in (2, 5, 9, 130):
+        arms = 10.0 ** (-rng.uniform(20.0, 50.0, (n, 2)) / 10.0)
+        blocks.append((arms, rng.uniform(1e9, 1e11, n)))
+    profile = large_profile(6, LARGE)
+    blocks.append((np.array([b[0] for b in profile]), np.array([b[1] for b in profile])))
+    ch = ChannelModel()
+    evaluator = _Evaluator(ch, EPS, blocks)
+    passes = count_method_calls(monkeypatch, _Scorer, "__call__")
+    requests = [(j, p) for j in range(len(blocks)) for p in DEFAULT_GRID[:20]]
+    evaluator.evaluate(requests + requests[:7])  # repeats are scored once
+    assert evaluator.calls == 1 + 1 + 1 + 20
+    assert [len(candidates) for candidates, _ in passes] == [len(requests)]
+    assert evaluator.passes == 1
+    evaluator.evaluate(requests)  # all memoised: nothing to score
+    assert len(passes) == evaluator.passes == 1
+    for memo, (arms, pulses) in zip(evaluator.memos, blocks):
+        for p in DEFAULT_GRID[:20]:
+            want = scalar_skl(pooled_statistics(ch, p, arms, pulses), EPS)
+            assert bits_of([memo[p]]) == bits_of([astuple(want)])
+
+
 def test_kernel_memo_skips_recomputing_unchanged_kernels(monkeypatch):
     ch = ChannelModel()
     profile = large_profile(7, LARGE)
@@ -610,9 +890,10 @@ def test_kernel_memo_skips_recomputing_unchanged_kernels(monkeypatch):
     want = [skl(pooled_statistics(ch, p, *block), EPS) for p in candidates]
     calls = {name: count_calls(monkeypatch, name)
              for name in ("_z_clicks", "_x_clicks", "_slice_clicks")}
-    memos, kernels = [{}], [_KernelMemo()]
-    _evaluate(ch, EPS, [block], memos, kernels, [(0, p) for p in candidates])
-    assert [memos[0][p] for p in candidates] == want
+    evaluator = _Evaluator(ch, EPS, [block])
+    evaluator.evaluate([(0, p) for p in candidates])
+    kernels = evaluator.kernels
+    assert [SklBreakdown(*evaluator.memos[0][p]) for p in candidates] == want
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
     # a group's sums are reused while the fields its counts read repeat:
     # z reads (p_z, p_send, mu_z), x (p_z, p0, p1, mu1, mu2), slice (p_z, p1, mu1, delta)
@@ -621,10 +902,10 @@ def test_kernel_memo_skips_recomputing_unchanged_kernels(monkeypatch):
     # and only a sum miss looks its kernel up
     assert kernels[0].hits == {"z": 3, "x": 4, "slice": 3}
     # a batched block of a few bins computes its kernels inline
-    small = (block[0][:3], block[1][:3])
-    _evaluate(ch, EPS, [small], [{}], kernels, [(0, p) for p in candidates])
+    small = _Evaluator(ch, EPS, [(block[0][:3], block[1][:3])])
+    small.evaluate([(0, p) for p in candidates])
     assert len(calls["_slice_clicks"]) == 2
-    assert kernels[0].misses == dict.fromkeys(_KERNEL_CAPS, 1)
+    assert small.kernels[0].misses == dict.fromkeys(_KERNEL_CAPS, 0)
 
 
 @st.composite
@@ -714,10 +995,14 @@ def test_optimiser_logs_one_debug_line_per_call(caplog, capsys, monkeypatch):
     # each batched evaluation is one call of the public pooled_statistics,
     # so profilers that wrap that name see every one
     calls = count_calls(monkeypatch, "pooled_statistics")
+    # and each evaluate call is one scoring pass
+    evaluations = count_method_calls(monkeypatch, _Evaluator, "evaluate")
     with caplog.at_level("DEBUG", logger="ringqkd.keyrate"):
         accumulate_links(profiles, ChannelModel(), EPS, max_evals=20)
     (record,) = caplog.records
     message = record.getMessage()
     assert message.startswith("optimised 2 blocks in ")
-    assert f" evaluations over {len(calls)} batched calls; " in message
+    assert len(evaluations) > 1
+    assert (f" evaluations over {len(calls)} batched calls and {len(evaluations)} scoring "
+            "passes; ") in message
     assert "kernel memo hits/misses: z " in message

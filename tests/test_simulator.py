@@ -274,6 +274,31 @@ def test_campaign_workers_match_serial():
     assert serial.std == parallel.std
 
 
+@pytest.mark.parametrize("workers,n_days,pools", [(64, 1, []), (64, 3, [3]), (2, 3, [2])])
+def test_campaign_pool_has_at_most_one_worker_a_day(monkeypatch, workers, n_days, pools):
+    # the pool forks all of its workers at the first submit, so a larger
+    # pool than there are days only starts idle processes
+    made = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", InProcessPool)
+    cfg = replace(short_config(), workers=workers, n_days=n_days, optimizer_evals=1)
+    assert len(run_campaign(cfg).days) == n_days
+    assert made == pools
+
+
 def test_sweep_axes():
     cfg = short_config()
     by_n = sweep(cfg, "num_sats", [12, 20])
