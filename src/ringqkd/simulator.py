@@ -3,12 +3,14 @@
 One simulated day: take each ground station's serving satellite, its
 zenith angle and the visibility sessions on the day's sample grid from
 geometry (``serving_state``, ``extract_sessions``), which evaluate only the
-few satellites that can serve each sample; along each session, sample the
-uplink and the serving satellite's two inter-satellite chords, propagating
-only those three satellites; form the effective twin-field link per
-sample, pool every sample of the same (ground station, partner satellite)
-link into one finite-key block, optimise the protocol parameters per link,
-and aggregate
+few satellites that can serve each sample; take each station's sessions in
+groups of consecutive sessions of a few thousand samples, and for all of a
+group's samples at once budget the uplink and the serving satellite's two
+inter-satellite chords, propagating only those three satellites per
+sample; form the effective twin-field link per sample and count the
+samples of each (session, partner, loss bin); pool every sample of the
+same (ground station, partner satellite) link into one finite-key block,
+optimise the protocol parameters per link, and aggregate
 
     SKL_protocol = sum over serving satellites i of
                    min{ SKL(GS1, i +/- 1), SKL(GS2, k +/- 1) },   k = i + N/2,
@@ -108,22 +110,106 @@ def day_phase_deg(config: ScenarioConfig, day_index: int) -> float:
     return (config.constellation.phase0_deg + 360.0 * frac) % 360.0
 
 
-def _effective_bins(config, ul_eff, isl_eff):
-    """Per-sample effective link -> {bin key: seconds}; key encodes the mode."""
-    dt = config.time_step_s
-    out = {}
+# A group of consecutive sessions holds at most this many samples, and a
+# longer session is a group of its own: enough samples that the budgets'
+# per-call cost fades, few enough that their arrays stay a small part of a
+# day's memory (whole-station arrays raised the peak resident memory of a
+# Type-II N=36 day from 121 to 133 MB).
+_GROUP_SAMPLES = 4096
+
+# the serving satellite's two partners, as offsets along the ring
+_SIDES = (-1, 1)
+
+
+def _sample_groups(lengths: list) -> list:
+    """Consecutive sessions [j0, j1) of at most ``_GROUP_SAMPLES`` samples together."""
+    groups = []
+    start = size = 0
+    for j, length in enumerate(lengths):
+        if j > start and size + length > _GROUP_SAMPLES:
+            groups.append((start, j))
+            start, size = j, 0
+        size += length
+    if lengths:
+        groups.append((start, len(lengths)))
+    return groups
+
+
+def _run_starts(*cols) -> np.ndarray:
+    """Where each run of equal rows of the sorted columns ``cols`` starts."""
+    new = np.zeros(len(cols[0]), dtype=bool)
+    new[:1] = True
+    for c in cols:
+        new[1:] |= c[1:] != c[:-1]
+    return np.flatnonzero(new)
+
+
+def _effective_bins(config, session, ul_eff, isl_eff) -> np.ndarray:
+    """Per-sample effective links -> one row per bin: (session, side, key, seconds).
+
+    ``session`` labels each sample, ``ul_eff`` is its uplink efficiency and
+    ``isl_eff`` holds one row of ISL efficiencies per side.  The key encodes
+    the mode: the better arm's loss in dB to 0.01 (``max``), or two columns,
+    (uplink dB, ISL dB).  Rows come in (session, side, key) order.  A bin's
+    seconds are dt added once per sample, 0.0 + dt + dt + ..., as a
+    sample-by-sample tally adds them.
+    """
+    isl_eff = np.atleast_2d(isl_eff)
+    sides, m = isl_eff.shape
+    cols = [np.tile(session, sides), np.repeat(np.arange(sides), m)]
     if config.effective_mode == "max":
-        eff = np.maximum(ul_eff, isl_eff)
-        keys = np.round(to_db(eff), 2)
-        for k in keys:
-            out[float(k)] = out.get(float(k), 0.0) + dt
+        cols.append(np.round(to_db(np.maximum(ul_eff, isl_eff)), 2).ravel())
     else:
-        ku = np.round(to_db(ul_eff), 2)
-        ki = np.round(to_db(isl_eff), 2)
-        for a, b in zip(ku, ki):
-            key = (float(a), float(b))
-            out[key] = out.get(key, 0.0) + dt
-    return out
+        cols.append(np.tile(np.round(to_db(ul_eff), 2), sides))
+        cols.append(np.round(to_db(isl_eff), 2).ravel())
+    rows = np.column_stack(cols)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    first = _run_starts(*rows.T)
+    counts = np.diff(np.append(first, len(rows)))
+    seconds = np.cumsum(np.full(counts.max(), config.time_step_s))[counts - 1]
+    return np.column_stack([rows[first], seconds])
+
+
+def _station_profiles(config, gs_id: int, sats, bins) -> dict:
+    """One station's bin rows, in the order of the day -> {(gs_id, partner): [profile, ...]}.
+
+    ``bins`` are ``_effective_bins`` rows and ``sats`` each session's serving
+    satellite.  Daily pooling adds a bin's seconds over the link's sessions
+    in the order of the day, ((0.0 + s1) + s2) + ..., as a link's bin dict
+    would; session pooling keeps one block per session.  Each bin dict is
+    dropped once its profile is made.
+    """
+    session = bins[:, 0].astype(np.intp)
+    side = np.take(_SIDES, bins[:, 1].astype(np.intp))
+    partner = (np.take(sats, session) + side) % config.constellation.num_sats
+    keys = bins[:, 2:-1].T
+    seconds = bins[:, -1]
+    if config.pooling == "daily":
+        # a stable sort keeps each bin's sessions in the order of the day
+        order = np.lexsort((*keys[::-1], partner))
+        partner, keys, seconds = partner[order], keys[:, order], seconds[order]
+        first = _run_starts(partner, *keys)
+        runs = np.diff(np.append(first, len(seconds)))
+        total = seconds[first]
+        for p in range(1, runs.max()):
+            more = runs > p
+            total[more] += seconds[first[more] + p]
+        partner, keys, seconds = partner[first], keys[:, first], total
+        blocks = _run_starts(partner)
+    else:  # per-session blocks, summed afterwards
+        order = np.argsort(partner, kind="stable")
+        partner, session = partner[order], session[order]
+        keys, seconds = keys[:, order], seconds[order]
+        blocks = _run_starts(partner, session)
+    keys = keys.tolist()
+    seconds = seconds.tolist()
+    profiles: dict = {}
+    for b0, b1 in zip(blocks.tolist(), [*blocks[1:].tolist(), len(seconds)]):
+        block = [k[b0:b1] for k in keys]
+        block = block[0] if len(block) == 1 else zip(*block)
+        profile = _bins_to_profile(config, dict(zip(block, seconds[b0:b1])))
+        profiles.setdefault((gs_id, int(partner[b0])), []).append(profile)
+    return profiles
 
 
 def _bins_to_profile(config, bins: dict):
@@ -150,7 +236,8 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
     if times[-1] < spec.epoch_s + t_total:
         times = np.append(times, spec.epoch_s + t_total)
 
-    link_session_bins: dict = {}  # (gs_id, partner) -> [per-session bin dict]
+    # (gs_id, partner) -> the link's profiles: one daily block, or one per session
+    link_profiles: dict = {}
     rho = {}
     serving_sats: set[int] = set()
     for gs in (config.gs1, config.gs2):
@@ -160,49 +247,50 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
         sessions, sample_ranges = extract_sessions(
             spec, gs, times, dt, state, zmin, config.theta_max_deg
         )
+        sats = [session.serving_sat for session in sessions]
+        starts, stops = np.array(sample_ranges, dtype=np.intp).reshape(-1, 2).T
+        lengths = stops - starts
+        groups = _sample_groups(lengths.tolist())
         if log.isEnabledFor(logging.DEBUG):
             log.debug(
-                "day %d station %d: %d samples, %d on full rows; %d sessions; zenith %.3f s",
+                "day %d station %d: %d samples, %d on full rows; %d sessions in %d"
+                " sample groups; zenith %.3f s",
                 day_index, gs.id, times.size, _candidates(spec, gs, times)[1].size,
-                len(sessions), t_zenith,
+                len(sessions), len(groups), t_zenith,
             )
         rho[gs.id] = visibility_fraction(sessions, t_total)
-        for session, (i0, i1) in zip(sessions, sample_ranges):
-            sat = session.serving_sat
-            if gs.id == 1:
-                serving_sats.add(sat)
+        if gs.id == 1:
+            serving_sats.update(sats)
+        bins = []
+        for j0, j1 in groups:
+            # the group's samples, session by session, and their sessions
+            lens = lengths[j0:j1]
+            session = np.repeat(np.arange(j0, j1), lens)
+            idx = np.arange(session.size) + np.repeat(starts[j0:j1] - np.cumsum(lens) + lens, lens)
             # zmin is the serving satellite's zenith angle inside a session
-            zen = np.radians(np.clip(zmin[i0:i1], 0.0, config.theta_max_deg))
+            zen = np.radians(np.clip(zmin[idx], 0.0, config.theta_max_deg))
             ul = uplink_efficiency(
                 zen, config.optics, config.turbulence,
                 altitude_km=spec.altitude_km, theta_max_deg=config.theta_max_deg,
             )
-            pos = positions_eci_km(spec, times[i0:i1], [sat - 1, sat, sat + 1])
-            for side in (-1, 1):
-                partner = (sat + side) % n
-                chord_m = np.linalg.norm(pos[:, 1] - pos[:, 1 + side], axis=-1) * 1e3
-                isl = isl_efficiency(
-                    np.maximum(chord_m, 1.0), config.optics,
-                    include_pointing=config.isl_pointing_in_effective,
+            sat = np.take(sats, session)
+            pos = positions_eci_km(spec, times[idx], sat[:, None] + np.array([-1, 0, 1]))
+            isl = [
+                isl_efficiency(
+                    np.maximum(np.linalg.norm(pos[:, 1] - pos[:, 1 + side], axis=-1) * 1e3, 1.0),
+                    config.optics, include_pointing=config.isl_pointing_in_effective,
                 )
-                bins = _effective_bins(config, np.atleast_1d(ul), np.atleast_1d(isl))
-                link_session_bins.setdefault((gs.id, partner), []).append(bins)
+                for side in _SIDES
+            ]
+            bins.append(_effective_bins(config, session, ul, isl))
+        if bins:
+            link_profiles.update(_station_profiles(config, gs.id, sats, np.concatenate(bins)))
+        # drop the rows before the next station's serving state and the
+        # optimiser, which set the day's peak memory
+        del bins
 
-    # Every link's profile(s) of the day, then one lockstep optimisation of
-    # all profiles not yet cached, the ISL reference block included.  Each
-    # link's bin dicts are dropped once its profiles are made, so that they
-    # do not add to the optimiser's memory.
-    link_profiles: dict = {}
-    for link in sorted(link_session_bins):
-        session_bins = link_session_bins.pop(link)
-        if config.pooling == "daily":
-            merged: dict = {}
-            for bins in session_bins:
-                for key, seconds in bins.items():
-                    merged[key] = merged.get(key, 0.0) + seconds
-            link_profiles[link] = [_bins_to_profile(config, merged)]
-        else:  # per-session blocks, summed afterwards
-            link_profiles[link] = [_bins_to_profile(config, bins) for bins in session_bins]
+    # One lockstep optimisation of all profiles not yet cached, the ISL
+    # reference block included.
     isl_profile = _isl_reference(config, spec, times)
     isl_sig = ("isl-ref", tuple(isl_profile))
     wanted = {tuple(pr): pr for prs in link_profiles.values() for pr in prs}

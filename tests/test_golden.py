@@ -8,7 +8,11 @@ pooled statistics or to the finite-key ledger moves them.  The
 angles were merged into one geometry path: per-session blocks on a grid
 whose epoch and step are not whole seconds, so that the sample grid, the
 bisection tolerance and the per-session sums of a non-dyadic step all show
-in its bytes.
+in its bytes.  The ``daily-offgrid`` case was recorded before a day's
+samples were budgeted and binned in groups of sessions rather than one
+session at a time: daily blocks of asymmetric bins on the same grid, so
+that each bin's seconds, added up over a link's sessions in the order of
+the day, show in its bytes.
 """
 
 import hashlib
@@ -25,6 +29,12 @@ CASES = {
         "constellation.epoch_s=0.1",
         "campaign.time_step_s=0.7",
     ],
+    "daily-offgrid": [
+        "campaign.pooling=daily",
+        "constellation.epoch_s=0.1",
+        "campaign.time_step_s=0.7",
+        "channel.effective_mode=asymmetric",
+    ],
 }
 
 GOLDEN = {
@@ -39,6 +49,10 @@ GOLDEN = {
     "session-offgrid": {
         "links.csv": "04e0ab673ed103554275c6c036e3809ed12cf690859935e8a59b728dab1d359c",
         "summary.json": "ba2de99de26f5fd216393890ecb1f9906635413515d936d4ae7fa970d0532f08",
+    },
+    "daily-offgrid": {
+        "links.csv": "9073e98c8a6124d4166825f2ea14892f66846411a7443ccee586fadde10cdfc4",
+        "summary.json": "5585a68f3b47ac45db50307002fb03736dc4fce41348b807c7f258c823fe36b1",
     },
 }
 

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -11,6 +12,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ringqkd import simulator
+from ringqkd.geometry import extract_sessions, positions_eci_km, serving_state
+from ringqkd.linkbudget import isl_efficiency, to_db, uplink_efficiency
 from ringqkd.scenario import load_scenario, manifest
 from ringqkd.simulator import (
     CampaignResult,
@@ -147,26 +150,175 @@ def test_run_day_sample_grid(epoch, t_total, dt):
 
 def test_run_day_logs_each_station_day(caplog):
     # one DEBUG line per station-day: samples, samples searched in full,
-    # sessions and the seconds the serving state took
+    # sessions, the sample groups that budget and bin them, one uplink call
+    # each, and the seconds the serving state took
     caplog.set_level(logging.DEBUG, logger="ringqkd.simulator")
-    run_day(short_config(), 0)
-    lines = [r.getMessage() for r in caplog.records if r.name == "ringqkd.simulator"]
-    assert [line.split(":")[0] for line in lines] == ["day 0 station 1", "day 0 station 2"]
-    assert all("7201 samples, 0 on full rows;" in line for line in lines)
+    uplink_calls = []
+
+    def count_uplink(*args, **kwargs):
+        uplink_calls.append(1)
+        return uplink_efficiency(*args, **kwargs)
+
+    for group in (simulator._GROUP_SAMPLES, 1):
+        caplog.clear()
+        uplink_calls.clear()
+        with mock.patch.object(simulator, "_GROUP_SAMPLES", group), \
+                mock.patch.object(simulator, "uplink_efficiency", count_uplink):
+            run_day(short_config(), 0)
+        lines = [r.getMessage() for r in caplog.records if r.name == "ringqkd.simulator"]
+        assert [line.split(":")[0] for line in lines] == ["day 0 station 1", "day 0 station 2"]
+        assert all("7201 samples, 0 on full rows;" in line for line in lines)
+        counts = [
+            tuple(map(int, re.search(r"(\d+) sessions in (\d+) sample groups;", line).groups()))
+            for line in lines
+        ]
+        assert sum(groups for _, groups in counts) == len(uplink_calls)
+        if group == 1:  # every session is a group of its own
+            assert all(sessions == groups > 1 for sessions, groups in counts)
+        else:  # two hours of samples fit in two groups
+            assert all(1 <= groups <= 2 < sessions for sessions, groups in counts)
 
 
 def test_effective_link_max():
     # the better arm sets each sample's link; keys are losses in dB to 0.01
     cfg = short_config()
-    bins = _effective_bins(cfg, np.array([1e-7, 3e-5, 2e-4]), np.array([1e-4, 3e-5, 1e-5]))
-    assert bins == {40.0: 1.0, 45.23: 1.0, 36.99: 1.0}
+    ul = np.array([1e-7, 3e-5, 2e-4])
+    bins = _effective_bins(cfg, [0, 0, 0], ul, [np.array([1e-4, 3e-5, 1e-5])])
+    assert {row[2]: row[3] for row in bins.tolist()} == {40.0: 1.0, 45.23: 1.0, 36.99: 1.0}
 
 
 def test_effective_link_asymmetric_mode():
     # both arms are kept, (uplink dB, ISL dB), and equal samples share a bin
     cfg = replace(short_config(), effective_mode="asymmetric")
-    bins = _effective_bins(cfg, np.array([1e-7, 1e-7]), np.array([1e-4, 1e-4]))
-    assert bins == {(70.0, 40.0): 2.0}
+    bins = _effective_bins(cfg, [0, 0], np.array([1e-7, 1e-7]), [np.array([1e-4, 1e-4])])
+    assert {(row[2], row[3]): row[4] for row in bins.tolist()} == {(70.0, 40.0): 2.0}
+
+
+def test_effective_bins_by_session_and_side():
+    # one row per (session, side, key), in that order, each session and side
+    # on its own; seconds are dt added once per sample
+    cfg = short_config(**{"campaign.time_step_s": 0.1})
+    ul = np.full(4, 1e-7)
+    isl = [np.array([1e-4, 1e-4, 1e-4, 1e-3]), np.array([1e-3, 1e-3, 1e-4, 1e-4])]
+    bins = _effective_bins(cfg, [5, 5, 5, 7], ul, isl)
+    assert bins.tolist() == [
+        [5, 0, 40.0, 0.1 + 0.1 + 0.1],
+        [5, 1, 30.0, 0.1 + 0.1],
+        [5, 1, 40.0, 0.1],
+        [7, 0, 30.0, 0.1],
+        [7, 1, 40.0, 0.1],
+    ]
+
+
+def reference_effective_bins(config, ul_eff, isl_eff):
+    """One session's samples on one side -> {bin key: seconds}, one sample at a time."""
+    dt = config.time_step_s
+    out = {}
+    if config.effective_mode == "max":
+        eff = np.maximum(ul_eff, isl_eff)
+        keys = np.round(to_db(eff), 2)
+        for k in keys:
+            out[float(k)] = out.get(float(k), 0.0) + dt
+    else:
+        ku = np.round(to_db(ul_eff), 2)
+        ki = np.round(to_db(isl_eff), 2)
+        for a, b in zip(ku, ki):
+            key = (float(a), float(b))
+            out[key] = out.get(key, 0.0) + dt
+    return out
+
+
+def reference_profiles(config, day_index):
+    """The profiles a day optimises, in order, binned one session and side at a time."""
+    spec = replace(config.constellation, phase0_deg=day_phase_deg(config, day_index))
+    n = spec.num_sats
+    dt = config.time_step_s
+    times = spec.epoch_s + dt * np.arange(int(math.floor(config.t_total_s / dt)) + 1)
+    if times[-1] < spec.epoch_s + config.t_total_s:
+        times = np.append(times, spec.epoch_s + config.t_total_s)
+    link_session_bins = {}
+    for gs in (config.gs1, config.gs2):
+        state, zmin = serving_state(spec, gs, times, config.theta_max_deg)
+        sessions, ranges = extract_sessions(spec, gs, times, dt, state, zmin, config.theta_max_deg)
+        for session, (i0, i1) in zip(sessions, ranges):
+            sat = session.serving_sat
+            zen = np.radians(np.clip(zmin[i0:i1], 0.0, config.theta_max_deg))
+            ul = uplink_efficiency(
+                zen, config.optics, config.turbulence,
+                altitude_km=spec.altitude_km, theta_max_deg=config.theta_max_deg,
+            )
+            pos = positions_eci_km(spec, times[i0:i1], [sat - 1, sat, sat + 1])
+            for side in (-1, 1):
+                chord_m = np.linalg.norm(pos[:, 1] - pos[:, 1 + side], axis=-1) * 1e3
+                isl = isl_efficiency(
+                    np.maximum(chord_m, 1.0), config.optics,
+                    include_pointing=config.isl_pointing_in_effective,
+                )
+                bins = reference_effective_bins(config, ul, isl)
+                link_session_bins.setdefault((gs.id, (sat + side) % n), []).append(bins)
+    profiles = []
+    for link in sorted(link_session_bins):
+        session_bins = link_session_bins[link]
+        if config.pooling == "daily":
+            merged = {}
+            for bins in session_bins:
+                for key, seconds in bins.items():
+                    merged[key] = merged.get(key, 0.0) + seconds
+            session_bins = [merged]
+        profiles += [simulator._bins_to_profile(config, bins) for bins in session_bins]
+    wanted = {tuple(pr): pr for pr in profiles}
+    isl_profile = simulator._isl_reference(config, spec, times)
+    wanted[("isl-ref", tuple(isl_profile))] = isl_profile
+    return list(wanted.values())
+
+
+class _ProfilesSeen(Exception):
+    pass
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["type1", "type2"]),
+    num_sats=st.sampled_from([12, 36]),
+    dt=st.sampled_from([0.1, 0.7, 1.0 / 3.0, 2.5]),
+    epoch=st.floats(0.0, 1e5),
+    steps=st.floats(600.0, 40000.0),
+    mode=st.sampled_from(["max", "asymmetric"]),
+    pooling=st.sampled_from(["daily", "session"]),
+    group=st.integers(1, 600),
+)
+@example(kind="type2", num_sats=12, dt=0.1, epoch=0.1, steps=36000.0, mode="asymmetric",
+         pooling="daily", group=50)
+@example(kind="type2", num_sats=36, dt=0.7, epoch=0.1, steps=40000.0, mode="max",
+         pooling="daily", group=600)
+@example(kind="type1", num_sats=12, dt=0.7, epoch=12.3, steps=5000.0, mode="max",
+         pooling="session", group=1)
+def test_run_day_bins_match_per_session_reference(
+    kind, num_sats, dt, epoch, steps, mode, pooling, group
+):
+    # grouped budgets, one sort-and-count per group and the vectorised daily
+    # merge give every profile that a per-session tally and a dict merge in
+    # the order of the day give, float for float: for steps whose sums are
+    # not exact, daily links of many sessions (Type-II ISL chords are all
+    # one bin), and groups that hold many sessions or only part of one
+    latitude = 45.0 if kind == "type1" else 0.0
+    cfg = load_scenario(overrides=[
+        f"constellation.kind={kind}", f"constellation.num_sats={num_sats}",
+        f"constellation.epoch_s={epoch}", f"ground_stations.latitude_deg={latitude}",
+        f"campaign.t_total_s={steps * dt}", f"campaign.time_step_s={dt}",
+        f"channel.effective_mode={mode}", f"campaign.pooling={pooling}",
+    ])
+    seen = []
+
+    def capture(profiles, *args, **kwargs):
+        seen.append(list(profiles))
+        raise _ProfilesSeen
+
+    with mock.patch.object(simulator, "_GROUP_SAMPLES", group), \
+            mock.patch.object(simulator, "accumulate_links", capture), \
+            pytest.raises(_ProfilesSeen):
+        run_day(cfg, 0)
+    assert seen[0] == reference_profiles(cfg, 0)
 
 
 def test_run_day_symmetric_links():
