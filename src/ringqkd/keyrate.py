@@ -32,13 +32,13 @@ transcendental calls (four exps and the four log2 of the two binary
 entropies) and the squares mu1 ** 2 and mu2 ** 2 stay in ``math``, one
 candidate at a time: numpy's SIMD exp and log need not match libm, and
 CPython's ``x ** 2`` calls libm ``pow``, which is not always ``x * x``.
-``skl`` and ``estimate_untagged`` read an ``ExpectedStatistics`` through
-a pass of one row; the optimiser scores the rows of all the batched
-``pooled_statistics`` calls of a round in one pass.
+The optimiser scores the rows of all its ``pooled_statistics`` calls of a
+round in one pass; ``skl`` and ``estimate_untagged`` score the one row of an
+``ExpectedStatistics``, made only by ``expected_statistics`` and the oracle.
 
-A link block is a set of bins, each a pair of arm efficiencies (eta_a,
-eta_b), sender to measurement node, with a pulse count; arrays of arms have
-a trailing axis of 2.  ``symmetric_arms`` is the one place a total
+A link block is a pair of arrays: the arm efficiencies (eta_a, eta_b),
+sender to measurement node, of shape (B, 2), and the pulse counts of its
+B bins, of shape (B,).  ``symmetric_arms`` is the one place a total
 twin-field link efficiency is split, into two arms of sqrt(efficiency).
 
 The optimiser batches the candidates of blocks of at most 128 bins by
@@ -191,12 +191,14 @@ class ChannelModel:
             raise ValueError("bad repetition rate or error-correction factor")
 
 
-def symmetric_arms(efficiency: float) -> tuple[float, float]:
-    """Equal arm efficiencies of a twin-field link of total ``efficiency``."""
-    if not 0.0 <= efficiency <= 1.0:
-        raise ValueError(f"link efficiency must lie in [0, 1], got {efficiency}")
-    arm = math.sqrt(efficiency)
-    return arm, arm
+def symmetric_arms(efficiency) -> np.ndarray:
+    """Equal arms, (..., 2), of twin-field links of total ``efficiency`` (float or array)."""
+    eff = np.asarray(efficiency, dtype=float)
+    outside = ~((eff >= 0.0) & (eff <= 1.0))
+    if outside.any():
+        raise ValueError(f"link efficiency must lie in [0, 1], got {eff[outside][0]}")
+    arm = np.sqrt(eff)
+    return np.stack((arm, arm), axis=-1)
 
 
 def _checked_arms(arms, shape: tuple) -> np.ndarray:
@@ -211,7 +213,7 @@ def _checked_arms(arms, shape: tuple) -> np.ndarray:
 
 @dataclass
 class ExpectedStatistics:
-    """Deterministic expected counts of one pooled block.
+    """Expected (one ``pooled_statistics`` row) or sampled counts of one block and candidate.
 
     ``x_pairs`` / ``x_clicks`` are 3x3 arrays indexed by (side-a intensity,
     side-b intensity) with 0 = vacuum, 1 = mu1, 2 = mu2.  The phase-error
@@ -504,16 +506,30 @@ class _KernelMemo:
         return out
 
 
-def _pooled_rows(channel: ChannelModel, candidates, arms, pulses, memo=None) -> np.ndarray:
-    """The (P, ``_ROW``) pooled counts of the P candidates.
+def _row(stats: ExpectedStatistics) -> list:
+    """The counts of ``stats`` as one row in the ``_ROW`` layout."""
+    return [
+        stats.n_pulses, stats.n_z, stats.z_clicks, stats.z_errors,
+        *stats.x_pairs.ravel().tolist(), *stats.x_clicks.ravel().tolist(),
+        stats.slice_pairs, stats.slice_error_clicks,
+    ]
 
-    The bins are shared, of shape (B,), or one row per candidate, of shape
-    (P, B), with ``arms`` of their shape plus a trailing axis of 2.  All
-    per-bin terms of the call go into one (P, _ROW, B) array, reduced by one
-    sum over its last, contiguous axis, so a candidate's counts do not
-    depend on the others in its batch.  ``memo``, the optimiser's
-    ``_KernelMemo`` of this block, serves one candidate instead, and
-    recomputes only the groups of rows whose parameters it has not seen.
+
+def pooled_statistics(
+    channel: ChannelModel, candidates, arms, pulses, kernels: _KernelMemo | None = None
+) -> np.ndarray:
+    """The (P, ``_ROW``) expected counts of a sequence of P candidates, pooled over bins.
+
+    The pulse counts are shared, of shape (B,), or one row per candidate,
+    of shape (P, B); ``arms`` has their shape plus a trailing axis of the
+    two arm efficiencies, not range-checked here: the public entry points
+    check each block once.  All per-bin terms go into one (P, _ROW, B)
+    array, summed over its last, contiguous axis, so a candidate's counts
+    do not depend on the others in its batch; bins of zero pulses and zero
+    arms add exactly +0.0 to every count (see ``_Evaluator``).  ``kernels``,
+    the optimiser's memo of click kernels and pooled sums for this block and
+    channel, serves one candidate and recomputes only the groups of rows
+    whose parameters it has not seen.
     """
     arms = np.asarray(arms, dtype=float)
     w = np.atleast_1d(np.asarray(pulses, dtype=float))
@@ -525,66 +541,15 @@ def _pooled_rows(channel: ChannelModel, candidates, arms, pulses, memo=None) -> 
         w, ta, tb = w[None], ta[None], tb[None]
     elif w.ndim != 2 or w.shape[0] != len(candidates):
         raise ValueError("per-candidate bins need one row per candidate")
-    if memo is not None and len(candidates) != 1:
+    if kernels is not None and len(candidates) != 1:
         raise ValueError("a kernel memo serves one candidate a call")
-    terms = _Terms(channel, candidates, w, ta, tb, _inline if memo is None else memo)
-    if memo is not None:
-        return memo.pooled(terms)
+    terms = _Terms(channel, candidates, w, ta, tb, _inline if kernels is None else kernels)
+    if kernels is not None:
+        return kernels.pooled(terms)
     out = np.empty((len(candidates), _ROW, w.shape[-1]))
     for rows, _, write in _GROUPS.values():
         write(terms, out[:, rows])
     return out.sum(axis=-1)
-
-
-def _row(stats: ExpectedStatistics) -> list:
-    """The counts of ``stats`` as one row in the ``_ROW`` layout."""
-    return [
-        stats.n_pulses, stats.n_z, stats.z_clicks, stats.z_errors,
-        *stats.x_pairs.ravel().tolist(), *stats.x_clicks.ravel().tolist(),
-        stats.slice_pairs, stats.slice_error_clicks,
-    ]
-
-
-def pooled_statistics(
-    channel: ChannelModel, params, arms, pulses, kernels: _KernelMemo | None = None
-) -> ExpectedStatistics | list[ExpectedStatistics]:
-    """Expected counts pooled over bins of ((eta_a, eta_b), pulse count).
-
-    ``params`` is one ``SnsParams`` (the result is one ExpectedStatistics)
-    or a sequence of P candidates (the result is a list, one per
-    candidate).  The pulse counts are shared, of shape (B,), or one row per
-    candidate, of shape (P, B); ``arms`` has their shape plus a trailing
-    axis of the two arm efficiencies.  The arm values are not range-checked
-    here: the public entry points check each block once.  A candidate's
-    counts do not depend on the others in its batch.  Bins of zero pulses
-    and zero arms add exactly +0.0 to every count, so a block of at most
-    128 bins padded with them to any width in its band, bins >> 3, has
-    bit-identical counts (numpy's pairwise sums; see ``_Evaluator``).
-    ``kernels``, the optimiser's memo of click kernels and pooled sums for
-    this block and channel, serves one candidate only.  The x arrays of a
-    batch are views of one array.
-    """
-    candidates = [params] if isinstance(params, SnsParams) else list(params)
-    sums = _pooled_rows(channel, candidates, arms, pulses, kernels)
-    x_pairs = sums[:, _XP:_XC].reshape(-1, 3, 3)
-    x_clicks = sums[:, _XC:_SL].reshape(-1, 3, 3)
-    out = [
-        ExpectedStatistics(
-            params=p,
-            n_pulses=row[0],
-            dark_count_prob=channel.dark_count_prob,
-            error_correction_factor=channel.error_correction_factor,
-            n_z=row[1],
-            z_clicks=row[2],
-            z_errors=row[3],
-            x_pairs=xp,
-            x_clicks=xc,
-            slice_pairs=row[_SL],
-            slice_error_clicks=row[_SL + 1],
-        )
-        for p, row, xp, xc in zip(candidates, sums.tolist(), x_pairs, x_clicks)
-    ]
-    return out[0] if isinstance(params, SnsParams) else out
 
 
 def expected_statistics(
@@ -594,7 +559,12 @@ def expected_statistics(
     arms = _checked_arms(arms, (2,))
     if not (n_pulses >= 1 and math.isfinite(n_pulses)):
         raise ValueError("n_pulses must be finite and >= 1")
-    return pooled_statistics(channel, params, arms[None], np.array([float(n_pulses)]))
+    (sums,) = pooled_statistics(channel, [params], arms[None], np.array([float(n_pulses)]))
+    row = sums.tolist()  # the fields in the _ROW layout, in their order
+    return ExpectedStatistics(
+        params, row[0], channel.dark_count_prob, channel.error_correction_factor, *row[1:_XP],
+        sums[_XP:_XC].reshape(3, 3), sums[_XC:_SL].reshape(3, 3), *row[_SL:],
+    )
 
 
 def monte_carlo_statistics(
@@ -1067,20 +1037,19 @@ class _Evaluator:
             stack = self.stacks[key]
             if stack is None:  # one candidate a call, through the block's memo
                 for j, params in group:
-                    arms, pulses = self.blocks[j]
-                    stats = pooled_statistics(self.channel, params, arms, pulses, self.kernels[j])
-                    rows.append(_row(stats))
+                    block, kernels = self.blocks[j], self.kernels[j]
+                    rows.append(pooled_statistics(self.channel, [params], *block, kernels))
                 self.calls += len(group)
                 continue
             size, arms, pulses = stack
             for lo in range(0, len(group), size):
                 chunk = group[lo : lo + size]
                 at = [self.slot[j] for j, _ in chunk]
-                stats = pooled_statistics(self.channel, [p for _, p in chunk], arms[at], pulses[at])
-                rows.extend(map(_row, stats))
+                candidates = [p for _, p in chunk]
+                rows.append(pooled_statistics(self.channel, candidates, arms[at], pulses[at]))
                 self.calls += 1
         if todo:
-            ledgers = self.scorer([p for _, p in todo], np.array(rows))
+            ledgers = self.scorer([p for _, p in todo], np.concatenate(rows))
             self.passes += 1
             for (j, params), ledger in zip(todo, ledgers):
                 self.memos[j][params] = ledger
@@ -1149,33 +1118,30 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
 
 
 def accumulate_links(
-    profiles,
+    blocks,
     channel: ChannelModel,
     eps: SecurityEpsilons,
     n_starts: int = 3,
     max_evals: int = 400,
 ) -> list[tuple[SnsParams | None, SklBreakdown]]:
-    """``accumulate_link`` of every profile, with all optimisations run together.
+    """Optimise every link block, an (arms (B, 2), pulses (B,)) pair, all together.
 
-    Each result equals that of optimising its profile alone.  Guaranteed
-    floor: a returned SKL is >= the SKL of every point of ``DEFAULT_GRID``
-    (the grid is always evaluated).
+    Each block is checked once, and a block of no bins yields a zero
+    result.  Each result equals that of optimising its block alone.
+    Guaranteed floor: a returned SKL is >= the SKL of every point of
+    ``DEFAULT_GRID`` (the grid is always evaluated).
     """
-    blocks = []
-    for profile_bins in profiles:
-        bins = list(profile_bins)
-        if not bins:
-            blocks.append(None)
-            continue
-        arms = _checked_arms([b[0] for b in bins], (len(bins), 2))
-        pulses = np.array([float(b[1]) for b in bins])
-        if not np.all((pulses >= 0) & np.isfinite(pulses)):
-            raise ValueError("pulse counts must be finite and >= 0")
-        blocks.append((arms, pulses))
+    checked = []
+    for arms, pulses in blocks:
+        pulses = np.asarray(pulses, dtype=float)
+        arms = _checked_arms(arms, pulses.shape + (2,))
+        if pulses.ndim != 1 or not np.all((pulses >= 0) & np.isfinite(pulses)):
+            raise ValueError("pulse counts must be one row of finite counts >= 0")
+        checked.append((arms, pulses) if len(pulses) else None)
     found = iter(_optimize_pooled(
-        channel, eps, [b for b in blocks if b is not None], n_starts, max_evals
+        channel, eps, [b for b in checked if b is not None], n_starts, max_evals
     ))
-    return [(None, SklBreakdown.zero()) if b is None else next(found) for b in blocks]
+    return [(None, SklBreakdown.zero()) if b is None else next(found) for b in checked]
 
 
 def accumulate_link(
@@ -1187,7 +1153,9 @@ def accumulate_link(
 ) -> tuple[SnsParams | None, SklBreakdown]:
     """Pool all sessions of one link into a single finite-key block.
 
-    ``profile_bins`` is a sequence of ((eta_a, eta_b), pulse count) bins.
-    An empty profile yields a zero block.
+    ``profile_bins`` is a sequence of ((eta_a, eta_b), pulse count) bins,
+    made here into a block.  An empty profile yields a zero block.
     """
-    return accumulate_links([profile_bins], channel, eps, n_starts, max_evals)[0]
+    bins = list(profile_bins)
+    arms = [arms for arms, _ in bins] if bins else np.empty((0, 2))
+    return accumulate_links([(arms, [w for _, w in bins])], channel, eps, n_starts, max_evals)[0]

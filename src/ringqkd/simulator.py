@@ -10,7 +10,8 @@ inter-satellite chords, propagating only those three satellites per
 sample; form the effective twin-field link per sample and count the
 samples of each (session, partner, loss bin); pool every sample of the
 same (ground station, partner satellite) link into one finite-key block,
-optimise the protocol parameters per link, and aggregate
+arrays of arm efficiencies (B, 2) and pulse counts (B,) from binning to
+scoring, optimise the protocol parameters per link, and aggregate
 
     SKL_protocol = sum over serving satellites i of
                    min{ SKL(GS1, i +/- 1), SKL(GS2, k +/- 1) },   k = i + N/2,
@@ -18,7 +19,8 @@ optimise the protocol parameters per link, and aggregate
 the minimum reflecting that one end-to-end bit consumes a bit of each of
 the four ground-side link keys.  Campaigns repeat the day with the initial
 orbital phase stepped through a golden-ratio low-discrepancy sequence and
-report per-day means and standard deviations.
+report per-day means and standard deviations; a serial campaign reuses
+the optimisation of a block an earlier day had, keyed by its arrays' bytes.
 
 Inter-satellite twin-field links run continuously at lower loss than any
 ground link; a reference ISL block is evaluated each day and a
@@ -171,13 +173,15 @@ def _effective_bins(config, session, ul_eff, isl_eff) -> np.ndarray:
 
 
 def _station_profiles(config, gs_id: int, sats, bins) -> dict:
-    """One station's bin rows, in the order of the day -> {(gs_id, partner): [profile, ...]}.
+    """One station's bin rows, in the order of the day -> {(gs_id, partner): [block, ...]}.
 
     ``bins`` are ``_effective_bins`` rows and ``sats`` each session's serving
     satellite.  Daily pooling adds a bin's seconds over the link's sessions
     in the order of the day, ((0.0 + s1) + s2) + ..., as a link's bin dict
-    would; session pooling keeps one block per session.  Each bin dict is
-    dropped once its profile is made.
+    would; session pooling keeps one block per session, which has one side,
+    emitted by ``_effective_bins`` in key order.  So a block's keys are
+    unique and ascending, lexicographic in (uplink, ISL) dB.  Each block is
+    a slice of the station's ``_bins_to_profile`` arrays.
     """
     session = bins[:, 0].astype(np.intp)
     side = np.take(_SIDES, bins[:, 1].astype(np.intp))
@@ -195,34 +199,28 @@ def _station_profiles(config, gs_id: int, sats, bins) -> dict:
             more = runs > p
             total[more] += seconds[first[more] + p]
         partner, keys, seconds = partner[first], keys[:, first], total
-        blocks = _run_starts(partner)
+        starts = _run_starts(partner)
     else:  # per-session blocks, summed afterwards
         order = np.argsort(partner, kind="stable")
         partner, session = partner[order], session[order]
         keys, seconds = keys[:, order], seconds[order]
-        blocks = _run_starts(partner, session)
-    keys = keys.tolist()
-    seconds = seconds.tolist()
-    profiles: dict = {}
-    for b0, b1 in zip(blocks.tolist(), [*blocks[1:].tolist(), len(seconds)]):
-        block = [k[b0:b1] for k in keys]
-        block = block[0] if len(block) == 1 else zip(*block)
-        profile = _bins_to_profile(config, dict(zip(block, seconds[b0:b1])))
-        profiles.setdefault((gs_id, int(partner[b0])), []).append(profile)
-    return profiles
+        starts = _run_starts(partner, session)
+    arms, pulses = _bins_to_profile(config, keys, seconds)
+    blocks: dict = {}
+    for b0, b1 in zip(starts.tolist(), [*starts[1:].tolist(), len(seconds)]):
+        blocks.setdefault((gs_id, int(partner[b0])), []).append((arms[b0:b1], pulses[b0:b1]))
+    return blocks
 
 
-def _bins_to_profile(config, bins: dict):
-    """Bin dict -> deterministic accumulate_link profile [((eta_a, eta_b), pulses), ...]."""
-    f_rep = config.channel.rep_rate_hz
-    profile = []
-    for key in sorted(bins):
-        if config.effective_mode == "max":
-            arms = symmetric_arms(10.0 ** (-key / 10.0))
-        else:
-            arms = (10.0 ** (-key[0] / 10.0), 10.0 ** (-key[1] / 10.0))
-        profile.append((arms, bins[key] * f_rep))
-    return profile
+def _bins_to_profile(config, keys: np.ndarray, seconds: np.ndarray) -> tuple:
+    """Bin keys, (1 or 2, B) in dB, and seconds -> arms (B, 2) and pulse counts (B,).
+
+    Each efficiency is Python's ``10.0 ** (-key / 10.0)``, one key at a
+    time: numpy's power need not match libm.
+    """
+    eff = np.reshape([10.0 ** (-key / 10.0) for key in keys.ravel().tolist()], keys.shape)
+    arms = symmetric_arms(eff[0]) if config.effective_mode == "max" else eff.T
+    return arms, seconds * config.channel.rep_rate_hz
 
 
 def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) -> DailyReport:
@@ -236,8 +234,8 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
     if times[-1] < spec.epoch_s + t_total:
         times = np.append(times, spec.epoch_s + t_total)
 
-    # (gs_id, partner) -> the link's profiles: one daily block, or one per session
-    link_profiles: dict = {}
+    # (gs_id, partner) -> the link's blocks: one daily block, or one per session
+    link_blocks: dict = {}
     rho = {}
     serving_sats: set[int] = set()
     for gs in (config.gs1, config.gs2):
@@ -284,20 +282,23 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
             ]
             bins.append(_effective_bins(config, session, ul, isl))
         if bins:
-            link_profiles.update(_station_profiles(config, gs.id, sats, np.concatenate(bins)))
+            link_blocks.update(_station_profiles(config, gs.id, sats, np.concatenate(bins)))
         # drop the rows before the next station's serving state and the
         # optimiser, which set the day's peak memory
         del bins
 
-    # One lockstep optimisation of all profiles not yet cached, the ISL
-    # reference block included.
-    isl_profile = _isl_reference(config, spec, times)
-    isl_sig = ("isl-ref", tuple(isl_profile))
-    wanted = {tuple(pr): pr for prs in link_profiles.values() for pr in prs}
-    wanted[isl_sig] = isl_profile
+    # One lockstep optimisation of all blocks not yet cached, the ISL
+    # reference block included; a block's cache key is its arrays' bytes.
+    wanted = {
+        (arms.tobytes(), pulses.tobytes()): (arms, pulses)
+        for blocks in link_blocks.values() for arms, pulses in blocks
+    }
+    isl_block = _isl_reference(config, spec, times)
+    isl_key = ("isl-ref", *(a.tobytes() for a in isl_block))
+    wanted[isl_key] = isl_block
 
     cache = _cache if _cache is not None else {}
-    pending = {sig: pr for sig, pr in wanted.items() if sig not in cache}
+    pending = {key: block for key, block in wanted.items() if key not in cache}
     results = accumulate_links(
         pending.values(),
         config.channel,
@@ -310,8 +311,8 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
     # A link's blocks add up field-wise, with the worst error rates; a daily
     # link's one block comes out unchanged (0 + x == x for these counts).
     per_link_skl: dict = {}
-    for link, profiles in link_profiles.items():
-        parts = [cache[tuple(pr)] for pr in profiles]
+    for link, blocks in link_blocks.items():
+        parts = [cache[arms.tobytes(), pulses.tobytes()] for arms, pulses in blocks]
         per_link_skl[link] = SklBreakdown(
             n_pulses=sum(p.n_pulses for p in parts),
             n_raw=sum(p.n_raw for p in parts),
@@ -339,7 +340,7 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
     raw_bits = float(sum(b.n_raw for b in per_link_skl.values()))
     block = float(sum(b.n_pulses for b in per_link_skl.values()))
 
-    isl_ref = cache[isl_sig]
+    isl_ref = cache[isl_key]
     best_gs = max((b.skl_bits for b in per_link_skl.values()), default=0.0)
     if isl_ref.skl_bits < best_gs:
         raise ConsistencyError(
@@ -362,8 +363,8 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
     )
 
 
-def _isl_reference(config: ScenarioConfig, spec, times) -> list:
-    """Profile of the daily block of one adjacent inter-satellite twin-field link.
+def _isl_reference(config: ScenarioConfig, spec, times) -> tuple:
+    """Block of one bin, (arms (1, 2), pulses (1,)): the day of one adjacent ISL twin-field link.
 
     Uses the widest adjacent chord of the day (the worst instantaneous ISL
     loss), a full-day block, and the same effective-link rule with both
@@ -375,8 +376,8 @@ def _isl_reference(config: ScenarioConfig, spec, times) -> list:
         max(chord_m, 1.0), config.optics,
         include_pointing=config.isl_pointing_in_effective,
     )
-    arms = symmetric_arms(eff) if config.effective_mode == "max" else (eff, eff)
-    return [(arms, config.t_total_s * config.channel.rep_rate_hz)]
+    arms = symmetric_arms([eff]) if config.effective_mode == "max" else np.full((1, 2), eff)
+    return arms, np.full(1, config.t_total_s * config.channel.rep_rate_hz)
 
 
 def run_campaign(config: ScenarioConfig) -> CampaignResult:

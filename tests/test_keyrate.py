@@ -37,8 +37,6 @@ from ringqkd.keyrate import (
     _KernelMemo,
     _Scorer,
     _click,
-    _pooled_rows,
-    _row,
     _slice_clicks,
     _params_to_vector,
     _vector_to_params,
@@ -105,8 +103,18 @@ def test_channel_validation():
             monte_carlo_statistics(ch, SnsParams(), bad, 100)
         with pytest.raises(ValueError):
             accumulate_link([(bad, 1e6)], ch, EPS, max_evals=1)
-    with pytest.raises(ValueError):  # one bin of total efficiency among arm pairs
+        with pytest.raises(ValueError):
+            accumulate_links([([bad], [1e6])], ch, EPS, max_evals=1)
+    # one bin of total efficiency among arm pairs
+    with pytest.raises(ValueError):
         accumulate_link([((1e-3, 1e-3), 1e6), (1e-3, 1e6)], ch, EPS, max_evals=1)
+    with pytest.raises(ValueError):
+        accumulate_links([([(1e-3, 1e-3), 1e-3], [1e6, 1e6])], ch, EPS, max_evals=1)
+    # arms that do not align with the pulse counts, and pulses not one row
+    for arms, pulses in ((np.full((2, 2), 1e-3), [1e6]), (np.full((1, 2), 1e-3), [[1e6]]),
+                         (np.full(2, 1e-3), 1e6), (np.full((2, 1), 1e-3), [1e6, 1e6])):
+        with pytest.raises(ValueError):
+            accumulate_links([(arms, pulses)], ch, EPS, max_evals=1)
     with pytest.raises(ValueError):
         ChannelModel(dark_count_prob=1.0)
 
@@ -119,7 +127,7 @@ def test_pulse_counts_validation():
         with pytest.raises(ValueError):
             accumulate_link([(arms, 1e9), (arms, bad)], ch, EPS, max_evals=1)
         with pytest.raises(ValueError):
-            accumulate_links([[(arms, 1e9)], [(arms, bad)]], ch, EPS, max_evals=1)
+            accumulate_links([([arms], [1e9]), ([arms, arms], [1e9, bad])], ch, EPS, max_evals=1)
     for bad in (math.nan, 0.5, math.inf):
         with pytest.raises(ValueError):
             expected_statistics(ch, SnsParams(), arms, bad)
@@ -192,13 +200,11 @@ def test_pooled_statistics_additive():
     ch, _ = make_channel(40.0)
     params = SnsParams()
     arms_a, arms_b = symmetric_arms(1e-4), symmetric_arms(1e-5)
-    one = pooled_statistics(ch, params, np.array([arms_a, arms_b]), np.array([1e8, 2e8]))
-    a = pooled_statistics(ch, params, np.array([arms_a]), np.array([1e8]))
-    b = pooled_statistics(ch, params, np.array([arms_b]), np.array([2e8]))
-    assert one.z_clicks == pytest.approx(a.z_clicks + b.z_clicks, rel=1e-12)
-    assert one.slice_error_clicks == pytest.approx(
-        a.slice_error_clicks + b.slice_error_clicks, rel=1e-12
-    )
+    (one,) = pooled_statistics(ch, [params], np.array([arms_a, arms_b]), np.array([1e8, 2e8]))
+    (a,) = pooled_statistics(ch, [params], np.array([arms_a]), np.array([1e8]))
+    (b,) = pooled_statistics(ch, [params], np.array([arms_b]), np.array([2e8]))
+    # every count of the row, z_clicks (2) and slice_error_clicks (23) among them
+    assert one == pytest.approx(a + b, rel=1e-12)
 
 
 # ------------------------------------------------------------------ estimation
@@ -401,19 +407,9 @@ def loss_bins(draw, max_bins=20):
     if asymmetric:
         arms = eff.reshape(n, 2)
     else:
-        arms = np.array([symmetric_arms(e) for e in eff.tolist()])
+        arms = symmetric_arms(eff)
     pulses = np.array(draw(st.lists(st.floats(1e6, 1e12), min_size=n, max_size=n)))
     return arms, pulses
-
-
-STAT_FIELDS = ("n_pulses", "n_z", "z_clicks", "z_errors", "slice_pairs", "slice_error_clicks")
-
-
-def assert_same_statistics(a, b):
-    for name in STAT_FIELDS:
-        assert getattr(a, name) == getattr(b, name), name
-    assert np.array_equal(a.x_pairs, b.x_pairs)
-    assert np.array_equal(a.x_clicks, b.x_clicks)
 
 
 @settings(max_examples=60, deadline=None)
@@ -425,14 +421,11 @@ def test_batched_pooled_statistics_rows_are_bit_identical(candidates, bins):
     per_row = pooled_statistics(
         ch, candidates, np.stack([arms] * len(candidates)), np.stack([pulses] * len(candidates))
     )
+    assert shared.shape == per_row.shape == (len(candidates), 24)
     for i, params in enumerate(candidates):
-        one = pooled_statistics(ch, params, arms, pulses)
-        assert_same_statistics(shared[i], one)
-        assert_same_statistics(per_row[i], one)
-
-
-def row_bytes(stats):
-    return np.array(_row(stats)).tobytes()
+        (one,) = pooled_statistics(ch, [params], arms, pulses)
+        assert shared[i].tobytes() == one.tobytes()
+        assert per_row[i].tobytes() == one.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -449,14 +442,14 @@ def test_zero_padding_inside_the_band_keeps_counts_bit_identical(candidates, bin
     padded_pulses = np.zeros(width)
     padded_pulses[:n] = pulses
     ch = ChannelModel()
-    want = [row_bytes(s) for s in pooled_statistics(ch, candidates, arms, pulses)]
+    want = pooled_statistics(ch, candidates, arms, pulses).tobytes()
     shared = pooled_statistics(ch, candidates, padded_arms, padded_pulses)
     rows = len(candidates)
     per_row = pooled_statistics(
         ch, candidates, np.stack([padded_arms] * rows), np.stack([padded_pulses] * rows)
     )
-    assert [row_bytes(s) for s in shared] == want
-    assert [row_bytes(s) for s in per_row] == want
+    assert shared.tobytes() == want
+    assert per_row.tobytes() == want
 
 
 def test_small_blocks_batch_by_band():
@@ -473,19 +466,17 @@ def test_small_blocks_batch_by_band():
     # each band is stacked once, padded to its widest block
     assert [stack[2].shape for stack in evaluator.stacks.values()] == [(3, 7), (2, 15), (1, 130)]
     for memo, (arms, pulses) in zip(evaluator.memos, blocks):
-        assert memo == {
-            p: astuple(skl(pooled_statistics(ch, p, arms, pulses), EPS)) for p in DEFAULT_GRID
-        }
+        assert memo == {p: astuple(scalar_ledger(ch, p, arms, pulses)) for p in DEFAULT_GRID}
 
 
 def test_pooled_statistics_rejects_misaligned_bins():
     ch = ChannelModel()
     with pytest.raises(ValueError):
-        pooled_statistics(ch, SnsParams(), np.full((2, 2), 1e-4), np.array([1e8]))
+        pooled_statistics(ch, [SnsParams()], np.full((2, 2), 1e-4), np.array([1e8]))
     with pytest.raises(ValueError):
         pooled_statistics(ch, [SnsParams()] * 3, np.ones((2, 4, 2)) * 1e-4, np.ones((2, 4)))
     with pytest.raises(ValueError):  # total efficiencies, not arm pairs
-        pooled_statistics(ch, SnsParams(), np.array([1e-4, 1e-5]), np.array([1e8, 2e8]))
+        pooled_statistics(ch, [SnsParams()], np.array([1e-4, 1e-5]), np.array([1e8, 2e8]))
 
 
 # ------------------------------------------- the vector scorer vs the scalar chain
@@ -574,9 +565,11 @@ class ScalarScorer:
         return SklBreakdown(row[0], n_raw, qber, n1, e1, lam_ec, max(0.0, bits))
 
 
-def scalar_skl(stats, eps, asymptotic=False):
-    scorer = ScalarScorer(eps, stats.dark_count_prob, stats.error_correction_factor, asymptotic)
-    return scorer(stats.params, _row(stats))
+def scalar_ledger(channel, params, arms, pulses, eps=EPS):
+    """The scalar chain's ledger of ``params`` on a block, from its pooled row."""
+    (row,) = pooled_statistics(channel, [params], arms, pulses).tolist()
+    scorer = ScalarScorer(eps, channel.dark_count_prob, channel.error_correction_factor)
+    return scorer(params, row)
 
 
 def bits_of(ledgers):
@@ -634,7 +627,7 @@ def scored_rows(draw, edits):
     candidates = draw(st.lists(sns_params(), min_size=1, max_size=8))
     arms, pulses = draw(loss_bins(max_bins=6))
     pdc = draw(st.sampled_from((0.0, 1e-9, 1e-6)))
-    rows = _pooled_rows(ChannelModel(dark_count_prob=pdc), candidates, arms, pulses)
+    rows = pooled_statistics(ChannelModel(dark_count_prob=pdc), candidates, arms, pulses)
     for row in rows:
         edit = edits[draw(st.sampled_from(sorted(edits)))]
         if edit is not None:
@@ -672,7 +665,7 @@ def test_vector_scorer_raises_where_the_scalar_chain_raises(drawn, eps, asymptot
 
 def test_every_error_of_the_chain_is_raised():
     ch, arms = make_channel(30.0)
-    row = _pooled_rows(ch, [SnsParams()], np.array([arms]), np.array([1e10]))
+    row = pooled_statistics(ch, [SnsParams()], np.array([arms]), np.array([1e10]))
     for name, (entries, value) in BAD_EDITS.items():
         bad = row.copy()
         bad[0, entries] = value
@@ -688,8 +681,8 @@ def test_signed_zeros_match_the_scalar_chain(rows):
     # counts and -0.0 slice errors, the asymptotic phase error is max(0.0, -0.0)
     ch, arms = make_channel(30.0)
     candidates = [SnsParams()] * rows
-    counts = _pooled_rows(ChannelModel(dark_count_prob=0.0), candidates, np.array([arms]),
-                          np.array([1e11]))
+    counts = pooled_statistics(ChannelModel(dark_count_prob=0.0), candidates, np.array([arms]),
+                               np.array([1e11]))
     counts[:, 23] = -0.0
     counts[1::2, 23] = 0.0
     for asymptotic in (False, True):
@@ -706,7 +699,7 @@ def test_squares_stay_libm_pow():
     candidates = [SnsParams(mu1=trap * r, mu2=trap) for r in (0.05, 0.1, 0.2, 0.5)]
     candidates += [SnsParams(mu1=trap, mu2=mu2) for mu2 in (0.25, 0.5, 1.0)]
     ch, arms = make_channel(30.0)
-    rows = _pooled_rows(ch, candidates, np.array([arms]), np.array([1e11]))
+    rows = pooled_statistics(ch, candidates, np.array([arms]), np.array([1e11]))
     for asymptotic in (False, True):
         want = scalar_outcome(ScalarScorer(EPS, 1e-9, 1.11, asymptotic), candidates, rows)
         got = _Scorer(EPS, 1e-9, 1.11, asymptotic)(candidates, rows)
@@ -714,16 +707,19 @@ def test_squares_stay_libm_pow():
 
 
 def test_skl_and_estimate_untagged_equal_the_scalar_chain():
+    # expected_statistics keeps the counts of its pooled row, which the
+    # scalar chain scores
     for loss in (20.0, 45.0, 70.0, 144.0):
         ch, arms = make_channel(loss)
         for params in DEFAULT_GRID[::7]:
             stats = expected_statistics(ch, params, arms, 1e11)
+            (row,) = pooled_statistics(ch, [params], np.array([arms]), np.array([1e11])).tolist()
             for asymptotic in (False, True):
-                want = scalar_skl(stats, EPS, asymptotic)
-                assert bits_of([astuple(skl(stats, EPS, asymptotic))]) == bits_of([astuple(want)])
                 scorer = ScalarScorer(EPS, 1e-9, 1.11, asymptotic)
+                want = scorer(params, row)
+                assert bits_of([astuple(skl(stats, EPS, asymptotic))]) == bits_of([astuple(want)])
                 n1, y1 = estimate_untagged(stats, EPS, asymptotic)
-                assert (n1, y1["y1_a"], y1["y1_b"]) == scorer.untagged(params, _row(stats))
+                assert (n1, y1["y1_a"], y1["y1_b"]) == scorer.untagged(params, row)
 
 
 def _reference_search(objective, start, max_evals):
@@ -758,7 +754,7 @@ def _reference_search(objective, start, max_evals):
 
 def _reference_optimize(channel, eps, arms, pulses, n_starts, max_evals):
     def objective(params):
-        return scalar_skl(pooled_statistics(channel, params, arms, pulses), eps).skl_bits
+        return scalar_ledger(channel, params, arms, pulses, eps).skl_bits
 
     scored = [(objective(p), i, p) for i, p in enumerate(DEFAULT_GRID)]
     scored.sort(key=lambda t: (-t[0], t[1]))
@@ -767,60 +763,63 @@ def _reference_optimize(channel, eps, arms, pulses, n_starts, max_evals):
         p, v = _reference_search(objective, seed, max_evals)
         if v > best_v:
             best_v, best_p = v, p
-    return best_p, scalar_skl(pooled_statistics(channel, best_p, arms, pulses), eps)
+    return best_p, scalar_ledger(channel, best_p, arms, pulses, eps)
 
 
 @st.composite
-def link_profile(draw):
-    """accumulate_link profile of 1-20 bins between 20 and 60 dB."""
+def link_block(draw):
+    """(arms, pulses) block of 1-20 bins between 20 and 60 dB."""
     n = draw(st.integers(1, 20))
     asymmetric = draw(st.booleans())
-    loss = st.floats(20.0, 60.0)
-    profile = []
-    for _ in range(n):
-        if asymmetric:
-            arms = (10.0 ** (-draw(loss) / 10.0), 10.0 ** (-draw(loss) / 10.0))
-        else:
-            arms = symmetric_arms(10.0 ** (-draw(loss) / 10.0))
-        profile.append((arms, draw(st.floats(1e9, 1e12))))
-    return profile
+    losses = np.array(draw(st.lists(st.floats(20.0, 60.0), min_size=n * (1 + asymmetric),
+                                    max_size=n * (1 + asymmetric))))
+    eff = 10.0 ** (-losses / 10.0)
+    arms = eff.reshape(n, 2) if asymmetric else symmetric_arms(eff)
+    return arms, np.array(draw(st.lists(st.floats(1e9, 1e12), min_size=n, max_size=n)))
+
+
+def bins_of(block):
+    """The block as accumulate_link's ((eta_a, eta_b), pulse count) bins."""
+    arms, pulses = block
+    return list(zip(map(tuple, arms.tolist()), pulses.tolist()))
 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    st.lists(link_profile(), min_size=1, max_size=4),
+    st.lists(link_block(), min_size=1, max_size=4),
     st.integers(1, 3),
     st.integers(1, 80),
 )
-def test_lockstep_optimiser_matches_sequential_reference(profiles, n_starts, max_evals):
+def test_lockstep_optimiser_matches_sequential_reference(blocks, n_starts, max_evals):
     ch = ChannelModel()
-    together = accumulate_links(profiles, ch, EPS, n_starts=n_starts, max_evals=max_evals)
-    for profile, got in zip(profiles, together):
-        arms = np.array([b[0] for b in profile])
-        pulses = np.array([b[1] for b in profile])
-        assert got == _reference_optimize(ch, EPS, arms, pulses, n_starts, max_evals)
-        assert accumulate_link(profile, ch, EPS, n_starts=n_starts, max_evals=max_evals) == got
+    together = accumulate_links(blocks, ch, EPS, n_starts=n_starts, max_evals=max_evals)
+    for block, got in zip(blocks, together):
+        assert got == _reference_optimize(ch, EPS, *block, n_starts, max_evals)
+        bins = bins_of(block)
+        assert accumulate_link(bins, ch, EPS, n_starts=n_starts, max_evals=max_evals) == got
 
 
-def large_profile(seed, n_bins):
-    """Asymmetric profile of ``n_bins`` bins, arms within 3 dB of each other, 20-40 dB."""
+def large_block(seed, n_bins):
+    """Asymmetric block of ``n_bins`` bins, arms within 3 dB of each other, 20-40 dB."""
     rng = np.random.default_rng(seed)
     loss_a = rng.uniform(20.0, 40.0, n_bins)
     loss_b = loss_a + rng.uniform(-3.0, 3.0, n_bins)
     arms = 10.0 ** (-np.stack([loss_a, loss_b], axis=1) / 10.0)
-    pulses = rng.uniform(1e7, 1e9, n_bins)
-    return list(zip(map(tuple, arms.tolist()), pulses.tolist()))
+    return arms, rng.uniform(1e7, 1e9, n_bins)
 
 
 # one candidate a call, through each block's kernel memo
 LARGE = _BATCH_CELLS // 2 + 1
+
+# a block of one bin of 30 dB arms
+ONE_BIN = (np.array([[1e-3, 1e-3]]), np.array([1e12]))
 
 
 @settings(max_examples=4, deadline=None)
 @given(
     st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2),
     st.integers(LARGE, LARGE + 251),
-    link_profile(),
+    link_block(),
     st.integers(1, 3),
     st.integers(1, 30),
 )
@@ -828,12 +827,10 @@ def test_lockstep_optimiser_matches_reference_on_large_blocks(
     seeds, n_bins, small, n_starts, max_evals
 ):
     ch = ChannelModel()
-    profiles = [large_profile(seed, n_bins) for seed in seeds] + [small]
-    together = accumulate_links(profiles, ch, EPS, n_starts=n_starts, max_evals=max_evals)
-    for profile, got in zip(profiles, together):
-        arms = np.array([b[0] for b in profile])
-        pulses = np.array([b[1] for b in profile])
-        assert got == _reference_optimize(ch, EPS, arms, pulses, n_starts, max_evals)
+    blocks = [large_block(seed, n_bins) for seed in seeds] + [small]
+    together = accumulate_links(blocks, ch, EPS, n_starts=n_starts, max_evals=max_evals)
+    for block, got in zip(blocks, together):
+        assert got == _reference_optimize(ch, EPS, *block, n_starts, max_evals)
 
 
 def count_calls(monkeypatch, name):
@@ -862,8 +859,7 @@ def test_one_evaluate_call_is_one_scoring_pass(monkeypatch):
     for n in (2, 5, 9, 130):
         arms = 10.0 ** (-rng.uniform(20.0, 50.0, (n, 2)) / 10.0)
         blocks.append((arms, rng.uniform(1e9, 1e11, n)))
-    profile = large_profile(6, LARGE)
-    blocks.append((np.array([b[0] for b in profile]), np.array([b[1] for b in profile])))
+    blocks.append(large_block(6, LARGE))
     ch = ChannelModel()
     evaluator = _Evaluator(ch, EPS, blocks)
     passes = count_method_calls(monkeypatch, _Scorer, "__call__")
@@ -876,18 +872,17 @@ def test_one_evaluate_call_is_one_scoring_pass(monkeypatch):
     assert len(passes) == evaluator.passes == 1
     for memo, (arms, pulses) in zip(evaluator.memos, blocks):
         for p in DEFAULT_GRID[:20]:
-            want = scalar_skl(pooled_statistics(ch, p, arms, pulses), EPS)
+            want = scalar_ledger(ch, p, arms, pulses)
             assert bits_of([memo[p]]) == bits_of([astuple(want)])
 
 
 def test_kernel_memo_skips_recomputing_unchanged_kernels(monkeypatch):
     ch = ChannelModel()
-    profile = large_profile(7, LARGE)
-    block = (np.array([b[0] for b in profile]), np.array([b[1] for b in profile]))
+    block = large_block(7, LARGE)
     base = SnsParams()
     candidates = [base, SnsParams(p_send=0.1), SnsParams(p_z=0.6), SnsParams(p0=0.4),
                   SnsParams(p1=0.2), SnsParams(p_send=0.2, p_z=0.5, p0=0.3, p1=0.4)]
-    want = [skl(pooled_statistics(ch, p, *block), EPS) for p in candidates]
+    want = [scalar_ledger(ch, p, *block) for p in candidates]
     calls = {name: count_calls(monkeypatch, name)
              for name in ("_z_clicks", "_x_clicks", "_slice_clicks")}
     evaluator = _Evaluator(ch, EPS, [block])
@@ -925,14 +920,12 @@ def candidate_walk(draw):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2**32 - 1), candidate_walk())
 def test_memoised_rows_equal_the_inline_rows(seed, candidates):
-    profile = large_profile(seed, LARGE)
-    arms = np.array([b[0] for b in profile])
-    pulses = np.array([b[1] for b in profile])
+    arms, pulses = large_block(seed, LARGE)
     ch = ChannelModel()
     memo = _KernelMemo()
     for params in candidates:
-        got = _pooled_rows(ch, [params], arms, pulses, memo)
-        assert (got == _pooled_rows(ch, [params], arms, pulses)).all()
+        got = pooled_statistics(ch, [params], arms, pulses, memo)
+        assert got.tobytes() == pooled_statistics(ch, [params], arms, pulses).tobytes()
     assert memo.sum_hits["n"] == len(candidates) - 1
     assert sum(memo.sum_hits.values()) + sum(memo.sum_misses.values()) == 4 * len(candidates)
 
@@ -979,9 +972,9 @@ def test_kernel_memo_stays_within_its_caps(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(keyrate, "_KernelMemo", Recorded)
-    profiles = [large_profile(3, LARGE), large_profile(4, LARGE + 10), [((1e-3, 1e-3), 1e12)]]
-    accumulate_links(profiles, ChannelModel(), EPS, max_evals=120)
-    assert len(made) == len(profiles)
+    blocks = [large_block(3, LARGE), large_block(4, LARGE + 10), ONE_BIN]
+    accumulate_links(blocks, ChannelModel(), EPS, max_evals=120)
+    assert len(made) == len(blocks)
     for memo in made[:2]:
         assert memo.misses["slice"] > _KERNEL_CAPS["slice"]  # the cap was reached
         for kind, cache in memo.caches.items():
@@ -989,8 +982,8 @@ def test_kernel_memo_stays_within_its_caps(monkeypatch):
 
 
 def test_optimiser_logs_one_debug_line_per_call(caplog, capsys, monkeypatch):
-    profiles = [large_profile(5, LARGE), [((1e-3, 1e-3), 1e12)]]
-    accumulate_links(profiles, ChannelModel(), EPS, max_evals=20)
+    blocks = [large_block(5, LARGE), ONE_BIN]
+    accumulate_links(blocks, ChannelModel(), EPS, max_evals=20)
     assert capsys.readouterr() == ("", "")
     # each batched evaluation is one call of the public pooled_statistics,
     # so profilers that wrap that name see every one
@@ -998,7 +991,7 @@ def test_optimiser_logs_one_debug_line_per_call(caplog, capsys, monkeypatch):
     # and each evaluate call is one scoring pass
     evaluations = count_method_calls(monkeypatch, _Evaluator, "evaluate")
     with caplog.at_level("DEBUG", logger="ringqkd.keyrate"):
-        accumulate_links(profiles, ChannelModel(), EPS, max_evals=20)
+        accumulate_links(blocks, ChannelModel(), EPS, max_evals=20)
     (record,) = caplog.records
     message = record.getMessage()
     assert message.startswith("optimised 2 blocks in ")

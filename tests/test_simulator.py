@@ -228,8 +228,26 @@ def reference_effective_bins(config, ul_eff, isl_eff):
     return out
 
 
-def reference_profiles(config, day_index):
-    """The profiles a day optimises, in order, binned one session and side at a time."""
+def reference_block(config, bins):
+    """A {bin key: seconds} dict -> the (arms, pulses) block, one bin at a time in key order."""
+    profile = []
+    for key in sorted(bins):
+        if config.effective_mode == "max":
+            arm = math.sqrt(10.0 ** (-key / 10.0))
+            arms = (arm, arm)
+        else:
+            arms = (10.0 ** (-key[0] / 10.0), 10.0 ** (-key[1] / 10.0))
+        profile.append((arms, bins[key] * config.channel.rep_rate_hz))
+    return np.array([arms for arms, _ in profile]), np.array([pulses for _, pulses in profile])
+
+
+def block_bytes(block):
+    """What tells two blocks apart: each array's dtype, shape and bytes."""
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in block)
+
+
+def reference_blocks(config, day_index):
+    """The blocks a day optimises, in order, binned one session and side at a time."""
     spec = replace(config.constellation, phase0_deg=day_phase_deg(config, day_index))
     n = spec.num_sats
     dt = config.time_step_s
@@ -256,7 +274,7 @@ def reference_profiles(config, day_index):
                 )
                 bins = reference_effective_bins(config, ul, isl)
                 link_session_bins.setdefault((gs.id, (sat + side) % n), []).append(bins)
-    profiles = []
+    blocks = []
     for link in sorted(link_session_bins):
         session_bins = link_session_bins[link]
         if config.pooling == "daily":
@@ -265,14 +283,14 @@ def reference_profiles(config, day_index):
                 for key, seconds in bins.items():
                     merged[key] = merged.get(key, 0.0) + seconds
             session_bins = [merged]
-        profiles += [simulator._bins_to_profile(config, bins) for bins in session_bins]
-    wanted = {tuple(pr): pr for pr in profiles}
-    isl_profile = simulator._isl_reference(config, spec, times)
-    wanted[("isl-ref", tuple(isl_profile))] = isl_profile
-    return list(wanted.values())
+        blocks += [block_bytes(reference_block(config, bins)) for bins in session_bins]
+    # equal blocks are optimised once; the ISL reference block comes last
+    blocks = list(dict.fromkeys(blocks))
+    blocks.append(block_bytes(simulator._isl_reference(config, spec, times)))
+    return blocks
 
 
-class _ProfilesSeen(Exception):
+class _BlocksSeen(Exception):
     pass
 
 
@@ -297,10 +315,11 @@ def test_run_day_bins_match_per_session_reference(
     kind, num_sats, dt, epoch, steps, mode, pooling, group
 ):
     # grouped budgets, one sort-and-count per group and the vectorised daily
-    # merge give every profile that a per-session tally and a dict merge in
-    # the order of the day give, float for float: for steps whose sums are
-    # not exact, daily links of many sessions (Type-II ISL chords are all
-    # one bin), and groups that hold many sessions or only part of one
+    # merge give every block that a per-session tally, a dict merge in the
+    # order of the day and a bin-by-bin conversion in key order give, float
+    # for float: for steps whose sums are not exact, daily links of many
+    # sessions (Type-II ISL chords are all one bin), and groups that hold
+    # many sessions or only part of one
     latitude = 45.0 if kind == "type1" else 0.0
     cfg = load_scenario(overrides=[
         f"constellation.kind={kind}", f"constellation.num_sats={num_sats}",
@@ -310,15 +329,33 @@ def test_run_day_bins_match_per_session_reference(
     ])
     seen = []
 
-    def capture(profiles, *args, **kwargs):
-        seen.append(list(profiles))
-        raise _ProfilesSeen
+    def capture(blocks, *args, **kwargs):
+        seen.append([block_bytes(block) for block in blocks])
+        raise _BlocksSeen
 
     with mock.patch.object(simulator, "_GROUP_SAMPLES", group), \
             mock.patch.object(simulator, "accumulate_links", capture), \
-            pytest.raises(_ProfilesSeen):
+            pytest.raises(_BlocksSeen):
         run_day(cfg, 0)
-    assert seen[0] == reference_profiles(cfg, 0)
+    assert seen[0] == reference_blocks(cfg, 0)
+
+
+def test_serial_campaign_optimises_a_repeated_day_once():
+    # with the phase fixed, day 1 repeats day 0 block for block, and the
+    # cache keyed by each block's bytes serves all of them
+    cfg = short_config(**{"campaign.t_total_s": 1800, "campaign.vary_phase": "false"})
+    sent = []
+    optimise = simulator.accumulate_links
+
+    def count(blocks, *args, **kwargs):
+        blocks = list(blocks)
+        sent.append(len(blocks))
+        return optimise(blocks, *args, **kwargs)
+
+    with mock.patch.object(simulator, "accumulate_links", count):
+        days = run_campaign(cfg).days
+    assert sent == [6, 0]
+    assert replace(days[1], day_index=0) == days[0]
 
 
 def test_run_day_symmetric_links():
