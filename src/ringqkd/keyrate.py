@@ -56,11 +56,18 @@ summed.  Its costly click kernel comes from a second memo: the Z-window
 clicks keyed by mu_z, the X-window clicks of every decoy pair keyed by
 (mu1, mu2), and the phase-slice error-port Gauss-Legendre sums keyed by
 (mu1, delta), each kind a least-recently-used memo of at most
-``_KERNEL_CAPS`` entries, which bounds its memory.  Batched evaluations of
-small blocks compute every group and kernel inline: there the arrays are
-small, and per-call overhead, not the kernels, sets the cost.  Either way
-each count is the same numpy operations summed as the same contiguous row,
-so results are bit-identical.
+``_KERNEL_CAPS`` entries, which bounds its memory.  A kernel missing there
+comes from the optimiser call's arm table (``_ArmTable``): the distinct
+arm pairs of all its large blocks, deduplicated by their bits, and a
+least-recently-used memo of at most ``_TABLE_CAPS`` table-length kernels
+per kind, with the same keys.  A block computes only the entries of its
+arms that no block has filled, and gathers its kernel at its indices.
+Asymmetric blocks pair many uplink arms with the one ISL arm, so they share
+most of their arms.  Batched evaluations of small blocks compute every
+group and kernel inline: there the arrays are small, and per-call
+overhead, not the kernels, sets the cost.  Either way each count is the
+same numpy operations, elementwise on the same arms, summed as the same
+contiguous row, so results are bit-identical.
 
 The phase-slice kernel evaluates the 12 negative Gauss-Legendre nodes and
 mirrors their terms into the other 12: numpy's leggauss nodes are exactly
@@ -450,21 +457,84 @@ _GROUPS = {
 # Entries each block's kernel memo keeps per kind, least recently used out.
 # A kernel is looked up only when its group's sums miss.  On the optimiser's
 # search paths of an asymmetric day, z and x caps of 4 then hit exactly as
-# often as caps of 2, and the larger caps only hold memory.
+# often as caps of 2 (re-measured with the arm table: 528 z and 876 x
+# misses on the 12 large blocks of the campaign.seed=4 day either way), and
+# the larger caps only hold memory.
 _KERNEL_CAPS = {"z": 2, "x": 2, "slice": 8}
+
+# Table-length kernels the arm table keeps per kind, least recently used out.
+# On that day caps of 2, 2 and 4 compute as many entries as these, and caps
+# of 8, 8 and 16 compute 32% fewer z and 13% fewer slice entries, but no
+# fewer x entries and in no less time.
+_TABLE_CAPS = {"z": 4, "x": 4, "slice": 8}
+
+
+class _ArmTable:
+    """The click kernels of the optimiser's large blocks, computed once per distinct arm pair.
+
+    The blocks' (eta_a, eta_b) pairs are deduplicated by their bits, so
+    -0.0 and 0.0 stay apart, and ``index[j]`` maps block j's bins to their
+    entries.  Per kind, a least-recently-used memo of ``_TABLE_CAPS``
+    kernels, keyed as ``_KernelMemo``'s, holds table-length arrays and which
+    of their entries are filled.  ``entries`` counts the entries computed.
+    The channel is fixed for the table's lifetime, as for its blocks' memos.
+    """
+
+    def __init__(self, arm_blocks):
+        pairs = np.ascontiguousarray(np.concatenate(arm_blocks) if arm_blocks else np.empty((0, 2)))
+        distinct, inverse = np.unique(pairs.view(np.dtype((np.void, 16))), return_inverse=True)
+        self.bins, self.size = len(pairs), len(distinct)
+        bounds = np.cumsum([len(arms) for arms in arm_blocks[:-1]], dtype=int)
+        self.index = np.split(inverse.ravel(), bounds) if arm_blocks else []
+        self.caches = {kind: OrderedDict() for kind in _TABLE_CAPS}
+        self.entries = dict.fromkeys(_TABLE_CAPS, 0)
+
+    def fill(self, kind, key, kernel, ta, tb, rest, distinct, first) -> list:
+        """The table-length arrays of a kernel, filled at least at entries ``distinct``.
+
+        ``ta`` and ``tb`` are the (1, B) arms of a block whose bins
+        ``first`` hold those entries.  Only the entries no block has filled
+        are computed, by ``kernel`` on a contiguous copy of their arms and
+        ``rest``.  Each is the same elementwise numpy operations on the same
+        two floats as in the kernel of the whole block, so it has its bits.
+        """
+        cache = self.caches[kind]
+        if key in cache:
+            cache.move_to_end(key)
+        else:
+            cache[key] = ([], np.zeros(self.size, bool))
+            if len(cache) > _TABLE_CAPS[kind]:
+                cache.popitem(last=False)
+        full, filled = cache[key]
+        fresh = ~filled[distinct]
+        if fresh.any():
+            need, at = distinct[fresh], first[fresh]
+            value = kernel(ta[:, at], tb[:, at], *rest)
+            parts = value if isinstance(value, tuple) else (value,)
+            if not full:
+                full.extend(np.empty(part.shape[:-1] + (self.size,)) for part in parts)
+            for whole, part in zip(full, parts):
+                whole[..., need] = part
+            filled[need] = True
+            self.entries[kind] += len(need)
+        return full
 
 
 class _KernelMemo:
     """One block's click kernels and pooled sums, reused across one-candidate evaluations.
 
     Each kernel kind is keyed by the only parameters it reads: ``z`` by
-    mu_z, ``x`` by (mu1, mu2), ``slice`` by (mu1, delta).  Each group of
-    ``_GROUPS`` keeps its pooled sums keyed by the fields its counts read; a
-    few floats an entry, so that memo is not bounded.  The block's arms and
-    the channel are fixed for the memo's lifetime.
+    mu_z, ``x`` by (mu1, mu2), ``slice`` by (mu1, delta).  A kernel missing
+    here is gathered from ``table``, an ``_ArmTable``, at ``index``, the
+    table entries of the block's bins.  Each group of ``_GROUPS`` keeps its
+    pooled sums keyed by the fields its counts read; a few floats an entry,
+    so that memo is not bounded.  The block's arms and the channel are fixed
+    for the memo's lifetime.
     """
 
-    def __init__(self):
+    def __init__(self, table: _ArmTable, index: np.ndarray):
+        self.table, self.index = table, index
+        self.distinct, self.first = np.unique(index, return_index=True)
         self.caches = {kind: OrderedDict() for kind in _KERNEL_CAPS}
         self.hits = dict.fromkeys(_KERNEL_CAPS, 0)
         self.misses = dict.fromkeys(_KERNEL_CAPS, 0)
@@ -472,14 +542,16 @@ class _KernelMemo:
         self.sum_hits = dict.fromkeys(_GROUPS, 0)
         self.sum_misses = dict.fromkeys(_GROUPS, 0)
 
-    def __call__(self, kind, key, kernel, *args):
+    def __call__(self, kind, key, kernel, ta, tb, *rest):
         cache = self.caches[kind]
         if key in cache:
             self.hits[kind] += 1
             cache.move_to_end(key)
             return cache[key]
         self.misses[kind] += 1
-        value = cache[key] = kernel(*args)
+        full = self.table.fill(kind, key, kernel, ta, tb, rest, self.distinct, self.first)
+        parts = tuple(whole.take(self.index, axis=-1) for whole in full)
+        value = cache[key] = parts if len(parts) > 1 else parts[0]
         if len(cache) > _KERNEL_CAPS[kind]:
             cache.popitem(last=False)
         return value
@@ -992,8 +1064,9 @@ class _Evaluator:
     points that depend on n, so a group of larger blocks needs no padding.
     A group too large to batch (more than half of ``_BATCH_CELLS`` bins) has
     no stack: its blocks are evaluated one candidate a call, reusing the
-    click kernels and pooled sums in the block's memo ``kernels[j]``;
-    batches compute theirs inline.
+    click kernels and pooled sums in the block's memo ``kernels[j]``, and
+    all of them share one ``_ArmTable``, ``table``; batches compute their
+    kernels inline.
     """
 
     def __init__(self, channel: ChannelModel, eps: SecurityEpsilons, blocks):
@@ -1001,7 +1074,6 @@ class _Evaluator:
         self.scorer = _Scorer(eps, channel.dark_count_prob, channel.error_correction_factor)
         self.blocks = blocks
         self.memos = [{} for _ in blocks]
-        self.kernels = [_KernelMemo() for _ in blocks]
         self.calls = self.passes = 0
         self.group = []  # per block, its batch group
         self.slot = []  # per block, its row in the group's stack
@@ -1017,6 +1089,9 @@ class _Evaluator:
         for key, js in members.items():
             size = _BATCH_CELLS // max(len(blocks[j][1]) for j in js)
             self.stacks[key] = (size, *_padded([blocks[j] for j in js])) if size > 1 else None
+        single = [j for j, key in enumerate(self.group) if self.stacks[key] is None]
+        self.table = _ArmTable([blocks[j][0] for j in single])
+        self.kernels = {j: _KernelMemo(self.table, at) for j, at in zip(single, self.table.index)}
 
     def evaluate(self, requests) -> None:
         """Score every (j, params) request not yet in ``memos[j]``, in one scoring pass.
@@ -1099,7 +1174,7 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
         if v > best[j][1]:
             best[j] = (p, v)
     if log.isEnabledFor(logging.DEBUG):
-        kernels = evaluator.kernels
+        kernels, table = evaluator.kernels.values(), evaluator.table
 
         def counts(hits, misses, names):
             return ", ".join(
@@ -1110,9 +1185,11 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
 
         log.debug(
             "optimised %d blocks in %d evaluations over %d batched calls and %d scoring "
-            "passes; kernel memo hits/misses: %s; sum memo hits/misses: %s",
+            "passes; kernel memo hits/misses: %s; sum memo hits/misses: %s; arm table: "
+            "%d distinct arms of %d bins, kernel entries computed: %s",
             len(blocks), sum(map(len, memos)), evaluator.calls, evaluator.passes,
             counts("hits", "misses", _KERNEL_CAPS), counts("sum_hits", "sum_misses", _GROUPS),
+            table.size, table.bins, ", ".join(f"{k} {n}" for k, n in table.entries.items()),
         )
     return [(p, SklBreakdown(*memos[j][p])) for j, (p, _) in enumerate(best)]
 

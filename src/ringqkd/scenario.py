@@ -26,6 +26,14 @@ from .keyrate import ChannelModel, SecurityEpsilons
 from .linkbudget import OpticalParams, TurbulenceProfile
 
 
+# The largest sample grid of one day, floor(t_total_s / time_step_s) + 1
+# samples.  A day's peak memory grows by about 0.45 KB a sample in max mode
+# and 0.53 KB in asymmetric mode, above a base of about 85 MB (measured one
+# day at a time: 124 MB at the default 86,401 samples, 396 MB at 691,201 and
+# 710 MB at 1,382,401), so a grid this large peaks at about 1.1 GB.
+MAX_DAY_SAMPLES = 2_000_000
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     constellation: ConstellationSpec
@@ -77,6 +85,13 @@ class ScenarioConfig:
         if self.time_step_s > self.t_total_s:
             raise ValueError(
                 f"time_step_s={self.time_step_s} exceeds the day window t_total_s={self.t_total_s}"
+            )
+        ratio = self.t_total_s / self.time_step_s
+        if ratio >= MAX_DAY_SAMPLES:  # floor(ratio) + 1 > MAX_DAY_SAMPLES
+            samples = math.floor(ratio) + 1 if math.isfinite(ratio) else ratio
+            raise ValueError(
+                f"t_total_s / time_step_s makes a sample grid of {samples} samples a day, above"
+                f" the limit MAX_DAY_SAMPLES = {MAX_DAY_SAMPLES:,}"
             )
         if not (self.n_days >= 1 and self.optimizer_starts >= 1 and self.optimizer_evals >= 1):
             raise ValueError("n_days and optimiser budgets must be >= 1")

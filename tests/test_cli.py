@@ -234,6 +234,7 @@ def test_keyrate_rejects_bad_flags(flags, named, tmp_path, capsys):
     (("security", "--ns", "12", "--i", "0", "--k", "6", "--compromised", "12"), "satellite index"),
     (("security", "--ns", "12"), "--ns/--i/--k"),
     (("simulate", "--set", "campaign.time_step_s=1e9"), "time_step_s"),
+    (("simulate", "--set", "campaign.time_step_s=1e-9"), "MAX_DAY_SAMPLES"),
 ])
 def test_bad_input_writes_nothing(argv, named, tmp_path, capsys):
     # rejected at the boundary with exit 2, before the output directory is made

@@ -33,6 +33,8 @@ from ringqkd.keyrate import (
     _COORDS,
     _KERNEL_CAPS,
     _PAIRWISE_BLOCK,
+    _TABLE_CAPS,
+    _ArmTable,
     _Evaluator,
     _KernelMemo,
     _Scorer,
@@ -896,11 +898,12 @@ def test_kernel_memo_skips_recomputing_unchanged_kernels(monkeypatch):
     assert kernels[0].sum_misses == {"n": 1, "z": 4, "x": 5, "slice": 4}
     # and only a sum miss looks its kernel up
     assert kernels[0].hits == {"z": 3, "x": 4, "slice": 3}
-    # a batched block of a few bins computes its kernels inline
+    # a batched block of a few bins computes its kernels inline, without a memo
     small = _Evaluator(ch, EPS, [(block[0][:3], block[1][:3])])
     small.evaluate([(0, p) for p in candidates])
     assert len(calls["_slice_clicks"]) == 2
-    assert small.kernels[0].misses == dict.fromkeys(_KERNEL_CAPS, 0)
+    assert small.kernels == {}
+    assert (small.table.size, small.table.bins) == (0, 0)
 
 
 @st.composite
@@ -922,12 +925,130 @@ def candidate_walk(draw):
 def test_memoised_rows_equal_the_inline_rows(seed, candidates):
     arms, pulses = large_block(seed, LARGE)
     ch = ChannelModel()
-    memo = _KernelMemo()
+    table = _ArmTable([arms])
+    memo = _KernelMemo(table, *table.index)
     for params in candidates:
         got = pooled_statistics(ch, [params], arms, pulses, memo)
         assert got.tobytes() == pooled_statistics(ch, [params], arms, pulses).tobytes()
     assert memo.sum_hits["n"] == len(candidates) - 1
     assert sum(memo.sum_hits.values()) + sum(memo.sum_misses.values()) == 4 * len(candidates)
+
+
+# the one ISL arm of pooled_blocks, and its uplink arms on a 0.01 dB grid
+ISL_ARM = 10.0 ** (-1.7)
+UPLINK_GRID = 10.0 ** (-np.arange(2000, 4000) / 1000.0)
+
+
+@st.composite
+def pooled_blocks(draw):
+    """2-4 asymmetric blocks of more than ``_BATCH_CELLS // 2`` bins, arms from one pool.
+
+    Each bin pairs an uplink arm with the one ISL arm.  The uplink arms come
+    from values shared by all blocks, values of one block only, 0.0 and
+    -0.0; some blocks put the ISL arm first.  All blocks may hold their
+    arms in column-major order, as a station's asymmetric blocks do.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_blocks = draw(st.integers(2, 4))
+    order = draw(st.sampled_from("CF"))
+    grid = rng.permutation(UPLINK_GRID)
+    shared = draw(st.integers(1, 30))
+    private = [draw(st.integers(0, 30)) for _ in range(n_blocks)]
+    starts = shared + np.cumsum([0] + private)
+    blocks = []
+    for j in range(n_blocks):
+        values = np.concatenate([grid[:shared], grid[starts[j] : starts[j + 1]], [0.0, -0.0]])
+        n_bins = draw(st.integers(LARGE, LARGE + 40))
+        uplink = rng.choice(values, n_bins)
+        pairs = (np.full(n_bins, ISL_ARM), uplink)
+        arms = np.stack(pairs if draw(st.booleans()) else pairs[::-1], axis=1)
+        blocks.append((np.asarray(arms, order=order), rng.uniform(1e7, 1e9, n_bins)))
+    return blocks
+
+
+def distinct_arms(blocks):
+    """The number of distinct (eta_a, eta_b) bit patterns of the blocks' bins."""
+    return len({row.tobytes() for arms, _ in blocks for row in arms})
+
+
+@settings(max_examples=6, deadline=None)
+@given(pooled_blocks(), st.booleans(), st.data(), st.integers(1, 3), st.integers(1, 12))
+def test_arm_table_rows_equal_the_inline_rows(blocks, same_walk, data, n_starts, max_evals):
+    # blocks read table entries that other blocks filled, including the
+    # separate entries of 0.0 and -0.0 arms
+    ch = ChannelModel()
+    table = _ArmTable([arms for arms, _ in blocks])
+    assert (table.size, table.bins) == (distinct_arms(blocks), sum(len(w) for _, w in blocks))
+    memos = [_KernelMemo(table, index) for index in table.index]
+    walk = data.draw(candidate_walk())
+    walks = [walk if same_walk else data.draw(candidate_walk()) for _ in blocks]
+    for step in range(max(map(len, walks))):
+        for (arms, pulses), walk, memo in zip(blocks, walks, memos):
+            if step < len(walk):
+                got = pooled_statistics(ch, [walk[step]], arms, pulses, memo)
+                assert got.tobytes() == pooled_statistics(ch, [walk[step]], arms, pulses).tobytes()
+    together = accumulate_links(blocks, ch, EPS, n_starts=n_starts, max_evals=max_evals)
+    for block, got in zip(blocks, together):
+        assert got == _reference_optimize(ch, EPS, *block, n_starts, max_evals)
+
+
+def count_entries(monkeypatch):
+    """Per kernel kind, the bins of every call of its kernel, counted while patched."""
+    entries = dict.fromkeys(_TABLE_CAPS, 0)
+    for kind in entries:
+        name = f"_{kind}_clicks"
+        original = getattr(keyrate, name)
+
+        def counted(ta, *args, kind=kind, original=original):
+            entries[kind] += ta.size
+            return original(ta, *args)
+
+        monkeypatch.setattr(keyrate, name, counted)
+    return entries
+
+
+def kernel_keys(candidates):
+    """The distinct kernel keys of each kind that the candidates read."""
+    keys = {"z": {p.mu_z for p in candidates}, "x": {(p.mu1, p.mu2) for p in candidates},
+            "slice": {(p.mu1, p.delta) for p in candidates}}
+    return {kind: len(found) for kind, found in keys.items()}
+
+
+@settings(max_examples=5, deadline=None)
+@given(pooled_blocks(), candidate_walk())
+def test_identical_walks_compute_each_distinct_arm_once_per_key(blocks, walk):
+    # a walk reads at most two values of each field: no more kernel keys of
+    # a kind than the table keeps, so no entry is computed twice
+    assert all(n <= _TABLE_CAPS[kind] for kind, n in kernel_keys(walk).items())
+    evaluator = _Evaluator(ChannelModel(), EPS, blocks)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        entries = count_entries(monkeypatch)
+        evaluator.evaluate([(j, p) for p in walk for j in range(len(blocks))])
+    size = distinct_arms(blocks)
+    assert evaluator.table.size == size
+    assert entries == {kind: size * n for kind, n in kernel_keys(walk).items()}
+    assert evaluator.table.entries == entries
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=3, unique=True), st.data())
+def test_disjoint_blocks_compute_no_more_entries_than_block_memos(seeds, data):
+    # each memo miss computed a kernel on all of its block's bins before the
+    # arm table; blocks that share no arm and walk apart gain nothing from
+    # it, and must not lose
+    blocks = [large_block(seed, LARGE + j) for j, seed in enumerate(seeds)]
+    walks = [data.draw(candidate_walk()) for _ in blocks]
+    evaluator = _Evaluator(ChannelModel(), EPS, blocks)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        entries = count_entries(monkeypatch)
+        for step in range(max(map(len, walks))):
+            evaluator.evaluate(
+                [(j, walk[step]) for j, walk in enumerate(walks) if step < len(walk)]
+            )
+    memos = evaluator.kernels
+    for kind, n in entries.items():
+        assert n == evaluator.table.entries[kind]
+        assert n <= sum(len(blocks[j][1]) * memo.misses[kind] for j, memo in memos.items())
 
 
 def slice_clicks_all_nodes(ta, tb, mu1, delta, eopt, pdc):
@@ -967,22 +1088,34 @@ def test_kernel_memo_stays_within_its_caps(monkeypatch):
     made = []
 
     class Recorded(_KernelMemo):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, table, index):
+            super().__init__(table, index)
             made.append(self)
 
     monkeypatch.setattr(keyrate, "_KernelMemo", Recorded)
     blocks = [large_block(3, LARGE), large_block(4, LARGE + 10), ONE_BIN]
     accumulate_links(blocks, ChannelModel(), EPS, max_evals=120)
-    assert len(made) == len(blocks)
-    for memo in made[:2]:
+    assert len(made) == 2  # the batched block of one bin has no memo
+    for memo in made:
         assert memo.misses["slice"] > _KERNEL_CAPS["slice"]  # the cap was reached
         for kind, cache in memo.caches.items():
             assert len(cache) <= _KERNEL_CAPS[kind]
+    # both memos share one table, whose kernels are table-length
+    (table,) = {id(memo.table): memo.table for memo in made}.values()
+    assert (table.size, table.bins) == (2 * LARGE + 10, 2 * LARGE + 10)
+    # more slice entries than the cap's kernels hold: the cap was reached
+    assert table.entries["slice"] > _TABLE_CAPS["slice"] * table.size
+    for kind, cache in table.caches.items():
+        assert len(cache) <= _TABLE_CAPS[kind]
+        for full, filled in cache.values():
+            assert filled.shape == (table.size,)
+            assert all(part.shape[-1] == table.size for part in full)
 
 
 def test_optimiser_logs_one_debug_line_per_call(caplog, capsys, monkeypatch):
-    blocks = [large_block(5, LARGE), ONE_BIN]
+    # two large blocks with the same arms, and one batched block
+    arms, pulses = large_block(5, LARGE)
+    blocks = [(arms, pulses), (arms, pulses[::-1]), ONE_BIN]
     accumulate_links(blocks, ChannelModel(), EPS, max_evals=20)
     assert capsys.readouterr() == ("", "")
     # each batched evaluation is one call of the public pooled_statistics,
@@ -990,12 +1123,30 @@ def test_optimiser_logs_one_debug_line_per_call(caplog, capsys, monkeypatch):
     calls = count_calls(monkeypatch, "pooled_statistics")
     # and each evaluate call is one scoring pass
     evaluations = count_method_calls(monkeypatch, _Evaluator, "evaluate")
+    # the kernel entries computed through the arm table
+    entries = dict.fromkeys(_TABLE_CAPS, 0)
+    fill = _ArmTable.fill
+
+    def counted(self, kind, key, kernel, *args):
+        def computed(ta, *rest):
+            entries[kind] += ta.size
+            return kernel(ta, *rest)
+
+        return fill(self, kind, key, computed, *args)
+
+    monkeypatch.setattr(_ArmTable, "fill", counted)
     with caplog.at_level("DEBUG", logger="ringqkd.keyrate"):
         accumulate_links(blocks, ChannelModel(), EPS, max_evals=20)
     (record,) = caplog.records
     message = record.getMessage()
-    assert message.startswith("optimised 2 blocks in ")
+    assert message.startswith("optimised 3 blocks in ")
     assert len(evaluations) > 1
     assert (f" evaluations over {len(calls)} batched calls and {len(evaluations)} scoring "
             "passes; ") in message
     assert "kernel memo hits/misses: z " in message
+    assert message.endswith(
+        f"; arm table: {LARGE} distinct arms of {2 * LARGE} bins, kernel entries computed: "
+        f"z {entries['z']}, x {entries['x']}, slice {entries['slice']}"
+    )
+    # the blocks share every arm: whichever asks for a key first computes all of its entries
+    assert all(n > 0 and n % LARGE == 0 for n in entries.values())

@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 from ringqkd.geometry import ConstellationKind, ConstellationSpec, GroundStation
 from ringqkd.keyrate import ChannelModel, SecurityEpsilons
 from ringqkd.linkbudget import OpticalParams, TurbulenceProfile
-from ringqkd.scenario import _PARTS, _TABLE, ScenarioConfig, load_scenario, manifest
+from ringqkd.scenario import (
+    _PARTS,
+    _TABLE,
+    MAX_DAY_SAMPLES,
+    ScenarioConfig,
+    load_scenario,
+    manifest,
+)
 
 # fields set by the program, not by a scenario key
 DERIVED = {
@@ -89,7 +96,8 @@ def _finite(lo, hi, **kw):
 
 # valid file-unit values for every key; constraints between keys are met by
 # the ranges (altitude >= 500 km keeps 12 satellites above the ring minimum),
-# except that the time step must fit the day window (see time_step_fits)
+# except that the time step must fit the day window and keep the day's
+# sample grid within MAX_DAY_SAMPLES (see time_step_fits)
 VALID = {
     ("constellation", "kind"): st.sampled_from(["type1", "type2"]),
     ("constellation", "num_sats"): st.sampled_from([12, 16, 24, 36]),
@@ -143,13 +151,24 @@ def test_valid_strategies_cover_the_table():
 
 
 def time_step_fits(values):
-    return values[("campaign", "time_step_s")] <= values[("campaign", "t_total_s")]
+    step, total = values[("campaign", "time_step_s")], values[("campaign", "t_total_s")]
+    return step <= total and math.floor(total / step) + 1 <= MAX_DAY_SAMPLES
 
 
 def test_time_step_must_fit_the_day_window():
     load_scenario(overrides=["campaign.t_total_s=60", "campaign.time_step_s=60"])
     with pytest.raises(ValueError, match="time_step_s"):
         load_scenario(overrides=["campaign.t_total_s=60", "campaign.time_step_s=60.5"])
+
+
+def test_sample_grid_is_limited():
+    # floor(t_total_s / time_step_s) + 1 samples, at most MAX_DAY_SAMPLES
+    load_scenario(overrides=[f"campaign.t_total_s={MAX_DAY_SAMPLES - 1}"])
+    load_scenario(overrides=["campaign.t_total_s=86400", "campaign.time_step_s=0.05"])
+    for t_total, step in ((MAX_DAY_SAMPLES, 1), (600, 1e-9), (1e300, 1e-300)):
+        overrides = [f"campaign.t_total_s={t_total}", f"campaign.time_step_s={step}"]
+        with pytest.raises(ValueError, match=f"MAX_DAY_SAMPLES = {MAX_DAY_SAMPLES:,}"):
+            load_scenario(overrides=overrides)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
