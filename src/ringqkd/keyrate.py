@@ -41,8 +41,10 @@ sender to measurement node, of shape (B, 2), and the pulse counts of its
 B bins, of shape (B,).  ``symmetric_arms`` is the one place a total
 twin-field link efficiency is split, into two arms of sqrt(efficiency).
 
-The optimiser batches the candidates of blocks of at most 128 bins by
-band, bins >> 3.  Each band's blocks are stacked once, padded to the
+The optimiser carries each candidate as the tuple of its ``SnsParams``
+fields (only ``DEFAULT_GRID`` and each block's winner are ``SnsParams``),
+and batches the candidates of blocks of at most 128 bins by band,
+bins >> 3.  Each band's blocks are stacked once, padded to the
 widest block of the band with zero-pulse, zero-arm bins, and a batch
 gathers its rows from the stack; numpy's pairwise sums make that padding
 exact (see ``_Evaluator``).  Larger blocks batch only with blocks of their
@@ -82,7 +84,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -135,19 +137,20 @@ class SnsParams:
             raise ValueError("p0 + p1 must leave room for the mu2 decoy")
         if not 0.0 < self.delta < math.pi:
             raise ValueError("delta must lie in (0, pi)")
-        # the hash the dataclass would compute, taken once: the optimiser's
-        # dicts look each candidate up many times
-        object.__setattr__(self, "_hash", hash(_sns_fields(self)))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def p2(self) -> float:
         return 1.0 - self.p0 - self.p1
 
 
+# A candidate as the tuple of its fields, in field order: the optimiser's
+# candidates are such tuples, and two SnsParams are equal when theirs are.
 _sns_fields = attrgetter(*(f.name for f in fields(SnsParams)))
+
+
+def _as_fields(candidates) -> list:
+    """Each of ``candidates``, a ``SnsParams`` or the tuple of its fields, as that tuple."""
+    return [p if type(p) is tuple else _sns_fields(p) for p in candidates]
 
 
 @dataclass(frozen=True)
@@ -310,16 +313,16 @@ def _click(nu, pdc):
 
 
 def _candidate_table(candidates, pdc) -> np.ndarray:
-    """(P, 14) per-candidate constants, each formed as the scalar code forms it.
+    """(P, 14) constants of P candidates' field tuples, each formed as the scalar code forms it.
 
-    Columns 0-2 are the intensities (0, mu1, mu2), 3-5 their probabilities.
+    Columns 0-2 are the intensities (0, mu1, mu2), 3-5 their probabilities
+    (p2 as ``SnsParams.p2`` forms it).
     """
     rows = []
-    for p in candidates:
-        ps = p.p_send
+    for mu_z, mu1, mu2, ps, p_z, p0, p1, delta in candidates:
         rows.append((
-            0.0, p.mu1, p.mu2, p.p0, p.p1, p.p2, p.mu_z, p.p_z, 1.0 - p.p_z, p.delta,
-            ps * (1.0 - ps), ps**2, (1.0 - ps) ** 2 * pdc, min(1.0, 2.0 * p.delta / math.pi),
+            0.0, mu1, mu2, p0, p1, 1.0 - p0 - p1, mu_z, p_z, 1.0 - p_z, delta,
+            ps * (1.0 - ps), ps**2, (1.0 - ps) ** 2 * pdc, min(1.0, 2.0 * delta / math.pi),
         ))
     return np.array(rows)
 
@@ -385,9 +388,9 @@ class _Terms:
 
     Holds the bins (pulses ``w`` and detected arm efficiencies ``ta``,
     ``tb``, each of shape (1 or P, B)), the (P, 1) constant columns of the
-    P candidates, and ``kernel``: ``_inline`` or the block's ``_KernelMemo``,
-    from which the click kernels come.  Each method fills a (P, rows, B)
-    array with the terms of one group of ``_GROUPS``.
+    P candidates, which are field tuples, and ``kernel``: ``_inline`` or the
+    block's ``_KernelMemo``, from which the click kernels come.  Each method
+    fills a (P, rows, B) array with the terms of one group of ``_GROUPS``.
     """
 
     def __init__(self, channel: ChannelModel, candidates, w, ta, tb, kernel):
@@ -407,7 +410,7 @@ class _Terms:
         nz, z_clicks, z_errors = out[:, 0], out[:, 1], out[:, 2]
         np.multiply(self.w, self.p_z, out=nz)
         c_sum, c_ab = self.kernel(
-            "z", self.first.mu_z, _z_clicks, self.ta, self.tb, self.mu_z, self.pdc
+            "z", self.first[0], _z_clicks, self.ta, self.tb, self.mu_z, self.pdc
         )
         singles = self.ps_single * c_sum
         both = self.ps_both * c_ab
@@ -426,8 +429,8 @@ class _Terms:
         nx = self.w * self.p_x
         np.multiply(nx[:, None, None, :], self.probs[:, :, None, None], out=x_pairs)
         np.multiply(x_pairs, self.probs[:, None, :, None], out=x_pairs)
-        clicks = self.kernel(
-            "x", (self.first.mu1, self.first.mu2), _x_clicks, self.ta, self.tb, self.mus, self.pdc
+        clicks = self.kernel(  # keyed by (mu1, mu2)
+            "x", self.first[1:3], _x_clicks, self.ta, self.tb, self.mus, self.pdc
         )
         np.multiply(x_pairs, clicks, out=x_clicks)
 
@@ -439,19 +442,20 @@ class _Terms:
         np.multiply(sl_pairs, self.p1, out=sl_pairs)
         np.multiply(sl_pairs, self.f_slice, out=sl_pairs)
         err_in = self.kernel(
-            "slice", (self.first.mu1, self.first.delta), _slice_clicks,
+            "slice", (self.first[1], self.first[7]), _slice_clicks,
             self.ta, self.tb, self.mu1, self.delta, self.eopt, self.pdc,
         )
         np.multiply(sl_pairs, err_in, out=sl_err)
 
 
-# The groups of rows of the _ROW layout: name -> (rows, the SnsParams fields
-# their counts read, the _Terms method that writes their per-bin terms).
+# The groups of rows of the _ROW layout: name -> (rows, the key of their
+# pooled sums, which reads the fields their counts read from a candidate's
+# field tuple, the _Terms method that writes their per-bin terms).
 _GROUPS = {
-    "n": (slice(0, 1), (), _Terms.pulses),
-    "z": (slice(1, _XP), ("p_z", "p_send", "mu_z"), _Terms.z),
-    "x": (slice(_XP, _SL), ("p_z", "p0", "p1", "mu1", "mu2"), _Terms.x),
-    "slice": (slice(_SL, _ROW), ("p_z", "p1", "mu1", "delta"), _Terms.phase_slice),
+    "n": (slice(0, 1), lambda p: (), _Terms.pulses),
+    "z": (slice(1, _XP), itemgetter(4, 3, 0), _Terms.z),  # p_z, p_send, mu_z
+    "x": (slice(_XP, _SL), itemgetter(4, 5, 6, 1, 2), _Terms.x),  # p_z, p0, p1, mu1, mu2
+    "slice": (slice(_SL, _ROW), itemgetter(4, 6, 1, 7), _Terms.phase_slice),  # p_z, p1, mu1, delta
 }
 
 # Entries each block's kernel memo keeps per kind, least recently used out.
@@ -564,8 +568,8 @@ class _KernelMemo:
         row of B floats the same way there as inside a (P, _ROW, B) array.
         """
         out = np.empty((1, _ROW))
-        for group, (rows, names, write) in _GROUPS.items():
-            key = tuple(getattr(terms.first, name) for name in names)
+        for group, (rows, key_of, write) in _GROUPS.items():
+            key = key_of(terms.first)
             sums = self.sums[group].get(key)
             if sums is None:
                 self.sum_misses[group] += 1
@@ -592,10 +596,11 @@ def pooled_statistics(
 ) -> np.ndarray:
     """The (P, ``_ROW``) expected counts of a sequence of P candidates, pooled over bins.
 
-    The pulse counts are shared, of shape (B,), or one row per candidate,
-    of shape (P, B); ``arms`` has their shape plus a trailing axis of the
-    two arm efficiencies, not range-checked here: the public entry points
-    check each block once.  All per-bin terms go into one (P, _ROW, B)
+    A candidate is a ``SnsParams`` or the tuple of its fields.  The pulse
+    counts are shared, of shape (B,), or one row per candidate, of shape
+    (P, B); ``arms`` has their shape plus a trailing axis of the two arm
+    efficiencies, not range-checked here: the public entry points check
+    each block once.  All per-bin terms go into one (P, _ROW, B)
     array, summed over its last, contiguous axis, so a candidate's counts
     do not depend on the others in its batch; bins of zero pulses and zero
     arms add exactly +0.0 to every count (see ``_Evaluator``).  ``kernels``,
@@ -615,7 +620,7 @@ def pooled_statistics(
         raise ValueError("per-candidate bins need one row per candidate")
     if kernels is not None and len(candidates) != 1:
         raise ValueError("a kernel memo serves one candidate a call")
-    terms = _Terms(channel, candidates, w, ta, tb, _inline if kernels is None else kernels)
+    terms = _Terms(channel, _as_fields(candidates), w, ta, tb, kernels or _inline)
     if kernels is not None:
         return kernels.pooled(terms)
     out = np.empty((len(candidates), _ROW, w.shape[-1]))
@@ -780,12 +785,13 @@ _CHAIN_ERRORS = (
 class _Scorer:
     """The finite-key chain, run on rows of pooled counts (``_ROW`` layout).
 
-    One call scores P candidates and their (P, ``_ROW``) rows in one numpy
-    pass; log(1/eps) of both bound families and the epsilon correction are
-    taken once per scorer.  The pass gives the bits of the chain run on one
-    row of Python floats at a time.  ``+ - * /`` and ``sqrt`` are correctly
-    rounded in numpy as in Python, so they run in numpy in the same order,
-    and every branch is an ``np.where`` or one of ``_min``, ``_max0`` and
+    One call scores P candidates (each a ``SnsParams`` or the tuple of its
+    fields) and their (P, ``_ROW``) rows in one numpy pass; log(1/eps) of
+    both bound families and the epsilon correction are taken once per
+    scorer.  The pass gives the bits of the chain run on one row of Python
+    floats at a time.  ``+ - * /`` and ``sqrt`` are correctly rounded in
+    numpy as in Python, so they run in numpy in the same order, and every
+    branch is an ``np.where`` or one of ``_min``, ``_max0`` and
     ``_min3``, which are Python's ``min`` and ``max`` for NaN and signed
     zeros too.  The transcendental calls stay in ``math``, one candidate at
     a time: ``exp(mu1)``, ``exp(mu2)``, ``exp(-mu_z)``, ``exp(-2 mu1)`` and
@@ -810,9 +816,9 @@ class _Scorer:
     def _constants(candidates):
         """(10, P): mu1, mu2, their squares and exps, p_send, mu_z, exp(-mu_z), exp(-2 mu1)."""
         columns = [
-            (p.mu1, p.mu2, p.mu1 ** 2, p.mu2 ** 2, math.exp(p.mu1), math.exp(p.mu2),
-             p.p_send, p.mu_z, math.exp(-p.mu_z), math.exp(-2.0 * p.mu1))
-            for p in candidates
+            (mu1, mu2, mu1 ** 2, mu2 ** 2, math.exp(mu1), math.exp(mu2),
+             p_send, mu_z, math.exp(-mu_z), math.exp(-2.0 * mu1))
+            for mu_z, mu1, mu2, p_send, _, _, _, _ in _as_fields(candidates)
         ]
         flat = np.fromiter(chain.from_iterable(columns), float, 10 * len(columns))
         return flat.reshape(-1, 10).T
@@ -950,46 +956,20 @@ _BOUNDS = {
     "p1": (0.01, 0.97),
     "delta": (0.01, 1.5),
 }
-_COORDS = tuple(_BOUNDS)
+
+# The grid as the optimiser's candidates, field tuples.
+_GRID = tuple(map(_sns_fields, DEFAULT_GRID))
 
 
-def _params_to_vector(p: SnsParams) -> dict:
-    return {
-        "mu_z": p.mu_z,
-        "mu2": p.mu2,
-        "ratio1": p.mu1 / p.mu2,
-        "p_send": p.p_send,
-        "p_z": p.p_z,
-        "p0": p.p0,
-        "p1": p.p1,
-        "delta": p.delta,
-    }
-
-
-def _vector_to_params(v: dict) -> SnsParams | None:
-    if v["p0"] + v["p1"] >= 0.98:
-        return None
-    try:
-        return SnsParams(
-            mu_z=v["mu_z"],
-            mu1=v["ratio1"] * v["mu2"],
-            mu2=v["mu2"],
-            p_send=v["p_send"],
-            p_z=v["p_z"],
-            p0=v["p0"],
-            p1=v["p1"],
-            delta=v["delta"],
-        )
-    except ValueError:
-        return None
-
-
-def _coordinate_search(start: SnsParams, max_evals: int):
+def _coordinate_search(start: tuple, max_evals: int):
     """Deterministic multiplicative coordinate descent inside the box.
 
-    A generator: it yields each candidate it wants evaluated, is sent that
-    candidate's objective value, and returns (best params, best value).
-    Its path depends only on the values it is sent.
+    A generator on field tuples: it yields each candidate it wants
+    evaluated, is sent that candidate's objective value, and returns (best
+    candidate, best value).  Its path depends only on the values it is
+    sent.  It steps a list of the coordinates of ``_BOUNDS``, in order, with
+    ratio1 = mu1 / mu2 of the best point; every candidate it yields is a
+    valid ``SnsParams``.
     """
     best_p = start
     best_v = yield start
@@ -997,22 +977,24 @@ def _coordinate_search(start: SnsParams, max_evals: int):
     step = 1.6
     while evals < max_evals and step > 1.005:
         improved = False
-        vec = _params_to_vector(best_p)
-        for name in _COORDS:
+        mu_z, mu1, mu2, *rest = best_p
+        vec = [mu_z, mu2, mu1 / mu2, *rest]
+        for i, (lo, hi) in enumerate(_BOUNDS.values()):
             for factor in (step, 1.0 / step):
                 if evals >= max_evals:
                     break
-                cand = dict(vec)
-                lo, hi = _BOUNDS[name]
-                cand[name] = min(hi, max(lo, cand[name] * factor))
-                params = _vector_to_params(cand)
-                if params is None:
+                cand = vec.copy()
+                cand[i] = min(hi, max(lo, cand[i] * factor))
+                mu_z, mu2, ratio1, p_send, p_z, p0, p1, delta = cand
+                if p0 + p1 >= 0.98:
                     continue
+                params = (mu_z, ratio1 * mu2, mu2, p_send, p_z, p0, p1, delta)
                 val = yield params
                 evals += 1
                 if val > best_v:
                     best_v, best_p = val, params
-                    vec = _params_to_vector(best_p)
+                    vec = cand
+                    vec[2] = params[1] / mu2
                     improved = True
         if not improved:
             step = 1.0 + (step - 1.0) * 0.5
@@ -1046,8 +1028,8 @@ def _padded(blocks) -> tuple[np.ndarray, np.ndarray]:
 class _Evaluator:
     """The optimiser's blocks and the ledger of every (block, candidate) it has scored.
 
-    ``memos[j]`` maps each candidate evaluated on block j to its ledger, a
-    tuple of ``SklBreakdown``'s fields.  ``calls`` counts the
+    ``memos[j]`` maps each candidate evaluated on block j, a field tuple, to
+    its ledger, a tuple of ``SklBreakdown``'s fields.  ``calls`` counts the
     ``pooled_statistics`` calls made and ``passes`` the scoring passes.
 
     Blocks of at most ``_PAIRWISE_BLOCK`` bins batch by band, bins >> 3;
@@ -1094,7 +1076,7 @@ class _Evaluator:
         self.kernels = {j: _KernelMemo(self.table, at) for j, at in zip(single, self.table.index)}
 
     def evaluate(self, requests) -> None:
-        """Score every (j, params) request not yet in ``memos[j]``, in one scoring pass.
+        """Score every (j, candidate) request not yet in ``memos[j]``, in one scoring pass.
 
         Repeated requests are evaluated once.  Each batch of a group, and
         each candidate of a block too large to batch, is one
@@ -1140,31 +1122,40 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
     pending candidate of each live search in one ``_Evaluator.evaluate``
     call, and a search advances without one through points its block has
     already evaluated (a revisit still counts toward ``max_evals``).
-    Returns one (params, SklBreakdown) per block.
+    Candidates are field tuples; returns one (SnsParams, SklBreakdown) per
+    block, the only ``SnsParams`` made here.
     """
     evaluator = _Evaluator(channel, eps, blocks)
     memos = evaluator.memos
-    evaluator.evaluate([(j, p) for j in range(len(blocks)) for p in DEFAULT_GRID])
-    best = []  # per block: (params, value), the grid's best to start with
+    evaluator.evaluate([(j, p) for j in range(len(blocks)) for p in _GRID])
+    best = []  # per block: (candidate, value), the grid's best to start with
     searches = []  # [block, search, pending candidate, result], seed order within a block
     for j, memo in enumerate(memos):
         # a ledger's last field is skl_bits
-        scored = [(memo[p][-1], i, p) for i, p in enumerate(DEFAULT_GRID)]
+        scored = [(memo[p][-1], i, p) for i, p in enumerate(_GRID)]
         scored.sort(key=lambda t: (-t[0], t[1]))
         best.append((scored[0][2], scored[0][0]))
-        for seed in [scored[0][2], DEFAULT_PARAMS, scored[1][2]][: max(n_starts, 1)]:
+        seeds = [scored[0][2], _sns_fields(DEFAULT_PARAMS), scored[1][2]]
+        for seed in seeds[: max(n_starts, 1)]:
             search = _coordinate_search(seed, max_evals)
             searches.append([j, search, next(search), None])
 
     live = searches
+    # a step is a value sent to a search; a revisit, a step whose candidate
+    # its block had already evaluated when the search yielded it
+    on_grid, rounds, steps = sum(map(len, memos)), 0, 0
     while live:
         evaluator.evaluate([(j, cand) for j, _, cand, _ in live])
+        rounds += 1
         for entry in live:
             j, search, cand, _ = entry
             memo = memos[j]
             try:
-                while cand in memo:
-                    cand = search.send(memo[cand][-1])
+                ledger = memo.get(cand)
+                while ledger is not None:
+                    steps += 1
+                    cand = search.send(ledger[-1])
+                    ledger = memo.get(cand)
                 entry[2] = cand
             except StopIteration as done:
                 entry[3] = done.value
@@ -1183,15 +1174,18 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
                 for name in names
             )
 
+        evaluations = sum(map(len, memos))
         log.debug(
-            "optimised %d blocks in %d evaluations over %d batched calls and %d scoring "
-            "passes; kernel memo hits/misses: %s; sum memo hits/misses: %s; arm table: "
-            "%d distinct arms of %d bins, kernel entries computed: %s",
-            len(blocks), sum(map(len, memos)), evaluator.calls, evaluator.passes,
+            "optimised %d blocks in %d rounds, %d search steps (%d revisits) and %d evaluations "
+            "over %d batched calls and %d scoring passes; kernel memo hits/misses: %s; sum "
+            "memo hits/misses: %s; arm table: %d distinct arms of %d bins, kernel entries "
+            "computed: %s",
+            len(blocks), rounds, steps, steps - (evaluations - on_grid), evaluations,
+            evaluator.calls, evaluator.passes,
             counts("hits", "misses", _KERNEL_CAPS), counts("sum_hits", "sum_misses", _GROUPS),
             table.size, table.bins, ", ".join(f"{k} {n}" for k, n in table.entries.items()),
         )
-    return [(p, SklBreakdown(*memos[j][p])) for j, (p, _) in enumerate(best)]
+    return [(SnsParams(*p), SklBreakdown(*memos[j][p])) for j, (p, _) in enumerate(best)]
 
 
 def accumulate_links(

@@ -5,7 +5,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ringqkd import keyrate
@@ -30,7 +30,6 @@ from ringqkd.keyrate import (
 from ringqkd.keyrate import (
     _BATCH_CELLS,
     _BOUNDS,
-    _COORDS,
     _KERNEL_CAPS,
     _PAIRWISE_BLOCK,
     _TABLE_CAPS,
@@ -39,9 +38,8 @@ from ringqkd.keyrate import (
     _KernelMemo,
     _Scorer,
     _click,
+    _coordinate_search,
     _slice_clicks,
-    _params_to_vector,
-    _vector_to_params,
 )
 
 EPS = SecurityEpsilons()
@@ -382,6 +380,14 @@ def test_asymmetric_mode_runs():
 # ------------------------------------------------- batched, lockstep optimiser
 
 
+def fields_of(candidates):
+    """The candidates as the optimiser carries them: the tuples of their fields."""
+    return [astuple(p) for p in candidates]
+
+
+GRID = fields_of(DEFAULT_GRID)
+
+
 @st.composite
 def sns_params(draw):
     mu2 = draw(st.floats(1e-3, 1.5))
@@ -462,13 +468,15 @@ def test_small_blocks_batch_by_band():
         blocks.append((arms, rng.uniform(1e9, 1e11, n)))
     ch = ChannelModel()
     evaluator = _Evaluator(ch, EPS, blocks)
-    evaluator.evaluate([(j, p) for j in range(len(blocks)) for p in DEFAULT_GRID])
+    evaluator.evaluate([(j, p) for j in range(len(blocks)) for p in GRID])
     # one call for 1-7 bins, one for 8-15, and two for 130 bins (31 candidates a call)
     assert evaluator.calls == 4
     # each band is stacked once, padded to its widest block
     assert [stack[2].shape for stack in evaluator.stacks.values()] == [(3, 7), (2, 15), (1, 130)]
     for memo, (arms, pulses) in zip(evaluator.memos, blocks):
-        assert memo == {p: astuple(scalar_ledger(ch, p, arms, pulses)) for p in DEFAULT_GRID}
+        assert memo == {
+            astuple(p): astuple(scalar_ledger(ch, p, arms, pulses)) for p in DEFAULT_GRID
+        }
 
 
 def test_pooled_statistics_rejects_misaligned_bins():
@@ -645,7 +653,7 @@ def scored_rows(draw, edits):
 def test_vector_scorer_matches_the_scalar_chain_bit_for_bit(drawn, eps, asymptotic, f_ec):
     candidates, rows, pdc = drawn
     want = scalar_outcome(ScalarScorer(eps, pdc, f_ec, asymptotic), candidates, rows)
-    got = vector_outcome(_Scorer(eps, pdc, f_ec, asymptotic), candidates, rows)
+    got = vector_outcome(_Scorer(eps, pdc, f_ec, asymptotic), fields_of(candidates), rows)
     if isinstance(want, str):  # a zeroed decoy ensemble on a live row
         assert got == want
     else:
@@ -658,7 +666,7 @@ def test_vector_scorer_matches_the_scalar_chain_bit_for_bit(drawn, eps, asymptot
 def test_vector_scorer_raises_where_the_scalar_chain_raises(drawn, eps, asymptotic):
     candidates, rows, pdc = drawn
     want = scalar_outcome(ScalarScorer(eps, pdc, 1.11, asymptotic), candidates, rows)
-    got = vector_outcome(_Scorer(eps, pdc, 1.11, asymptotic), candidates, rows)
+    got = vector_outcome(_Scorer(eps, pdc, 1.11, asymptotic), fields_of(candidates), rows)
     if isinstance(want, str):
         assert got == want
     else:  # every bad row was dead, or its bad count was not read
@@ -673,7 +681,8 @@ def test_every_error_of_the_chain_is_raised():
         bad[0, entries] = value
         want = scalar_outcome(ScalarScorer(EPS, 1e-9, 1.11), [SnsParams()], bad)
         assert isinstance(want, str), name
-        assert vector_outcome(_Scorer(EPS, 1e-9, 1.11), [SnsParams()], bad) == want, name
+        got = vector_outcome(_Scorer(EPS, 1e-9, 1.11), fields_of([SnsParams()]), bad)
+        assert got == want, name
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 17])
@@ -689,7 +698,7 @@ def test_signed_zeros_match_the_scalar_chain(rows):
     counts[1::2, 23] = 0.0
     for asymptotic in (False, True):
         want = scalar_outcome(ScalarScorer(EPS, 0.0, 1.11, asymptotic), candidates, counts)
-        got = _Scorer(EPS, 0.0, 1.11, asymptotic)(candidates, counts)
+        got = _Scorer(EPS, 0.0, 1.11, asymptotic)(fields_of(candidates), counts)
         assert bits_of(got) == bits_of(want)
 
 
@@ -704,8 +713,28 @@ def test_squares_stay_libm_pow():
     rows = pooled_statistics(ch, candidates, np.array([arms]), np.array([1e11]))
     for asymptotic in (False, True):
         want = scalar_outcome(ScalarScorer(EPS, 1e-9, 1.11, asymptotic), candidates, rows)
-        got = _Scorer(EPS, 1e-9, 1.11, asymptotic)(candidates, rows)
+        got = _Scorer(EPS, 1e-9, 1.11, asymptotic)(fields_of(candidates), rows)
         assert bits_of(got) == bits_of(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(sns_params(), min_size=1, max_size=6), loss_bins(max_bins=12),
+       scored_rows(ROW_EDITS), st.booleans())
+def test_params_and_field_tuples_give_the_same_bytes(params, bins, drawn, asymptotic):
+    # the optimiser carries candidates as field tuples, the public entry
+    # points pass SnsParams; both must count and score alike
+    ch = ChannelModel()
+    want = pooled_statistics(ch, params, *bins)
+    assert pooled_statistics(ch, fields_of(params), *bins).tobytes() == want.tobytes()
+    candidates, rows, pdc = drawn
+    scorer = _Scorer(EPS, pdc, 1.11, asymptotic)
+    for score in (scorer, scorer.untagged):
+        want = vector_outcome(score, candidates, rows)
+        got = vector_outcome(score, fields_of(candidates), rows)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert bits_of(got) == bits_of(want)
 
 
 def test_skl_and_estimate_untagged_equal_the_scalar_chain():
@@ -724,16 +753,52 @@ def test_skl_and_estimate_untagged_equal_the_scalar_chain():
                 assert (n1, y1["y1_a"], y1["y1_b"]) == scorer.untagged(params, row)
 
 
-def _reference_search(objective, start, max_evals):
-    """The one-candidate-at-a-time coordinate search the lockstep driver replaced."""
+def _params_to_vector(p: SnsParams) -> dict:
+    return {
+        "mu_z": p.mu_z,
+        "mu2": p.mu2,
+        "ratio1": p.mu1 / p.mu2,
+        "p_send": p.p_send,
+        "p_z": p.p_z,
+        "p0": p.p0,
+        "p1": p.p1,
+        "delta": p.delta,
+    }
+
+
+def _vector_to_params(v: dict) -> SnsParams | None:
+    if v["p0"] + v["p1"] >= 0.98:
+        return None
+    try:
+        return SnsParams(
+            mu_z=v["mu_z"],
+            mu1=v["ratio1"] * v["mu2"],
+            mu2=v["mu2"],
+            p_send=v["p_send"],
+            p_z=v["p_z"],
+            p0=v["p0"],
+            p1=v["p1"],
+            delta=v["delta"],
+        )
+    except ValueError:
+        return None
+
+
+def _reference_steps(start, max_evals):
+    """The coordinate search on ``SnsParams`` and coordinate dicts, as a generator.
+
+    It yields each candidate, is sent its value and returns (best params,
+    best value): the reference for ``_coordinate_search``, which steps on
+    field tuples.
+    """
     best_p = start
-    best_v = objective(start)
+    best_v = yield start
     evals = 1
     step = 1.6
     while evals < max_evals and step > 1.005:
         improved = False
         vec = _params_to_vector(best_p)
-        for name in _COORDS:
+        for name in _BOUNDS:
             for factor in (step, 1.0 / step):
                 if evals >= max_evals:
                     break
@@ -743,7 +808,7 @@ def _reference_search(objective, start, max_evals):
                 params = _vector_to_params(cand)
                 if params is None:
                     continue
-                val = objective(params)
+                val = yield params
                 evals += 1
                 if val > best_v:
                     best_v, best_p = val, params
@@ -752,6 +817,17 @@ def _reference_search(objective, start, max_evals):
         if not improved:
             step = 1.0 + (step - 1.0) * 0.5
     return best_p, best_v
+
+
+def _reference_search(objective, start, max_evals):
+    """The one-candidate-at-a-time coordinate search the lockstep driver replaced."""
+    steps = _reference_steps(start, max_evals)
+    candidate = next(steps)
+    try:
+        while True:
+            candidate = steps.send(objective(candidate))
+    except StopIteration as done:
+        return done.value
 
 
 def _reference_optimize(channel, eps, arms, pulses, n_starts, max_evals):
@@ -799,6 +875,43 @@ def test_lockstep_optimiser_matches_sequential_reference(blocks, n_starts, max_e
         assert got == _reference_optimize(ch, EPS, *block, n_starts, max_evals)
         bins = bins_of(block)
         assert accumulate_link(bins, ch, EPS, n_starts=n_starts, max_evals=max_evals) == got
+
+
+@st.composite
+def box_points(draw):
+    """A point inside the search's box: every coordinate within ``_BOUNDS``, p0 + p1 < 0.98."""
+    point = {name: draw(st.floats(lo, hi), label=name) for name, (lo, hi) in _BOUNDS.items()}
+    assume(point["p0"] + point["p1"] < 0.98)
+    return _vector_to_params(point)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.sampled_from(DEFAULT_GRID), st.just(DEFAULT_PARAMS), box_points()),
+       st.integers(1, 400), st.data())
+def test_tuple_search_steps_as_the_params_reference(start, max_evals, data):
+    # both searches are sent the same values: each a loss, a tie or a gain
+    # against the best value sent so far
+    want, got = _reference_steps(start, max_evals), _coordinate_search(astuple(start), max_evals)
+    want_candidate, candidate = next(want), next(got)
+    best, steps = 0.0, 0
+    while True:
+        assert candidate == astuple(want_candidate)
+        assert all(type(x) is float for x in candidate)
+        SnsParams(*candidate)  # a valid point: no ValueError
+        value = best + data.draw(st.sampled_from((-1.0, 0.0, 1.0)), label="change")
+        best = max(best, value)
+        steps += 1
+        try:
+            want_candidate = want.send(value)
+        except StopIteration as done:
+            want_result = done.value
+            break
+        candidate = got.send(value)
+    with pytest.raises(StopIteration) as done:
+        got.send(value)
+    (best_p, best_v), (got_p, got_v) = want_result, done.value.value
+    assert (got_p, got_v) == (astuple(best_p), best_v)
+    assert steps <= max_evals
 
 
 def large_block(seed, n_bins):
@@ -865,7 +978,7 @@ def test_one_evaluate_call_is_one_scoring_pass(monkeypatch):
     ch = ChannelModel()
     evaluator = _Evaluator(ch, EPS, blocks)
     passes = count_method_calls(monkeypatch, _Scorer, "__call__")
-    requests = [(j, p) for j in range(len(blocks)) for p in DEFAULT_GRID[:20]]
+    requests = [(j, p) for j in range(len(blocks)) for p in GRID[:20]]
     evaluator.evaluate(requests + requests[:7])  # repeats are scored once
     assert evaluator.calls == 1 + 1 + 1 + 20
     assert [len(candidates) for candidates, _ in passes] == [len(requests)]
@@ -875,7 +988,18 @@ def test_one_evaluate_call_is_one_scoring_pass(monkeypatch):
     for memo, (arms, pulses) in zip(evaluator.memos, blocks):
         for p in DEFAULT_GRID[:20]:
             want = scalar_ledger(ch, p, arms, pulses)
-            assert bits_of([memo[p]]) == bits_of([astuple(want)])
+            assert bits_of([memo[astuple(p)]]) == bits_of([astuple(want)])
+
+
+def test_accumulate_links_makes_params_only_for_its_winners(monkeypatch):
+    # the optimiser carries candidates as field tuples; a SnsParams is made
+    # for each block's winner, and no more
+    blocks = [ONE_BIN, large_block(8, LARGE), (symmetric_arms([1e-3, 1e-4]), [1e11, 3e11])]
+    made = count_method_calls(monkeypatch, SnsParams, "__init__")
+    results = accumulate_links(blocks + [(np.empty((0, 2)), [])], ChannelModel(), EPS,
+                               max_evals=30)
+    assert 0 < len(made) <= len(blocks)
+    assert [type(p) for p, _ in results] == [SnsParams] * len(blocks) + [type(None)]
 
 
 def test_kernel_memo_skips_recomputing_unchanged_kernels(monkeypatch):
@@ -888,9 +1012,9 @@ def test_kernel_memo_skips_recomputing_unchanged_kernels(monkeypatch):
     calls = {name: count_calls(monkeypatch, name)
              for name in ("_z_clicks", "_x_clicks", "_slice_clicks")}
     evaluator = _Evaluator(ch, EPS, [block])
-    evaluator.evaluate([(0, p) for p in candidates])
+    evaluator.evaluate([(0, p) for p in fields_of(candidates)])
     kernels = evaluator.kernels
-    assert [SklBreakdown(*evaluator.memos[0][p]) for p in candidates] == want
+    assert [SklBreakdown(*evaluator.memos[0][p]) for p in fields_of(candidates)] == want
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
     # a group's sums are reused while the fields its counts read repeat:
     # z reads (p_z, p_send, mu_z), x (p_z, p0, p1, mu1, mu2), slice (p_z, p1, mu1, delta)
@@ -900,7 +1024,7 @@ def test_kernel_memo_skips_recomputing_unchanged_kernels(monkeypatch):
     assert kernels[0].hits == {"z": 3, "x": 4, "slice": 3}
     # a batched block of a few bins computes its kernels inline, without a memo
     small = _Evaluator(ch, EPS, [(block[0][:3], block[1][:3])])
-    small.evaluate([(0, p) for p in candidates])
+    small.evaluate([(0, p) for p in fields_of(candidates)])
     assert len(calls["_slice_clicks"]) == 2
     assert small.kernels == {}
     assert (small.table.size, small.table.bins) == (0, 0)
@@ -927,7 +1051,7 @@ def test_memoised_rows_equal_the_inline_rows(seed, candidates):
     ch = ChannelModel()
     table = _ArmTable([arms])
     memo = _KernelMemo(table, *table.index)
-    for params in candidates:
+    for params in fields_of(candidates):
         got = pooled_statistics(ch, [params], arms, pulses, memo)
         assert got.tobytes() == pooled_statistics(ch, [params], arms, pulses).tobytes()
     assert memo.sum_hits["n"] == len(candidates) - 1
@@ -980,8 +1104,8 @@ def test_arm_table_rows_equal_the_inline_rows(blocks, same_walk, data, n_starts,
     table = _ArmTable([arms for arms, _ in blocks])
     assert (table.size, table.bins) == (distinct_arms(blocks), sum(len(w) for _, w in blocks))
     memos = [_KernelMemo(table, index) for index in table.index]
-    walk = data.draw(candidate_walk())
-    walks = [walk if same_walk else data.draw(candidate_walk()) for _ in blocks]
+    walk = fields_of(data.draw(candidate_walk()))
+    walks = [walk if same_walk else fields_of(data.draw(candidate_walk())) for _ in blocks]
     for step in range(max(map(len, walks))):
         for (arms, pulses), walk, memo in zip(blocks, walks, memos):
             if step < len(walk):
@@ -1023,7 +1147,7 @@ def test_identical_walks_compute_each_distinct_arm_once_per_key(blocks, walk):
     evaluator = _Evaluator(ChannelModel(), EPS, blocks)
     with pytest.MonkeyPatch.context() as monkeypatch:
         entries = count_entries(monkeypatch)
-        evaluator.evaluate([(j, p) for p in walk for j in range(len(blocks))])
+        evaluator.evaluate([(j, p) for p in fields_of(walk) for j in range(len(blocks))])
     size = distinct_arms(blocks)
     assert evaluator.table.size == size
     assert entries == {kind: size * n for kind, n in kernel_keys(walk).items()}
@@ -1037,7 +1161,7 @@ def test_disjoint_blocks_compute_no_more_entries_than_block_memos(seeds, data):
     # arm table; blocks that share no arm and walk apart gain nothing from
     # it, and must not lose
     blocks = [large_block(seed, LARGE + j) for j, seed in enumerate(seeds)]
-    walks = [data.draw(candidate_walk()) for _ in blocks]
+    walks = [fields_of(data.draw(candidate_walk())) for _ in blocks]
     evaluator = _Evaluator(ChannelModel(), EPS, blocks)
     with pytest.MonkeyPatch.context() as monkeypatch:
         entries = count_entries(monkeypatch)
@@ -1135,6 +1259,22 @@ def test_optimiser_logs_one_debug_line_per_call(caplog, capsys, monkeypatch):
         return fill(self, kind, key, computed, *args)
 
     monkeypatch.setattr(_ArmTable, "fill", counted)
+    # the values sent to the searches, and the candidates scored
+    steps, scored = [], count_method_calls(monkeypatch, _Scorer, "__call__")
+    search = keyrate._coordinate_search
+
+    def counted_search(start, max_evals):
+        inner = search(start, max_evals)
+        candidate = next(inner)
+        while True:
+            value = yield candidate
+            steps.append(value)
+            try:
+                candidate = inner.send(value)
+            except StopIteration as done:
+                return done.value
+
+    monkeypatch.setattr(keyrate, "_coordinate_search", counted_search)
     with caplog.at_level("DEBUG", logger="ringqkd.keyrate"):
         accumulate_links(blocks, ChannelModel(), EPS, max_evals=20)
     (record,) = caplog.records
@@ -1143,6 +1283,13 @@ def test_optimiser_logs_one_debug_line_per_call(caplog, capsys, monkeypatch):
     assert len(evaluations) > 1
     assert (f" evaluations over {len(calls)} batched calls and {len(evaluations)} scoring "
             "passes; ") in message
+    # a round is one evaluate call after the grid's; a revisit is a step
+    # that no evaluation answered: the grid seeds are two of them per block
+    evaluated = sum(len(candidates) for candidates, _ in scored)
+    revisits = len(steps) - (evaluated - 3 * len(DEFAULT_GRID))
+    assert revisits >= 2 * 3
+    assert (f"optimised 3 blocks in {len(evaluations) - 1} rounds, {len(steps)} search steps "
+            f"({revisits} revisits) and {evaluated} evaluations over ") in message
     assert "kernel memo hits/misses: z " in message
     assert message.endswith(
         f"; arm table: {LARGE} distinct arms of {2 * LARGE} bins, kernel entries computed: "
