@@ -33,8 +33,8 @@ entropies) and the squares mu1 ** 2 and mu2 ** 2 stay in ``math``, one
 candidate at a time: numpy's SIMD exp and log need not match libm, and
 CPython's ``x ** 2`` calls libm ``pow``, which is not always ``x * x``.
 The optimiser scores the rows of all its ``pooled_statistics`` calls of a
-round in one pass; ``skl`` and ``estimate_untagged`` score the one row of an
-``ExpectedStatistics``, made only by ``expected_statistics`` and the oracle.
+round in one pass; ``skl`` scores the one row of an ``ExpectedStatistics``,
+made only by ``expected_statistics`` and the oracle.
 
 A link block is a pair of arrays: the arm efficiencies (eta_a, eta_b),
 sender to measurement node, of shape (B, 2), and the pulse counts of its
@@ -42,34 +42,29 @@ B bins, of shape (B,).  ``symmetric_arms`` is the one place a total
 twin-field link efficiency is split, into two arms of sqrt(efficiency).
 
 The optimiser carries each candidate as the tuple of its ``SnsParams``
-fields (only ``DEFAULT_GRID`` and each block's winner are ``SnsParams``),
-and batches the candidates of blocks of at most 128 bins by band,
-bins >> 3.  Each band's blocks are stacked once, padded to the
-widest block of the band with zero-pulse, zero-arm bins, and a batch
-gathers its rows from the stack; numpy's pairwise sums make that padding
-exact (see ``_Evaluator``).  Larger blocks batch only with blocks of their
-own bin count.  It scores a block too large to batch (more than half of
-``_BATCH_CELLS`` bins) one candidate a call, through that block's memo.  It
-keeps the pooled sums of each group of count rows (``_GROUPS``), keyed by
-the parameters the group reads: n_pulses once per block, the Z rows by
-(p_z, p_send, mu_z), the X rows by (p_z, p0, p1, mu1, mu2) and the slice
-rows by (p_z, p1, mu1, delta).  Only a group whose key is new is built and
-summed.  Its costly click kernel comes from a second memo: the Z-window
-clicks keyed by mu_z, the X-window clicks of every decoy pair keyed by
-(mu1, mu2), and the phase-slice error-port Gauss-Legendre sums keyed by
-(mu1, delta), each kind a least-recently-used memo of at most
-``_KERNEL_CAPS`` entries, which bounds its memory.  A kernel missing there
-comes from the optimiser call's arm table (``_ArmTable``): the distinct
-arm pairs of all its large blocks, deduplicated by their bits, and a
-least-recently-used memo of at most ``_TABLE_CAPS`` table-length kernels
-per kind, with the same keys.  A block computes only the entries of its
-arms that no block has filled, and gathers its kernel at its indices.
-Asymmetric blocks pair many uplink arms with the one ISL arm, so they share
-most of their arms.  Batched evaluations of small blocks compute every
-group and kernel inline: there the arrays are small, and per-call
-overhead, not the kernels, sets the cost.  Either way each count is the
-same numpy operations, elementwise on the same arms, summed as the same
-contiguous row, so results are bit-identical.
+fields (only ``DEFAULT_GRID`` and each block's winner are ``SnsParams``)
+and evaluates a block on one of two paths (see ``_Evaluator``):
+
+- A block of at most 128 bins is batched with the others of its band,
+  bins >> 3, padded to the band's widest block with zero-pulse, zero-arm
+  bins, which numpy's pairwise sums make exact.  Its kernels are computed
+  inline: the arrays are small, and per-call overhead sets the cost.
+- A larger block is evaluated one candidate a call, through its memo
+  (``_KernelMemo``).  That keeps the pooled sums of each group of count
+  rows (``_GROUPS``), keyed by the fields the group reads: n_pulses once
+  per block, the Z rows by (p_z, p_send, mu_z), the X rows by (p_z, p0,
+  p1, mu1, mu2) and the slice rows by (p_z, p1, mu1, delta).  Only a group
+  whose key is new is built and summed.  Its click kernel comes from a
+  least-recently-used memo of ``_KERNEL_CAPS`` entries per kind: the
+  Z-window clicks keyed by mu_z, the X-window clicks of every decoy pair
+  by (mu1, mu2) and the phase-slice error-port Gauss-Legendre sums by
+  (mu1, delta).  A kernel missing there comes from the optimiser call's
+  arm table (``_ArmTable``), which computes each kernel once per distinct
+  arm pair of all the large blocks: asymmetric blocks pair many uplink
+  arms with the one ISL arm, so they share most of their arms.
+
+Either way each count is the same numpy operations, elementwise on the same
+arms, summed as the same contiguous row, so results are bit-identical.
 
 The phase-slice kernel evaluates the 12 negative Gauss-Legendre nodes and
 mirrors their terms into the other 12: numpy's leggauss nodes are exactly
@@ -81,6 +76,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from itertools import chain
@@ -99,7 +95,6 @@ __all__ = [
     "expected_statistics",
     "pooled_statistics",
     "monte_carlo_statistics",
-    "estimate_untagged",
     "skl",
     "accumulate_link",
     "accumulate_links",
@@ -740,11 +735,21 @@ def monte_carlo_statistics(
 def correction_term(eps: SecurityEpsilons) -> float:
     """Epsilon-dependent subtraction of the key-length formula, in bits (>= 0).
 
-    Evaluates 2 log2[(2/eps_cor) (2/(sqrt2 eps_PA eps_hat))].
+    Evaluates 2 log2[(2/eps_cor) (2/(sqrt2 eps_PA eps_hat))], as a sum of
+    log2 terms where the product overflows or its denominator underflows.
     """
-    return 2.0 * math.log2(
-        (2.0 / eps.eps_cor) * (2.0 / (math.sqrt(2.0) * eps.eps_pa * eps.eps_hat))
-    )
+    denominator = math.sqrt(2.0) * eps.eps_pa * eps.eps_hat
+    if denominator >= sys.float_info.min:
+        product = (2.0 / eps.eps_cor) * (2.0 / denominator)
+        if product < math.inf:
+            return 2.0 * math.log2(product)
+    return 2.0 * (1.5 - math.log2(eps.eps_cor) - math.log2(eps.eps_pa) - math.log2(eps.eps_hat))
+
+
+def _log_inverse(eps: float) -> float:
+    """log(1/eps), taken as -log(eps) where 1/eps overflows."""
+    inverse = 1.0 / eps
+    return math.log(inverse) if inverse < math.inf else -math.log(eps)
 
 
 @dataclass(frozen=True)
@@ -805,8 +810,8 @@ class _Scorer:
 
     def __init__(self, eps: SecurityEpsilons, dark_count_prob: float,
                  error_correction_factor: float, asymptotic: bool = False):
-        self.ln_n1 = math.log(1.0 / eps.eps_n1)
-        self.ln_bar = math.log(1.0 / eps.eps_bar)
+        self.ln_n1 = _log_inverse(eps.eps_n1)
+        self.ln_bar = _log_inverse(eps.eps_bar)
         self.correction = correction_term(eps)
         self.pdc = dark_count_prob
         self.f_ec = error_correction_factor
@@ -823,25 +828,21 @@ class _Scorer:
         flat = np.fromiter(chain.from_iterable(columns), float, 10 * len(columns))
         return flat.reshape(-1, 10).T
 
-    def _check(self, pairs, clicks, live, rows=None, qber=None):
+    def _check(self, pairs, clicks, live, rows, qber):
         """Raise the first of ``_CHAIN_ERRORS`` on the ``live`` rows, rows in order.
 
-        ``pairs`` and ``clicks`` are the (P, 2, 3) decoy ensembles of both
-        arms.  Without ``qber`` only the decoy checks of ``untagged`` apply.
+        ``pairs`` and ``clicks`` are the (P, 2, 3) decoy ensembles of both arms.
         """
         least_pairs = _min3(pairs[..., 0], pairs[..., 1], pairs[..., 2])
         least_clicks = _min3(clicks[..., 0], clicks[..., 1], clicks[..., 2])
+        bounded = ~(rows[:, _SL] <= 0) & (not self.asymptotic)
         checks = [least_pairs[:, 0] <= 0, least_clicks[:, 0] < 0,
-                  least_pairs[:, 1] <= 0, least_clicks[:, 1] < 0]
-        if qber is not None:
-            bounded = ~(rows[:, _SL] <= 0) & (not self.asymptotic)
-            checks.append(bounded & (rows[:, _SL + 1] < 0.0))
-            checks.append(~((0.0 <= qber) & (qber <= 1.0)))
+                  least_pairs[:, 1] <= 0, least_clicks[:, 1] < 0,
+                  bounded & (rows[:, _SL + 1] < 0.0), ~((0.0 <= qber) & (qber <= 1.0))]
         bad = np.stack(checks, axis=1) & live[:, None]
         if bad.any():
             row = int(bad.any(axis=1).argmax())
-            message = _CHAIN_ERRORS[int(bad[row].argmax())]
-            raise ValueError(message.format(None if qber is None else float(qber[row])))
+            raise ValueError(_CHAIN_ERRORS[int(bad[row].argmax())].format(float(qber[row])))
 
     def _yields(self, const, pairs, clicks):
         """Two-decoy lower bounds on the single-photon yields of both arms, (P, 2)."""
@@ -867,13 +868,6 @@ class _Scorer:
         if not self.asymptotic:
             n1 = _chernoff_lower(n1, self.ln_n1)
         return _max0(n1), y1a, y1b
-
-    def untagged(self, candidates, rows):
-        """(P,) lower bounds on the untagged single-photon Z bits, and both arms' y1."""
-        pairs, clicks = rows[:, _XP + _ARMS], rows[:, _XC + _ARMS]
-        with np.errstate(all="ignore"):
-            self._check(pairs, clicks, np.full(len(rows), True))
-            return self._untagged(self._constants(candidates), rows, pairs, clicks)
 
     def _phase_error(self, const, rows, y1_mean):
         """Upper bound on the phase-flip error of untagged bits from slice counts."""
@@ -909,17 +903,6 @@ class _Scorer:
         # a block without raw clicks: the zero ledger, with its pulse count
         ledger[~live, 1:] = (0.0, 0.0, 0.0, 0.5, 0.0, 0.0)
         return list(map(tuple, ledger.tolist()))
-
-
-def estimate_untagged(
-    stats: ExpectedStatistics,
-    eps: SecurityEpsilons,
-    asymptotic: bool = False,
-) -> tuple[float, dict]:
-    """Lower bound on the untagged single-photon Z bits of the block."""
-    scorer = _Scorer(eps, stats.dark_count_prob, stats.error_correction_factor, asymptotic)
-    n1, y1a, y1b = (v.item() for v in scorer.untagged([stats.params], np.array([_row(stats)])))
-    return n1, {"y1_a": y1a, "y1_b": y1b}
 
 
 def skl(
@@ -1001,16 +984,17 @@ def _coordinate_search(start: tuple, max_evals: int):
     return best_p, best_v
 
 
-# Largest candidates x bins product of one batched evaluation.  Blocks with
-# more bins than half this are evaluated one candidate per call: there a
-# batch only adds memory traffic (and peak memory) to compute-bound arrays.
+# Largest candidates x bins product of one batched evaluation of a band.
+# Blocks above _PAIRWISE_BLOCK bins are not batched: a batch only adds
+# memory traffic (and peak memory) to their compute-bound arrays, and a memo
+# saves the kernels a coordinate search does not change.
 _BATCH_CELLS = 4096
 
 # The longest row that numpy's pairwise summation adds without splitting it
-# (PW_BLOCKSIZE in numpy's loops_utils.h.src).  The band rule of _Evaluator
-# rests on that summation's order, which is numpy's internal choice;
-# checked on numpy 2.4.6, and guarded by
-# test_zero_padding_inside_the_band_keeps_counts_bit_identical.
+# (PW_BLOCKSIZE in numpy's loops_utils.h.src), and so the largest block
+# that is batched.  The band rule of _Evaluator rests on that summation's
+# order, which is numpy's internal choice; checked on numpy 2.4.6, and
+# guarded by test_zero_padding_inside_the_band_keeps_counts_bit_identical.
 _PAIRWISE_BLOCK = 128
 
 
@@ -1032,23 +1016,19 @@ class _Evaluator:
     its ledger, a tuple of ``SklBreakdown``'s fields.  ``calls`` counts the
     ``pooled_statistics`` calls made and ``passes`` the scoring passes.
 
-    Blocks of at most ``_PAIRWISE_BLOCK`` bins batch by band, bins >> 3;
-    larger ones only with blocks of their own bin count.  Each group's
-    blocks are stacked once, padded to the widest block of the group with
-    bins of zero pulses and zero arms, and a batch gathers its rows from
-    that stack.  Every count stays bit-identical, because numpy sums a
+    A block of at most ``_PAIRWISE_BLOCK`` bins is batched with the others
+    of its band, bins >> 3.  Each band's blocks are stacked once, padded to
+    the widest block of the band with bins of zero pulses and zero arms, and
+    a batch of at most ``_BATCH_CELLS`` candidates x bins gathers its rows
+    from that stack.  Every count stays bit-identical, because numpy sums a
     contiguous row of n <= 128 floats in one of two ways.  Below 8 elements
     it adds them in order.  Otherwise eight accumulators take the elements
     before n - n % 8, by position mod 8, and the rest are added in order.
     A zero-pulse bin adds exactly +0.0 to every sum (its kernels are finite:
     clicks = P_dc, visibility 0), so zeros that keep n inside its band
-    [8k, 8k + 7] change no partial sum.  A longer row is split in halves at
-    points that depend on n, so a group of larger blocks needs no padding.
-    A group too large to batch (more than half of ``_BATCH_CELLS`` bins) has
-    no stack: its blocks are evaluated one candidate a call, reusing the
-    click kernels and pooled sums in the block's memo ``kernels[j]``, and
-    all of them share one ``_ArmTable``, ``table``; batches compute their
-    kernels inline.
+    [8k, 8k + 7] change no partial sum.  A larger block is evaluated one
+    candidate a call, reusing the click kernels and pooled sums in its memo
+    ``kernels[j]``; all such blocks share one ``_ArmTable``, ``table``.
     """
 
     def __init__(self, channel: ChannelModel, eps: SecurityEpsilons, blocks):
@@ -1057,48 +1037,43 @@ class _Evaluator:
         self.blocks = blocks
         self.memos = [{} for _ in blocks]
         self.calls = self.passes = 0
-        self.group = []  # per block, its batch group
-        self.slot = []  # per block, its row in the group's stack
+        self.band = []  # per block, its band, or None for a block evaluated alone
+        self.slot = []  # per block, its row in its band's stack
         members: dict = {}
         for j, (_, pulses) in enumerate(blocks):
-            bins = len(pulses)
-            key = ("band", bins >> 3) if bins <= _PAIRWISE_BLOCK else ("bins", bins)
-            self.group.append(key)
-            self.slot.append(len(members.setdefault(key, [])))
-            members[key].append(j)
-        # per group: (candidates a call, stacked arms, stacked pulses), or None
-        self.stacks = {}
-        for key, js in members.items():
-            size = _BATCH_CELLS // max(len(blocks[j][1]) for j in js)
-            self.stacks[key] = (size, *_padded([blocks[j] for j in js])) if size > 1 else None
-        single = [j for j, key in enumerate(self.group) if self.stacks[key] is None]
+            band = len(pulses) >> 3 if len(pulses) <= _PAIRWISE_BLOCK else None
+            self.band.append(band)
+            self.slot.append(len(members.setdefault(band, [])))
+            members[band].append(j)
+        single = members.pop(None, [])
+        # per band: its blocks' stacked (arms, pulses)
+        self.stacks = {band: _padded([blocks[j] for j in js]) for band, js in members.items()}
         self.table = _ArmTable([blocks[j][0] for j in single])
         self.kernels = {j: _KernelMemo(self.table, at) for j, at in zip(single, self.table.index)}
 
     def evaluate(self, requests) -> None:
         """Score every (j, candidate) request not yet in ``memos[j]``, in one scoring pass.
 
-        Repeated requests are evaluated once.  Each batch of a group, and
-        each candidate of a block too large to batch, is one
-        ``pooled_statistics`` call; the rows of all of them are then scored
-        together.
+        Repeated requests are evaluated once.  Each batch of a band, and
+        each candidate of a larger block, is one ``pooled_statistics`` call;
+        the rows of all of them are then scored together.
         """
         pending: dict = {}
         for j, params in requests:
             if params not in self.memos[j]:
-                pending.setdefault(self.group[j], {})[(j, params)] = None
+                pending.setdefault(self.band[j], {})[(j, params)] = None
         todo, rows = [], []
-        for key, group in pending.items():
+        for band, group in pending.items():
             group = list(group)
             todo.extend(group)
-            stack = self.stacks[key]
-            if stack is None:  # one candidate a call, through the block's memo
+            if band is None:  # one candidate a call, through the block's memo
                 for j, params in group:
                     block, kernels = self.blocks[j], self.kernels[j]
                     rows.append(pooled_statistics(self.channel, [params], *block, kernels))
                 self.calls += len(group)
                 continue
-            size, arms, pulses = stack
+            arms, pulses = self.stacks[band]
+            size = _BATCH_CELLS // pulses.shape[1]
             for lo in range(0, len(group), size):
                 chunk = group[lo : lo + size]
                 at = [self.slot[j] for j, _ in chunk]

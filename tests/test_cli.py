@@ -127,6 +127,21 @@ def test_simulate_outputs_and_reproducibility(tmp_path):
     assert summary["mean"]["protocol_skl"] > 0
 
 
+@pytest.mark.parametrize("flags", [
+    ["security.eps_pa=1e-200", "security.eps_hat=1e-200"],  # eps_pa * eps_hat underflows to 0
+    ["security.eps_cor=1e-300"],  # the correction term's product overflows
+    ["security.eps_n1=5e-324"],  # subnormal: 1 / eps_n1 overflows
+])
+def test_extreme_epsilons_give_a_key(flags, tmp_path):
+    argv = ["simulate", "--output-dir", str(tmp_path),
+            "--set", "campaign.n_days=1", "--set", "campaign.t_total_s=600"]
+    for flag in flags:
+        argv += ["--set", flag]
+    assert run_cli(*argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["mean"]["protocol_skl"] > 0
+
+
 def test_simulate_reproducible_from_manifest(tmp_path):
     out1 = tmp_path / "a"
     rc = run_cli("simulate", *fast_args(out1))

@@ -12,7 +12,12 @@ in its bytes.  The ``daily-offgrid`` case was recorded before a day's
 samples were budgeted and binned in groups of sessions rather than one
 session at a time: daily blocks of asymmetric bins on the same grid, so
 that each bin's seconds, added up over a link's sessions in the order of
-the day, show in its bytes.
+the day, show in its bytes.  The ``uplink-max`` case was recorded before
+every block of more than 128 bins took the one-candidate memo path.  With
+the ISL pointing loss counted and a larger jitter, the uplink sets the
+``max``-mode effective link on some samples, so its daily blocks have 1-170
+bins, most of them 80-170, on both sides of that switch; its keys are
+positive.
 """
 
 import hashlib
@@ -35,6 +40,11 @@ CASES = {
         "campaign.time_step_s=0.7",
         "channel.effective_mode=asymmetric",
     ],
+    "uplink-max": [
+        "campaign.t_total_s=3600",
+        "optics.pointing_jitter_urad=2.5",
+        "channel.isl_pointing_in_effective=true",
+    ],
 }
 
 GOLDEN = {
@@ -53,6 +63,10 @@ GOLDEN = {
     "daily-offgrid": {
         "links.csv": "9073e98c8a6124d4166825f2ea14892f66846411a7443ccee586fadde10cdfc4",
         "summary.json": "5585a68f3b47ac45db50307002fb03736dc4fce41348b807c7f258c823fe36b1",
+    },
+    "uplink-max": {
+        "links.csv": "e084572541d66a485adf2b108353e2eb97dac2faea232482f6b3e0d2a7120367",
+        "summary.json": "b30a77a88c804576ebd439cd682d01e4256a1cd9e197af1491d6820c32636f3a",
     },
 }
 

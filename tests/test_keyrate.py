@@ -1,11 +1,12 @@
 """Key-rate tests: click model vs Monte-Carlo oracle, decoy bounds, SKL."""
 
 import math
+import sys
 from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ringqkd import keyrate
@@ -20,7 +21,6 @@ from ringqkd.keyrate import (
     accumulate_links,
     binary_entropy,
     correction_term,
-    estimate_untagged,
     expected_statistics,
     monte_carlo_statistics,
     pooled_statistics,
@@ -213,15 +213,14 @@ def test_pooled_statistics_additive():
 def test_untagged_zero_when_no_detections():
     ch = ChannelModel(dark_count_prob=0.0)
     stats = expected_statistics(ch, SnsParams(), symmetric_arms(0.0), 1e6)
-    n1, _ = estimate_untagged(stats, EPS)
-    assert n1 == 0.0
+    assert skl(stats, EPS).n1_lower == 0.0
 
 
 def test_asymptotic_bound_dominates_finite():
     ch, arms = make_channel(40.0)
     stats = expected_statistics(ch, SnsParams(), arms, 1e10)
-    n1_fin, _ = estimate_untagged(stats, EPS)
-    n1_asy, _ = estimate_untagged(stats, EPS, asymptotic=True)
+    n1_fin = skl(stats, EPS).n1_lower
+    n1_asy = skl(stats, EPS, asymptotic=True).n1_lower
     assert n1_asy >= n1_fin
 
 
@@ -232,7 +231,7 @@ def test_untagged_brackets_tagged_monte_carlo():
     params = SnsParams(mu_z=0.4, mu1=0.03, mu2=0.3, p_send=0.1, p_z=0.7, p0=0.4, p1=0.35, delta=0.8)
     n = 1_000_000
     mc = monte_carlo_statistics(ch, params, arms, n, seed=11, tagged=True)
-    n1, _ = estimate_untagged(mc, EPS, asymptotic=True)
+    n1 = skl(mc, EPS, asymptotic=True).n1_lower
     truth = mc.tagged_untagged_clicks
     assert truth > 0
     assert 0.5 * truth <= n1 <= 1.02 * truth
@@ -243,7 +242,7 @@ def test_decoy_needs_all_ensembles():
     stats = expected_statistics(ch, SnsParams(), arms, 1e8)
     stats.x_pairs[0, 0] = 0.0
     with pytest.raises(ValueError):
-        estimate_untagged(stats, EPS)
+        skl(stats, EPS)
 
 
 # ------------------------------------------------------------------------- SKL
@@ -258,11 +257,64 @@ def test_skl_zero_cases():
     assert out.n_raw == 0.0
 
 
+def product_correction_term(e):
+    """The correction term as the log2 of one product, the form it keeps wherever that holds."""
+    return 2.0 * math.log2((2.0 / e.eps_cor) * (2.0 / (math.sqrt(2.0) * e.eps_pa * e.eps_hat)))
+
+
 def test_correction_term_closed_form():
-    e = EPS
-    want = 2.0 * math.log2((2.0 / e.eps_cor) * (2.0 / (math.sqrt(2.0) * e.eps_pa * e.eps_hat)))
-    assert correction_term(e) == want
+    want = product_correction_term(EPS)
+    assert correction_term(EPS) == want
     assert want == pytest.approx(202.316, abs=0.01)
+
+
+# failure probabilities down to the smallest subnormal float
+ANY_EPS = st.floats(min_value=5e-324, max_value=0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[ANY_EPS] * 5))
+@example((1e-10,) * 5)
+@example((1e-10, 1e-200, 1e-200, 1e-10, 1e-10))
+@example((1e-300, 1e-10, 1e-10, 1e-10, 1e-10))
+@example((1e-10, 1e-10, 1e-10, 5e-324, 5e-324))
+def test_epsilon_terms_keep_the_bits_of_their_product_forms(values):
+    # log(1 / eps) and the correction's product give the bits they always
+    # gave wherever they are finite and divide by a normal float; elsewhere
+    # the scorer takes the same numbers as sums of logs
+    eps_cor, eps_pa, eps_hat, eps_bar, eps_n1 = values
+    eps = SecurityEpsilons(*values)
+    scorer = _Scorer(eps, 1e-9, 1.11)
+    for got, e in ((scorer.ln_bar, eps_bar), (scorer.ln_n1, eps_n1)):
+        if e >= sys.float_info.min:
+            assert got == math.log(1.0 / e)
+        assert got == pytest.approx(-math.log(e), rel=1e-15)
+    log_sum = 2.0 * (1.5 - math.log2(eps_cor) - math.log2(eps_pa) - math.log2(eps_hat))
+    assert scorer.correction == pytest.approx(log_sum, rel=1e-12)
+    if math.sqrt(2.0) * eps_pa * eps_hat >= sys.float_info.min:
+        want = product_correction_term(eps)
+        if math.isfinite(want):
+            assert scorer.correction == want
+
+
+GOOD_50DB = SnsParams(mu_z=0.2, mu1=0.02, mu2=0.2, p_send=0.01, p_z=0.9, p0=0.5, p1=0.3, delta=0.2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ANY_EPS)
+@example(1e-300)
+@example(5e-324)
+def test_eps_cor_moves_the_key_by_the_correction_term(eps_cor):
+    # only the correction term reads eps_cor.  This block has 1,746 bits
+    # before the correction, so its key is positive at eps_cor = 0.5 and
+    # clipped to 0 below about 1e-242
+    stats = expected_statistics(ChannelModel(), GOOD_50DB, symmetric_arms(1e-5), 3e10)
+    ref_eps, eps = SecurityEpsilons(eps_cor=0.5), SecurityEpsilons(eps_cor=eps_cor)
+    ref, got = skl(stats, ref_eps), skl(stats, eps)
+    assert ref.skl_bits > 0
+    assert astuple(got)[:-1] == astuple(ref)[:-1]
+    want = max(0.0, ref.skl_bits + correction_term(ref_eps) - correction_term(eps))
+    assert got.skl_bits == pytest.approx(want, rel=1e-12, abs=1e-6)
 
 
 def test_lambda_ec_exact():
@@ -284,9 +336,6 @@ def test_skl_invariants_over_channel_grid():
         assert fin.skl_bits <= fin.n1_lower + 1e-9
         assert fin.n1_lower <= fin.n_raw + 1e-9
         assert fin.skl_bits <= asy.skl_bits + 1e-9
-
-
-GOOD_50DB = SnsParams(mu_z=0.2, mu1=0.02, mu2=0.2, p_send=0.01, p_z=0.9, p0=0.5, p1=0.3, delta=0.2)
 
 
 def test_skl_monotone_in_block_size():
@@ -469,10 +518,12 @@ def test_small_blocks_batch_by_band():
     ch = ChannelModel()
     evaluator = _Evaluator(ch, EPS, blocks)
     evaluator.evaluate([(j, p) for j in range(len(blocks)) for p in GRID])
-    # one call for 1-7 bins, one for 8-15, and two for 130 bins (31 candidates a call)
-    assert evaluator.calls == 4
+    # one call for 1-7 bins, one for 8-15, and one a candidate for 130 bins,
+    # which is evaluated alone, through its memo
+    assert evaluator.calls == 1 + 1 + len(GRID)
     # each band is stacked once, padded to its widest block
-    assert [stack[2].shape for stack in evaluator.stacks.values()] == [(3, 7), (2, 15), (1, 130)]
+    assert [pulses.shape for _, pulses in evaluator.stacks.values()] == [(3, 7), (2, 15)]
+    assert list(evaluator.kernels) == [5]
     for memo, (arms, pulses) in zip(evaluator.memos, blocks):
         assert memo == {
             astuple(p): astuple(scalar_ledger(ch, p, arms, pulses)) for p in DEFAULT_GRID
@@ -728,16 +779,15 @@ def test_params_and_field_tuples_give_the_same_bytes(params, bins, drawn, asympt
     assert pooled_statistics(ch, fields_of(params), *bins).tobytes() == want.tobytes()
     candidates, rows, pdc = drawn
     scorer = _Scorer(EPS, pdc, 1.11, asymptotic)
-    for score in (scorer, scorer.untagged):
-        want = vector_outcome(score, candidates, rows)
-        got = vector_outcome(score, fields_of(candidates), rows)
-        if isinstance(want, str):
-            assert got == want
-        else:
-            assert bits_of(got) == bits_of(want)
+    want = vector_outcome(scorer, candidates, rows)
+    got = vector_outcome(scorer, fields_of(candidates), rows)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert bits_of(got) == bits_of(want)
 
 
-def test_skl_and_estimate_untagged_equal_the_scalar_chain():
+def test_skl_and_its_untagged_bound_equal_the_scalar_chain():
     # expected_statistics keeps the counts of its pooled row, which the
     # scalar chain scores
     for loss in (20.0, 45.0, 70.0, 144.0):
@@ -748,9 +798,9 @@ def test_skl_and_estimate_untagged_equal_the_scalar_chain():
             for asymptotic in (False, True):
                 scorer = ScalarScorer(EPS, 1e-9, 1.11, asymptotic)
                 want = scorer(params, row)
-                assert bits_of([astuple(skl(stats, EPS, asymptotic))]) == bits_of([astuple(want)])
-                n1, y1 = estimate_untagged(stats, EPS, asymptotic)
-                assert (n1, y1["y1_a"], y1["y1_b"]) == scorer.untagged(params, row)
+                got = skl(stats, EPS, asymptotic)
+                assert bits_of([astuple(got)]) == bits_of([astuple(want)])
+                assert got.n1_lower == scorer.untagged(params, row)[0]
 
 
 def _params_to_vector(p: SnsParams) -> dict:
@@ -923,7 +973,10 @@ def large_block(seed, n_bins):
     return arms, rng.uniform(1e7, 1e9, n_bins)
 
 
-# one candidate a call, through each block's kernel memo
+# the smallest block evaluated one candidate a call, through its kernel
+# memo, and a block of more than _BATCH_CELLS // 2 bins, the size of an
+# asymmetric day's blocks
+SMALLEST_LARGE = _PAIRWISE_BLOCK + 1
 LARGE = _BATCH_CELLS // 2 + 1
 
 # a block of one bin of 30 dB arms
@@ -933,7 +986,7 @@ ONE_BIN = (np.array([[1e-3, 1e-3]]), np.array([1e12]))
 @settings(max_examples=4, deadline=None)
 @given(
     st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2),
-    st.integers(LARGE, LARGE + 251),
+    st.one_of(st.integers(SMALLEST_LARGE, LARGE - 1), st.integers(LARGE, LARGE + 251)),
     link_block(),
     st.integers(1, 3),
     st.integers(1, 30),
@@ -966,9 +1019,9 @@ def count_method_calls(monkeypatch, cls, name):
 
 
 def test_one_evaluate_call_is_one_scoring_pass(monkeypatch):
-    # banded blocks, a block of 130 bins and one too large to batch, which
-    # evaluates one candidate a call through its memo: all rows of the
-    # call are scored together
+    # banded blocks, and two blocks of more than 128 bins, which evaluate
+    # one candidate a call through their memos: all rows of the call are
+    # scored together
     rng = np.random.default_rng(5)
     blocks = []
     for n in (2, 5, 9, 130):
@@ -980,7 +1033,7 @@ def test_one_evaluate_call_is_one_scoring_pass(monkeypatch):
     passes = count_method_calls(monkeypatch, _Scorer, "__call__")
     requests = [(j, p) for j in range(len(blocks)) for p in GRID[:20]]
     evaluator.evaluate(requests + requests[:7])  # repeats are scored once
-    assert evaluator.calls == 1 + 1 + 1 + 20
+    assert evaluator.calls == 1 + 1 + 20 + 20
     assert [len(candidates) for candidates, _ in passes] == [len(requests)]
     assert evaluator.passes == 1
     evaluator.evaluate(requests)  # all memoised: nothing to score
@@ -1045,9 +1098,10 @@ def candidate_walk(draw):
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.integers(0, 2**32 - 1), candidate_walk())
-def test_memoised_rows_equal_the_inline_rows(seed, candidates):
-    arms, pulses = large_block(seed, LARGE)
+@given(st.integers(0, 2**32 - 1),
+       st.one_of(st.integers(SMALLEST_LARGE, LARGE - 1), st.just(LARGE)), candidate_walk())
+def test_memoised_rows_equal_the_inline_rows(seed, n_bins, candidates):
+    arms, pulses = large_block(seed, n_bins)
     ch = ChannelModel()
     table = _ArmTable([arms])
     memo = _KernelMemo(table, *table.index)
@@ -1067,7 +1121,9 @@ UPLINK_GRID = 10.0 ** (-np.arange(2000, 4000) / 1000.0)
 def pooled_blocks(draw):
     """2-4 asymmetric blocks of more than ``_BATCH_CELLS // 2`` bins, arms from one pool.
 
-    Each bin pairs an uplink arm with the one ISL arm.  The uplink arms come
+    Like every block of more than ``_PAIRWISE_BLOCK`` bins, each is
+    evaluated one candidate a call, through its memo and the optimiser
+    call's arm table.  Each bin pairs an uplink arm with the one ISL arm.  The uplink arms come
     from values shared by all blocks, values of one block only, 0.0 and
     -0.0; some blocks put the ISL arm first.  All blocks may hold their
     arms in column-major order, as a station's asymmetric blocks do.
