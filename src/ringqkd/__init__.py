@@ -5,7 +5,7 @@ Modules:
     linkbudget - uplink / inter-satellite optical channel efficiencies
     keyrate    - SNS twin-field finite-key secret-key lengths + optimizer
     relay      - redundant XOR key forwarding and GF(2) adversary oracle
-    simulator  - daily campaigns and sweeps over constellation parameters
+    simulator  - daily campaigns and the configs of sweeps over constellation parameters
     cli        - command-line front end
 """
 

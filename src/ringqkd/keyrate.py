@@ -54,14 +54,14 @@ and evaluates a block on one of two paths (see ``_Evaluator``):
   rows (``_GROUPS``), keyed by the fields the group reads: n_pulses once
   per block, the Z rows by (p_z, p_send, mu_z), the X rows by (p_z, p0,
   p1, mu1, mu2) and the slice rows by (p_z, p1, mu1, delta).  Only a group
-  whose key is new is built and summed.  Its click kernel comes from a
-  least-recently-used memo of ``_KERNEL_CAPS`` entries per kind: the
-  Z-window clicks keyed by mu_z, the X-window clicks of every decoy pair
-  by (mu1, mu2) and the phase-slice error-port Gauss-Legendre sums by
-  (mu1, delta).  A kernel missing there comes from the optimiser call's
-  arm table (``_ArmTable``), which computes each kernel once per distinct
-  arm pair of all the large blocks: asymmetric blocks pair many uplink
-  arms with the one ISL arm, so they share most of their arms.
+  whose key is new is built and summed, with its click kernel gathered
+  from the optimiser call's arm table (``_ArmTable``).  The table holds
+  the distinct arm pairs of all the large blocks and a least-recently-used
+  memo of ``_TABLE_CAPS`` whole kernels per kind: the Z-window clicks
+  keyed by mu_z, the X-window clicks of every decoy pair by (mu1, mu2) and
+  the phase-slice error-port Gauss-Legendre sums by (mu1, delta).
+  Asymmetric blocks pair many uplink arms with the one ISL arm, so they
+  share most of their arms.
 
 Either way each count is the same numpy operations, elementwise on the same
 arms, summed as the same contiguous row, so results are bit-identical.
@@ -453,107 +453,76 @@ _GROUPS = {
     "slice": (slice(_SL, _ROW), itemgetter(4, 6, 1, 7), _Terms.phase_slice),  # p_z, p1, mu1, delta
 }
 
-# Entries each block's kernel memo keeps per kind, least recently used out.
-# A kernel is looked up only when its group's sums miss.  On the optimiser's
-# search paths of an asymmetric day, z and x caps of 4 then hit exactly as
-# often as caps of 2 (re-measured with the arm table: 528 z and 876 x
-# misses on the 12 large blocks of the campaign.seed=4 day either way), and
-# the larger caps only hold memory.
-_KERNEL_CAPS = {"z": 2, "x": 2, "slice": 8}
-
 # Table-length kernels the arm table keeps per kind, least recently used out.
-# On that day caps of 2, 2 and 4 compute as many entries as these, and caps
-# of 8, 8 and 16 compute 32% fewer z and 13% fewer slice entries, but no
-# fewer x entries and in no less time.
+# On the 12 large blocks of the campaign.seed=4 asymmetric day, caps of 2, 2
+# and 4 miss 44 z, 73 x and 114 slice kernels, these 44, 73 and 113, and caps
+# of 8, 8 and 16 miss 30, 73 and 98, in no less time: about 1.0 s for the day
+# at each (min of 3 runs, 2 vCPUs).
 _TABLE_CAPS = {"z": 4, "x": 4, "slice": 8}
 
 
 class _ArmTable:
-    """The click kernels of the optimiser's large blocks, computed once per distinct arm pair.
+    """The click kernels of the optimiser's large blocks, on their distinct arm pairs.
 
     The blocks' (eta_a, eta_b) pairs are deduplicated by their bits, so
-    -0.0 and 0.0 stay apart, and ``index[j]`` maps block j's bins to their
-    entries.  Per kind, a least-recently-used memo of ``_TABLE_CAPS``
-    kernels, keyed as ``_KernelMemo``'s, holds table-length arrays and which
-    of their entries are filled.  ``entries`` counts the entries computed.
-    The channel is fixed for the table's lifetime, as for its blocks' memos.
+    -0.0 and 0.0 stay apart.  ``ta`` and ``tb``, of shape (1, D), are the
+    detected arms of the D distinct pairs, and ``index[j]`` maps block j's
+    bins to their entries.  Per kind, a least-recently-used memo of
+    ``_TABLE_CAPS`` table-length kernels is keyed by the only parameters
+    the kind reads: ``z`` by mu_z, ``x`` by (mu1, mu2), ``slice`` by (mu1,
+    delta).  A miss computes the kernel on all D arms in one call.  Each
+    entry is the same elementwise numpy operations on the same two floats
+    as in the kernel of a whole block, so it has its bits.  The channel is
+    fixed for the table's lifetime.
     """
 
-    def __init__(self, arm_blocks):
+    def __init__(self, channel: ChannelModel, arm_blocks):
         pairs = np.ascontiguousarray(np.concatenate(arm_blocks) if arm_blocks else np.empty((0, 2)))
         distinct, inverse = np.unique(pairs.view(np.dtype((np.void, 16))), return_inverse=True)
+        detected = distinct.view(float).reshape(-1, 2) * channel.detector_efficiency
+        self.ta, self.tb = np.ascontiguousarray(detected.T[:, None])
         self.bins, self.size = len(pairs), len(distinct)
         bounds = np.cumsum([len(arms) for arms in arm_blocks[:-1]], dtype=int)
         self.index = np.split(inverse.ravel(), bounds) if arm_blocks else []
         self.caches = {kind: OrderedDict() for kind in _TABLE_CAPS}
-        self.entries = dict.fromkeys(_TABLE_CAPS, 0)
+        self.hits = dict.fromkeys(_TABLE_CAPS, 0)
+        self.misses = dict.fromkeys(_TABLE_CAPS, 0)
 
-    def fill(self, kind, key, kernel, ta, tb, rest, distinct, first) -> list:
-        """The table-length arrays of a kernel, filled at least at entries ``distinct``.
-
-        ``ta`` and ``tb`` are the (1, B) arms of a block whose bins
-        ``first`` hold those entries.  Only the entries no block has filled
-        are computed, by ``kernel`` on a contiguous copy of their arms and
-        ``rest``.  Each is the same elementwise numpy operations on the same
-        two floats as in the kernel of the whole block, so it has its bits.
-        """
-        cache = self.caches[kind]
-        if key in cache:
-            cache.move_to_end(key)
-        else:
-            cache[key] = ([], np.zeros(self.size, bool))
-            if len(cache) > _TABLE_CAPS[kind]:
-                cache.popitem(last=False)
-        full, filled = cache[key]
-        fresh = ~filled[distinct]
-        if fresh.any():
-            need, at = distinct[fresh], first[fresh]
-            value = kernel(ta[:, at], tb[:, at], *rest)
-            parts = value if isinstance(value, tuple) else (value,)
-            if not full:
-                full.extend(np.empty(part.shape[:-1] + (self.size,)) for part in parts)
-            for whole, part in zip(full, parts):
-                whole[..., need] = part
-            filled[need] = True
-            self.entries[kind] += len(need)
-        return full
-
-
-class _KernelMemo:
-    """One block's click kernels and pooled sums, reused across one-candidate evaluations.
-
-    Each kernel kind is keyed by the only parameters it reads: ``z`` by
-    mu_z, ``x`` by (mu1, mu2), ``slice`` by (mu1, delta).  A kernel missing
-    here is gathered from ``table``, an ``_ArmTable``, at ``index``, the
-    table entries of the block's bins.  Each group of ``_GROUPS`` keeps its
-    pooled sums keyed by the fields its counts read; a few floats an entry,
-    so that memo is not bounded.  The block's arms and the channel are fixed
-    for the memo's lifetime.
-    """
-
-    def __init__(self, table: _ArmTable, index: np.ndarray):
-        self.table, self.index = table, index
-        self.distinct, self.first = np.unique(index, return_index=True)
-        self.caches = {kind: OrderedDict() for kind in _KERNEL_CAPS}
-        self.hits = dict.fromkeys(_KERNEL_CAPS, 0)
-        self.misses = dict.fromkeys(_KERNEL_CAPS, 0)
-        self.sums = {group: {} for group in _GROUPS}
-        self.sum_hits = dict.fromkeys(_GROUPS, 0)
-        self.sum_misses = dict.fromkeys(_GROUPS, 0)
-
-    def __call__(self, kind, key, kernel, ta, tb, *rest):
+    def __call__(self, kind, key, kernel, rest) -> tuple:
+        """The table-length parts of kernel ``kind`` at ``key``: ``kernel(ta, tb, *rest)``."""
         cache = self.caches[kind]
         if key in cache:
             self.hits[kind] += 1
             cache.move_to_end(key)
             return cache[key]
         self.misses[kind] += 1
-        full = self.table.fill(kind, key, kernel, ta, tb, rest, self.distinct, self.first)
-        parts = tuple(whole.take(self.index, axis=-1) for whole in full)
-        value = cache[key] = parts if len(parts) > 1 else parts[0]
-        if len(cache) > _KERNEL_CAPS[kind]:
+        value = kernel(self.ta, self.tb, *rest)
+        parts = cache[key] = value if isinstance(value, tuple) else (value,)
+        if len(cache) > _TABLE_CAPS[kind]:
             cache.popitem(last=False)
-        return value
+        return parts
+
+
+class _KernelMemo:
+    """One block's pooled sums, reused across one-candidate evaluations.
+
+    Each group of ``_GROUPS`` keeps its pooled sums keyed by the fields its
+    counts read; a few floats an entry, so that memo is not bounded.  A
+    group whose key is new gathers its click kernel from ``table``, the
+    optimiser call's ``_ArmTable``, at ``index``, the table entries of the
+    block's bins.  The block's arms and the channel are fixed for the
+    memo's lifetime.
+    """
+
+    def __init__(self, table: _ArmTable, index: np.ndarray):
+        self.table, self.index = table, index
+        self.sums = {group: {} for group in _GROUPS}
+        self.sum_hits = dict.fromkeys(_GROUPS, 0)
+        self.sum_misses = dict.fromkeys(_GROUPS, 0)
+
+    def __call__(self, kind, key, kernel, ta, tb, *rest):
+        parts = [whole.take(self.index, axis=-1) for whole in self.table(kind, key, kernel, rest)]
+        return tuple(parts) if len(parts) > 1 else parts[0]
 
     def pooled(self, terms: _Terms) -> np.ndarray:
         """The (1, ``_ROW``) pooled counts of the one candidate of ``terms``.
@@ -599,9 +568,9 @@ def pooled_statistics(
     array, summed over its last, contiguous axis, so a candidate's counts
     do not depend on the others in its batch; bins of zero pulses and zero
     arms add exactly +0.0 to every count (see ``_Evaluator``).  ``kernels``,
-    the optimiser's memo of click kernels and pooled sums for this block and
-    channel, serves one candidate and recomputes only the groups of rows
-    whose parameters it has not seen.
+    the optimiser's memo of pooled sums for this block and channel, serves
+    one candidate and recomputes only the groups of rows whose parameters it
+    has not seen, on click kernels gathered from its arm table.
     """
     arms = np.asarray(arms, dtype=float)
     w = np.atleast_1d(np.asarray(pulses, dtype=float))
@@ -1027,8 +996,9 @@ class _Evaluator:
     A zero-pulse bin adds exactly +0.0 to every sum (its kernels are finite:
     clicks = P_dc, visibility 0), so zeros that keep n inside its band
     [8k, 8k + 7] change no partial sum.  A larger block is evaluated one
-    candidate a call, reusing the click kernels and pooled sums in its memo
-    ``kernels[j]``; all such blocks share one ``_ArmTable``, ``table``.
+    candidate a call, reusing the pooled sums in its memo ``kernels[j]``.
+    All such blocks share ``table``, one ``_ArmTable`` built here with the
+    channel's detector efficiency: their only memo of click kernels.
     """
 
     def __init__(self, channel: ChannelModel, eps: SecurityEpsilons, blocks):
@@ -1048,7 +1018,7 @@ class _Evaluator:
         single = members.pop(None, [])
         # per band: its blocks' stacked (arms, pulses)
         self.stacks = {band: _padded([blocks[j] for j in js]) for band, js in members.items()}
-        self.table = _ArmTable([blocks[j][0] for j in single])
+        self.table = _ArmTable(channel, [blocks[j][0] for j in single])
         self.kernels = {j: _KernelMemo(self.table, at) for j, at in zip(single, self.table.index)}
 
     def evaluate(self, requests) -> None:
@@ -1140,14 +1110,13 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
         if v > best[j][1]:
             best[j] = (p, v)
     if log.isEnabledFor(logging.DEBUG):
-        kernels, table = evaluator.kernels.values(), evaluator.table
+        table, kernels = evaluator.table, evaluator.kernels.values()
 
-        def counts(hits, misses, names):
-            return ", ".join(
-                f"{name} {sum(getattr(k, hits)[name] for k in kernels)}"
-                f"/{sum(getattr(k, misses)[name] for k in kernels)}"
-                for name in names
-            )
+        def counts(hits, misses):
+            return ", ".join(f"{name} {hits[name]}/{misses[name]}" for name in hits)
+
+        def total(name):
+            return {group: sum(getattr(k, name)[group] for k in kernels) for group in _GROUPS}
 
         evaluations = sum(map(len, memos))
         log.debug(
@@ -1156,9 +1125,9 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
             "memo hits/misses: %s; arm table: %d distinct arms of %d bins, kernel entries "
             "computed: %s",
             len(blocks), rounds, steps, steps - (evaluations - on_grid), evaluations,
-            evaluator.calls, evaluator.passes,
-            counts("hits", "misses", _KERNEL_CAPS), counts("sum_hits", "sum_misses", _GROUPS),
-            table.size, table.bins, ", ".join(f"{k} {n}" for k, n in table.entries.items()),
+            evaluator.calls, evaluator.passes, counts(table.hits, table.misses),
+            counts(total("sum_hits"), total("sum_misses")), table.size, table.bins,
+            ", ".join(f"{kind} {n * table.size}" for kind, n in table.misses.items()),
         )
     return [(SnsParams(*p), SklBreakdown(*memos[j][p])) for j, (p, _) in enumerate(best)]
 

@@ -426,11 +426,3 @@ def sweep_configs(config: ScenarioConfig, axis: str, values) -> list:
         else:
             raise ValueError(f"unknown sweep axis: {axis}")
     return configs
-
-
-def sweep(config: ScenarioConfig, axis: str, values) -> list:
-    """One campaign per value of ``num_sats`` or ``latitude``; every swept
-    config is built, and so validated, before the first campaign runs."""
-    values = list(values)
-    configs = sweep_configs(config, axis, values)
-    return [(v, run_campaign(cfg)) for v, cfg in zip(values, configs)]

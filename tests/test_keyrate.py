@@ -30,7 +30,6 @@ from ringqkd.keyrate import (
 from ringqkd.keyrate import (
     _BATCH_CELLS,
     _BOUNDS,
-    _KERNEL_CAPS,
     _PAIRWISE_BLOCK,
     _TABLE_CAPS,
     _ArmTable,
@@ -1066,15 +1065,16 @@ def test_kernel_memo_skips_recomputing_unchanged_kernels(monkeypatch):
              for name in ("_z_clicks", "_x_clicks", "_slice_clicks")}
     evaluator = _Evaluator(ch, EPS, [block])
     evaluator.evaluate([(0, p) for p in fields_of(candidates)])
-    kernels = evaluator.kernels
+    kernels, table = evaluator.kernels, evaluator.table
     assert [SklBreakdown(*evaluator.memos[0][p]) for p in fields_of(candidates)] == want
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
     # a group's sums are reused while the fields its counts read repeat:
     # z reads (p_z, p_send, mu_z), x (p_z, p0, p1, mu1, mu2), slice (p_z, p1, mu1, delta)
     assert kernels[0].sum_hits == {"n": 5, "z": 2, "x": 1, "slice": 2}
     assert kernels[0].sum_misses == {"n": 1, "z": 4, "x": 5, "slice": 4}
-    # and only a sum miss looks its kernel up
-    assert kernels[0].hits == {"z": 3, "x": 4, "slice": 3}
+    # and only a sum miss looks its kernel up, in the arm table
+    assert table.hits == {"z": 3, "x": 4, "slice": 3}
+    assert table.misses == {"z": 1, "x": 1, "slice": 1}
     # a batched block of a few bins computes its kernels inline, without a memo
     small = _Evaluator(ch, EPS, [(block[0][:3], block[1][:3])])
     small.evaluate([(0, p) for p in fields_of(candidates)])
@@ -1103,7 +1103,7 @@ def candidate_walk(draw):
 def test_memoised_rows_equal_the_inline_rows(seed, n_bins, candidates):
     arms, pulses = large_block(seed, n_bins)
     ch = ChannelModel()
-    table = _ArmTable([arms])
+    table = _ArmTable(ch, [arms])
     memo = _KernelMemo(table, *table.index)
     for params in fields_of(candidates):
         got = pooled_statistics(ch, [params], arms, pulses, memo)
@@ -1154,10 +1154,10 @@ def distinct_arms(blocks):
 @settings(max_examples=6, deadline=None)
 @given(pooled_blocks(), st.booleans(), st.data(), st.integers(1, 3), st.integers(1, 12))
 def test_arm_table_rows_equal_the_inline_rows(blocks, same_walk, data, n_starts, max_evals):
-    # blocks read table entries that other blocks filled, including the
+    # blocks read kernels that other blocks computed, including the
     # separate entries of 0.0 and -0.0 arms
     ch = ChannelModel()
-    table = _ArmTable([arms for arms, _ in blocks])
+    table = _ArmTable(ch, [arms for arms, _ in blocks])
     assert (table.size, table.bins) == (distinct_arms(blocks), sum(len(w) for _, w in blocks))
     memos = [_KernelMemo(table, index) for index in table.index]
     walk = fields_of(data.draw(candidate_walk()))
@@ -1173,18 +1173,23 @@ def test_arm_table_rows_equal_the_inline_rows(blocks, same_walk, data, n_starts,
 
 
 def count_entries(monkeypatch):
-    """Per kernel kind, the bins of every call of its kernel, counted while patched."""
-    entries = dict.fromkeys(_TABLE_CAPS, 0)
+    """Per kernel kind, the ``ta`` arms of each call of its kernel, in order, while patched."""
+    entries = {kind: [] for kind in _TABLE_CAPS}
     for kind in entries:
         name = f"_{kind}_clicks"
         original = getattr(keyrate, name)
 
         def counted(ta, *args, kind=kind, original=original):
-            entries[kind] += ta.size
+            entries[kind].append(ta)
             return original(ta, *args)
 
         monkeypatch.setattr(keyrate, name, counted)
     return entries
+
+
+def totals(entries):
+    """Per kernel kind, the entries its recorded calls computed."""
+    return {kind: sum(ta.size for ta in calls) for kind, calls in entries.items()}
 
 
 def kernel_keys(candidates):
@@ -1206,29 +1211,42 @@ def test_identical_walks_compute_each_distinct_arm_once_per_key(blocks, walk):
         evaluator.evaluate([(j, p) for p in fields_of(walk) for j in range(len(blocks))])
     size = distinct_arms(blocks)
     assert evaluator.table.size == size
-    assert entries == {kind: size * n for kind, n in kernel_keys(walk).items()}
-    assert evaluator.table.entries == entries
+    assert totals(entries) == {kind: size * n for kind, n in kernel_keys(walk).items()}
+    assert evaluator.table.misses == kernel_keys(walk)
 
 
-@settings(max_examples=5, deadline=None)
-@given(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=3, unique=True), st.data())
-def test_disjoint_blocks_compute_no_more_entries_than_block_memos(seeds, data):
-    # each memo miss computed a kernel on all of its block's bins before the
-    # arm table; blocks that share no arm and walk apart gain nothing from
-    # it, and must not lose
+@st.composite
+def disjoint_blocks(draw):
+    """2-3 large blocks of random arms: they share no (eta_a, eta_b) pair."""
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=3, unique=True))
     blocks = [large_block(seed, LARGE + j) for j, seed in enumerate(seeds)]
+    assert distinct_arms(blocks) == sum(len(w) for _, w in blocks)
+    return blocks
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.one_of(disjoint_blocks(), pooled_blocks()), st.data())
+def test_each_table_miss_computes_a_whole_kernel_and_no_resident_key_again(blocks, data):
+    # whichever block asks for a kernel, a miss computes it on every
+    # distinct arm of the table, and a kernel the table holds is only gathered
     walks = [fields_of(data.draw(candidate_walk())) for _ in blocks]
     evaluator = _Evaluator(ChannelModel(), EPS, blocks)
+    table = evaluator.table
     with pytest.MonkeyPatch.context() as monkeypatch:
         entries = count_entries(monkeypatch)
         for step in range(max(map(len, walks))):
-            evaluator.evaluate(
-                [(j, walk[step]) for j, walk in enumerate(walks) if step < len(walk)]
-            )
-    memos = evaluator.kernels
-    for kind, n in entries.items():
-        assert n == evaluator.table.entries[kind]
-        assert n <= sum(len(blocks[j][1]) * memo.misses[kind] for j, memo in memos.items())
+            for j, walk in enumerate(walks):
+                if step >= len(walk):
+                    continue
+                resident = {kind: set(cache) for kind, cache in table.caches.items()}
+                before = {kind: len(calls) for kind, calls in entries.items()}
+                evaluator.evaluate([(j, walk[step])])
+                for kind, cache in table.caches.items():
+                    computed = [ta.size for ta in entries[kind][before[kind]:]]
+                    assert computed in ([], [table.size])
+                    if computed:  # the key just computed is the most recently used
+                        assert next(reversed(cache)) not in resident[kind]
+    assert totals(entries) == {kind: n * table.size for kind, n in table.misses.items()}
 
 
 def slice_clicks_all_nodes(ta, tb, mu1, delta, eopt, pdc):
@@ -1264,32 +1282,34 @@ def test_slice_kernel_mirrors_its_negative_nodes(rows, n_bins, seed, eopt, pdc):
     )
 
 
-def test_kernel_memo_stays_within_its_caps(monkeypatch):
+def record_tables(monkeypatch):
+    """Every ``_ArmTable`` made while patched."""
     made = []
 
-    class Recorded(_KernelMemo):
-        def __init__(self, table, index):
-            super().__init__(table, index)
+    class Recorded(_ArmTable):
+        def __init__(self, channel, arm_blocks):
+            super().__init__(channel, arm_blocks)
             made.append(self)
 
-    monkeypatch.setattr(keyrate, "_KernelMemo", Recorded)
+    monkeypatch.setattr(keyrate, "_ArmTable", Recorded)
+    return made
+
+
+def test_kernel_memo_stays_within_its_caps(monkeypatch):
+    made = count_method_calls(monkeypatch, _KernelMemo, "__init__")
+    tables = record_tables(monkeypatch)
     blocks = [large_block(3, LARGE), large_block(4, LARGE + 10), ONE_BIN]
     accumulate_links(blocks, ChannelModel(), EPS, max_evals=120)
     assert len(made) == 2  # the batched block of one bin has no memo
-    for memo in made:
-        assert memo.misses["slice"] > _KERNEL_CAPS["slice"]  # the cap was reached
-        for kind, cache in memo.caches.items():
-            assert len(cache) <= _KERNEL_CAPS[kind]
-    # both memos share one table, whose kernels are table-length
-    (table,) = {id(memo.table): memo.table for memo in made}.values()
+    # both memos share one table, the only memo of kernels, which are table-length
+    (table,) = tables
+    assert {id(memo_table) for memo_table, _ in made} == {id(table)}
     assert (table.size, table.bins) == (2 * LARGE + 10, 2 * LARGE + 10)
-    # more slice entries than the cap's kernels hold: the cap was reached
-    assert table.entries["slice"] > _TABLE_CAPS["slice"] * table.size
+    assert table.misses["slice"] > _TABLE_CAPS["slice"]  # the cap was reached
     for kind, cache in table.caches.items():
         assert len(cache) <= _TABLE_CAPS[kind]
-        for full, filled in cache.values():
-            assert filled.shape == (table.size,)
-            assert all(part.shape[-1] == table.size for part in full)
+        for parts in cache.values():
+            assert all(part.shape[-1] == table.size for part in parts)
 
 
 def test_optimiser_logs_one_debug_line_per_call(caplog, capsys, monkeypatch):
@@ -1303,18 +1323,8 @@ def test_optimiser_logs_one_debug_line_per_call(caplog, capsys, monkeypatch):
     calls = count_calls(monkeypatch, "pooled_statistics")
     # and each evaluate call is one scoring pass
     evaluations = count_method_calls(monkeypatch, _Evaluator, "evaluate")
-    # the kernel entries computed through the arm table
-    entries = dict.fromkeys(_TABLE_CAPS, 0)
-    fill = _ArmTable.fill
-
-    def counted(self, kind, key, kernel, *args):
-        def computed(ta, *rest):
-            entries[kind] += ta.size
-            return kernel(ta, *rest)
-
-        return fill(self, kind, key, computed, *args)
-
-    monkeypatch.setattr(_ArmTable, "fill", counted)
+    # the kernel entries computed, all through the arm table
+    entries, tables = count_entries(monkeypatch), record_tables(monkeypatch)
     # the values sent to the searches, and the candidates scored
     steps, scored = [], count_method_calls(monkeypatch, _Scorer, "__call__")
     search = keyrate._coordinate_search
@@ -1346,10 +1356,16 @@ def test_optimiser_logs_one_debug_line_per_call(caplog, capsys, monkeypatch):
     assert revisits >= 2 * 3
     assert (f"optimised 3 blocks in {len(evaluations) - 1} rounds, {len(steps)} search steps "
             f"({revisits} revisits) and {evaluated} evaluations over ") in message
-    assert "kernel memo hits/misses: z " in message
+    (table,) = tables
+    hits = ", ".join(f"{kind} {table.hits[kind]}/{table.misses[kind]}" for kind in _TABLE_CAPS)
+    assert f"; kernel memo hits/misses: {hits}; sum memo hits/misses: n " in message
+    # the batched block computes its kernels inline, on arms of its own
+    computed = totals({kind: [ta for ta in calls if ta is table.ta]
+                       for kind, calls in entries.items()})
     assert message.endswith(
         f"; arm table: {LARGE} distinct arms of {2 * LARGE} bins, kernel entries computed: "
-        f"z {entries['z']}, x {entries['x']}, slice {entries['slice']}"
+        f"z {computed['z']}, x {computed['x']}, slice {computed['slice']}"
     )
-    # the blocks share every arm: whichever asks for a key first computes all of its entries
-    assert all(n > 0 and n % LARGE == 0 for n in entries.values())
+    # the blocks share every arm: each table miss computes the kernel on all of them
+    assert computed == {kind: n * LARGE for kind, n in table.misses.items()}
+    assert all(n > 0 for n in table.misses.values())

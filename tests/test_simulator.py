@@ -21,7 +21,7 @@ from ringqkd.simulator import (
     day_phase_deg,
     run_campaign,
     run_day,
-    sweep,
+    sweep_configs,
 )
 
 
@@ -490,23 +490,24 @@ def test_campaign_pool_has_at_most_one_worker_a_day(monkeypatch, workers, n_days
 
 def test_sweep_axes():
     cfg = short_config()
-    by_n = sweep(cfg, "num_sats", [12, 20])
-    assert [v for v, _ in by_n] == [12, 20]
-    assert all(isinstance(r, CampaignResult) for _, r in by_n)
-    by_lat = sweep(cfg, "latitude", [0.0, 10.0])
-    assert by_lat[1][1].mean["protocol_skl"] == 0.0
+    by_n = sweep_configs(cfg, "num_sats", [12, 20])
+    assert [c.constellation.num_sats for c in by_n] == [12, 20]
+    assert all(isinstance(run_campaign(c), CampaignResult) for c in by_n)
+    by_lat = sweep_configs(cfg, "latitude", [0.0, 10.0])
+    assert [(c.gs1.latitude_deg, c.gs2.latitude_deg) for c in by_lat] == [(0.0, 0.0), (10.0, 10.0)]
+    assert run_campaign(by_lat[1]).mean["protocol_skl"] == 0.0
     with pytest.raises(ValueError):
-        sweep(cfg, "altitude", [1])
+        sweep_configs(cfg, "altitude", [1])
     with pytest.raises(ValueError):
-        sweep(cfg, "num_sats", [])
+        sweep_configs(cfg, "num_sats", [])
 
 
 def test_sweep_latitude_cliff_type2():
     # equatorial ring: positive yield on the equator, reduced at 5 degrees,
     # zero at 10 degrees
     cfg = short_config(**{"constellation.num_sats": 20})
-    res = sweep(cfg, "latitude", [0.0, 5.0, 10.0])
-    p0, p5, p10 = (r.mean["protocol_skl"] for _, r in res)
+    res = [run_campaign(c) for c in sweep_configs(cfg, "latitude", [0.0, 5.0, 10.0])]
+    p0, p5, p10 = (r.mean["protocol_skl"] for r in res)
     assert p0 > 0 and 0 < p5 < p0 and p10 == 0.0
 
 
