@@ -41,25 +41,26 @@ sender to measurement node, of shape (B, 2), and the pulse counts of its
 B bins, of shape (B,).  ``symmetric_arms`` is the one place a total
 twin-field link efficiency is split, into two arms of sqrt(efficiency).
 
-The optimiser carries each candidate as the tuple of its ``SnsParams``
-fields (only ``DEFAULT_GRID`` and each block's winner are ``SnsParams``)
-and evaluates a block on one of two paths (see ``_Evaluator``):
+Below the public entry points a candidate is the tuple of its ``SnsParams``
+fields (``expected_statistics`` and ``skl`` convert theirs; the optimiser
+makes a ``SnsParams`` only of each block's winner), and the optimiser
+evaluates a block on one of two paths (see ``_Evaluator``):
 
 - A block of at most 128 bins is batched with the others of its band,
   bins >> 3, padded to the band's widest block with zero-pulse, zero-arm
   bins, which numpy's pairwise sums make exact.  Its kernels are computed
-  inline: the arrays are small, and per-call overhead sets the cost.
-- A larger block is evaluated one candidate a call, through its memo
-  (``_KernelMemo``).  That keeps the pooled sums of each group of count
-  rows (``_GROUPS``), keyed by the fields the group reads: n_pulses once
-  per block, the Z rows by (p_z, p_send, mu_z), the X rows by (p_z, p0,
-  p1, mu1, mu2) and the slice rows by (p_z, p1, mu1, delta).  Only a group
-  whose key is new is built and summed, with its click kernel gathered
-  from the optimiser call's arm table (``_ArmTable``).  The table holds
-  the distinct arm pairs of all the large blocks and a least-recently-used
-  memo of ``_TABLE_CAPS`` whole kernels per kind: the Z-window clicks
-  keyed by mu_z, the X-window clicks of every decoy pair by (mu1, mu2) and
-  the phase-slice error-port Gauss-Legendre sums by (mu1, delta).
+  on its own arms: the arrays are small, and per-call overhead sets the cost.
+- A larger block is evaluated one candidate a call, through the optimiser
+  call's arm table (``_ArmTable``), its one memo.  That keeps the block's
+  pooled sums of each group of count rows (``_GROUPS``), keyed by the
+  fields the group reads: n_pulses once per block, the Z rows by (p_z,
+  p_send, mu_z), the X rows by (p_z, p0, p1, mu1, mu2) and the slice rows
+  by (p_z, p1, mu1, delta).  Only a group whose key is new is built and
+  summed, with its click kernel gathered from the table.  That holds the
+  large blocks' distinct arm pairs and ``_TABLE_CAPS`` whole kernels per
+  kind, keyed by ``_KERNEL_KEYS``: the Z-window clicks by mu_z, the
+  X-window clicks of every decoy pair by (mu1, mu2) and the phase-slice
+  error-port Gauss-Legendre sums by (mu1, delta), least recently used out.
   Asymmetric blocks pair many uplink arms with the one ISL arm, so they
   share most of their arms.
 
@@ -141,11 +142,6 @@ class SnsParams:
 # A candidate as the tuple of its fields, in field order: the optimiser's
 # candidates are such tuples, and two SnsParams are equal when theirs are.
 _sns_fields = attrgetter(*(f.name for f in fields(SnsParams)))
-
-
-def _as_fields(candidates) -> list:
-    """Each of ``candidates``, a ``SnsParams`` or the tuple of its fields, as that tuple."""
-    return [p if type(p) is tuple else _sns_fields(p) for p in candidates]
 
 
 @dataclass(frozen=True)
@@ -374,28 +370,32 @@ def _slice_clicks(ta, tb, mu1, delta, eopt, pdc):
 _XP, _XC, _SL, _ROW = 4, 13, 22, 24
 
 
-def _inline(kind, key, kernel, *args):
-    return kernel(*args)
-
-
 class _Terms:
     """Writes the per-bin terms of one call's groups of rows.
 
-    Holds the bins (pulses ``w`` and detected arm efficiencies ``ta``,
-    ``tb``, each of shape (1 or P, B)), the (P, 1) constant columns of the
-    P candidates, which are field tuples, and ``kernel``: ``_inline`` or the
-    block's ``_KernelMemo``, from which the click kernels come.  Each method
-    fills a (P, rows, B) array with the terms of one group of ``_GROUPS``.
+    Holds the pulses ``w`` of the bins, of shape (1 or P, B), and the (P, 1)
+    constant columns of the P candidates, which are field tuples.  Each
+    method fills a (P, rows, B) array with the terms of one group of
+    ``_GROUPS``, with a click kernel from ``clicks``: computed on the bins'
+    detected arms ``ta``, ``tb`` (shaped as ``w``), or, for a ``memo`` (the
+    arm table and a block of it), gathered from the table.
     """
 
-    def __init__(self, channel: ChannelModel, candidates, w, ta, tb, kernel):
-        self.w, self.ta, self.tb, self.kernel = w, ta, tb, kernel
+    def __init__(self, channel: ChannelModel, candidates, w, ta=None, tb=None, memo=(None, 0)):
+        self.w, self.ta, self.tb = w, ta, tb
+        self.table, self.block = memo
+        self.first = candidates[0]  # the memo's key; the only candidate of a memo call
         self.pdc, self.eopt = channel.dark_count_prob, channel.optical_error
-        self.first = candidates[0]  # the memo's key; _inline ignores it
-        table = _candidate_table(candidates, self.pdc)
-        self.mus, self.probs = table[:, 0:3], table[:, 3:6]
+        const = _candidate_table(candidates, self.pdc)
+        self.mus, self.probs = const[:, 0:3], const[:, 3:6]
         (_, self.mu1, _, _, self.p1, _, self.mu_z, self.p_z, self.p_x, self.delta,
-         self.ps_single, self.ps_both, self.none_dark, self.f_slice) = table.T[:, :, None]
+         self.ps_single, self.ps_both, self.none_dark, self.f_slice) = const.T[:, :, None]
+
+    def clicks(self, kind, kernel, *rest):
+        """Click kernel ``kind`` of the bins: ``kernel(ta, tb, *rest)``."""
+        if self.table is None:
+            return kernel(self.ta, self.tb, *rest)
+        return self.table.gather(self.block, kind, _KERNEL_KEYS[kind](self.first), kernel, rest)
 
     def pulses(self, out):
         out[:, 0] = self.w
@@ -404,9 +404,7 @@ class _Terms:
         """n_z, z_clicks and z_errors, from the send/not-send patterns."""
         nz, z_clicks, z_errors = out[:, 0], out[:, 1], out[:, 2]
         np.multiply(self.w, self.p_z, out=nz)
-        c_sum, c_ab = self.kernel(
-            "z", self.first[0], _z_clicks, self.ta, self.tb, self.mu_z, self.pdc
-        )
+        c_sum, c_ab = self.clicks("z", _z_clicks, self.mu_z, self.pdc)
         singles = self.ps_single * c_sum
         both = self.ps_both * c_ab
         np.add(singles, both, out=z_clicks)
@@ -424,10 +422,7 @@ class _Terms:
         nx = self.w * self.p_x
         np.multiply(nx[:, None, None, :], self.probs[:, :, None, None], out=x_pairs)
         np.multiply(x_pairs, self.probs[:, None, :, None], out=x_pairs)
-        clicks = self.kernel(  # keyed by (mu1, mu2)
-            "x", self.first[1:3], _x_clicks, self.ta, self.tb, self.mus, self.pdc
-        )
-        np.multiply(x_pairs, clicks, out=x_clicks)
+        np.multiply(x_pairs, self.clicks("x", _x_clicks, self.mus, self.pdc), out=x_clicks)
 
     def phase_slice(self, out):
         """slice_pairs and slice_error_clicks: the phase slice of the (mu1, mu1) pairs."""
@@ -436,10 +431,7 @@ class _Terms:
         np.multiply(sl_pairs, self.p1, out=sl_pairs)
         np.multiply(sl_pairs, self.p1, out=sl_pairs)
         np.multiply(sl_pairs, self.f_slice, out=sl_pairs)
-        err_in = self.kernel(
-            "slice", (self.first[1], self.first[7]), _slice_clicks,
-            self.ta, self.tb, self.mu1, self.delta, self.eopt, self.pdc,
-        )
+        err_in = self.clicks("slice", _slice_clicks, self.mu1, self.delta, self.eopt, self.pdc)
         np.multiply(sl_pairs, err_in, out=sl_err)
 
 
@@ -453,6 +445,10 @@ _GROUPS = {
     "slice": (slice(_SL, _ROW), itemgetter(4, 6, 1, 7), _Terms.phase_slice),  # p_z, p1, mu1, delta
 }
 
+# The key of each kind of click kernel in the arm table, which reads the fields
+# the kernel reads from a candidate's field tuple: mu_z; mu1, mu2; mu1, delta.
+_KERNEL_KEYS = {"z": itemgetter(0), "x": itemgetter(1, 2), "slice": itemgetter(1, 7)}
+
 # Table-length kernels the arm table keeps per kind, least recently used out.
 # On the 12 large blocks of the campaign.seed=4 asymmetric day, caps of 2, 2
 # and 4 miss 44 z, 73 x and 114 slice kernels, these 44, 73 and 113, and caps
@@ -462,18 +458,18 @@ _TABLE_CAPS = {"z": 4, "x": 4, "slice": 8}
 
 
 class _ArmTable:
-    """The click kernels of the optimiser's large blocks, on their distinct arm pairs.
+    """The one memo of the optimiser's large blocks: their pooled sums and click kernels.
 
     The blocks' (eta_a, eta_b) pairs are deduplicated by their bits, so
     -0.0 and 0.0 stay apart.  ``ta`` and ``tb``, of shape (1, D), are the
-    detected arms of the D distinct pairs, and ``index[j]`` maps block j's
+    detected arms of the D distinct pairs, and ``index[k]`` maps block k's
     bins to their entries.  Per kind, a least-recently-used memo of
-    ``_TABLE_CAPS`` table-length kernels is keyed by the only parameters
-    the kind reads: ``z`` by mu_z, ``x`` by (mu1, mu2), ``slice`` by (mu1,
-    delta).  A miss computes the kernel on all D arms in one call.  Each
-    entry is the same elementwise numpy operations on the same two floats
-    as in the kernel of a whole block, so it has its bits.  The channel is
-    fixed for the table's lifetime.
+    ``_TABLE_CAPS`` table-length kernels is keyed by ``_KERNEL_KEYS``.  A
+    miss computes the kernel on all D arms in one call, the same elementwise
+    operations on the same floats as on a whole block, so each entry has its
+    bits.  ``sums[k]`` keeps block k's pooled sums per group of ``_GROUPS``,
+    unbounded (a few floats an entry).  ``hits``/``misses`` count kernel
+    lookups per kind, ``sum_hits``/``sum_misses`` sum lookups per group.
     """
 
     def __init__(self, channel: ChannelModel, arm_blocks):
@@ -487,59 +483,42 @@ class _ArmTable:
         self.caches = {kind: OrderedDict() for kind in _TABLE_CAPS}
         self.hits = dict.fromkeys(_TABLE_CAPS, 0)
         self.misses = dict.fromkeys(_TABLE_CAPS, 0)
+        self.sums = [{group: {} for group in _GROUPS} for _ in self.index]
+        self.sum_hits = dict.fromkeys(_GROUPS, 0)
+        self.sum_misses = dict.fromkeys(_GROUPS, 0)
 
-    def __call__(self, kind, key, kernel, rest) -> tuple:
-        """The table-length parts of kernel ``kind`` at ``key``: ``kernel(ta, tb, *rest)``."""
+    def gather(self, block: int, kind, key, kernel, rest):
+        """Kernel ``kind`` at ``key``, ``kernel(ta, tb, *rest)``, at the entries of ``block``."""
         cache = self.caches[kind]
         if key in cache:
             self.hits[kind] += 1
             cache.move_to_end(key)
-            return cache[key]
-        self.misses[kind] += 1
-        value = kernel(self.ta, self.tb, *rest)
-        parts = cache[key] = value if isinstance(value, tuple) else (value,)
-        if len(cache) > _TABLE_CAPS[kind]:
-            cache.popitem(last=False)
-        return parts
-
-
-class _KernelMemo:
-    """One block's pooled sums, reused across one-candidate evaluations.
-
-    Each group of ``_GROUPS`` keeps its pooled sums keyed by the fields its
-    counts read; a few floats an entry, so that memo is not bounded.  A
-    group whose key is new gathers its click kernel from ``table``, the
-    optimiser call's ``_ArmTable``, at ``index``, the table entries of the
-    block's bins.  The block's arms and the channel are fixed for the
-    memo's lifetime.
-    """
-
-    def __init__(self, table: _ArmTable, index: np.ndarray):
-        self.table, self.index = table, index
-        self.sums = {group: {} for group in _GROUPS}
-        self.sum_hits = dict.fromkeys(_GROUPS, 0)
-        self.sum_misses = dict.fromkeys(_GROUPS, 0)
-
-    def __call__(self, kind, key, kernel, ta, tb, *rest):
-        parts = [whole.take(self.index, axis=-1) for whole in self.table(kind, key, kernel, rest)]
+        else:
+            self.misses[kind] += 1
+            value = kernel(self.ta, self.tb, *rest)
+            cache[key] = value if isinstance(value, tuple) else (value,)
+            if len(cache) > _TABLE_CAPS[kind]:
+                cache.popitem(last=False)
+        parts = [whole.take(self.index[block], axis=-1) for whole in cache[key]]
         return tuple(parts) if len(parts) > 1 else parts[0]
 
     def pooled(self, terms: _Terms) -> np.ndarray:
-        """The (1, ``_ROW``) pooled counts of the one candidate of ``terms``.
+        """The (1, ``_ROW``) pooled counts of the one candidate of ``terms``, on its block.
 
         Only a group whose key is new has its terms written, into a (1,
         rows, B) array of its own, and summed.  numpy sums each contiguous
         row of B floats the same way there as inside a (P, _ROW, B) array.
         """
         out = np.empty((1, _ROW))
+        memos = self.sums[terms.block]
         for group, (rows, key_of, write) in _GROUPS.items():
             key = key_of(terms.first)
-            sums = self.sums[group].get(key)
+            sums = memos[group].get(key)
             if sums is None:
                 self.sum_misses[group] += 1
                 part = np.empty((1, rows.stop - rows.start, terms.w.shape[-1]))
                 write(terms, part)
-                sums = self.sums[group][key] = part.sum(axis=-1)
+                sums = memos[group][key] = part.sum(axis=-1)
             else:
                 self.sum_hits[group] += 1
             out[:, rows] = sums
@@ -555,25 +534,28 @@ def _row(stats: ExpectedStatistics) -> list:
     ]
 
 
-def pooled_statistics(
-    channel: ChannelModel, candidates, arms, pulses, kernels: _KernelMemo | None = None
-) -> np.ndarray:
+def pooled_statistics(channel: ChannelModel, candidates, arms, pulses, memo=None) -> np.ndarray:
     """The (P, ``_ROW``) expected counts of a sequence of P candidates, pooled over bins.
 
-    A candidate is a ``SnsParams`` or the tuple of its fields.  The pulse
-    counts are shared, of shape (B,), or one row per candidate, of shape
-    (P, B); ``arms`` has their shape plus a trailing axis of the two arm
+    A candidate is the tuple of its ``SnsParams`` fields.  The pulse counts
+    are shared, of shape (B,), or one row per candidate, of shape (P, B);
+    ``arms`` has their shape plus a trailing axis of the two arm
     efficiencies, not range-checked here: the public entry points check
     each block once.  All per-bin terms go into one (P, _ROW, B)
     array, summed over its last, contiguous axis, so a candidate's counts
     do not depend on the others in its batch; bins of zero pulses and zero
-    arms add exactly +0.0 to every count (see ``_Evaluator``).  ``kernels``,
-    the optimiser's memo of pooled sums for this block and channel, serves
-    one candidate and recomputes only the groups of rows whose parameters it
-    has not seen, on click kernels gathered from its arm table.
+    arms add exactly +0.0 to every count (see ``_Evaluator``).  ``memo``,
+    the optimiser's ``_ArmTable`` and a block of it, serves one candidate
+    on that block's shared pulse counts.  It recomputes only the groups of
+    rows whose fields it has not seen, on click kernels gathered from the
+    table, and ``arms`` is not read.
     """
-    arms = np.asarray(arms, dtype=float)
     w = np.atleast_1d(np.asarray(pulses, dtype=float))
+    if memo is not None:
+        if len(candidates) != 1 or w.ndim != 1:
+            raise ValueError("a memo serves one candidate on shared pulse counts")
+        return memo[0].pooled(_Terms(channel, candidates, w[None], memo=memo))
+    arms = np.asarray(arms, dtype=float)
     if arms.shape != w.shape + (2,):
         raise ValueError("arm efficiencies and pulse counts must align")
     ta = arms[..., 0] * channel.detector_efficiency
@@ -582,11 +564,7 @@ def pooled_statistics(
         w, ta, tb = w[None], ta[None], tb[None]
     elif w.ndim != 2 or w.shape[0] != len(candidates):
         raise ValueError("per-candidate bins need one row per candidate")
-    if kernels is not None and len(candidates) != 1:
-        raise ValueError("a kernel memo serves one candidate a call")
-    terms = _Terms(channel, _as_fields(candidates), w, ta, tb, kernels or _inline)
-    if kernels is not None:
-        return kernels.pooled(terms)
+    terms = _Terms(channel, candidates, w, ta, tb)
     out = np.empty((len(candidates), _ROW, w.shape[-1]))
     for rows, _, write in _GROUPS.values():
         write(terms, out[:, rows])
@@ -600,7 +578,7 @@ def expected_statistics(
     arms = _checked_arms(arms, (2,))
     if not (n_pulses >= 1 and math.isfinite(n_pulses)):
         raise ValueError("n_pulses must be finite and >= 1")
-    (sums,) = pooled_statistics(channel, [params], arms[None], np.array([float(n_pulses)]))
+    (sums,) = pooled_statistics(channel, [_sns_fields(params)], arms[None], [n_pulses])
     row = sums.tolist()  # the fields in the _ROW layout, in their order
     return ExpectedStatistics(
         params, row[0], channel.dark_count_prob, channel.error_correction_factor, *row[1:_XP],
@@ -759,7 +737,7 @@ _CHAIN_ERRORS = (
 class _Scorer:
     """The finite-key chain, run on rows of pooled counts (``_ROW`` layout).
 
-    One call scores P candidates (each a ``SnsParams`` or the tuple of its
+    One call scores P candidates (each the tuple of its ``SnsParams``
     fields) and their (P, ``_ROW``) rows in one numpy pass; log(1/eps) of
     both bound families and the epsilon correction are taken once per
     scorer.  The pass gives the bits of the chain run on one row of Python
@@ -792,7 +770,7 @@ class _Scorer:
         columns = [
             (mu1, mu2, mu1 ** 2, mu2 ** 2, math.exp(mu1), math.exp(mu2),
              p_send, mu_z, math.exp(-mu_z), math.exp(-2.0 * mu1))
-            for mu_z, mu1, mu2, p_send, _, _, _, _ in _as_fields(candidates)
+            for mu_z, mu1, mu2, p_send, _, _, _, _ in candidates
         ]
         flat = np.fromiter(chain.from_iterable(columns), float, 10 * len(columns))
         return flat.reshape(-1, 10).T
@@ -881,7 +859,7 @@ def skl(
 ) -> SklBreakdown:
     """Secret-key length of a block from its (expected or sampled) counts."""
     scorer = _Scorer(eps, stats.dark_count_prob, stats.error_correction_factor, asymptotic)
-    (ledger,) = scorer([stats.params], np.array([_row(stats)]))
+    (ledger,) = scorer([_sns_fields(stats.params)], np.array([_row(stats)]))
     return SklBreakdown(*ledger)
 
 
@@ -996,9 +974,9 @@ class _Evaluator:
     A zero-pulse bin adds exactly +0.0 to every sum (its kernels are finite:
     clicks = P_dc, visibility 0), so zeros that keep n inside its band
     [8k, 8k + 7] change no partial sum.  A larger block is evaluated one
-    candidate a call, reusing the pooled sums in its memo ``kernels[j]``.
-    All such blocks share ``table``, one ``_ArmTable`` built here with the
-    channel's detector efficiency: their only memo of click kernels.
+    candidate a call, as block ``slot[j]`` of ``table``, one ``_ArmTable``
+    built here with the channel's detector efficiency: the only memo of
+    pooled sums and click kernels.
     """
 
     def __init__(self, channel: ChannelModel, eps: SecurityEpsilons, blocks):
@@ -1008,7 +986,7 @@ class _Evaluator:
         self.memos = [{} for _ in blocks]
         self.calls = self.passes = 0
         self.band = []  # per block, its band, or None for a block evaluated alone
-        self.slot = []  # per block, its row in its band's stack
+        self.slot = []  # per block, its row in its band's stack, or its block of the table
         members: dict = {}
         for j, (_, pulses) in enumerate(blocks):
             band = len(pulses) >> 3 if len(pulses) <= _PAIRWISE_BLOCK else None
@@ -1019,7 +997,6 @@ class _Evaluator:
         # per band: its blocks' stacked (arms, pulses)
         self.stacks = {band: _padded([blocks[j] for j in js]) for band, js in members.items()}
         self.table = _ArmTable(channel, [blocks[j][0] for j in single])
-        self.kernels = {j: _KernelMemo(self.table, at) for j, at in zip(single, self.table.index)}
 
     def evaluate(self, requests) -> None:
         """Score every (j, candidate) request not yet in ``memos[j]``, in one scoring pass.
@@ -1036,10 +1013,10 @@ class _Evaluator:
         for band, group in pending.items():
             group = list(group)
             todo.extend(group)
-            if band is None:  # one candidate a call, through the block's memo
+            if band is None:  # one candidate a call, through the arm table
                 for j, params in group:
-                    block, kernels = self.blocks[j], self.kernels[j]
-                    rows.append(pooled_statistics(self.channel, [params], *block, kernels))
+                    memo = (self.table, self.slot[j])
+                    rows.append(pooled_statistics(self.channel, [params], *self.blocks[j], memo))
                 self.calls += len(group)
                 continue
             arms, pulses = self.stacks[band]
@@ -1110,13 +1087,10 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
         if v > best[j][1]:
             best[j] = (p, v)
     if log.isEnabledFor(logging.DEBUG):
-        table, kernels = evaluator.table, evaluator.kernels.values()
+        table = evaluator.table
 
         def counts(hits, misses):
             return ", ".join(f"{name} {hits[name]}/{misses[name]}" for name in hits)
-
-        def total(name):
-            return {group: sum(getattr(k, name)[group] for k in kernels) for group in _GROUPS}
 
         evaluations = sum(map(len, memos))
         log.debug(
@@ -1126,7 +1100,7 @@ def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
             "computed: %s",
             len(blocks), rounds, steps, steps - (evaluations - on_grid), evaluations,
             evaluator.calls, evaluator.passes, counts(table.hits, table.misses),
-            counts(total("sum_hits"), total("sum_misses")), table.size, table.bins,
+            counts(table.sum_hits, table.sum_misses), table.size, table.bins,
             ", ".join(f"{kind} {n * table.size}" for kind, n in table.misses.items()),
         )
     return [(SnsParams(*p), SklBreakdown(*memos[j][p])) for j, (p, _) in enumerate(best)]

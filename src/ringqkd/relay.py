@@ -136,17 +136,20 @@ class _Segment:
     """Key table and GF(2) system of one directed segment of one ring.
 
     Symbols are bits: one per key, in key order, then the segment secret.
-    The public message rows are reduced to echelon form once; a compromised
-    satellite adds one unit row per key it holds.
+    The bits above ``symbols`` tag rows: message row c carries tag bit c,
+    so a vector's tags name the message rows it combines.  The public
+    message rows are reduced to echelon form once; a compromised satellite
+    adds one unit row per key it holds, untagged unless a witness needs it.
     """
 
     keys: tuple  # point-to-point keys, then twin-field keys by slot_u and distance
     at_slot: tuple  # at_slot[s]: the keys with an endpoint at slot s
     crossing: tuple  # crossing[c]: the keys with slot_u <= c < slot_v
     labels: tuple  # knowledge item of each message row, in row order
-    basis: tuple  # echelon basis of the message rows (see _extend); never mutated
+    basis: tuple  # echelon basis of the tagged message rows (see _extend); never mutated
     sat_rows: dict  # satellite -> ((key id, bit), ...) of the keys it holds, in key order
     secret: int  # bit of the segment secret
+    symbols: int  # mask of the symbol bits
 
 
 def _segment(walk: tuple, ring: int, segment: str, r: int) -> _Segment:
@@ -158,8 +161,12 @@ def _segment(walk: tuple, ring: int, segment: str, r: int) -> _Segment:
                 keys.append((ring, segment, "tf", u, u + d))
     bit = {kid: 1 << i for i, kid in enumerate(keys)}
     secret = 1 << len(keys)
+    symbols = 2 * secret - 1
     crossing = tuple(tuple(k for k in keys if k[3] <= c < k[4]) for c in range(m))
-    rows = [secret ^ functools.reduce(int.__xor__, map(bit.get, kids), 0) for kids in crossing]
+    rows = [
+        secret ^ functools.reduce(int.__xor__, map(bit.get, kids), 0) | (symbols + 1) << c
+        for c, kids in enumerate(crossing)
+    ]
     sat_rows: dict = {}
     for kid in keys:
         for node in (walk[kid[3]], walk[kid[4]]):
@@ -170,9 +177,10 @@ def _segment(walk: tuple, ring: int, segment: str, r: int) -> _Segment:
         at_slot=tuple(tuple(k for k in keys if s in (k[3], k[4])) for s in range(m + 1)),
         crossing=crossing,
         labels=tuple(("message", ring, segment, walk[c]) for c in range(m)),
-        basis=_extend((0, {}), rows, 0),
+        basis=_extend((0, {}), rows, symbols),
         sat_rows={sat: tuple(held) for sat, held in sat_rows.items()},
         secret=secret,
+        symbols=symbols,
     )
 
 
@@ -262,25 +270,26 @@ def crossing_keys(path: RingPath, ring: int, segment: str, cut: int) -> list[tup
 # ------------------------------------------------------------- GF(2) oracle
 
 
-def _extend(basis: tuple, rows: list[int], first: int) -> tuple:
-    """Echelon basis after adding ``rows``; row j is knowledge item first + j.
+def _extend(basis: tuple, rows: list[int], symbols: int) -> tuple:
+    """Echelon basis after adding ``rows``, whose symbol bits are ``symbols``.
 
-    A basis is (mask of pivot bits, {pivot bit: (vector, row combination
-    mask)}).  A pivot's bit is the lowest set bit of its vector, and every
-    vector is clear at the bits of the pivots before it.
+    A basis is (mask of pivot bits, {pivot bit: vector}).  A row becomes a
+    pivot only when its symbol bits do not reduce to zero; its pivot's bit
+    is then the lowest set bit of its reduced vector, below any tag bits,
+    and every vector is clear at the bits of the pivots before it.
     """
     mask, pivots = basis[0], dict(basis[1])
-    for j, vec in enumerate(rows):
-        vec, combo = _reduce((mask, pivots), vec, 1 << (first + j))
-        if vec:
+    for vec in rows:
+        vec = _reduce((mask, pivots), vec)
+        if vec & symbols:
             low = vec & -vec
-            pivots[low] = (vec, combo)
+            pivots[low] = vec
             mask |= low
     return mask, pivots
 
 
-def _reduce(basis: tuple, vec: int, combo: int = 0) -> tuple[int, int]:
-    """Residue of ``vec`` against the basis, and the rows that were added to it.
+def _reduce(basis: tuple, vec: int) -> int:
+    """Residue of ``vec`` against the basis; its tag bits name the rows added to it.
 
     Clearing the lowest pivot bit present only sets higher bits, so the loop
     ends.  The pivot vectors are independent, so the residue and the rows
@@ -289,11 +298,9 @@ def _reduce(basis: tuple, vec: int, combo: int = 0) -> tuple[int, int]:
     mask, pivots = basis
     hit = vec & mask
     while hit:
-        pvec, pcombo = pivots[hit & -hit]
-        vec ^= pvec
-        combo ^= pcombo
+        vec ^= pivots[hit & -hit]
         hit = vec & mask
-    return vec, combo
+    return vec
 
 
 def adversary_can_recover(
@@ -321,10 +328,13 @@ def adversary_can_recover(
         for name in segments:
             seg = system[(ring, name)]
             rows = [(sat, kid, bit) for sat in sats for kid, bit in seg.sat_rows.get(sat, ())]
-            basis = _extend(seg.basis, [bit for _, _, bit in rows], len(seg.labels))
-            residue, combo = _reduce(basis, seg.secret)
-            if residue:
+            tag = seg.symbols + 1 << len(seg.labels)  # the tag of the first key row
+            basis = _extend(seg.basis, [bit | tag << i for i, (_, _, bit) in enumerate(rows)],
+                            seg.symbols)
+            residue = _reduce(basis, seg.secret)
+            if residue & seg.symbols:
                 return False, []
+            combo = residue >> seg.symbols.bit_length()
             messages += [label for i, label in enumerate(seg.labels) if combo >> i & 1]
             combo >>= len(seg.labels)
             keys += [(sat, kid) for i, (sat, kid, _) in enumerate(rows) if combo >> i & 1]
@@ -343,25 +353,21 @@ class MinCompromiseResult:
     upper: int | None
 
 
-def _subsets(seg: _Segment, candidates: list, prefix: tuple, basis, n_rows: int,
-             start: int, size: int):
+def _subsets(seg: _Segment, candidates: list, prefix: tuple, basis, start: int, size: int):
     """Extensions of ``prefix`` by ``size`` of ``candidates[start:]``, in
     lexicographic order, each with its basis: every satellite added extends
-    a copy of its prefix's basis by that satellite's key rows."""
+    a copy of its prefix's basis by that satellite's untagged key rows."""
     if size == 0:
         yield prefix, basis
         return
     for idx in range(start, len(candidates) - size + 1):
         sat = candidates[idx]
         rows = [bit for _, bit in seg.sat_rows[sat]]
-        yield from _subsets(
-            seg, candidates, prefix + (sat,), _extend(basis, rows, n_rows),
-            n_rows + len(rows), idx + 1, size - 1,
-        )
+        yield from _subsets(seg, candidates, prefix + (sat,), _extend(basis, rows, seg.symbols),
+                            idx + 1, size - 1)
 
 
-def _smallest_recovering(seg: _Segment, basis, n_rows: int, candidates: list,
-                         max_size: int, budget: int):
+def _smallest_recovering(seg: _Segment, basis, candidates: list, max_size: int, budget: int):
     """Lexicographically smallest of the smallest subsets of ``candidates``,
     of at most ``max_size`` satellites, that together with ``basis`` recover
     the segment secret; at most ``budget`` subsets are tested.
@@ -372,11 +378,11 @@ def _smallest_recovering(seg: _Segment, basis, n_rows: int, candidates: list,
     """
     tested = 0
     for size in range(max_size + 1):
-        for subset, extended in _subsets(seg, candidates, (), basis, n_rows, 0, size):
+        for subset, extended in _subsets(seg, candidates, (), basis, 0, size):
             if tested == budget:
                 return None, tested, size
             tested += 1
-            if not _reduce(extended, seg.secret)[0]:
+            if not _reduce(extended, seg.secret) & seg.symbols:
                 return subset, tested, size
     return None, tested, max_size + 1
 
@@ -439,8 +445,7 @@ def min_compromise(
             rows = [bit for sat in attached for _, bit in seg.sat_rows[sat]]
             cap = len(interior) if best is None else best - len(chosen)
             found, tested, size = _smallest_recovering(
-                seg, _extend(seg.basis, rows, len(seg.labels)), len(seg.labels) + len(rows),
-                interior, cap, max_evals - evals,
+                seg, _extend(seg.basis, rows, seg.symbols), interior, cap, max_evals - evals
             )
             evals += tested
             if found is None and size <= cap:  # budget spent

@@ -34,7 +34,6 @@ from ringqkd.keyrate import (
     _TABLE_CAPS,
     _ArmTable,
     _Evaluator,
-    _KernelMemo,
     _Scorer,
     _click,
     _coordinate_search,
@@ -197,7 +196,7 @@ def test_expected_statistics_match_monte_carlo(loss_db):
 
 def test_pooled_statistics_additive():
     ch, _ = make_channel(40.0)
-    params = SnsParams()
+    params = astuple(SnsParams())
     arms_a, arms_b = symmetric_arms(1e-4), symmetric_arms(1e-5)
     (one,) = pooled_statistics(ch, [params], np.array([arms_a, arms_b]), np.array([1e8, 2e8]))
     (a,) = pooled_statistics(ch, [params], np.array([arms_a]), np.array([1e8]))
@@ -472,6 +471,7 @@ def loss_bins(draw, max_bins=20):
 @given(st.lists(sns_params(), min_size=1, max_size=12), loss_bins())
 def test_batched_pooled_statistics_rows_are_bit_identical(candidates, bins):
     arms, pulses = bins
+    candidates = fields_of(candidates)
     ch = ChannelModel()
     shared = pooled_statistics(ch, candidates, arms, pulses)
     per_row = pooled_statistics(
@@ -497,6 +497,7 @@ def test_zero_padding_inside_the_band_keeps_counts_bit_identical(candidates, bin
     padded_arms[:n] = arms
     padded_pulses = np.zeros(width)
     padded_pulses[:n] = pulses
+    candidates = fields_of(candidates)
     ch = ChannelModel()
     want = pooled_statistics(ch, candidates, arms, pulses).tobytes()
     shared = pooled_statistics(ch, candidates, padded_arms, padded_pulses)
@@ -518,11 +519,11 @@ def test_small_blocks_batch_by_band():
     evaluator = _Evaluator(ch, EPS, blocks)
     evaluator.evaluate([(j, p) for j in range(len(blocks)) for p in GRID])
     # one call for 1-7 bins, one for 8-15, and one a candidate for 130 bins,
-    # which is evaluated alone, through its memo
+    # which is evaluated alone, as the one block of the arm table
     assert evaluator.calls == 1 + 1 + len(GRID)
     # each band is stacked once, padded to its widest block
     assert [pulses.shape for _, pulses in evaluator.stacks.values()] == [(3, 7), (2, 15)]
-    assert list(evaluator.kernels) == [5]
+    assert (evaluator.band[5], evaluator.slot[5], len(evaluator.table.sums)) == (None, 0, 1)
     for memo, (arms, pulses) in zip(evaluator.memos, blocks):
         assert memo == {
             astuple(p): astuple(scalar_ledger(ch, p, arms, pulses)) for p in DEFAULT_GRID
@@ -531,12 +532,13 @@ def test_small_blocks_batch_by_band():
 
 def test_pooled_statistics_rejects_misaligned_bins():
     ch = ChannelModel()
+    (params,) = fields_of([SnsParams()])
     with pytest.raises(ValueError):
-        pooled_statistics(ch, [SnsParams()], np.full((2, 2), 1e-4), np.array([1e8]))
+        pooled_statistics(ch, [params], np.full((2, 2), 1e-4), np.array([1e8]))
     with pytest.raises(ValueError):
-        pooled_statistics(ch, [SnsParams()] * 3, np.ones((2, 4, 2)) * 1e-4, np.ones((2, 4)))
+        pooled_statistics(ch, [params] * 3, np.ones((2, 4, 2)) * 1e-4, np.ones((2, 4)))
     with pytest.raises(ValueError):  # total efficiencies, not arm pairs
-        pooled_statistics(ch, [SnsParams()], np.array([1e-4, 1e-5]), np.array([1e8, 2e8]))
+        pooled_statistics(ch, [params], np.array([1e-4, 1e-5]), np.array([1e8, 2e8]))
 
 
 # ------------------------------------------- the vector scorer vs the scalar chain
@@ -627,7 +629,7 @@ class ScalarScorer:
 
 def scalar_ledger(channel, params, arms, pulses, eps=EPS):
     """The scalar chain's ledger of ``params`` on a block, from its pooled row."""
-    (row,) = pooled_statistics(channel, [params], arms, pulses).tolist()
+    (row,) = pooled_statistics(channel, fields_of([params]), arms, pulses).tolist()
     scorer = ScalarScorer(eps, channel.dark_count_prob, channel.error_correction_factor)
     return scorer(params, row)
 
@@ -687,7 +689,7 @@ def scored_rows(draw, edits):
     candidates = draw(st.lists(sns_params(), min_size=1, max_size=8))
     arms, pulses = draw(loss_bins(max_bins=6))
     pdc = draw(st.sampled_from((0.0, 1e-9, 1e-6)))
-    rows = pooled_statistics(ChannelModel(dark_count_prob=pdc), candidates, arms, pulses)
+    rows = pooled_statistics(ChannelModel(dark_count_prob=pdc), fields_of(candidates), arms, pulses)
     for row in rows:
         edit = edits[draw(st.sampled_from(sorted(edits)))]
         if edit is not None:
@@ -725,7 +727,7 @@ def test_vector_scorer_raises_where_the_scalar_chain_raises(drawn, eps, asymptot
 
 def test_every_error_of_the_chain_is_raised():
     ch, arms = make_channel(30.0)
-    row = pooled_statistics(ch, [SnsParams()], np.array([arms]), np.array([1e10]))
+    row = pooled_statistics(ch, fields_of([SnsParams()]), np.array([arms]), np.array([1e10]))
     for name, (entries, value) in BAD_EDITS.items():
         bad = row.copy()
         bad[0, entries] = value
@@ -742,8 +744,8 @@ def test_signed_zeros_match_the_scalar_chain(rows):
     # counts and -0.0 slice errors, the asymptotic phase error is max(0.0, -0.0)
     ch, arms = make_channel(30.0)
     candidates = [SnsParams()] * rows
-    counts = pooled_statistics(ChannelModel(dark_count_prob=0.0), candidates, np.array([arms]),
-                               np.array([1e11]))
+    counts = pooled_statistics(ChannelModel(dark_count_prob=0.0), fields_of(candidates),
+                               np.array([arms]), np.array([1e11]))
     counts[:, 23] = -0.0
     counts[1::2, 23] = 0.0
     for asymptotic in (False, True):
@@ -760,29 +762,10 @@ def test_squares_stay_libm_pow():
     candidates = [SnsParams(mu1=trap * r, mu2=trap) for r in (0.05, 0.1, 0.2, 0.5)]
     candidates += [SnsParams(mu1=trap, mu2=mu2) for mu2 in (0.25, 0.5, 1.0)]
     ch, arms = make_channel(30.0)
-    rows = pooled_statistics(ch, candidates, np.array([arms]), np.array([1e11]))
+    rows = pooled_statistics(ch, fields_of(candidates), np.array([arms]), np.array([1e11]))
     for asymptotic in (False, True):
         want = scalar_outcome(ScalarScorer(EPS, 1e-9, 1.11, asymptotic), candidates, rows)
         got = _Scorer(EPS, 1e-9, 1.11, asymptotic)(fields_of(candidates), rows)
-        assert bits_of(got) == bits_of(want)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(sns_params(), min_size=1, max_size=6), loss_bins(max_bins=12),
-       scored_rows(ROW_EDITS), st.booleans())
-def test_params_and_field_tuples_give_the_same_bytes(params, bins, drawn, asymptotic):
-    # the optimiser carries candidates as field tuples, the public entry
-    # points pass SnsParams; both must count and score alike
-    ch = ChannelModel()
-    want = pooled_statistics(ch, params, *bins)
-    assert pooled_statistics(ch, fields_of(params), *bins).tobytes() == want.tobytes()
-    candidates, rows, pdc = drawn
-    scorer = _Scorer(EPS, pdc, 1.11, asymptotic)
-    want = vector_outcome(scorer, candidates, rows)
-    got = vector_outcome(scorer, fields_of(candidates), rows)
-    if isinstance(want, str):
-        assert got == want
-    else:
         assert bits_of(got) == bits_of(want)
 
 
@@ -793,7 +776,9 @@ def test_skl_and_its_untagged_bound_equal_the_scalar_chain():
         ch, arms = make_channel(loss)
         for params in DEFAULT_GRID[::7]:
             stats = expected_statistics(ch, params, arms, 1e11)
-            (row,) = pooled_statistics(ch, [params], np.array([arms]), np.array([1e11])).tolist()
+            (row,) = pooled_statistics(
+                ch, fields_of([params]), np.array([arms]), np.array([1e11])
+            ).tolist()
             for asymptotic in (False, True):
                 scorer = ScalarScorer(EPS, 1e-9, 1.11, asymptotic)
                 want = scorer(params, row)
@@ -1001,9 +986,10 @@ def test_lockstep_optimiser_matches_reference_on_large_blocks(
 
 
 def count_calls(monkeypatch, name):
+    """The positional arguments of every call of ``keyrate.name``."""
     calls = []
     original = getattr(keyrate, name)
-    monkeypatch.setattr(keyrate, name, lambda *args: calls.append(1) or original(*args))
+    monkeypatch.setattr(keyrate, name, lambda *args: calls.append(args) or original(*args))
     return calls
 
 
@@ -1065,22 +1051,23 @@ def test_kernel_memo_skips_recomputing_unchanged_kernels(monkeypatch):
              for name in ("_z_clicks", "_x_clicks", "_slice_clicks")}
     evaluator = _Evaluator(ch, EPS, [block])
     evaluator.evaluate([(0, p) for p in fields_of(candidates)])
-    kernels, table = evaluator.kernels, evaluator.table
+    table = evaluator.table
     assert [SklBreakdown(*evaluator.memos[0][p]) for p in fields_of(candidates)] == want
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
     # a group's sums are reused while the fields its counts read repeat:
     # z reads (p_z, p_send, mu_z), x (p_z, p0, p1, mu1, mu2), slice (p_z, p1, mu1, delta)
-    assert kernels[0].sum_hits == {"n": 5, "z": 2, "x": 1, "slice": 2}
-    assert kernels[0].sum_misses == {"n": 1, "z": 4, "x": 5, "slice": 4}
+    assert table.sum_hits == {"n": 5, "z": 2, "x": 1, "slice": 2}
+    assert table.sum_misses == {"n": 1, "z": 4, "x": 5, "slice": 4}
     # and only a sum miss looks its kernel up, in the arm table
     assert table.hits == {"z": 3, "x": 4, "slice": 3}
     assert table.misses == {"z": 1, "x": 1, "slice": 1}
-    # a batched block of a few bins computes its kernels inline, without a memo
+    # a batched block of a few bins computes its kernels on its own arms,
+    # without a memo: its table holds no block
     small = _Evaluator(ch, EPS, [(block[0][:3], block[1][:3])])
     small.evaluate([(0, p) for p in fields_of(candidates)])
     assert len(calls["_slice_clicks"]) == 2
-    assert small.kernels == {}
-    assert (small.table.size, small.table.bins) == (0, 0)
+    assert (small.table.size, small.table.bins, small.table.sums) == (0, 0, [])
+    assert small.table.sum_hits == small.table.sum_misses == dict.fromkeys(table.sum_hits, 0)
 
 
 @st.composite
@@ -1104,12 +1091,33 @@ def test_memoised_rows_equal_the_inline_rows(seed, n_bins, candidates):
     arms, pulses = large_block(seed, n_bins)
     ch = ChannelModel()
     table = _ArmTable(ch, [arms])
-    memo = _KernelMemo(table, *table.index)
     for params in fields_of(candidates):
-        got = pooled_statistics(ch, [params], arms, pulses, memo)
+        got = pooled_statistics(ch, [params], arms, pulses, (table, 0))
         assert got.tobytes() == pooled_statistics(ch, [params], arms, pulses).tobytes()
-    assert memo.sum_hits["n"] == len(candidates) - 1
-    assert sum(memo.sum_hits.values()) + sum(memo.sum_misses.values()) == 4 * len(candidates)
+    assert table.sum_hits["n"] == len(candidates) - 1
+    assert sum(table.sum_hits.values()) + sum(table.sum_misses.values()) == 4 * len(candidates)
+
+
+class Unreadable:
+    """Arm efficiencies that fail the test when anything reads them."""
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("a memo call read its block's arms")
+
+    __getitem__ = __len__ = __array__
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(SMALLEST_LARGE, LARGE + 40), candidate_walk())
+def test_memo_calls_form_no_detected_arms(seed, n_bins, candidates):
+    # a memo call takes every kernel from the arm table, so it neither reads
+    # nor forms its block's detected arms; here its block is the table's second
+    arms, pulses = large_block(seed, n_bins)
+    ch = ChannelModel()
+    table = _ArmTable(ch, [ONE_BIN[0], arms])
+    for params in fields_of(candidates):
+        got = pooled_statistics(ch, [params], Unreadable(), pulses, (table, 1))
+        assert got.tobytes() == pooled_statistics(ch, [params], arms, pulses).tobytes()
 
 
 # the one ISL arm of pooled_blocks, and its uplink arms on a 0.01 dB grid
@@ -1159,7 +1167,7 @@ def test_arm_table_rows_equal_the_inline_rows(blocks, same_walk, data, n_starts,
     ch = ChannelModel()
     table = _ArmTable(ch, [arms for arms, _ in blocks])
     assert (table.size, table.bins) == (distinct_arms(blocks), sum(len(w) for _, w in blocks))
-    memos = [_KernelMemo(table, index) for index in table.index]
+    memos = [(table, k) for k in range(len(blocks))]
     walk = fields_of(data.draw(candidate_walk()))
     walks = [walk if same_walk else fields_of(data.draw(candidate_walk())) for _ in blocks]
     for step in range(max(map(len, walks))):
@@ -1296,14 +1304,16 @@ def record_tables(monkeypatch):
 
 
 def test_kernel_memo_stays_within_its_caps(monkeypatch):
-    made = count_method_calls(monkeypatch, _KernelMemo, "__init__")
     tables = record_tables(monkeypatch)
+    calls = count_calls(monkeypatch, "pooled_statistics")
     blocks = [large_block(3, LARGE), large_block(4, LARGE + 10), ONE_BIN]
     accumulate_links(blocks, ChannelModel(), EPS, max_evals=120)
-    assert len(made) == 2  # the batched block of one bin has no memo
-    # both memos share one table, the only memo of kernels, which are table-length
+    # the two large blocks are the blocks of one table, the only memo of sums
+    # and of kernels, which are table-length; the batched block of one bin has no memo
     (table,) = tables
-    assert {id(memo_table) for memo_table, _ in made} == {id(table)}
+    assert len(table.sums) == 2
+    memos = {(id(args[4][0]), args[4][1]) for args in calls if len(args) == 5}
+    assert memos == {(id(table), 0), (id(table), 1)}
     assert (table.size, table.bins) == (2 * LARGE + 10, 2 * LARGE + 10)
     assert table.misses["slice"] > _TABLE_CAPS["slice"]  # the cap was reached
     for kind, cache in table.caches.items():
@@ -1358,8 +1368,14 @@ def test_optimiser_logs_one_debug_line_per_call(caplog, capsys, monkeypatch):
             f"({revisits} revisits) and {evaluated} evaluations over ") in message
     (table,) = tables
     hits = ", ".join(f"{kind} {table.hits[kind]}/{table.misses[kind]}" for kind in _TABLE_CAPS)
-    assert f"; kernel memo hits/misses: {hits}; sum memo hits/misses: n " in message
-    # the batched block computes its kernels inline, on arms of its own
+    sums = ", ".join(f"{g} {table.sum_hits[g]}/{table.sum_misses[g]}" for g in table.sum_hits)
+    assert f"; kernel memo hits/misses: {hits}; sum memo hits/misses: {sums}; " in message
+    # the totals of both large blocks: each memo call looks each group's sums up once
+    memo_calls = sum(len(args) == 5 for args in calls)
+    assert memo_calls > len(DEFAULT_GRID)
+    assert {g: table.sum_hits[g] + table.sum_misses[g] for g in table.sum_hits} == dict.fromkeys(
+        ("n", "z", "x", "slice"), memo_calls)
+    # the batched block computes its kernels on arms of its own
     computed = totals({kind: [ta for ta in calls if ta is table.ta]
                        for kind, calls in entries.items()})
     assert message.endswith(
