@@ -3,8 +3,8 @@
 Subcommands: simulate, sweep, linkbudget, keyrate, security, validate.
 Every run writes a manifest of the fully resolved scenario (defaults +
 file + overrides) next to its outputs, and reruns with the same inputs
-produce byte-identical files.  Exit codes: 0 success, 2 validation
-failure, 3 runtime failure.
+produce byte-identical files.  Exit codes: 0 success, 2 input rejected
+before the command began its output (see ``_begin``), 3 any later failure.
 """
 
 from __future__ import annotations
@@ -62,22 +62,21 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _output_dir(args) -> Path:
-    base = args.output_dir or os.environ.get("RINGQKD_OUTPUT_DIR", "ringqkd_out")
-    path = Path(base)
+def _begin(args, config: ScenarioConfig | None = None) -> Path:
+    """Mark the command's input accepted, make the output directory and
+    write ``manifest.ini`` of ``config`` when given; returns the directory.
+
+    Each command calls it once, after its last input check: an error raised
+    before it is rejected input (exit 2), any error after it a runtime
+    failure (exit 3).
+    """
+    args.accepted = True
+    path = Path(args.output_dir or os.environ.get("RINGQKD_OUTPUT_DIR", "ringqkd_out"))
     path.mkdir(parents=True, exist_ok=True)
+    if config is not None:
+        with open(path / "manifest.ini", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(manifest(config))
     return path
-
-
-def _load(args) -> ScenarioConfig:
-    overrides = list(args.set or [])
-    if getattr(args, "seed", None) is not None:
-        overrides.append(f"campaign.seed={args.seed}")
-    if getattr(args, "days", None) is not None:
-        overrides.append(f"campaign.n_days={args.days}")
-    if getattr(args, "workers", None) is not None:
-        overrides.append(f"campaign.workers={args.workers}")
-    return load_scenario(getattr(args, "scenario", None), overrides)
 
 
 def _note_attachment_pair(n: int) -> None:
@@ -91,11 +90,6 @@ def _note_attachment_pair(n: int) -> None:
         )
 
 
-def _write_manifest(config: ScenarioConfig, outdir: Path) -> None:
-    with open(outdir / "manifest.ini", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(manifest(config))
-
-
 def _campaign_payload(result) -> dict:
     return {
         "n_days": len(result.days),
@@ -107,10 +101,9 @@ def _campaign_payload(result) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    config = _load(args)
+    config = load_scenario(args.scenario, args.set or ())
     _note_attachment_pair(config.constellation.num_sats)
-    outdir = _output_dir(args)
-    _write_manifest(config, outdir)
+    outdir = _begin(args, config)
     result = run_campaign(config)
     rows = []
     for day in result.days:
@@ -137,16 +130,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load(args)
-    values = [float(v) for v in args.values.split(",") if v]
+    config = load_scenario(args.scenario, args.set or ())
+    try:
+        values = [float(v) for v in args.values.split(",") if v]
+    except ValueError:
+        raise ValueError(f"--values takes comma-separated numbers, got {args.values!r}") from None
     axis = {"ns": "num_sats", "latitude": "latitude"}[args.axis]
     if axis == "num_sats":
         if not all(v.is_integer() for v in values):
             raise ValueError(f"--axis ns takes integer values, got {args.values!r}")
         values = [int(v) for v in values]
     configs = sweep_configs(config, axis, values)
-    outdir = _output_dir(args)
-    _write_manifest(config, outdir)
+    outdir = _begin(args, config)
     for n in values if axis == "num_sats" else [config.constellation.num_sats]:
         _note_attachment_pair(n)
     results = [(v, run_campaign(cfg)) for v, cfg in zip(values, configs)]
@@ -196,9 +191,8 @@ def cmd_linkbudget(args) -> int:
     if not 3 <= args.isl_min_sats <= args.isl_max_sats:
         raise ValueError(f"--isl-min-sats/--isl-max-sats need 3 <= min <= max, got"
                          f" {args.isl_min_sats}/{args.isl_max_sats}")
-    config = _load(args)
-    outdir = _output_dir(args)
-    _write_manifest(config, outdir)
+    config = load_scenario(args.scenario, args.set or ())
+    outdir = _begin(args, config)
     if args.uplink_pass:
         rows = _zenith_pass_rows(config, args.dt)
         _write_csv(outdir / "uplink_pass.csv", ["time_s", "zenith_deg", "path_km", "loss_db"], rows)
@@ -229,12 +223,11 @@ def cmd_keyrate(args) -> int:
         raise ValueError(f"--loss-db must be finite and >= 0, got {args.loss_db}")
     if not 0.0 < args.duration_s < math.inf:
         raise ValueError(f"--duration-s must be finite and > 0, got {args.duration_s}")
-    config = _load(args)
+    config = load_scenario(args.scenario, args.set or ())
     pulses = config.channel.rep_rate_hz * args.duration_s
     if not math.isfinite(pulses):
         raise ValueError(f"--duration-s {args.duration_s} overflows the pulse count")
-    outdir = _output_dir(args)
-    _write_manifest(config, outdir)
+    outdir = _begin(args, config)
     arms = symmetric_arms(10.0 ** (-args.loss_db / 10.0))
     params, out = accumulate_link(
         [(arms, pulses)], config.channel, config.eps,
@@ -291,6 +284,7 @@ def _security_sweep(args) -> int:
         raise ValueError("--sweep-ns needs --budget-db")
     # every N and the budget are checked before any search runs or file is written
     ranges = [(n, feasible_neighbor_range(n, args.budget_db)) for n in sizes]
+    curves = _begin(args) / "curves"
     rows = []
     for n, r in ranges:
         if r < 2:  # no twin-field key beyond the adjacent pair: nothing to forward
@@ -302,7 +296,6 @@ def _security_sweep(args) -> int:
         without = _minimum_cells(min_compromise(path, allow_attachments=False))
         rows.append((n, r, *with_att, *without))
         print(f"N={n} r={r}: minimum {with_att[0]} with attachments, {without[0]} without")
-    curves = _output_dir(args) / "curves"
     curves.mkdir(exist_ok=True)
     _write_csv(curves / "security.csv", [
         "n_sats", "r_feasible", "min_with_attachments", "example_with_attachments",
@@ -319,7 +312,10 @@ def cmd_security(args) -> int:
     if args.ns is None or args.i is None or args.k is None:
         raise ValueError("security needs --ns/--i/--k or a scenario --file")
     path = build_paths(args.ns, args.i, args.k, r=args.r, n_rings=args.rings)
-    compromised = frozenset(int(s) for s in args.compromised.split(",") if s != "")
+    try:
+        compromised = frozenset(int(s) for s in args.compromised.split(",") if s != "")
+    except ValueError:
+        raise ValueError(f"--compromised takes integer indices, got {args.compromised!r}") from None
     ok, witness = adversary_can_recover(path, CompromiseScenario(compromised))
     payload = {
         "n_sats": args.ns,
@@ -333,6 +329,7 @@ def cmd_security(args) -> int:
     }
     if args.budget_db is not None:
         payload["feasible_neighbor_range"] = feasible_neighbor_range(args.ns, args.budget_db)
+    outdir = _begin(args)
     if args.min_compromise:
         res = min_compromise(path, allow_attachments=not args.exclude_attachments)
         payload["min_compromise"] = res.size
@@ -340,7 +337,7 @@ def cmd_security(args) -> int:
         payload["min_lower"] = res.lower
         payload["min_upper"] = res.upper
         payload["min_example"] = list(res.example)
-    _write_json(_output_dir(args) / "verdict.json", payload)
+    _write_json(outdir / "verdict.json", payload)
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -348,10 +345,9 @@ def cmd_security(args) -> int:
 def cmd_validate(args) -> int:
     if args.dump_positions < 0:
         raise ValueError(f"--dump-positions must be >= 0, got {args.dump_positions}")
-    config = _load(args)
+    config = load_scenario(args.scenario, args.set or ())
     _note_attachment_pair(config.constellation.num_sats)
-    outdir = _output_dir(args)
-    _write_manifest(config, outdir)
+    outdir = _begin(args, config)
     c = config.constellation
     n_min = min_ring_size(c.altitude_km, c.atm_shell_km)
     period = 2.0 * math.pi / c.mean_motion_rad_s
@@ -380,26 +376,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
-        if scenario:
-            p.add_argument("scenario", nargs="?", default=None, help="scenario INI file")
+    def common(p):
+        p.add_argument("scenario", nargs="?", default=None, help="scenario INI file")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override a scenario value")
         p.add_argument("--output-dir", default=None)
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("simulate", help="run a multi-day campaign")
     common(p)
-    p.add_argument("--days", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="sweep constellation size or latitude")
     common(p)
     p.add_argument("--axis", choices=["ns", "latitude"], required=True)
     p.add_argument("--values", required=True, help="comma-separated sweep values")
-    p.add_argument("--days", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("linkbudget", help="emit loss profiles")
@@ -445,16 +435,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.accepted = False  # set by _begin
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except Exception as exc:
+        if args.accepted or not isinstance(exc, (ValueError, FileNotFoundError)):
+            print(f"runtime error: {exc}", file=sys.stderr)
+            return 3
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # runtime failure
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

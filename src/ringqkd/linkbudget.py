@@ -103,7 +103,9 @@ class TurbulenceProfile:
 
 
 def to_db(efficiency):
-    return -10.0 * np.log10(efficiency)
+    """Loss in dB; a dead link (efficiency 0) is +inf dB."""
+    with np.errstate(divide="ignore"):
+        return -10.0 * np.log10(efficiency)
 
 
 def slant_path_km(zenith_rad, altitude_km: float):
@@ -253,6 +255,9 @@ def uplink_efficiency(
         * f["turb_spread"]
         * f["turb_wander"]
     )
+    # the receiver collects at most the whole beam: the far-field gain
+    # product overstates the collection where the beam is narrower than it
+    eta = np.minimum(eta, f["eta_opt"] * f["eta_atm"] * f["turb_spread"] * f["turb_wander"])
     return float(eta) if np.isscalar(zenith_rad) else eta
 
 

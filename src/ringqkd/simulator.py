@@ -22,15 +22,17 @@ orbital phase stepped through a golden-ratio low-discrepancy sequence and
 report per-day means and standard deviations; a serial campaign reuses
 the optimisation of a block an earlier day had, keyed by its arrays' bytes.
 
-Inter-satellite twin-field links run continuously at lower loss than any
-ground link; a reference ISL block is evaluated each day and a
-ConsistencyError is raised if it ever undercuts the ground links it feeds.
+The protocol key assumes that the inter-satellite twin-field links, which
+run all day, are not the bottleneck; a reference ISL block is evaluated
+each day, and a day on which it undercuts the strongest ground link logs a
+warning (a lossless, turbulence-free uplink can beat the longer ISL chord).
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -65,10 +67,6 @@ from .scenario import ScenarioConfig
 GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 
 log = logging.getLogger(__name__)
-
-
-class ConsistencyError(RuntimeError):
-    """An inter-satellite link produced less key than the ground links."""
 
 
 @dataclass
@@ -343,9 +341,10 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
     isl_ref = cache[isl_key]
     best_gs = max((b.skl_bits for b in per_link_skl.values()), default=0.0)
     if isl_ref.skl_bits < best_gs:
-        raise ConsistencyError(
-            f"inter-satellite reference link ({isl_ref.skl_bits:.3g} bits/day)"
-            f" undercuts the strongest ground link ({best_gs:.3g} bits/day)"
+        log.warning(
+            "day %d: inter-satellite reference link (%.3g bits/day) undercuts the"
+            " strongest ground link (%.3g bits/day); the protocol key assumes it does not",
+            day_index, isl_ref.skl_bits, best_gs,
         )
 
     return DailyReport(
@@ -383,11 +382,12 @@ def _isl_reference(config: ScenarioConfig, spec, times) -> tuple:
 def run_campaign(config: ScenarioConfig) -> CampaignResult:
     """Simulate ``n_days`` independent days and aggregate their statistics.
 
-    Days run in a pool of at most one worker a day, or serially when that is
-    one worker.
+    Days run in a pool of at most one worker a day and one a CPU (the pool
+    forks all of its workers at the first submit), or serially when that is
+    one worker.  The outputs do not depend on the pool's size.
     """
     cache: dict = {}
-    workers = min(config.workers, config.n_days)
+    workers = min(config.workers, config.n_days, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             days = list(pool.map(_run_day_job, [(config, d) for d in range(config.n_days)]))

@@ -250,6 +250,9 @@ def test_keyrate_rejects_bad_flags(flags, named, tmp_path, capsys):
     (("security", "--ns", "12"), "--ns/--i/--k"),
     (("simulate", "--set", "campaign.time_step_s=1e9"), "time_step_s"),
     (("simulate", "--set", "campaign.time_step_s=1e-9"), "MAX_DAY_SAMPLES"),
+    (("sweep", "--axis", "ns", "--values", "12,x"), "--values"),
+    (("security", "--ns", "12", "--i", "0", "--k", "6", "--compromised", "2,a"), "--compromised"),
+    (("simulate", "no_such_scenario.ini"), "no_such_scenario.ini"),
 ])
 def test_bad_input_writes_nothing(argv, named, tmp_path, capsys):
     # rejected at the boundary with exit 2, before the output directory is made
@@ -258,6 +261,41 @@ def test_bad_input_writes_nothing(argv, named, tmp_path, capsys):
     assert run_cli(*argv, *extra) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--days", "--workers"])
+def test_scenario_values_are_set_only_through_the_table(flag, tmp_path):
+    # campaign.seed, campaign.n_days and campaign.workers are --set keys
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", flag, "2", "--output-dir", str(tmp_path))
+    assert exc.value.code == 2
+    assert not (tmp_path / "manifest.ini").exists()
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_failure_after_the_manifest_exits_3(error, tmp_path, monkeypatch, capsys):
+    # once the manifest is written the input was accepted, so any later
+    # error is a runtime failure, whatever its type
+    def fail(config):
+        raise error("raised inside the campaign")
+
+    monkeypatch.setattr(cli, "run_campaign", fail)
+    assert run_cli("simulate", *fast_args(tmp_path)) == 3
+    assert "runtime error" in capsys.readouterr().err
+    assert (tmp_path / "manifest.ini").exists()
+
+
+def test_security_failure_after_the_verdict_exits_3(tmp_path, monkeypatch, capsys):
+    # the verdict's index checks are input checks; the search runs after them
+    def fail(path, allow_attachments):
+        raise ValueError("raised inside the search")
+
+    monkeypatch.setattr(cli, "min_compromise", fail)
+    out = tmp_path / "out"
+    argv = ["security", "--ns", "12", "--i", "0", "--k", "6", "--min-compromise"]
+    assert run_cli(*argv, "--output-dir", str(out)) == 3
+    assert "runtime error" in capsys.readouterr().err
+    assert out.is_dir() and not (out / "verdict.json").exists()
 
 
 def test_keyrate_dead_channel_row(tmp_path):

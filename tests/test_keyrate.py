@@ -299,17 +299,19 @@ GOOD_50DB = SnsParams(mu_z=0.2, mu1=0.02, mu2=0.2, p_send=0.01, p_z=0.9, p0=0.5,
 
 
 @settings(max_examples=100, deadline=None)
-@given(ANY_EPS)
-@example(1e-300)
-@example(5e-324)
-def test_eps_cor_moves_the_key_by_the_correction_term(eps_cor):
-    # only the correction term reads eps_cor.  This block has 1,746 bits
-    # before the correction, so its key is positive at eps_cor = 0.5 and
-    # clipped to 0 below about 1e-242
-    stats = expected_statistics(ChannelModel(), GOOD_50DB, symmetric_arms(1e-5), 3e10)
-    ref_eps, eps = SecurityEpsilons(eps_cor=0.5), SecurityEpsilons(eps_cor=eps_cor)
+@given(ANY_EPS, st.tuples(*[ANY_EPS] * 4), st.sampled_from([3e10, 3e12]))
+@example(1e-300, (1e-10,) * 4, 3e10)
+@example(5e-324, (1e-10,) * 4, 3e10)
+def test_eps_cor_moves_the_key_by_the_correction_term(eps_cor, others, pulses):
+    # only the correction term reads eps_cor: at fixed parameters, counts
+    # and other failure probabilities, the key moves by the change in the
+    # correction, clipped at 0.  At the default epsilons the 3e10-pulse
+    # block has 1,746 bits before the correction, so its key is positive at
+    # eps_cor = 0.5 and clipped to 0 below about 1e-242
+    stats = expected_statistics(ChannelModel(), GOOD_50DB, symmetric_arms(1e-5), pulses)
+    ref_eps, eps = SecurityEpsilons(0.5, *others), SecurityEpsilons(eps_cor, *others)
     ref, got = skl(stats, ref_eps), skl(stats, eps)
-    assert ref.skl_bits > 0
+    assume(ref.skl_bits > 0)
     assert astuple(got)[:-1] == astuple(ref)[:-1]
     want = max(0.0, ref.skl_bits + correction_term(ref_eps) - correction_term(eps))
     assert got.skl_bits == pytest.approx(want, rel=1e-12, abs=1e-6)

@@ -162,6 +162,24 @@ def test_uplink_factorization(optics, turbulence):
     )
 
 
+def test_uplink_collects_at_most_the_whole_beam():
+    # a 1 m aperture in a 1 urad, 1 nm beam 500 km away: the far-field gain
+    # product reads 2, but the receiver cannot collect more than the beam
+    optics = OpticalParams(wavelength_m=1e-9, beam_divergence_rad=1e-6, sat_rx_diameter_m=1.0,
+                           pointing_jitter_rad=0.0, optics_efficiency=0.5)
+    f = uplink_factors(0.0, optics, no_turbulence())
+    assert f["free_space"] * f["gain_product"] == pytest.approx(2.0, rel=1e-3)
+    assert uplink_efficiency(0.0, optics, no_turbulence()) == 0.5 * f["eta_atm"]
+    zeniths = np.radians([0.0, 30.0, 60.0])
+    assert np.all(uplink_efficiency(zeniths, optics, no_turbulence()) <= 0.5)
+
+
+def test_dead_link_is_infinite_loss():
+    # an efficiency that underflows to 0 reads +inf dB, with no warning
+    assert to_db(0.0) == math.inf
+    assert list(to_db(np.array([1.0, 0.0]))) == [0.0, math.inf]
+
+
 def test_uplink_rejects_beyond_cutoff(optics, turbulence):
     with pytest.raises(ValueError):
         uplink_efficiency(math.radians(75.0), optics, turbulence)

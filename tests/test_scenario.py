@@ -22,6 +22,7 @@ from ringqkd.scenario import (
     load_scenario,
     manifest,
 )
+from ringqkd.simulator import run_day
 
 # fields set by the program, not by a scenario key
 DERIVED = {
@@ -181,6 +182,26 @@ def test_manifest_round_trips_any_valid_config(values, tmp_path):
     again = load_scenario(str(path))
     assert again == cfg
     assert manifest(again) == text
+
+
+# any valid config on a short day: at most 1 h, a step of at least 10 s,
+# and a short optimiser search
+SHORT_DAY = {
+    **VALID,
+    ("campaign", "t_total_s"): _finite(10.0, 3600.0),
+    ("campaign", "time_step_s"): _finite(10.0, 3600.0),
+    ("campaign", "optimizer_evals"): st.integers(1, 30),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.fixed_dictionaries(SHORT_DAY).filter(time_step_fits))
+def test_any_accepted_config_simulates_a_day(values):
+    # input the scenario accepts never fails inside the simulation, and
+    # every daily figure is a finite count or fraction
+    cfg = load_scenario(overrides=[f"{sec}.{key}={v}" for (sec, key), v in values.items()])
+    for name, value in run_day(cfg, 0).scalars().items():
+        assert math.isfinite(value) and value >= 0.0, name
 
 
 INVALID_TEXT = ["nan", "inf", "-inf", "1e999", "", "bogus", "1.5x"]

@@ -455,6 +455,19 @@ def test_campaign_frozen_phase_zero_std():
         assert sd == pytest.approx(0.0, abs=1e-9)
 
 
+def test_isl_undercutting_a_ground_link_is_a_warning(caplog):
+    # without atmosphere or turbulence the 500 km uplink beats the 3,557 km
+    # ISL chord of N = 12; the day is still reported, and the log says so
+    cfg = load_scenario(overrides=[
+        "turbulence.model=none", "optics.atm_loss_db_zenith=0",
+        "campaign.t_total_s=600", "campaign.time_step_s=10",
+    ])
+    day = run_day(cfg, 0)
+    assert day.isl_reference.skl_bits < max(b.skl_bits for b in day.per_link_skl.values())
+    (record,) = [r for r in caplog.records if "undercuts" in r.getMessage()]
+    assert record.levelname == "WARNING"
+
+
 def test_campaign_workers_match_serial():
     cfg = short_config()
     serial = run_campaign(cfg)
@@ -463,10 +476,14 @@ def test_campaign_workers_match_serial():
     assert serial.std == parallel.std
 
 
-@pytest.mark.parametrize("workers,n_days,pools", [(64, 1, []), (64, 3, [3]), (2, 3, [2])])
+@pytest.mark.parametrize("workers,n_days,pools", [
+    (64, 1, []), (64, 3, [3]), (2, 3, [2]), (64, 5, [4]),
+])
 def test_campaign_pool_has_at_most_one_worker_a_day(monkeypatch, workers, n_days, pools):
     # the pool forks all of its workers at the first submit, so a larger
-    # pool than there are days only starts idle processes
+    # pool than there are days, or than there are CPUs, only starts
+    # processes that wait; the host here has 4 CPUs
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 4)
     made = []
 
     class InProcessPool:
