@@ -22,10 +22,10 @@ orbital phase stepped through a golden-ratio low-discrepancy sequence and
 report per-day means and standard deviations; a serial campaign reuses
 the optimisation of a block an earlier day had, keyed by its arrays' bytes.
 
-The protocol key assumes that the inter-satellite twin-field links, which
-run all day, are not the bottleneck; a reference ISL block is evaluated
-each day, and a day on which it undercuts the strongest ground link logs a
-warning (a lossless, turbulence-free uplink can beat the longer ISL chord).
+Each end-to-end bit also crosses the all-day inter-satellite twin-field
+links, so a reference ISL block, evaluated each day, bounds every term of
+the sum; a day on which it undercuts a ground link logs a warning (a
+lossless, turbulence-free uplink can beat the longer ISL chord).
 """
 
 from __future__ import annotations
@@ -321,6 +321,7 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
             skl_bits=sum(p.skl_bits for p in parts),
         )
 
+    isl_ref = cache[isl_key]
     serving = tuple(sorted(serving_sats))
     protocol = 0.0
     for i in serving:
@@ -330,7 +331,7 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
             (2, (k - 1) % n), (2, (k + 1) % n),
         ]
         vals = [per_link_skl[l].skl_bits if l in per_link_skl else 0.0 for l in links]
-        protocol += min(vals)
+        protocol += min(*vals, isl_ref.skl_bits)
 
     gs_links = [b for b in per_link_skl.values() if b.n_pulses > 0]
     mean_link = float(np.mean([b.skl_bits for b in gs_links])) if gs_links else 0.0
@@ -338,12 +339,11 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
     raw_bits = float(sum(b.n_raw for b in per_link_skl.values()))
     block = float(sum(b.n_pulses for b in per_link_skl.values()))
 
-    isl_ref = cache[isl_key]
     best_gs = max((b.skl_bits for b in per_link_skl.values()), default=0.0)
     if isl_ref.skl_bits < best_gs:
         log.warning(
             "day %d: inter-satellite reference link (%.3g bits/day) undercuts the"
-            " strongest ground link (%.3g bits/day); the protocol key assumes it does not",
+            " strongest ground link (%.3g bits/day) and bounds the protocol key",
             day_index, isl_ref.skl_bits, best_gs,
         )
 
@@ -379,15 +379,21 @@ def _isl_reference(config: ScenarioConfig, spec, times) -> tuple:
     return arms, np.full(1, config.t_total_s * config.channel.rep_rate_hz)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
+
+
 def run_campaign(config: ScenarioConfig) -> CampaignResult:
     """Simulate ``n_days`` independent days and aggregate their statistics.
 
-    Days run in a pool of at most one worker a day and one a CPU (the pool
-    forks all of its workers at the first submit), or serially when that is
-    one worker.  The outputs do not depend on the pool's size.
+    Days run in a pool of at most one worker a day and one a usable CPU
+    (the pool forks all of its workers at the first submit), or serially
+    when that is one worker.  The outputs do not depend on the pool's size.
     """
     cache: dict = {}
-    workers = min(config.workers, config.n_days, os.cpu_count() or 1)
+    workers = min(config.workers, config.n_days, _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             days = list(pool.map(_run_day_job, [(config, d) for d in range(config.n_days)]))

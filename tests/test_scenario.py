@@ -197,11 +197,15 @@ SHORT_DAY = {
 @settings(max_examples=200, deadline=None)
 @given(values=st.fixed_dictionaries(SHORT_DAY).filter(time_step_fits))
 def test_any_accepted_config_simulates_a_day(values):
-    # input the scenario accepts never fails inside the simulation, and
-    # every daily figure is a finite count or fraction
+    # input the scenario accepts never fails inside the simulation, every
+    # daily figure is a finite count or fraction, and no serving satellite
+    # gets more key than the ISL reference carries
     cfg = load_scenario(overrides=[f"{sec}.{key}={v}" for (sec, key), v in values.items()])
-    for name, value in run_day(cfg, 0).scalars().items():
+    day = run_day(cfg, 0)
+    for name, value in day.scalars().items():
         assert math.isfinite(value) and value >= 0.0, name
+    isl_cap = len(day.serving_sats) * day.isl_reference.skl_bits
+    assert day.protocol_skl <= isl_cap * (1 + 1e-12)
 
 
 INVALID_TEXT = ["nan", "inf", "-inf", "1e999", "", "bogus", "1.5x"]

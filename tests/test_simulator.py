@@ -2,6 +2,7 @@
 
 import logging
 import math
+import os
 import re
 from dataclasses import replace
 from unittest import mock
@@ -455,15 +456,19 @@ def test_campaign_frozen_phase_zero_std():
         assert sd == pytest.approx(0.0, abs=1e-9)
 
 
-def test_isl_undercutting_a_ground_link_is_a_warning(caplog):
+def test_isl_undercutting_a_ground_link_bounds_the_protocol_key(caplog):
     # without atmosphere or turbulence the 500 km uplink beats the 3,557 km
-    # ISL chord of N = 12; the day is still reported, and the log says so
+    # ISL chord of N = 12; every end-to-end bit also crosses the ISLs, so
+    # each serving satellite's term is at most the ISL reference, and the
+    # log says the bound binds
     cfg = load_scenario(overrides=[
         "turbulence.model=none", "optics.atm_loss_db_zenith=0",
         "campaign.t_total_s=600", "campaign.time_step_s=10",
     ])
     day = run_day(cfg, 0)
-    assert day.isl_reference.skl_bits < max(b.skl_bits for b in day.per_link_skl.values())
+    isl = day.isl_reference.skl_bits
+    assert day.serving_sats and 0 < isl < max(b.skl_bits for b in day.per_link_skl.values())
+    assert day.protocol_skl == pytest.approx(len(day.serving_sats) * isl, rel=1e-12)
     (record,) = [r for r in caplog.records if "undercuts" in r.getMessage()]
     assert record.levelname == "WARNING"
 
@@ -482,8 +487,8 @@ def test_campaign_workers_match_serial():
 def test_campaign_pool_has_at_most_one_worker_a_day(monkeypatch, workers, n_days, pools):
     # the pool forks all of its workers at the first submit, so a larger
     # pool than there are days, or than there are CPUs, only starts
-    # processes that wait; the host here has 4 CPUs
-    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 4)
+    # processes that wait; the process here may use 4 CPUs
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 4)
     made = []
 
     class InProcessPool:
@@ -503,6 +508,10 @@ def test_campaign_pool_has_at_most_one_worker_a_day(monkeypatch, workers, n_days
     cfg = replace(short_config(), workers=workers, n_days=n_days, optimizer_evals=1)
     assert len(run_campaign(cfg).days) == n_days
     assert made == pools
+
+
+def test_usable_cpus_are_at_most_the_host_cpus():
+    assert 1 <= simulator._usable_cpus() <= (os.cpu_count() or 1)
 
 
 def test_sweep_axes():
