@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import EARTH_RADIUS_KM
-from .geometry import min_ring_size
+from .geometry import min_ring_size, positions_eci_km
 from .keyrate import accumulate_link, symmetric_arms
 from .linkbudget import (
     isl_efficiency,
@@ -35,25 +35,19 @@ from .relay import (
     feasible_neighbor_range,
     min_compromise,
 )
-from .scenario import ScenarioConfig, load_scenario, manifest, read_values
+from .scenario import ScenarioConfig, format_value, load_scenario, manifest, read_values
 from .simulator import run_campaign, sweep_configs
-
-_FLOAT_FMT = ".17g"
 
 log = logging.getLogger(__name__)
 
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, _FLOAT_FMT)
-    return str(v)
+_DUMP_ROWS = 1 << 16  # positions.csv rows that validate computes at a time
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(format_value(v) for v in row) + "\n")
 
 
 def _write_json(path: Path, payload) -> None:
@@ -247,21 +241,28 @@ def cmd_keyrate(args) -> int:
     return 0
 
 
-# [security_scenario] file keys: (section, key) -> (parser, the option it sets)
+# [security_scenario] file keys: (section, key) -> (parser, the option it
+# sets, the option's value when neither the file nor its flag sets it)
 _SECURITY_FILE = {
-    ("security_scenario", "n_sats"): (int, "ns"),
-    ("security_scenario", "i"): (int, "i"),
-    ("security_scenario", "k"): (int, "k"),
-    ("security_scenario", "r"): (int, "r"),
-    ("security_scenario", "n_rings"): (int, "rings"),
-    ("security_scenario", "compromised"): (str, "compromised"),
+    ("security_scenario", "n_sats"): (int, "ns", None),
+    ("security_scenario", "i"): (int, "i", None),
+    ("security_scenario", "k"): (int, "k", None),
+    ("security_scenario", "r"): (int, "r", 2),
+    ("security_scenario", "n_rings"): (int, "rings", 1),
+    ("security_scenario", "compromised"): (str, "compromised", ""),
 }
 
 
-def _security_args_from_file(args) -> None:
-    """Fill attachment/compromise settings from a [security_scenario] file."""
-    for key, value in read_values(args.file, _SECURITY_FILE).items():
-        setattr(args, _SECURITY_FILE[key][1], value)
+def _security_args(args) -> None:
+    """Fill attachment/compromise settings from the [security_scenario] file,
+    if any, and the defaults; a value that the file and its flag both set is
+    rejected."""
+    values = read_values(args.file, _SECURITY_FILE) if args.file else {}
+    for key, (_, option, default) in _SECURITY_FILE.items():
+        if getattr(args, option) is None:
+            setattr(args, option, values.get(key, default))
+        elif key in values:
+            raise ValueError(f"--{option} and {'.'.join(key)} both set one value; give only one")
 
 
 def _minimum_cells(res) -> tuple[str, str]:
@@ -307,8 +308,7 @@ def _security_sweep(args) -> int:
 def cmd_security(args) -> int:
     if args.sweep_ns is not None:
         return _security_sweep(args)
-    if args.file:
-        _security_args_from_file(args)
+    _security_args(args)
     if args.ns is None or args.i is None or args.k is None:
         raise ValueError("security needs --ns/--i/--k or a scenario --file")
     path = build_paths(args.ns, args.i, args.k, r=args.r, n_rings=args.rings)
@@ -342,6 +342,18 @@ def cmd_security(args) -> int:
     return 0
 
 
+def _position_rows(c, seconds: int):
+    """positions.csv rows at whole seconds 0..``seconds`` after the epoch,
+    propagated a chunk of at most ``_DUMP_ROWS`` rows at a time."""
+    step = max(1, _DUMP_ROWS // c.num_sats)
+    for lo in range(0, seconds + 1, step):
+        times = np.arange(lo, min(lo + step, seconds + 1), dtype=float) + c.epoch_s
+        pos = positions_eci_km(c, times)
+        for it, t in enumerate(times.tolist()):
+            for sat in range(c.num_sats):
+                yield (t, sat, pos[it, sat, 0], pos[it, sat, 1], pos[it, sat, 2])
+
+
 def cmd_validate(args) -> int:
     if args.dump_positions < 0:
         raise ValueError(f"--dump-positions must be >= 0, got {args.dump_positions}")
@@ -352,16 +364,8 @@ def cmd_validate(args) -> int:
     n_min = min_ring_size(c.altitude_km, c.atm_shell_km)
     period = 2.0 * math.pi / c.mean_motion_rad_s
     if args.dump_positions:
-        from .geometry import positions_eci_km
-
-        times = np.arange(0.0, float(args.dump_positions) + 0.5, 1.0) + c.epoch_s
-        pos = positions_eci_km(c, times)
-        rows = [
-            (float(t), sat, pos[it, sat, 0], pos[it, sat, 1], pos[it, sat, 2])
-            for it, t in enumerate(times)
-            for sat in range(c.num_sats)
-        ]
-        _write_csv(outdir / "positions.csv", ["time_s", "sat_index", "x_km", "y_km", "z_km"], rows)
+        header = ["time_s", "sat_index", "x_km", "y_km", "z_km"]
+        _write_csv(outdir / "positions.csv", header, _position_rows(c, args.dump_positions))
     print(
         f"scenario OK: {c.num_sats} satellites at {c.altitude_km} km"
         f" (min ring size {n_min}), orbit period {period:.1f} s"
@@ -412,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", type=int, default=None)
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--rings", type=int, default=1)
-    p.add_argument("--compromised", default="", help="comma-separated satellite indices")
+    p.add_argument("--r", type=int, default=None)
+    p.add_argument("--rings", type=int, default=None)
+    p.add_argument("--compromised", default=None, help="comma-separated satellite indices")
     p.add_argument("--min-compromise", action="store_true")
     p.add_argument("--exclude-attachments", action="store_true")
     p.add_argument("--budget-db", type=float, default=None)

@@ -9,4 +9,8 @@ EARTH_ROTATION_RAD_S = 7.2921150e-5
 # line-of-sight clearance (Karman line) [km].
 ATM_SHELL_KM = 100.0
 
+# Baseline orbit altitude [km] and ground-station zenith cutoff [deg].
+ORBIT_ALTITUDE_KM = 500.0
+ZENITH_CUTOFF_DEG = 70.0
+
 SECONDS_PER_DAY = 86400.0

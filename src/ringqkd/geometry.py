@@ -34,6 +34,8 @@ from .constants import (
     EARTH_RADIUS_KM,
     EARTH_ROTATION_RAD_S,
     GM_EARTH_KM3_S2,
+    ORBIT_ALTITUDE_KM,
+    ZENITH_CUTOFF_DEG,
 )
 
 
@@ -44,16 +46,16 @@ class ConstellationKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ConstellationSpec:
-    """Ring constellation definition.
+    """Ring constellation definition; the defaults are the scenario baseline.
 
     ``phase0_deg`` is the shared argument of latitude at the epoch for Type-1
     rings, or the phase of satellite 0 for Type-2 rings.  Satellite indices
     are cyclic (index N_s is index 0 again).
     """
 
-    kind: ConstellationKind
-    num_sats: int
-    altitude_km: float
+    kind: ConstellationKind = ConstellationKind.TYPE2_EQUATORIAL
+    num_sats: int = 12
+    altitude_km: float = ORBIT_ALTITUDE_KM
     epoch_s: float = 0.0
     atm_shell_km: float = ATM_SHELL_KM
     phase0_deg: float = 0.0
@@ -82,8 +84,8 @@ class ConstellationSpec:
 @dataclass(frozen=True)
 class GroundStation:
     id: int
-    latitude_deg: float
-    longitude_deg: float
+    latitude_deg: float = 0.0
+    longitude_deg: float = 0.0
 
     def __post_init__(self):
         if not -90.0 <= self.latitude_deg <= 90.0:
@@ -356,7 +358,7 @@ def find_sessions(
     t0: float,
     t1: float,
     dt: float = 1.0,
-    theta_max_deg: float = 70.0,
+    theta_max_deg: float = ZENITH_CUTOFF_DEG,
 ) -> list[VisibilitySession]:
     """Visibility sessions over [t0, t1], sampled every ``dt`` (see ``extract_sessions``),
     each minimum zenith angle polished within dt of its best sample."""

@@ -170,16 +170,18 @@ class SecurityEpsilons:
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Detector and channel constants of the ``[channel]`` scenario section.
-
-    Arm efficiencies vary bin by bin, so they travel with their pulse counts.
+    """Detector and channel constants of the ``[channel]`` scenario section, in
+    the units its keys name; the defaults are the scenario baseline.  Arm
+    efficiencies vary bin by bin, so they travel with their pulse counts.
     """
 
     detector_efficiency: float = 0.5
     dark_count_prob: float = 1e-9
     optical_error: float = 0.05
-    rep_rate_hz: float = 1e9
+    rep_rate_ghz: float = 1.0
     error_correction_factor: float = 1.11
+
+    rep_rate_hz = property(lambda self: self.rep_rate_ghz * 1e9)  # the SI value the models read
 
     def __post_init__(self):
         if not 0.0 < self.detector_efficiency <= 1.0:
@@ -586,6 +588,9 @@ def expected_statistics(
     )
 
 
+_MC_CHUNK = 1_000_000  # pulses that monte_carlo_statistics draws at a time
+
+
 def monte_carlo_statistics(
     channel: ChannelModel,
     params: SnsParams,
@@ -593,7 +598,6 @@ def monte_carlo_statistics(
     n_samples: int,
     seed: int = 0,
     tagged: bool = False,
-    chunk: int = 1_000_000,
 ) -> ExpectedStatistics:
     """Sampled counts from a photon-level click simulation (test oracle).
 
@@ -618,7 +622,7 @@ def monte_carlo_statistics(
     tagged_clicks = 0.0
     done = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(_MC_CHUNK, n_samples - done)
         done += m
         is_z = rng.random(m) < p.p_z
         nz = int(np.sum(is_z))
@@ -1034,7 +1038,7 @@ class _Evaluator:
                 self.memos[j][params] = ledger
 
 
-def _optimize_pooled(channel, eps, blocks, n_starts=3, max_evals=400):
+def _optimize_pooled(channel, eps, blocks, n_starts, max_evals):
     """Optimise the SNS parameters of every (arms, pulses) block.
 
     Each block is scored on all of ``DEFAULT_GRID``, then refined by

@@ -38,22 +38,28 @@ from functools import lru_cache
 import numpy as np
 import scipy  # noqa: F401  16 ms: keeps scipy and its version loaded in runs that never integrate
 
-from .constants import EARTH_RADIUS_KM
+from .constants import EARTH_RADIUS_KM, ORBIT_ALTITUDE_KM, ZENITH_CUTOFF_DEG
 
 
 @dataclass(frozen=True)
 class OpticalParams:
-    """Terminal optics; defaults follow the baseline parameter table."""
+    """Terminal optics in the units the ``[optics]`` scenario keys name; the
+    defaults are the scenario baseline."""
 
-    wavelength_m: float = 850e-9
-    beam_divergence_rad: float = 15e-6  # full angle
+    wavelength_nm: float = 850.0
+    beam_divergence_urad: float = 15.0  # full angle
     gs_tx_diameter_m: float = 0.54
     sat_tx_diameter_m: float = 0.30
     sat_rx_diameter_m: float = 0.30
     gs_beam_waist_m: float = 0.27
-    pointing_jitter_rad: float = 1e-6
+    pointing_jitter_urad: float = 1.0
     optics_efficiency: float = 0.5
     atm_loss_db_zenith: float = 1.55
+
+    # the SI values that the models read
+    wavelength_m = property(lambda self: self.wavelength_nm * 1e-9)
+    beam_divergence_rad = property(lambda self: self.beam_divergence_urad * 1e-6)
+    pointing_jitter_rad = property(lambda self: self.pointing_jitter_urad * 1e-6)
 
     def __post_init__(self):
         for name in (
@@ -190,16 +196,12 @@ def _diffraction_radius_m(params: OpticalParams, path_m):
     return w0 * np.sqrt(1.0 + (np.asarray(path_m, dtype=float) / zr) ** 2)
 
 
-# Default orbit altitude for standalone uplink evaluations [km].
-_UPLINK_ALTITUDE_KM = 500.0
-
-
 def uplink_factors(
     zenith_rad,
     params: OpticalParams,
     profile: TurbulenceProfile,
-    altitude_km: float = _UPLINK_ALTITUDE_KM,
-    theta_max_deg: float = 70.0,
+    altitude_km: float = ORBIT_ALTITUDE_KM,
+    theta_max_deg: float = ZENITH_CUTOFF_DEG,
 ):
     """All multiplicative uplink factors as a dict of arrays (or floats)."""
     z = np.asarray(zenith_rad, dtype=float)
@@ -242,8 +244,8 @@ def uplink_efficiency(
     zenith_rad,
     params: OpticalParams,
     profile: TurbulenceProfile,
-    altitude_km: float = _UPLINK_ALTITUDE_KM,
-    theta_max_deg: float = 70.0,
+    altitude_km: float = ORBIT_ALTITUDE_KM,
+    theta_max_deg: float = ZENITH_CUTOFF_DEG,
 ):
     """Instantaneous ground->satellite channel efficiency at a zenith angle."""
     f = uplink_factors(zenith_rad, params, profile, altitude_km, theta_max_deg)

@@ -58,7 +58,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .constants import ATM_SHELL_KM, EARTH_RADIUS_KM
+from .constants import ATM_SHELL_KM, EARTH_RADIUS_KM, ORBIT_ALTITUDE_KM
 
 GS1 = "GS1"
 GS2 = "GS2"
@@ -470,11 +470,11 @@ def feasible_neighbor_range(n_sats: int, isl_budget_db: float) -> int:
 
     A range-r key between S_j and S_(j+r) is measured at the node adjacent
     to one endpoint, so its longest optical arm spans ring distance r - 1.
-    That arm's chord, on a 500 km ring with the default ``OpticalParams``,
-    must stay inside the loss budget and clear the ``ATM_SHELL_KM``
-    atmospheric shell.  Pointing loss is excluded, matching the published
-    feasibility envelope where the budget refers to the optics-plus-geometry
-    loss alone.
+    That arm's chord, on a ring at ``ORBIT_ALTITUDE_KM`` with the default
+    ``OpticalParams``, must stay inside the loss budget and clear the
+    ``ATM_SHELL_KM`` atmospheric shell.  Pointing loss is excluded, matching
+    the published feasibility envelope where the budget refers to the
+    optics-plus-geometry loss alone.
     """
     from .linkbudget import OpticalParams, isl_efficiency, to_db
 
@@ -483,7 +483,7 @@ def feasible_neighbor_range(n_sats: int, isl_budget_db: float) -> int:
     if not math.isfinite(isl_budget_db):
         raise ValueError(f"isl_budget_db must be finite, got {isl_budget_db}")
     optics = OpticalParams()
-    radius = EARTH_RADIUS_KM + 500.0
+    radius = EARTH_RADIUS_KM + ORBIT_ALTITUDE_KM
     r = 1
     while True:
         arm = r  # candidate range r+1 has longest arm r

@@ -1,10 +1,10 @@
 """Scenario files: INI-style configuration, validation, resolved manifests.
 
 A scenario file holds nested sections mirroring the simulation inputs; every
-key is optional and defaults to the baseline parameter table.  Angles are
-degrees, station-level lengths kilometres; optics keys carry their unit in
-the name (nm, urad, m, dB).  Internally everything is converted to SI
-radians/metres at the boundary.
+key is optional and defaults to its dataclass field's default, the baseline.
+Angles are degrees, station-level lengths kilometres; optics keys carry their
+unit in the name (nm, urad, m, dB).  Values are stored as typed; SI values are
+derived where they are read, not converted at the boundary.
 
 ``_TABLE`` is the one list of keys.  Loading a scenario and writing its
 manifest are both loops over it, so a new key is one table row.  Every
@@ -20,7 +20,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .constants import SECONDS_PER_DAY
+from .constants import SECONDS_PER_DAY, ZENITH_CUTOFF_DEG
 from .geometry import ConstellationKind, ConstellationSpec, GroundStation, min_ring_size
 from .keyrate import ChannelModel, SecurityEpsilons
 from .linkbudget import OpticalParams, TurbulenceProfile
@@ -43,18 +43,21 @@ class ScenarioConfig:
     turbulence: TurbulenceProfile
     channel: ChannelModel
     eps: SecurityEpsilons
-    theta_max_deg: float
-    t_total_s: float
-    n_days: int
-    seed: int
-    time_step_s: float
-    effective_mode: str
-    isl_pointing_in_effective: bool
-    pooling: str
-    vary_phase: bool
-    optimizer_starts: int
-    optimizer_evals: int
-    workers: int
+    theta_max_deg: float = ZENITH_CUTOFF_DEG
+    t_total_s: float = SECONDS_PER_DAY
+    n_days: int = 30
+    seed: int = 1
+    time_step_s: float = 1.0
+    effective_mode: str = "max"
+    # The published inter-satellite loss curves that the effective-link rule
+    # points at carry only the optics and geometric-capture terms, so the
+    # pointing factor stays out of the effective link by default.
+    isl_pointing_in_effective: bool = False
+    pooling: str = "daily"
+    vary_phase: bool = True
+    optimizer_starts: int = 3
+    optimizer_evals: int = 400
+    workers: int = 1
 
     def __post_init__(self) -> None:
         c = self.constellation
@@ -113,64 +116,55 @@ def _choice(*options: str):
     return parse
 
 
-# (section, key) -> (parser, default in file units, target, field, unit scale).
-# The target dataclass receives ``value * scale`` as its field; GroundStation
-# is gs1.  Defaults stay in file units because 15.0 * 1e-6 != 15e-6.  The
-# manifest lists the keys in this order.
+# (section, key) -> (parser, target, field).  The target dataclass receives
+# the parsed value as that field, and a key left unset takes the field's
+# default; GroundStation is gs1.  The manifest lists the keys in this order.
 _TABLE = {
-    ("constellation", "kind"): (
-        ConstellationKind, ConstellationKind.TYPE2_EQUATORIAL, ConstellationSpec, "kind", 1),
-    ("constellation", "num_sats"): (int, 12, ConstellationSpec, "num_sats", 1),
-    ("constellation", "altitude_km"): (float, 500.0, ConstellationSpec, "altitude_km", 1),
-    ("constellation", "atm_shell_km"): (float, 100.0, ConstellationSpec, "atm_shell_km", 1),
-    ("constellation", "phase0_deg"): (float, 0.0, ConstellationSpec, "phase0_deg", 1),
-    ("constellation", "epoch_s"): (float, 0.0, ConstellationSpec, "epoch_s", 1),
-    ("ground_stations", "latitude_deg"): (float, 0.0, GroundStation, "latitude_deg", 1),
-    ("ground_stations", "gs1_longitude_deg"): (float, 0.0, GroundStation, "longitude_deg", 1),
-    ("optics", "wavelength_nm"): (float, 850.0, OpticalParams, "wavelength_m", 1e-9),
-    ("optics", "beam_divergence_urad"): (float, 15.0, OpticalParams, "beam_divergence_rad", 1e-6),
-    ("optics", "gs_tx_diameter_m"): (float, 0.54, OpticalParams, "gs_tx_diameter_m", 1),
-    ("optics", "sat_tx_diameter_m"): (float, 0.30, OpticalParams, "sat_tx_diameter_m", 1),
-    ("optics", "sat_rx_diameter_m"): (float, 0.30, OpticalParams, "sat_rx_diameter_m", 1),
-    ("optics", "gs_beam_waist_m"): (float, 0.27, OpticalParams, "gs_beam_waist_m", 1),
-    ("optics", "pointing_jitter_urad"): (float, 1.0, OpticalParams, "pointing_jitter_rad", 1e-6),
-    ("optics", "optics_efficiency"): (float, 0.5, OpticalParams, "optics_efficiency", 1),
-    ("optics", "atm_loss_db_zenith"): (float, 1.55, OpticalParams, "atm_loss_db_zenith", 1),
-    ("turbulence", "model"): (
-        _choice("hufnagel_valley", "none"), "hufnagel_valley", TurbulenceProfile, "model", 1),
-    ("turbulence", "wind_speed_mps"): (float, 21.0, TurbulenceProfile, "wind_speed_mps", 1),
-    ("turbulence", "cn2_ground"): (float, 1.7e-14, TurbulenceProfile, "cn2_ground", 1),
-    ("turbulence", "gs_altitude_m"): (float, 0.0, TurbulenceProfile, "gs_altitude_m", 1),
-    ("turbulence", "h_top_m"): (float, 20000.0, TurbulenceProfile, "h_top_m", 1),
-    ("turbulence", "wander_residual"): (float, 0.2, TurbulenceProfile, "wander_residual", 1),
-    ("channel", "detector_efficiency"): (float, 0.5, ChannelModel, "detector_efficiency", 1),
-    ("channel", "dark_count_prob"): (float, 1e-9, ChannelModel, "dark_count_prob", 1),
-    ("channel", "optical_error"): (float, 0.05, ChannelModel, "optical_error", 1),
-    ("channel", "rep_rate_ghz"): (float, 1.0, ChannelModel, "rep_rate_hz", 1e9),
-    ("channel", "error_correction_factor"): (
-        float, 1.11, ChannelModel, "error_correction_factor", 1),
-    ("channel", "effective_mode"): (
-        _choice("max", "asymmetric"), "max", ScenarioConfig, "effective_mode", 1),
-    # The published inter-satellite loss curves that the effective-link rule
-    # points at carry only the optics and geometric-capture terms, so the
-    # pointing factor stays out of the effective link by default.
-    ("channel", "isl_pointing_in_effective"): (
-        _bool, False, ScenarioConfig, "isl_pointing_in_effective", 1),
-    ("security", "eps_cor"): (float, 1e-10, SecurityEpsilons, "eps_cor", 1),
-    ("security", "eps_pa"): (float, 1e-10, SecurityEpsilons, "eps_pa", 1),
-    ("security", "eps_hat"): (float, 1e-10, SecurityEpsilons, "eps_hat", 1),
-    ("security", "eps_bar"): (float, 1e-10, SecurityEpsilons, "eps_bar", 1),
-    ("security", "eps_n1"): (float, 1e-10, SecurityEpsilons, "eps_n1", 1),
-    ("campaign", "t_total_s"): (float, SECONDS_PER_DAY, ScenarioConfig, "t_total_s", 1),
-    ("campaign", "n_days"): (int, 30, ScenarioConfig, "n_days", 1),
-    ("campaign", "seed"): (int, 1, ScenarioConfig, "seed", 1),
-    ("campaign", "time_step_s"): (float, 1.0, ScenarioConfig, "time_step_s", 1),
-    ("campaign", "theta_max_deg"): (float, 70.0, ScenarioConfig, "theta_max_deg", 1),
-    ("campaign", "pooling"): (_choice("daily", "session"), "daily", ScenarioConfig, "pooling", 1),
-    ("campaign", "vary_phase"): (_bool, True, ScenarioConfig, "vary_phase", 1),
-    ("campaign", "optimizer_starts"): (int, 3, ScenarioConfig, "optimizer_starts", 1),
-    ("campaign", "optimizer_evals"): (int, 400, ScenarioConfig, "optimizer_evals", 1),
-    ("campaign", "workers"): (int, 1, ScenarioConfig, "workers", 1),
+    ("constellation", "kind"): (ConstellationKind, ConstellationSpec, "kind"),
+    ("constellation", "num_sats"): (int, ConstellationSpec, "num_sats"),
+    ("constellation", "altitude_km"): (float, ConstellationSpec, "altitude_km"),
+    ("constellation", "atm_shell_km"): (float, ConstellationSpec, "atm_shell_km"),
+    ("constellation", "phase0_deg"): (float, ConstellationSpec, "phase0_deg"),
+    ("constellation", "epoch_s"): (float, ConstellationSpec, "epoch_s"),
+    ("ground_stations", "latitude_deg"): (float, GroundStation, "latitude_deg"),
+    ("ground_stations", "gs1_longitude_deg"): (float, GroundStation, "longitude_deg"),
+    ("optics", "wavelength_nm"): (float, OpticalParams, "wavelength_nm"),
+    ("optics", "beam_divergence_urad"): (float, OpticalParams, "beam_divergence_urad"),
+    ("optics", "gs_tx_diameter_m"): (float, OpticalParams, "gs_tx_diameter_m"),
+    ("optics", "sat_tx_diameter_m"): (float, OpticalParams, "sat_tx_diameter_m"),
+    ("optics", "sat_rx_diameter_m"): (float, OpticalParams, "sat_rx_diameter_m"),
+    ("optics", "gs_beam_waist_m"): (float, OpticalParams, "gs_beam_waist_m"),
+    ("optics", "pointing_jitter_urad"): (float, OpticalParams, "pointing_jitter_urad"),
+    ("optics", "optics_efficiency"): (float, OpticalParams, "optics_efficiency"),
+    ("optics", "atm_loss_db_zenith"): (float, OpticalParams, "atm_loss_db_zenith"),
+    ("turbulence", "model"): (_choice("hufnagel_valley", "none"), TurbulenceProfile, "model"),
+    ("turbulence", "wind_speed_mps"): (float, TurbulenceProfile, "wind_speed_mps"),
+    ("turbulence", "cn2_ground"): (float, TurbulenceProfile, "cn2_ground"),
+    ("turbulence", "gs_altitude_m"): (float, TurbulenceProfile, "gs_altitude_m"),
+    ("turbulence", "h_top_m"): (float, TurbulenceProfile, "h_top_m"),
+    ("turbulence", "wander_residual"): (float, TurbulenceProfile, "wander_residual"),
+    ("channel", "detector_efficiency"): (float, ChannelModel, "detector_efficiency"),
+    ("channel", "dark_count_prob"): (float, ChannelModel, "dark_count_prob"),
+    ("channel", "optical_error"): (float, ChannelModel, "optical_error"),
+    ("channel", "rep_rate_ghz"): (float, ChannelModel, "rep_rate_ghz"),
+    ("channel", "error_correction_factor"): (float, ChannelModel, "error_correction_factor"),
+    ("channel", "effective_mode"): (_choice("max", "asymmetric"), ScenarioConfig, "effective_mode"),
+    ("channel", "isl_pointing_in_effective"): (_bool, ScenarioConfig, "isl_pointing_in_effective"),
+    ("security", "eps_cor"): (float, SecurityEpsilons, "eps_cor"),
+    ("security", "eps_pa"): (float, SecurityEpsilons, "eps_pa"),
+    ("security", "eps_hat"): (float, SecurityEpsilons, "eps_hat"),
+    ("security", "eps_bar"): (float, SecurityEpsilons, "eps_bar"),
+    ("security", "eps_n1"): (float, SecurityEpsilons, "eps_n1"),
+    ("campaign", "t_total_s"): (float, ScenarioConfig, "t_total_s"),
+    ("campaign", "n_days"): (int, ScenarioConfig, "n_days"),
+    ("campaign", "seed"): (int, ScenarioConfig, "seed"),
+    ("campaign", "time_step_s"): (float, ScenarioConfig, "time_step_s"),
+    ("campaign", "theta_max_deg"): (float, ScenarioConfig, "theta_max_deg"),
+    ("campaign", "pooling"): (_choice("daily", "session"), ScenarioConfig, "pooling"),
+    ("campaign", "vary_phase"): (_bool, ScenarioConfig, "vary_phase"),
+    ("campaign", "optimizer_starts"): (int, ScenarioConfig, "optimizer_starts"),
+    ("campaign", "optimizer_evals"): (int, ScenarioConfig, "optimizer_evals"),
+    ("campaign", "workers"): (int, ScenarioConfig, "workers"),
 }
 
 # the nested dataclasses of a ScenarioConfig, each with the field that holds it
@@ -226,31 +220,21 @@ def read_values(path: str | None, table: dict, overrides=()) -> dict:
 
 
 def load_scenario(path: str | None = None, overrides=()) -> ScenarioConfig:
-    """Load a scenario file (or pure defaults when ``path`` is None)."""
-    values = {k: row[1] for k, row in _TABLE.items()}
-    values.update(read_values(path, _TABLE, overrides))
+    """Load a scenario file (or pure defaults when ``path`` is None); a key
+    set by neither takes its dataclass default."""
     kwargs = {target: {} for target in (*_PARTS, ScenarioConfig)}
     kwargs[GroundStation]["id"] = 1
-    for k, (_, _, target, name, scale) in _TABLE.items():
-        kwargs[target][name] = values[k] if scale == 1 else values[k] * scale
+    for k, value in read_values(path, _TABLE, overrides).items():
+        _, target, name = _TABLE[k]
+        kwargs[target][name] = value
     parts = {attr: cls(**kwargs[cls]) for cls, attr in _PARTS.items()}
     gs1 = parts["gs1"]
     gs2 = GroundStation(2, gs1.latitude_deg, (gs1.longitude_deg + 180.0) % 360.0)
     return ScenarioConfig(**parts, gs2=gs2, **kwargs[ScenarioConfig])
 
 
-def _preimage(value: float, scale: float) -> float:
-    """Interface-unit value u with u * scale bit-identical to ``value``."""
-    u = value / scale
-    if u * scale == value:
-        return u
-    for cand in (math.nextafter(u, math.inf), math.nextafter(u, -math.inf)):
-        if cand * scale == value:
-            return cand
-    return u
-
-
-def _fmt(v) -> str:
+def format_value(v) -> str:
+    """A value as the manifest and the CSV outputs write it."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -264,12 +248,11 @@ def manifest(config: ScenarioConfig) -> str:
     """Scenario serialised back to INI text; reloading it reproduces the run."""
     out = io.StringIO()
     section = None
-    for (sec, key), (_, _, target, name, scale) in _TABLE.items():
+    for (sec, key), (_, target, name) in _TABLE.items():
         if sec != section:
             out.write(f"\n[{sec}]\n" if section else f"[{sec}]\n")
             section = sec
         part = config if target is ScenarioConfig else getattr(config, _PARTS[target])
-        value = getattr(part, name)
-        out.write(f"{key} = {_fmt(value if scale == 1 else _preimage(value, scale))}\n")
+        out.write(f"{key} = {format_value(getattr(part, name))}\n")
     out.write("\n")
     return out.getvalue()

@@ -443,6 +443,22 @@ def test_security_scenario_file(tmp_path, capsys):
         assert named in capsys.readouterr().err
 
 
+def test_security_file_and_flag_may_not_set_one_value(tmp_path, capsys):
+    scen = tmp_path / "attack.ini"
+    scen.write_text("[security_scenario]\nn_sats = 12\ni = 0\nk = 6\n")
+    out = tmp_path / "out"
+    argv = ["security", "--file", str(scen), "--output-dir", str(out)]
+    assert run_cli(*argv, "--ns", "24", "--k", "12") == 2
+    err = capsys.readouterr().err
+    assert "--ns" in err and "security_scenario.n_sats" in err
+    assert not out.exists()
+    # flags for values the file leaves unset still apply
+    assert run_cli(*argv, "--r", "3", "--compromised", "0,1") == 0
+    payload = json.loads((out / "verdict.json").read_text())
+    assert (payload["n_sats"], payload["neighbor_range"], payload["n_rings"]) == (12, 3, 1)
+    assert payload["compromised"] == [0, 1]
+
+
 def test_validate_position_dump(tmp_path):
     rc = run_cli(
         "validate", "--output-dir", str(tmp_path), "--dump-positions", "5",
@@ -454,6 +470,26 @@ def test_validate_position_dump(tmp_path):
     _, _, x, y, z = lines[1].split(",")
     radius = (float(x) ** 2 + float(y) ** 2 + float(z) ** 2) ** 0.5
     assert radius == pytest.approx(6871.0, rel=1e-9)
+
+
+def test_position_dump_propagates_a_chunk_at_a_time(tmp_path, monkeypatch):
+    # a dump over several chunks writes the bytes of a one-chunk dump, and no
+    # propagation call receives more than one chunk of times
+    argv = ("validate", "--dump-positions", "10", "--output-dir")
+    assert run_cli(*argv, str(tmp_path / "one")) == 0
+    sizes = []
+    propagate = cli.positions_eci_km
+
+    def spy(spec, times):
+        sizes.append(len(times))
+        return propagate(spec, times)
+
+    monkeypatch.setattr(cli, "positions_eci_km", spy)
+    monkeypatch.setattr(cli, "_DUMP_ROWS", 36)  # 3 times of the 12-satellite ring
+    assert run_cli(*argv, str(tmp_path / "chunks")) == 0
+    assert sizes == [3, 3, 3, 2]
+    one, chunks = (tmp_path / d / "positions.csv" for d in ("one", "chunks"))
+    assert one.read_bytes() == chunks.read_bytes()
 
 
 def test_validate_does_not_import_scipy_integrate(tmp_path):

@@ -62,7 +62,7 @@ def test_antenna_gains_reference(optics):
 
 
 def test_transmitter_gain_quadratic_law(optics):
-    wide = OpticalParams(beam_divergence_rad=2 * optics.beam_divergence_rad)
+    wide = OpticalParams(beam_divergence_urad=2 * optics.beam_divergence_urad)
     assert antenna_gains(wide)[0] == pytest.approx(antenna_gains(optics)[0] / 4.0, rel=1e-12)
 
 
@@ -165,8 +165,8 @@ def test_uplink_factorization(optics, turbulence):
 def test_uplink_collects_at_most_the_whole_beam():
     # a 1 m aperture in a 1 urad, 1 nm beam 500 km away: the far-field gain
     # product reads 2, but the receiver cannot collect more than the beam
-    optics = OpticalParams(wavelength_m=1e-9, beam_divergence_rad=1e-6, sat_rx_diameter_m=1.0,
-                           pointing_jitter_rad=0.0, optics_efficiency=0.5)
+    optics = OpticalParams(wavelength_nm=1.0, beam_divergence_urad=1.0, sat_rx_diameter_m=1.0,
+                           pointing_jitter_urad=0.0, optics_efficiency=0.5)
     f = uplink_factors(0.0, optics, no_turbulence())
     assert f["free_space"] * f["gain_product"] == pytest.approx(2.0, rel=1e-3)
     assert uplink_efficiency(0.0, optics, no_turbulence()) == 0.5 * f["eta_atm"]
@@ -224,7 +224,7 @@ def test_isl_pointing_reference(optics):
 
 
 def test_isl_no_jitter_no_pointing_loss():
-    optics = OpticalParams(pointing_jitter_rad=0.0)
+    optics = OpticalParams(pointing_jitter_urad=0.0)
     L = np.array([500e3, 3556.7e3, 6000e3])
     assert np.array_equal(isl_efficiency(L, optics), isl_efficiency(L, optics, include_pointing=False))
 

@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ringqkd.geometry import ConstellationKind, ConstellationSpec, GroundStation
@@ -36,7 +36,7 @@ MAPPED = (
 
 
 def test_every_scenario_field_is_one_table_row():
-    rows = Counter((target, name) for _, _, target, name, _ in _TABLE.values())
+    rows = Counter((target, name) for _, target, name in _TABLE.values())
     every = set()
     for cls in MAPPED:
         for f in fields(cls):
@@ -45,6 +45,15 @@ def test_every_scenario_field_is_one_table_row():
             want = 0 if (cls, f.name) in DERIVED or nested else 1
             assert rows[cls, f.name] == want, f"{cls.__name__}.{f.name}"
     assert set(rows) <= every
+
+
+def test_dataclass_defaults_are_the_baseline():
+    # each baseline value is written once, as a dataclass default, so a part
+    # built from its defaults is the part of the default scenario
+    cfg = load_scenario()
+    for cls, attr in _PARTS.items():
+        default = cls(id=1) if cls is GroundStation else cls()
+        assert default == getattr(cfg, attr), cls.__name__
 
 
 def _base(cls):
@@ -58,12 +67,12 @@ def _base(cls):
     (ConstellationSpec, "epoch_s"),
     (ConstellationSpec, "phase0_deg"),
     (ConstellationSpec, "atm_shell_km"),
-    (OpticalParams, "wavelength_m"),
-    (OpticalParams, "pointing_jitter_rad"),
+    (OpticalParams, "wavelength_nm"),
+    (OpticalParams, "pointing_jitter_urad"),
     (OpticalParams, "atm_loss_db_zenith"),
     (TurbulenceProfile, "wind_speed_mps"),
     (TurbulenceProfile, "h_top_m"),
-    (ChannelModel, "rep_rate_hz"),
+    (ChannelModel, "rep_rate_ghz"),
     (ChannelModel, "error_correction_factor"),
 ])
 def test_dataclasses_reject_non_finite(cls, name):
@@ -71,6 +80,14 @@ def test_dataclasses_reject_non_finite(cls, name):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             replace(base, **{name: bad})
+
+
+def test_si_values_are_checked():
+    # a typed value whose SI value underflows to 0 or overflows to inf
+    with pytest.raises(ValueError, match="wavelength_m"):
+        OpticalParams(wavelength_nm=1e-320)
+    with pytest.raises(ValueError, match="repetition rate"):
+        ChannelModel(rep_rate_ghz=1e300)
 
 
 def test_boolean_keys_take_configparser_spellings():
@@ -184,6 +201,23 @@ def test_manifest_round_trips_any_valid_config(values, tmp_path):
     assert manifest(again) == text
 
 
+# the keys whose unit is not SI: each value is stored as typed
+UNIT_KEYS = [
+    ("optics", "wavelength_nm"),
+    ("optics", "beam_divergence_urad"),
+    ("optics", "pointing_jitter_urad"),
+    ("channel", "rep_rate_ghz"),
+]
+
+
+@example(item=(("optics", "wavelength_nm"), 251.5))
+@given(item=st.sampled_from(UNIT_KEYS).flatmap(lambda k: st.tuples(st.just(k), VALID[k])))
+def test_unit_named_values_are_written_as_typed(item):
+    (sec, key), value = item
+    text = manifest(load_scenario(overrides=[f"{sec}.{key}={value!r}"]))
+    assert f"\n{key} = {format(value, '.17g')}\n" in text
+
+
 # any valid config on a short day: at most 1 h, a step of at least 10 s,
 # and a short optimiser search
 SHORT_DAY = {
@@ -242,7 +276,7 @@ FLOAT_ROWS = [row for row in _TABLE.values() if row[0] is float]
 
 @given(row=st.sampled_from(FLOAT_ROWS), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
 def test_direct_dataclass_calls_reject_non_finite(row, bad):
-    _, _, target, name, _ = row
+    _, target, name = row
     cfg = load_scenario()
     part = cfg if target is ScenarioConfig else getattr(cfg, _PARTS[target])
     with pytest.raises(ValueError):
