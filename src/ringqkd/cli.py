@@ -29,6 +29,7 @@ from .linkbudget import (
     uplink_efficiency,
 )
 from .relay import (
+    NEIGHBOR_RANGE,
     CompromiseScenario,
     adversary_can_recover,
     build_paths,
@@ -78,9 +79,9 @@ def _note_attachment_pair(n: int) -> None:
     if n % 4 == 2:
         log.warning(
             "num_sats=%d puts the antipodal attachment satellites %d apart on both"
-            " segments; at the relay's default neighbour range r = 2 the attachment"
+            " segments; at the relay's default neighbour range r = %d the attachment"
             " pair alone recovers the ring secret",
-            n, n // 2,
+            n, n // 2, NEIGHBOR_RANGE,
         )
 
 
@@ -242,25 +243,24 @@ def cmd_keyrate(args) -> int:
 
 
 # [security_scenario] file keys: (section, key) -> (parser, the option it
-# sets, the option's value when neither the file nor its flag sets it)
+# sets); an option that neither the file nor its flag sets stays None
 _SECURITY_FILE = {
-    ("security_scenario", "n_sats"): (int, "ns", None),
-    ("security_scenario", "i"): (int, "i", None),
-    ("security_scenario", "k"): (int, "k", None),
-    ("security_scenario", "r"): (int, "r", 2),
-    ("security_scenario", "n_rings"): (int, "rings", 1),
-    ("security_scenario", "compromised"): (str, "compromised", ""),
+    ("security_scenario", "n_sats"): (int, "ns"),
+    ("security_scenario", "i"): (int, "i"),
+    ("security_scenario", "k"): (int, "k"),
+    ("security_scenario", "r"): (int, "r"),
+    ("security_scenario", "n_rings"): (int, "rings"),
+    ("security_scenario", "compromised"): (str, "compromised"),
 }
 
 
 def _security_args(args) -> None:
     """Fill attachment/compromise settings from the [security_scenario] file,
-    if any, and the defaults; a value that the file and its flag both set is
-    rejected."""
-    values = read_values(args.file, _SECURITY_FILE) if args.file else {}
-    for key, (_, option, default) in _SECURITY_FILE.items():
+    if any; a value that the file and its flag both set is rejected."""
+    values = read_values(args.file, _SECURITY_FILE) if args.file is not None else {}
+    for key, (_, option) in _SECURITY_FILE.items():
         if getattr(args, option) is None:
-            setattr(args, option, values.get(key, default))
+            setattr(args, option, values.get(key))
         elif key in values:
             raise ValueError(f"--{option} and {'.'.join(key)} both set one value; give only one")
 
@@ -311,9 +311,10 @@ def cmd_security(args) -> int:
     _security_args(args)
     if args.ns is None or args.i is None or args.k is None:
         raise ValueError("security needs --ns/--i/--k or a scenario --file")
-    path = build_paths(args.ns, args.i, args.k, r=args.r, n_rings=args.rings)
+    given = {"r": args.r, "n_rings": args.rings}  # build_paths' defaults fill the rest
+    path = build_paths(args.ns, args.i, args.k, **{k: v for k, v in given.items() if v is not None})
     try:
-        compromised = frozenset(int(s) for s in args.compromised.split(",") if s != "")
+        compromised = frozenset(int(s) for s in (args.compromised or "").split(",") if s != "")
     except ValueError:
         raise ValueError(f"--compromised takes integer indices, got {args.compromised!r}") from None
     ok, witness = adversary_can_recover(path, CompromiseScenario(compromised))
@@ -321,8 +322,8 @@ def cmd_security(args) -> int:
         "n_sats": args.ns,
         "attach_a": args.i,
         "attach_b": args.k,
-        "neighbor_range": args.r,
-        "n_rings": args.rings,
+        "neighbor_range": path.neighbor_range,
+        "n_rings": path.n_rings,
         "compromised": sorted(compromised),
         "recoverable": ok,
         "witness": [str(w) for w in witness],

@@ -83,7 +83,7 @@ class ConstellationSpec:
 
 @dataclass(frozen=True)
 class GroundStation:
-    id: int
+    id: int = 1
     latitude_deg: float = 0.0
     longitude_deg: float = 0.0
 

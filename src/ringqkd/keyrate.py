@@ -85,24 +85,6 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-__all__ = [
-    "SnsParams",
-    "SecurityEpsilons",
-    "ChannelModel",
-    "ExpectedStatistics",
-    "symmetric_arms",
-    "SklBreakdown",
-    "binary_entropy",
-    "expected_statistics",
-    "pooled_statistics",
-    "monte_carlo_statistics",
-    "skl",
-    "accumulate_link",
-    "accumulate_links",
-    "DEFAULT_PARAMS",
-    "DEFAULT_GRID",
-]
-
 log = logging.getLogger(__name__)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -158,14 +140,6 @@ class SecurityEpsilons:
         for name in ("eps_cor", "eps_pa", "eps_hat", "eps_bar", "eps_n1"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
-
-    @property
-    def eps_sec(self) -> float:
-        return self.eps_pa + self.eps_hat + self.eps_bar + self.eps_n1
-
-    @property
-    def eps_tol(self) -> float:
-        return self.eps_cor + self.eps_sec
 
 
 @dataclass(frozen=True)
@@ -868,6 +842,7 @@ def skl(
 
 
 DEFAULT_PARAMS = SnsParams()
+OPTIMIZER_STARTS, OPTIMIZER_EVALS = 3, 400  # default budget: search starts, evaluations a start
 
 # Documented optimiser floor: the returned SKL is never below the best of
 # these protocol settings.
@@ -1114,8 +1089,8 @@ def accumulate_links(
     blocks,
     channel: ChannelModel,
     eps: SecurityEpsilons,
-    n_starts: int = 3,
-    max_evals: int = 400,
+    n_starts: int = OPTIMIZER_STARTS,
+    max_evals: int = OPTIMIZER_EVALS,
 ) -> list[tuple[SnsParams | None, SklBreakdown]]:
     """Optimise every link block, an (arms (B, 2), pulses (B,)) pair, all together.
 
@@ -1141,8 +1116,8 @@ def accumulate_link(
     profile_bins,
     channel: ChannelModel,
     eps: SecurityEpsilons,
-    n_starts: int = 3,
-    max_evals: int = 400,
+    n_starts: int = OPTIMIZER_STARTS,
+    max_evals: int = OPTIMIZER_EVALS,
 ) -> tuple[SnsParams | None, SklBreakdown]:
     """Pool all sessions of one link into a single finite-key block.
 

@@ -62,6 +62,7 @@ from .constants import ATM_SHELL_KM, EARTH_RADIUS_KM, ORBIT_ALTITUDE_KM
 
 GS1 = "GS1"
 GS2 = "GS2"
+NEIGHBOR_RANGE = 2  # the default neighbour range r of build_paths
 _TARGETS = ("ring", "plus", "minus")
 
 
@@ -92,20 +93,12 @@ class RingPath:
     n_sats: int
     attach_a: int
     attach_b: int
-    neighbor_range: int = 2
-    n_rings: int = 1
-    walks: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def segment_plus(self) -> tuple:
-        return self.walks[(0, "plus")]
-
-    @property
-    def segment_minus(self) -> tuple:
-        return self.walks[(0, "minus")]
+    neighbor_range: int
+    n_rings: int
+    walks: dict = field(compare=False)  # (ring, "plus" or "minus") -> segment walk
 
 
-def build_paths(n_sats: int, i: int, k: int, r: int = 2, n_rings: int = 1) -> RingPath:
+def build_paths(n_sats: int, i: int, k: int, r: int = NEIGHBOR_RANGE, n_rings: int = 1) -> RingPath:
     """Construct the two directed segments GS1 -> S_i -> ... -> S_k -> GS2."""
     if n_sats < 3:
         raise ValueError("need at least three satellites")
@@ -121,10 +114,8 @@ def build_paths(n_sats: int, i: int, k: int, r: int = 2, n_rings: int = 1) -> Ri
         raise ValueError("neighbor_range must be >= 2")
     if r > min(len(plus_sats), len(minus_sats)):
         raise ValueError(f"neighbor_range {r} too large for this attachment split")
-    walks = {}
-    for ring in range(n_rings):
-        walks[(ring, "plus")] = tuple([GS1] + plus_sats + [GS2])
-        walks[(ring, "minus")] = tuple([GS1] + minus_sats + [GS2])
+    ends = {"plus": (GS1, *plus_sats, GS2), "minus": (GS1, *minus_sats, GS2)}
+    walks = {(ring, seg): walk for ring in range(n_rings) for seg, walk in ends.items()}
     return RingPath(n_sats, i, k, r, n_rings, walks)
 
 
@@ -485,15 +476,11 @@ def feasible_neighbor_range(n_sats: int, isl_budget_db: float) -> int:
     optics = OpticalParams()
     radius = EARTH_RADIUS_KM + ORBIT_ALTITUDE_KM
     r = 1
-    while True:
-        arm = r  # candidate range r+1 has longest arm r
-        if arm >= n_sats / 2.0:
-            break
-        chord_km = 2.0 * radius * math.sin(arm * math.pi / n_sats)
-        clear = radius * math.cos(arm * math.pi / n_sats) > EARTH_RADIUS_KM + ATM_SHELL_KM
+    while r < n_sats / 2.0:  # candidate range r + 1 has longest arm r
+        chord_km = 2.0 * radius * math.sin(r * math.pi / n_sats)
+        clear = radius * math.cos(r * math.pi / n_sats) > EARTH_RADIUS_KM + ATM_SHELL_KM
         loss = to_db(isl_efficiency(chord_km * 1e3, optics, include_pointing=False))
-        if clear and loss <= isl_budget_db:
-            r += 1
-        else:
+        if not (clear and loss <= isl_budget_db):
             break
+        r += 1
     return r

@@ -18,11 +18,11 @@ import configparser
 import enum
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .constants import SECONDS_PER_DAY, ZENITH_CUTOFF_DEG
 from .geometry import ConstellationKind, ConstellationSpec, GroundStation, min_ring_size
-from .keyrate import ChannelModel, SecurityEpsilons
+from .keyrate import OPTIMIZER_EVALS, OPTIMIZER_STARTS, ChannelModel, SecurityEpsilons
 from .linkbudget import OpticalParams, TurbulenceProfile
 
 
@@ -36,13 +36,12 @@ MAX_DAY_SAMPLES = 2_000_000
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    constellation: ConstellationSpec
-    gs1: GroundStation
-    gs2: GroundStation
-    optics: OpticalParams
-    turbulence: TurbulenceProfile
-    channel: ChannelModel
-    eps: SecurityEpsilons
+    constellation: ConstellationSpec = field(default_factory=ConstellationSpec)
+    gs1: GroundStation = field(default_factory=GroundStation)
+    optics: OpticalParams = field(default_factory=OpticalParams)
+    turbulence: TurbulenceProfile = field(default_factory=TurbulenceProfile)
+    channel: ChannelModel = field(default_factory=ChannelModel)
+    eps: SecurityEpsilons = field(default_factory=SecurityEpsilons)
     theta_max_deg: float = ZENITH_CUTOFF_DEG
     t_total_s: float = SECONDS_PER_DAY
     n_days: int = 30
@@ -55,8 +54,8 @@ class ScenarioConfig:
     isl_pointing_in_effective: bool = False
     pooling: str = "daily"
     vary_phase: bool = True
-    optimizer_starts: int = 3
-    optimizer_evals: int = 400
+    optimizer_starts: int = OPTIMIZER_STARTS
+    optimizer_evals: int = OPTIMIZER_EVALS
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -72,11 +71,6 @@ class ScenarioConfig:
                 f"num_sats={c.num_sats} below the minimum ring size {n_min}"
                 f" for altitude {c.altitude_km} km"
             )
-        if self.gs1.latitude_deg != self.gs2.latitude_deg:
-            raise ValueError("ground stations must share a latitude")
-        dlon = (self.gs2.longitude_deg - self.gs1.longitude_deg) % 360.0
-        if not math.isclose(dlon, 180.0, abs_tol=1e-9):
-            raise ValueError("ground stations must be 180 degrees apart in longitude")
         if self.effective_mode not in ("max", "asymmetric"):
             raise ValueError(f"unknown effective_mode: {self.effective_mode}")
         if self.pooling not in ("daily", "session"):
@@ -100,6 +94,11 @@ class ScenarioConfig:
             raise ValueError("n_days and optimiser budgets must be >= 1")
         if not self.workers >= 1:
             raise ValueError("workers must be >= 1")
+
+    @property
+    def gs2(self) -> GroundStation:
+        """The antipodal station: GS1's latitude, 180 degrees on in longitude."""
+        return GroundStation(2, self.gs1.latitude_deg, (self.gs1.longitude_deg + 180.0) % 360.0)
 
 
 def _bool(raw: str) -> bool:
@@ -223,14 +222,27 @@ def load_scenario(path: str | None = None, overrides=()) -> ScenarioConfig:
     """Load a scenario file (or pure defaults when ``path`` is None); a key
     set by neither takes its dataclass default."""
     kwargs = {target: {} for target in (*_PARTS, ScenarioConfig)}
-    kwargs[GroundStation]["id"] = 1
     for k, value in read_values(path, _TABLE, overrides).items():
         _, target, name = _TABLE[k]
         kwargs[target][name] = value
-    parts = {attr: cls(**kwargs[cls]) for cls, attr in _PARTS.items()}
-    gs1 = parts["gs1"]
-    gs2 = GroundStation(2, gs1.latitude_deg, (gs1.longitude_deg + 180.0) % 360.0)
-    return ScenarioConfig(**parts, gs2=gs2, **kwargs[ScenarioConfig])
+    parts = {attr: _build(cls, kwargs[cls]) for cls, attr in _PARTS.items()}
+    return _build(ScenarioConfig, kwargs[ScenarioConfig], **parts)
+
+
+def _build(target, values: dict, **parts):
+    """``target(**parts, **values)``.  An error that one of ``values`` raises
+    on its own names that value's key, as the table spells it."""
+    try:
+        return target(**parts, **values)
+    except ValueError as exc:
+        for name, value in values.items():
+            try:
+                target(**{name: value})
+            except ValueError as alone:
+                if str(alone) == str(exc):
+                    sec, key = next(k for k, row in _TABLE.items() if row[1:] == (target, name))
+                    raise ValueError(f"bad value for {sec}.{key}: {value!r} ({exc})") from None
+        raise
 
 
 def format_value(v) -> str:

@@ -34,6 +34,7 @@ import logging
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -399,6 +400,8 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
             days = list(pool.map(_run_day_job, [(config, d) for d in range(config.n_days)]))
     else:
         days = [run_day(config, d, cache) for d in range(config.n_days)]
+    if all(d.protocol_skl == 0.0 for d in days) and any(d.raw_bits > 0.0 for d in days):
+        _warn_no_key(days)
     keys = days[0].scalars()
     mean = {}
     std = {}
@@ -407,6 +410,28 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
         mean[key] = float(np.mean(vals))
         std[key] = float(np.std(vals))
     return CampaignResult(days=days, mean=mean, std=std)
+
+
+def _zero_term(b: SklBreakdown) -> str:
+    """The ledger term that zeroes the key of a block that has clicks."""
+    if b.e1ph_upper >= 0.5:
+        return "phase-error bound saturated (e1ph_upper = 0.5)"
+    if b.n1_lower <= 0.0:
+        return "no untagged single-photon bits (n1_lower = 0)"
+    return "error correction and finite-size terms exceed n1_lower (1 - h(e1ph_upper))"
+
+
+def _warn_no_key(days: list) -> None:
+    """One warning for a campaign whose raw key yields no protocol key, naming
+    the ledger term that zeroed most of its clicking ground links."""
+    links = [b for d in days for b in d.per_link_skl.values() if b.n_raw > 0.0]
+    zeroed = Counter(_zero_term(b) for b in links if b.skl_bits == 0.0)
+    if zeroed:
+        term, count = zeroed.most_common(1)[0]
+        cause = f"{term} on {count} of {len(links)} ground links"
+    else:  # every clicking link has key: the ISL reference or a missing partner zeroes each term
+        cause = "the inter-satellite reference or a missing partner link"
+    log.warning("%d day(s) of raw key yield no protocol key: %s", len(days), cause)
 
 
 def _run_day_job(args):
@@ -426,9 +451,7 @@ def sweep_configs(config: ScenarioConfig, axis: str, values) -> list:
             spec = replace(config.constellation, num_sats=int(v))
             configs.append(replace(config, constellation=spec))
         elif axis == "latitude":
-            gs1 = replace(config.gs1, latitude_deg=float(v))
-            gs2 = replace(config.gs2, latitude_deg=float(v))
-            configs.append(replace(config, gs1=gs1, gs2=gs2))
+            configs.append(replace(config, gs1=replace(config.gs1, latitude_deg=float(v))))
         else:
             raise ValueError(f"unknown sweep axis: {axis}")
     return configs

@@ -253,6 +253,11 @@ def test_keyrate_rejects_bad_flags(flags, named, tmp_path, capsys):
     (("sweep", "--axis", "ns", "--values", "12,x"), "--values"),
     (("security", "--ns", "12", "--i", "0", "--k", "6", "--compromised", "2,a"), "--compromised"),
     (("simulate", "no_such_scenario.ini"), "no_such_scenario.ini"),
+    # an empty path is a missing file too, not "no file"
+    (("security", "--file", "", "--ns", "12", "--i", "0", "--k", "6"), "No such file"),
+    # range checks run on the SI values and name the key as typed
+    (("validate", "--set", "optics.wavelength_nm=1e-320"), "optics.wavelength_nm"),
+    (("validate", "--set", "channel.rep_rate_ghz=1e300"), "channel.rep_rate_ghz"),
 ])
 def test_bad_input_writes_nothing(argv, named, tmp_path, capsys):
     # rejected at the boundary with exit 2, before the output directory is made

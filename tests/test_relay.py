@@ -48,16 +48,16 @@ def closed_form_message(path, ring, segment, cut, x, keys):
 
 def test_segment_walks_modular():
     p = build_paths(12, 0, 6)
-    assert p.segment_plus == (GS1, 0, 1, 2, 3, 4, 5, 6, GS2)
-    assert p.segment_minus == (GS1, 0, 11, 10, 9, 8, 7, 6, GS2)
+    assert p.walks[(0, "plus")] == (GS1, 0, 1, 2, 3, 4, 5, 6, GS2)
+    assert p.walks[(0, "minus")] == (GS1, 0, 11, 10, 9, 8, 7, 6, GS2)
 
 
 def test_segment_interiors_disjoint_small():
     p = build_paths(4, 0, 2)
-    assert p.segment_plus == (GS1, 0, 1, 2, GS2)
-    assert p.segment_minus == (GS1, 0, 3, 2, GS2)
-    inner_plus = set(p.segment_plus[2:-2])
-    inner_minus = set(p.segment_minus[2:-2])
+    assert p.walks[(0, "plus")] == (GS1, 0, 1, 2, GS2)
+    assert p.walks[(0, "minus")] == (GS1, 0, 3, 2, GS2)
+    inner_plus = set(p.walks[(0, "plus")][2:-2])
+    inner_minus = set(p.walks[(0, "minus")][2:-2])
     assert inner_plus == {1} and inner_minus == {3}
 
 
@@ -181,7 +181,7 @@ def test_interior_masks_symbolic_identity():
     # symbolic check, no key values: the message leaving interior node j is
     # masked by exactly the keys (j-1, j+1) and (j, j+2) in ring labels
     p = build_paths(12, 0, 6)
-    walk = p.segment_plus
+    walk = p.walks[(0, "plus")]
     for cut in range(2, len(walk) - 2):  # cuts after interior satellites
         kids = crossing_keys(p, 0, "plus", cut)
         pairs = sorted((k[3], k[4]) for k in kids)
@@ -267,7 +267,7 @@ def test_two_node_segment_breakers_characterised():
     # distance on both segments when N/2 is odd and then breaks the ring
     # alone (see the floor tests below).
     p = build_paths(12, 0, 6)
-    inner = [n for n in p.segment_plus if isinstance(n, int)]
+    inner = [n for n in p.walks[(0, "plus")] if isinstance(n, int)]
     pos = {n: idx for idx, n in enumerate(inner)}
     for combo in itertools.combinations(range(12), 2):
         ok, _ = adversary_can_recover(p, scenario(*combo), target="plus")

@@ -27,7 +27,6 @@ from ringqkd.simulator import run_day
 # fields set by the program, not by a scenario key
 DERIVED = {
     (GroundStation, "id"),
-    (ScenarioConfig, "gs2"),
 }
 MAPPED = (
     ConstellationSpec, GroundStation, OpticalParams, TurbulenceProfile, ChannelModel,
@@ -52,8 +51,8 @@ def test_dataclass_defaults_are_the_baseline():
     # built from its defaults is the part of the default scenario
     cfg = load_scenario()
     for cls, attr in _PARTS.items():
-        default = cls(id=1) if cls is GroundStation else cls()
-        assert default == getattr(cfg, attr), cls.__name__
+        assert cls() == getattr(cfg, attr), cls.__name__
+    assert ScenarioConfig() == cfg
 
 
 def _base(cls):
@@ -106,6 +105,53 @@ def test_unreadable_file_is_a_value_error(tmp_path):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match="unreadable"):
             load_scenario(str(path))
+
+
+# a value out of range for every key whose dataclass checks a range (the
+# other keys take any value their parser accepts)
+OUT_OF_RANGE = {
+    ("constellation", "num_sats"): "2",
+    ("constellation", "altitude_km"): "0",
+    ("constellation", "atm_shell_km"): "-1",
+    ("ground_stations", "latitude_deg"): "95",
+    ("ground_stations", "gs1_longitude_deg"): "360",
+    ("optics", "wavelength_nm"): "1e-320",  # underflows to 0 m
+    ("optics", "beam_divergence_urad"): "0",
+    ("optics", "gs_tx_diameter_m"): "0",
+    ("optics", "sat_tx_diameter_m"): "-1",
+    ("optics", "sat_rx_diameter_m"): "0",
+    ("optics", "gs_beam_waist_m"): "-0.1",
+    ("optics", "pointing_jitter_urad"): "-1",
+    ("optics", "optics_efficiency"): "1.5",
+    ("optics", "atm_loss_db_zenith"): "-1",
+    ("turbulence", "wind_speed_mps"): "-1",
+    ("turbulence", "cn2_ground"): "-1e-14",
+    ("turbulence", "gs_altitude_m"): "30000",
+    ("turbulence", "h_top_m"): "-10",
+    ("turbulence", "wander_residual"): "2",
+    ("channel", "detector_efficiency"): "0",
+    ("channel", "dark_count_prob"): "1",
+    ("channel", "optical_error"): "0.6",
+    ("channel", "rep_rate_ghz"): "1e300",  # overflows to inf Hz
+    ("channel", "error_correction_factor"): "0.9",
+    **{("security", key): "1" for key in ("eps_cor", "eps_pa", "eps_hat", "eps_bar", "eps_n1")},
+    ("campaign", "t_total_s"): "0",
+    ("campaign", "n_days"): "0",
+    ("campaign", "time_step_s"): "-1",
+    ("campaign", "theta_max_deg"): "90",
+    ("campaign", "optimizer_starts"): "0",
+    ("campaign", "optimizer_evals"): "0",
+    ("campaign", "workers"): "0",
+}
+
+
+@pytest.mark.parametrize("key", list(OUT_OF_RANGE), ids=".".join)
+def test_range_errors_name_the_key(key):
+    # the check runs on the dataclass's own (SI) value; the error names the
+    # key as typed, in a file or an override
+    setting = f"{'.'.join(key)}={OUT_OF_RANGE[key]}"
+    with pytest.raises(ValueError, match=f"bad value for {'.'.join(key)}: "):
+        load_scenario(overrides=[setting])
 
 
 def _finite(lo, hi, **kw):
@@ -166,6 +212,25 @@ VALID = {
 
 def test_valid_strategies_cover_the_table():
     assert list(VALID) == list(_TABLE)
+
+
+@example(latitude=0.0, longitude=0.0)
+@example(latitude=-90.0, longitude=-180.0)
+@given(
+    latitude=VALID[("ground_stations", "latitude_deg")],
+    longitude=VALID[("ground_stations", "gs1_longitude_deg")],
+)
+def test_gs2_is_derived_from_gs1(latitude, longitude):
+    cfg = load_scenario(overrides=[
+        f"ground_stations.latitude_deg={latitude!r}",
+        f"ground_stations.gs1_longitude_deg={longitude!r}",
+    ])
+    # the antipodal station, float for float: (longitude + 180) mod 360
+    assert cfg.gs2 == GroundStation(2, latitude, (longitude + 180.0) % 360.0)
+    # so the two stations share a latitude and lie 180 degrees apart
+    assert cfg.gs2.latitude_deg == cfg.gs1.latitude_deg
+    dlon = (cfg.gs2.longitude_deg - cfg.gs1.longitude_deg) % 360.0
+    assert math.isclose(dlon, 180.0, abs_tol=1e-9)
 
 
 def time_step_fits(values):

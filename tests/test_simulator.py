@@ -602,3 +602,30 @@ def test_run_day_never_polishes_minimum_zenith(monkeypatch):
     monkeypatch.setattr(geometry, "_refine_min_zenith", refuse)
     rep = run_day(short_config(**{"campaign.t_total_s": 1800}), 0)
     assert rep.rho_vis[1] > 0.0
+
+
+def _no_key_warnings(caplog):
+    return [r.getMessage() for r in caplog.records if "no protocol key" in r.getMessage()]
+
+
+def test_campaign_without_protocol_key_warns_once(caplog):
+    # asymmetric mode on a Type-II N=12 hour: every ground link clicks, but
+    # both senders use the same intensities and the phase-error bound
+    # saturates (measured on this config: 20 links, 3.5e5 raw bits, 0 key)
+    over = {
+        "constellation.kind": "type2", "channel.effective_mode": "asymmetric",
+        "campaign.t_total_s": 3600, "campaign.seed": 4, "campaign.optimizer_evals": 40,
+    }
+    cfg = short_config(**over)
+    with caplog.at_level(logging.WARNING, logger="ringqkd.simulator"):
+        result = run_campaign(cfg)
+    assert result.mean["protocol_skl"] == 0.0 and result.mean["raw_bits"] > 0.0
+    assert _no_key_warnings(caplog) == [
+        "2 day(s) of raw key yield no protocol key: phase-error bound saturated"
+        " (e1ph_upper = 0.5) on 40 of 40 ground links"
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="ringqkd.simulator"):
+        result = run_campaign(replace(cfg, effective_mode="max"))
+    assert result.mean["protocol_skl"] > 0.0
+    assert _no_key_warnings(caplog) == []
