@@ -95,7 +95,7 @@ class RingPath:
     attach_b: int
     neighbor_range: int
     n_rings: int
-    walks: dict = field(compare=False)  # (ring, "plus" or "minus") -> segment walk
+    walks: dict = field(compare=False)  # "plus" or "minus" -> segment walk, shared by all rings
 
 
 def build_paths(n_sats: int, i: int, k: int, r: int = NEIGHBOR_RANGE, n_rings: int = 1) -> RingPath:
@@ -114,8 +114,7 @@ def build_paths(n_sats: int, i: int, k: int, r: int = NEIGHBOR_RANGE, n_rings: i
         raise ValueError("neighbor_range must be >= 2")
     if r > min(len(plus_sats), len(minus_sats)):
         raise ValueError(f"neighbor_range {r} too large for this attachment split")
-    ends = {"plus": (GS1, *plus_sats, GS2), "minus": (GS1, *minus_sats, GS2)}
-    walks = {(ring, seg): walk for ring in range(n_rings) for seg, walk in ends.items()}
+    walks = {"plus": (GS1, *plus_sats, GS2), "minus": (GS1, *minus_sats, GS2)}
     return RingPath(n_sats, i, k, r, n_rings, walks)
 
 
@@ -179,7 +178,7 @@ def _segment(walk: tuple, ring: int, segment: str, r: int) -> _Segment:
 def _system(path: RingPath) -> dict:
     """{(ring, segment): _Segment} of a path, built once per path value."""
     return {
-        (ring, segment): _segment(path.walks[(ring, segment)], ring, segment, path.neighbor_range)
+        (ring, segment): _segment(path.walks[segment], ring, segment, path.neighbor_range)
         for ring in range(path.n_rings)
         for segment in ("plus", "minus")
     }
@@ -195,8 +194,8 @@ def segment_keys(path: RingPath, ring: int, segment: str) -> list[tuple]:
 
 
 def key_nodes(path: RingPath, key_id: tuple):
-    ring, segment, _, u, v = key_id
-    walk = path.walks[(ring, segment)]
+    _, segment, _, u, v = key_id
+    walk = path.walks[segment]
     return walk[u], walk[v]
 
 
@@ -224,7 +223,7 @@ class ForwardTranscript:
 
 def forward(path: RingPath, segment: str, x: int, keys: dict, ring: int = 0) -> ForwardTranscript:
     """Run the masked forwarding chain of one segment; returns all messages."""
-    walk = path.walks[(ring, segment)]
+    walk = path.walks[segment]
     at_slot = _system(path)[(ring, segment)].at_slot
     messages = []
     value = x
@@ -241,7 +240,7 @@ def recover(path: RingPath, transcript: ForwardTranscript, keys: dict) -> int:
     """Bob's unmasking of the final forwarded message."""
     if not transcript.messages:
         raise ValueError("empty transcript")
-    walk = path.walks[(transcript.ring, transcript.segment)]
+    walk = path.walks[transcript.segment]
     if len(transcript.messages) != len(walk) - 1:
         raise ValueError("transcript is missing hops")
     value = transcript.messages[-1][1]
@@ -432,7 +431,7 @@ def min_compromise(
         chosen = attached
         for name in segments:
             seg = _system(path)[(0, name)]
-            interior = sorted(path.walks[(0, name)][2:-2])
+            interior = sorted(path.walks[name][2:-2])
             rows = [bit for sat in attached for _, bit in seg.sat_rows[sat]]
             cap = len(interior) if best is None else best - len(chosen)
             found, tested, size = _smallest_recovering(

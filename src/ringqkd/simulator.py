@@ -3,13 +3,14 @@
 One simulated day: take each ground station's serving satellite, its
 zenith angle and the visibility sessions on the day's sample grid from
 geometry (``serving_state``, ``extract_sessions``), which evaluate only the
-few satellites that can serve each sample; take each station's sessions in
-groups of consecutive sessions of a few thousand samples, and for all of a
-group's samples at once budget the uplink and the serving satellite's two
+few satellites that can serve each sample; take each station's in-session
+samples in fixed chunks of a few thousand, and for all of a chunk's
+samples at once budget the uplink and the serving satellite's two
 inter-satellite chords, propagating only those three satellites per
 sample; form the effective twin-field link per sample and count the
-samples of each (session, partner, loss bin); pool every sample of the
-same (ground station, partner satellite) link into one finite-key block,
+samples of each (session, partner, loss bin); pool the counts of the same
+(ground station, partner satellite) link into one finite-key block, whose
+pulses are each bin's sample count times dt times the repetition rate,
 arrays of arm efficiencies (B, 2) and pulse counts (B,) from binning to
 scoring, optimise the protocol parameters per link, and aggregate
 
@@ -111,8 +112,8 @@ def day_phase_deg(config: ScenarioConfig, day_index: int) -> float:
     return (config.constellation.phase0_deg + 360.0 * frac) % 360.0
 
 
-# A group of consecutive sessions holds at most this many samples, and a
-# longer session is a group of its own: enough samples that the budgets'
+# A station's in-session samples are budgeted and binned in chunks of this
+# many, which may split a session: enough samples that the budgets'
 # per-call cost fades, few enough that their arrays stay a small part of a
 # day's memory (whole-station arrays raised the peak resident memory of a
 # Type-II N=36 day from 121 to 133 MB).
@@ -120,20 +121,6 @@ _GROUP_SAMPLES = 4096
 
 # the serving satellite's two partners, as offsets along the ring
 _SIDES = (-1, 1)
-
-
-def _sample_groups(lengths: list) -> list:
-    """Consecutive sessions [j0, j1) of at most ``_GROUP_SAMPLES`` samples together."""
-    groups = []
-    start = size = 0
-    for j, length in enumerate(lengths):
-        if j > start and size + length > _GROUP_SAMPLES:
-            groups.append((start, j))
-            start, size = j, 0
-        size += length
-    if lengths:
-        groups.append((start, len(lengths)))
-    return groups
 
 
 def _run_starts(*cols) -> np.ndarray:
@@ -146,14 +133,13 @@ def _run_starts(*cols) -> np.ndarray:
 
 
 def _effective_bins(config, session, ul_eff, isl_eff) -> np.ndarray:
-    """Per-sample effective links -> one row per bin: (session, side, key, seconds).
+    """Per-sample effective links -> one row per bin: (session, side, key, samples).
 
     ``session`` labels each sample, ``ul_eff`` is its uplink efficiency and
     ``isl_eff`` holds one row of ISL efficiencies per side.  The key encodes
     the mode: the better arm's loss in dB to 0.01 (``max``), or two columns,
-    (uplink dB, ISL dB).  Rows come in (session, side, key) order.  A bin's
-    seconds are dt added once per sample, 0.0 + dt + dt + ..., as a
-    sample-by-sample tally adds them.
+    (uplink dB, ISL dB).  Rows come in (session, side, key) order, and a
+    bin's last column counts its samples.
     """
     isl_eff = np.atleast_2d(isl_eff)
     sides, m = isl_eff.shape
@@ -166,48 +152,34 @@ def _effective_bins(config, session, ul_eff, isl_eff) -> np.ndarray:
     rows = np.column_stack(cols)
     rows = rows[np.lexsort(rows.T[::-1])]
     first = _run_starts(*rows.T)
-    counts = np.diff(np.append(first, len(rows)))
-    seconds = np.cumsum(np.full(counts.max(), config.time_step_s))[counts - 1]
-    return np.column_stack([rows[first], seconds])
+    return np.column_stack([rows[first], np.diff(np.append(first, len(rows)))])
 
 
 def _station_profiles(config, gs_id: int, sats, bins) -> dict:
-    """One station's bin rows, in the order of the day -> {(gs_id, partner): [block, ...]}.
+    """One station's bin rows, of any number of chunks -> {(gs_id, partner): [block, ...]}.
 
-    ``bins`` are ``_effective_bins`` rows and ``sats`` each session's serving
-    satellite.  Daily pooling adds a bin's seconds over the link's sessions
-    in the order of the day, ((0.0 + s1) + s2) + ..., as a link's bin dict
-    would; session pooling keeps one block per session, which has one side,
-    emitted by ``_effective_bins`` in key order.  So a block's keys are
-    unique and ascending, lexicographic in (uplink, ISL) dB.  Each block is
-    a slice of the station's ``_bins_to_profile`` arrays.
+    ``sats`` is each session's serving satellite.  Rows of the same link and
+    key add their samples; a link is a partner (daily pooling) or a
+    (partner, session) pair (session pooling: a block a session, in the
+    order of the day).  A block's keys are unique and ascending,
+    lexicographic in (uplink, ISL) dB, and a bin's seconds are its samples
+    times dt.  Each block is a slice of the station's ``_bins_to_profile`` arrays.
     """
     session = bins[:, 0].astype(np.intp)
     side = np.take(_SIDES, bins[:, 1].astype(np.intp))
     partner = (np.take(sats, session) + side) % config.constellation.num_sats
+    link = (partner, session) if config.pooling == "session" else (partner,)
     keys = bins[:, 2:-1].T
-    seconds = bins[:, -1]
-    if config.pooling == "daily":
-        # a stable sort keeps each bin's sessions in the order of the day
-        order = np.lexsort((*keys[::-1], partner))
-        partner, keys, seconds = partner[order], keys[:, order], seconds[order]
-        first = _run_starts(partner, *keys)
-        runs = np.diff(np.append(first, len(seconds)))
-        total = seconds[first]
-        for p in range(1, runs.max()):
-            more = runs > p
-            total[more] += seconds[first[more] + p]
-        partner, keys, seconds = partner[first], keys[:, first], total
-        starts = _run_starts(partner)
-    else:  # per-session blocks, summed afterwards
-        order = np.argsort(partner, kind="stable")
-        partner, session = partner[order], session[order]
-        keys, seconds = keys[:, order], seconds[order]
-        starts = _run_starts(partner, session)
-    arms, pulses = _bins_to_profile(config, keys, seconds)
+    order = np.lexsort((*keys[::-1], *link[::-1]))
+    link, keys = [c[order] for c in link], keys[:, order]
+    first = _run_starts(*link, *keys)
+    samples = np.add.reduceat(bins[order, -1], first)
+    link, keys = [c[first] for c in link], keys[:, first]
+    arms, pulses = _bins_to_profile(config, keys, samples * config.time_step_s)
+    starts = _run_starts(*link)
     blocks: dict = {}
-    for b0, b1 in zip(starts.tolist(), [*starts[1:].tolist(), len(seconds)]):
-        blocks.setdefault((gs_id, int(partner[b0])), []).append((arms[b0:b1], pulses[b0:b1]))
+    for b0, b1 in zip(starts.tolist(), [*starts[1:].tolist(), len(samples)]):
+        blocks.setdefault((gs_id, int(link[0][b0])), []).append((arms[b0:b1], pulses[b0:b1]))
     return blocks
 
 
@@ -245,25 +217,25 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
             spec, gs, times, dt, state, zmin, config.theta_max_deg
         )
         sats = [session.serving_sat for session in sessions]
+        # every in-session sample's index on the day's grid, and its session
         starts, stops = np.array(sample_ranges, dtype=np.intp).reshape(-1, 2).T
         lengths = stops - starts
-        groups = _sample_groups(lengths.tolist())
+        sample = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        session_of = np.repeat(np.arange(len(sessions)), lengths)
+        chunks = range(0, sample.size, _GROUP_SAMPLES)
         if log.isEnabledFor(logging.DEBUG):
             log.debug(
-                "day %d station %d: %d samples, %d on full rows; %d sessions in %d"
-                " sample groups; zenith %.3f s",
+                "day %d station %d: %d samples, %d on full rows; %d sessions of %d"
+                " samples in %d chunks; zenith %.3f s",
                 day_index, gs.id, times.size, _candidates(spec, gs, times)[1].size,
-                len(sessions), len(groups), t_zenith,
+                len(sessions), sample.size, len(chunks), t_zenith,
             )
         rho[gs.id] = visibility_fraction(sessions, t_total)
         if gs.id == 1:
             serving_sats.update(sats)
         bins = []
-        for j0, j1 in groups:
-            # the group's samples, session by session, and their sessions
-            lens = lengths[j0:j1]
-            session = np.repeat(np.arange(j0, j1), lens)
-            idx = np.arange(session.size) + np.repeat(starts[j0:j1] - np.cumsum(lens) + lens, lens)
+        for c in chunks:
+            idx, session = sample[c:c + _GROUP_SAMPLES], session_of[c:c + _GROUP_SAMPLES]
             # zmin is the serving satellite's zenith angle inside a session
             zen = np.radians(np.clip(zmin[idx], 0.0, config.theta_max_deg))
             ul = uplink_efficiency(

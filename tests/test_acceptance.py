@@ -81,7 +81,7 @@ from ringqkd.relay import (
     recover,
 )
 from ringqkd.scenario import load_scenario
-from ringqkd.simulator import run_campaign, run_day
+from ringqkd.simulator import run_campaign
 
 EPS = SecurityEpsilons()
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ringqkd import cli, relay, simulator
+from ringqkd import cli, relay
 from ringqkd.cli import main
 from ringqkd.scenario import _TABLE
 
@@ -169,7 +169,7 @@ def test_sweep_rejects_bad_ns_before_any_campaign(values, tmp_path, monkeypatch)
     # a non-integer N, or an N that fails validation anywhere in the list,
     # exits 2 before the first campaign runs
     ran = []
-    monkeypatch.setattr(simulator, "run_campaign", ran.append)
+    monkeypatch.setattr(cli, "run_campaign", ran.append)
     assert run_cli("sweep", *fast_args(tmp_path), "--axis", "ns", "--values", values) == 2
     assert ran == []
 

@@ -4,15 +4,21 @@ The ``max`` and ``asymmetric`` digests were recorded before the SNS
 optimiser evaluated its candidates in batches, with the earlier
 one-candidate-at-a-time search.  Any change to the search path, to the
 pooled statistics or to the finite-key ledger moves them.  The
-``session-offgrid`` case was recorded before session extraction and zenith
-angles were merged into one geometry path: per-session blocks on a grid
-whose epoch and step are not whole seconds, so that the sample grid, the
-bisection tolerance and the per-session sums of a non-dyadic step all show
-in its bytes.  The ``daily-offgrid`` case was recorded before a day's
-samples were budgeted and binned in groups of sessions rather than one
-session at a time: daily blocks of asymmetric bins on the same grid, so
-that each bin's seconds, added up over a link's sessions in the order of
-the day, show in its bytes.  The ``uplink-max`` case was recorded before
+``session-offgrid`` case holds per-session blocks on a grid whose epoch and
+step are not whole seconds, so that the sample grid, the bisection
+tolerance and the seconds of a non-dyadic step all show in its bytes.  It
+was re-recorded when a bin's seconds became its sample count times dt,
+taken once, in place of dt added once per sample: its values moved by at
+most 1.2e-14 relative in ``links.csv`` (2.0e-14 in a standard deviation of
+``summary.json``), and the mean ``block_size`` went from 4576599999999.965
+to 4576600000000.0, its 6,538 samples times 0.7 s times 1 GHz.  Its earlier
+digests were ``04e0ab67...`` (``links.csv``) and ``ba2de99d...``
+(``summary.json``).  The
+``daily-offgrid`` case was recorded before a day's samples were budgeted
+and binned in groups of sessions rather than one session at a time: daily
+blocks of asymmetric bins on the same grid, whose bins hold at most 6
+samples; its digests did not move when the seconds became counts times dt.
+The ``uplink-max`` case was recorded before
 every block of more than 128 bins took the one-candidate memo path.  With
 the ISL pointing loss counted and a larger jitter, the uplink sets the
 ``max``-mode effective link on some samples, so its daily blocks have 1-170
@@ -57,8 +63,8 @@ GOLDEN = {
         "summary.json": "f94bf0b03a6f95f142a32b7712c0a982caf04fa9ea28d9b0918042837414463e",
     },
     "session-offgrid": {
-        "links.csv": "04e0ab673ed103554275c6c036e3809ed12cf690859935e8a59b728dab1d359c",
-        "summary.json": "ba2de99de26f5fd216393890ecb1f9906635413515d936d4ae7fa970d0532f08",
+        "links.csv": "38d156961d6068f5100c32ddc4eb945617c0a3937a3737c5a0030bd3e9cc4b00",
+        "summary.json": "e51e1024461ba12bc2b70cfef6ef3c32f7af6addc87b328407a2432322a811ec",
     },
     "daily-offgrid": {
         "links.csv": "9073e98c8a6124d4166825f2ea14892f66846411a7443ccee586fadde10cdfc4",

@@ -1,9 +1,13 @@
 """Every public module-level function and class of the package has a reader
-outside the tests, or is a deliberate test oracle named below.
+outside the tests, or is a deliberate test oracle named below; and no module
+imports a name it never reads.
 
 A name counts as read when an ``ast.Name`` or ``ast.Attribute`` spells it
-in ``src/`` outside its own definition, or anywhere in ``perfbench/``.  The
-check parses the sources only: it imports nothing and starts no process.
+in ``src/`` outside its own definition, or anywhere in ``perfbench/``.  An
+import counts as read when the importing module loads the name it binds; a
+line marked ``# noqa: F401`` keeps an import on purpose (the names
+perfbench's tracer hooks in ``ringqkd.simulator``, and ``import scipy``).
+The checks parse the sources only: they import nothing and start no process.
 """
 
 import ast
@@ -63,3 +67,29 @@ def test_every_public_name_has_a_reader_or_is_an_oracle():
     unread = sorted(name for name in defined if name not in read and name not in ORACLES)
     assert unread == [], "public names only tests read; delete them or name them as oracles"
     assert sorted(name for name in ORACLES if name in read or name not in defined) == []
+
+
+def _unused_imports(path: Path) -> list:
+    """``path:line name`` of each import whose bound name the module never loads."""
+    source = path.read_text(encoding="utf-8")
+    kept = {i for i, line in enumerate(source.splitlines(), 1) if "# noqa: F401" in line}
+    tree = ast.parse(source)
+    loaded = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or node.lineno in kept:
+            continue
+        if getattr(node, "module", None) == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in loaded:
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {bound}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = sorted(p for d in (PACKAGE, ROOT / "tests", ROOT / "perfbench") for p in d.glob("*.py"))
+    assert [u for path in paths for u in _unused_imports(path)] == []

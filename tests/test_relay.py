@@ -48,16 +48,16 @@ def closed_form_message(path, ring, segment, cut, x, keys):
 
 def test_segment_walks_modular():
     p = build_paths(12, 0, 6)
-    assert p.walks[(0, "plus")] == (GS1, 0, 1, 2, 3, 4, 5, 6, GS2)
-    assert p.walks[(0, "minus")] == (GS1, 0, 11, 10, 9, 8, 7, 6, GS2)
+    assert p.walks["plus"] == (GS1, 0, 1, 2, 3, 4, 5, 6, GS2)
+    assert p.walks["minus"] == (GS1, 0, 11, 10, 9, 8, 7, 6, GS2)
 
 
 def test_segment_interiors_disjoint_small():
     p = build_paths(4, 0, 2)
-    assert p.walks[(0, "plus")] == (GS1, 0, 1, 2, GS2)
-    assert p.walks[(0, "minus")] == (GS1, 0, 3, 2, GS2)
-    inner_plus = set(p.walks[(0, "plus")][2:-2])
-    inner_minus = set(p.walks[(0, "minus")][2:-2])
+    assert p.walks["plus"] == (GS1, 0, 1, 2, GS2)
+    assert p.walks["minus"] == (GS1, 0, 3, 2, GS2)
+    inner_plus = set(p.walks["plus"][2:-2])
+    inner_minus = set(p.walks["minus"][2:-2])
     assert inner_plus == {1} and inner_minus == {3}
 
 
@@ -181,7 +181,7 @@ def test_interior_masks_symbolic_identity():
     # symbolic check, no key values: the message leaving interior node j is
     # masked by exactly the keys (j-1, j+1) and (j, j+2) in ring labels
     p = build_paths(12, 0, 6)
-    walk = p.walks[(0, "plus")]
+    walk = p.walks["plus"]
     for cut in range(2, len(walk) - 2):  # cuts after interior satellites
         kids = crossing_keys(p, 0, "plus", cut)
         pairs = sorted((k[3], k[4]) for k in kids)
@@ -267,7 +267,7 @@ def test_two_node_segment_breakers_characterised():
     # distance on both segments when N/2 is odd and then breaks the ring
     # alone (see the floor tests below).
     p = build_paths(12, 0, 6)
-    inner = [n for n in p.walks[(0, "plus")] if isinstance(n, int)]
+    inner = [n for n in p.walks["plus"] if isinstance(n, int)]
     pos = {n: idx for idx, n in enumerate(inner)}
     for combo in itertools.combinations(range(12), 2):
         ok, _ = adversary_can_recover(p, scenario(*combo), target="plus")
@@ -497,7 +497,7 @@ def rank_decision(path, scen, target):
     per_ring = scen.per_ring(path.n_rings)
     rows = []
     for ring, seg in segs:
-        for cut in range(len(path.walks[(ring, seg)]) - 1):
+        for cut in range(len(path.walks[seg]) - 1):
             rows.append([(ring, seg)] + crossing_keys(path, ring, seg, cut))
     for kid in keys:
         if per_ring[kid[0]] & set(key_nodes(path, kid)):
@@ -572,7 +572,7 @@ def joint_elimination(path, scen, target):
         secret = {"plus": 1 << len(keys), "minus": 1 << (len(keys) + 1)}
         rows, labels = [], []
         for seg in ("plus", "minus"):
-            walk = path.walks[(ring, seg)]
+            walk = path.walks[seg]
             for cut in range(len(walk) - 1):
                 vec = secret[seg]
                 for kid in crossing_keys(path, ring, seg, cut):

@@ -151,16 +151,16 @@ def test_run_day_sample_grid(epoch, t_total, dt):
 
 def test_run_day_logs_each_station_day(caplog):
     # one DEBUG line per station-day: samples, samples searched in full,
-    # sessions, the sample groups that budget and bin them, one uplink call
-    # each, and the seconds the serving state took
+    # sessions, their samples and the fixed-size chunks that budget and bin
+    # them, one uplink call each, and the seconds the serving state took
     caplog.set_level(logging.DEBUG, logger="ringqkd.simulator")
     uplink_calls = []
 
-    def count_uplink(*args, **kwargs):
-        uplink_calls.append(1)
-        return uplink_efficiency(*args, **kwargs)
+    def count_uplink(zenith, *args, **kwargs):
+        uplink_calls.append(zenith.size)
+        return uplink_efficiency(zenith, *args, **kwargs)
 
-    for group in (simulator._GROUP_SAMPLES, 1):
+    for group in (simulator._GROUP_SAMPLES, 700):
         caplog.clear()
         uplink_calls.clear()
         with mock.patch.object(simulator, "_GROUP_SAMPLES", group), \
@@ -169,15 +169,17 @@ def test_run_day_logs_each_station_day(caplog):
         lines = [r.getMessage() for r in caplog.records if r.name == "ringqkd.simulator"]
         assert [line.split(":")[0] for line in lines] == ["day 0 station 1", "day 0 station 2"]
         assert all("7201 samples, 0 on full rows;" in line for line in lines)
-        counts = [
-            tuple(map(int, re.search(r"(\d+) sessions in (\d+) sample groups;", line).groups()))
-            for line in lines
-        ]
-        assert sum(groups for _, groups in counts) == len(uplink_calls)
-        if group == 1:  # every session is a group of its own
-            assert all(sessions == groups > 1 for sessions, groups in counts)
-        else:  # two hours of samples fit in two groups
-            assert all(1 <= groups <= 2 < sessions for sessions, groups in counts)
+        pattern = r"(\d+) sessions of (\d+) samples in (\d+) chunks;"
+        counts = [tuple(map(int, re.search(pattern, line).groups())) for line in lines]
+        # each chunk but a station's last holds group samples, whichever
+        # sessions they fall in; two hours fit in two chunks of the default size
+        want = []
+        for sessions, samples, chunks in counts:
+            assert 1 < sessions and chunks == -(-samples // group)
+            want += [group] * (chunks - 1) + [samples - group * (chunks - 1)]
+        assert uplink_calls == want
+        if group == simulator._GROUP_SAMPLES:
+            assert all(chunks <= 2 for *_, chunks in counts)
 
 
 def test_effective_link_max():
@@ -197,40 +199,40 @@ def test_effective_link_asymmetric_mode():
 
 def test_effective_bins_by_session_and_side():
     # one row per (session, side, key), in that order, each session and side
-    # on its own; seconds are dt added once per sample
+    # on its own; the last column counts the bin's samples
     cfg = short_config(**{"campaign.time_step_s": 0.1})
     ul = np.full(4, 1e-7)
     isl = [np.array([1e-4, 1e-4, 1e-4, 1e-3]), np.array([1e-3, 1e-3, 1e-4, 1e-4])]
     bins = _effective_bins(cfg, [5, 5, 5, 7], ul, isl)
     assert bins.tolist() == [
-        [5, 0, 40.0, 0.1 + 0.1 + 0.1],
-        [5, 1, 30.0, 0.1 + 0.1],
-        [5, 1, 40.0, 0.1],
-        [7, 0, 30.0, 0.1],
-        [7, 1, 40.0, 0.1],
+        [5, 0, 40.0, 3],
+        [5, 1, 30.0, 2],
+        [5, 1, 40.0, 1],
+        [7, 0, 30.0, 1],
+        [7, 1, 40.0, 1],
     ]
 
 
 def reference_effective_bins(config, ul_eff, isl_eff):
-    """One session's samples on one side -> {bin key: seconds}, one sample at a time."""
-    dt = config.time_step_s
+    """One session's samples on one side -> {bin key: samples}, one sample at a time."""
     out = {}
     if config.effective_mode == "max":
         eff = np.maximum(ul_eff, isl_eff)
         keys = np.round(to_db(eff), 2)
         for k in keys:
-            out[float(k)] = out.get(float(k), 0.0) + dt
+            out[float(k)] = out.get(float(k), 0) + 1
     else:
         ku = np.round(to_db(ul_eff), 2)
         ki = np.round(to_db(isl_eff), 2)
         for a, b in zip(ku, ki):
             key = (float(a), float(b))
-            out[key] = out.get(key, 0.0) + dt
+            out[key] = out.get(key, 0) + 1
     return out
 
 
 def reference_block(config, bins):
-    """A {bin key: seconds} dict -> the (arms, pulses) block, one bin at a time in key order."""
+    """A {bin key: samples} dict -> the (arms, pulses) block, one bin at a time in key
+    order, each bin's pulses its samples times dt times the repetition rate."""
     profile = []
     for key in sorted(bins):
         if config.effective_mode == "max":
@@ -238,7 +240,7 @@ def reference_block(config, bins):
             arms = (arm, arm)
         else:
             arms = (10.0 ** (-key[0] / 10.0), 10.0 ** (-key[1] / 10.0))
-        profile.append((arms, bins[key] * config.channel.rep_rate_hz))
+        profile.append((arms, bins[key] * config.time_step_s * config.channel.rep_rate_hz))
     return np.array([arms for arms, _ in profile]), np.array([pulses for _, pulses in profile])
 
 
@@ -281,8 +283,8 @@ def reference_blocks(config, day_index):
         if config.pooling == "daily":
             merged = {}
             for bins in session_bins:
-                for key, seconds in bins.items():
-                    merged[key] = merged.get(key, 0.0) + seconds
+                for key, samples in bins.items():
+                    merged[key] = merged.get(key, 0) + samples
             session_bins = [merged]
         blocks += [block_bytes(reference_block(config, bins)) for bins in session_bins]
     # equal blocks are optimised once; the ISL reference block comes last
@@ -304,23 +306,25 @@ class _BlocksSeen(Exception):
     steps=st.floats(600.0, 40000.0),
     mode=st.sampled_from(["max", "asymmetric"]),
     pooling=st.sampled_from(["daily", "session"]),
-    group=st.integers(1, 600),
+    group=st.integers(16, 600),
 )
 @example(kind="type2", num_sats=12, dt=0.1, epoch=0.1, steps=36000.0, mode="asymmetric",
          pooling="daily", group=50)
 @example(kind="type2", num_sats=36, dt=0.7, epoch=0.1, steps=40000.0, mode="max",
          pooling="daily", group=600)
 @example(kind="type1", num_sats=12, dt=0.7, epoch=12.3, steps=5000.0, mode="max",
-         pooling="session", group=1)
+         pooling="session", group=17)
+@example(kind="type1", num_sats=36, dt=2.5, epoch=0.0, steps=20000.0, mode="asymmetric",
+         pooling="session", group=4096)
 def test_run_day_bins_match_per_session_reference(
     kind, num_sats, dt, epoch, steps, mode, pooling, group
 ):
-    # grouped budgets, one sort-and-count per group and the vectorised daily
-    # merge give every block that a per-session tally, a dict merge in the
-    # order of the day and a bin-by-bin conversion in key order give, float
-    # for float: for steps whose sums are not exact, daily links of many
-    # sessions (Type-II ISL chords are all one bin), and groups that hold
-    # many sessions or only part of one
+    # per-chunk budgets and sort-and-count, then one sort-and-add per station,
+    # give every block exactly what a per-session sample tally gives, with
+    # counts added over a link's sessions and each bin's samples times dt
+    # taken once in key order: for steps whose multiples are not exact, daily
+    # links of many sessions (Type-II ISL chords are all one bin), and chunks
+    # that hold many sessions, split one, or hold only part of one
     latitude = 45.0 if kind == "type1" else 0.0
     cfg = load_scenario(overrides=[
         f"constellation.kind={kind}", f"constellation.num_sats={num_sats}",
@@ -339,6 +343,42 @@ def test_run_day_bins_match_per_session_reference(
             pytest.raises(_BlocksSeen):
         run_day(cfg, 0)
     assert seen[0] == reference_blocks(cfg, 0)
+
+
+def test_off_grid_pulses_are_sample_counts_times_dt_times_rate():
+    # on 0.7 s steps, k * 0.7 is not 0.7 added k times, yet every bin's
+    # pulses are exactly its samples times dt times the repetition rate, and
+    # a station's bins count both sides of each of its in-session samples
+    cfg = short_config(**{"constellation.epoch_s": 0.1, "campaign.time_step_s": 0.7})
+    dt, rate = cfg.time_step_s, cfg.channel.rep_rate_hz
+    in_session, profiles = [], []
+    station_profiles = simulator._station_profiles
+
+    def sessions(*args):
+        found = extract_sessions(*args)
+        in_session.append(sum(i1 - i0 for i0, i1 in found[1]))
+        return found
+
+    def profile(*args):
+        profiles.append(station_profiles(*args))
+        return profiles[-1]
+
+    def stop(*args, **kwargs):
+        raise _BlocksSeen
+
+    with mock.patch.object(simulator, "extract_sessions", sessions), \
+            mock.patch.object(simulator, "_station_profiles", profile), \
+            mock.patch.object(simulator, "accumulate_links", stop), \
+            pytest.raises(_BlocksSeen):
+        run_day(cfg, 0)
+    tallied = False
+    for samples, blocks in zip(in_session, profiles):
+        pulses = np.concatenate([p for link in blocks.values() for _, p in link])
+        counts = np.rint(pulses / (dt * rate)).astype(int)
+        assert np.array_equal(pulses, counts * dt * rate)
+        assert counts.sum() == 2 * samples
+        tallied |= any(c * dt != np.cumsum(np.full(c, dt))[-1] for c in counts.tolist())
+    assert len(in_session) == len(profiles) == 2 and tallied
 
 
 def test_serial_campaign_optimises_a_repeated_day_once():
