@@ -7,18 +7,24 @@ equator.  Type-2 spreads N_s satellites uniformly around a single equatorial
 orbit.  Orbits are circular two-body; ground stations rotate with the Earth at
 the sidereal rate.
 
-Each computation lives here once: ``zenith_from_positions`` turns satellite
-and station positions into zenith angles; ``serving_state`` gives each
-instant's serving satellite and its zenith angle, evaluating only the 4
-satellites that can be nearest (all N where they nearly tie) and equal bit
-for bit to the argmin of the full zenith row; and ``extract_sessions`` turns
+Each computation lives here once.  ``_components`` propagates any selection
+of satellites into x, y and z arrays of shape (T, k), so a caller computes
+only the columns it reads; ``positions_eci_km`` stacks them, and
+``chord_lengths_km`` takes inter-satellite distances from them.
+``_zenith`` turns satellite and station components into zenith angles
+(``zenith_from_positions`` applies it to position arrays); its norm and
+dot product add their three terms in the order numpy reduces a last axis
+of 3, so components and stacked positions give the same bits.
+``serving_state`` gives each instant's serving satellite and its zenith
+angle, evaluating only the 4 satellites that can be nearest (all N where
+they nearly tie), equal bit for bit to the argmin of the full zenith row,
+and walks a grid ``CHUNK_SAMPLES`` instants at a time, so its working
+arrays stay a few chunks long whatever the grid's length.  ``extract_sessions`` turns
 a sample grid's serving state into visibility sessions with their sample
 ranges, bisecting all of the grid's session edges in one array through
-``serving_state``.  ``positions_eci_km`` propagates any selection of
-satellites, so a caller computes only the columns it reads.
-``find_sessions`` and the simulator's day loop both call them; only
-``find_sessions`` polishes each session's minimum zenith angle between
-samples, since no campaign output reads it.
+``serving_state``.  ``find_sessions`` and the simulator's day loop both
+call them; only ``find_sessions`` polishes each session's minimum zenith
+angle between samples, since no campaign output reads it.
 """
 
 from __future__ import annotations
@@ -114,6 +120,47 @@ class VisibilitySession:
         return self.t_end_s - self.t_start_s
 
 
+def _selection(spec: ConstellationSpec, sats, size: int) -> np.ndarray:
+    """``sats`` (see ``positions_eci_km``) as indices in [0, N), (1, k) or (size, k)."""
+    n = spec.num_sats
+    pick = np.arange(n)[None, :] if sats is None else np.asarray(sats, dtype=np.intp) % n
+    if pick.ndim == 1:
+        pick = pick[None, :]
+    if pick.ndim != 2 or pick.shape[0] not in (1, size):
+        raise ValueError("sats must be (k,) indices or one row of indices per instant")
+    return pick
+
+
+def _components(spec: ConstellationSpec, t: np.ndarray, pick: np.ndarray) -> tuple:
+    """ECI x, y and z [km] of the satellites ``pick`` selects, each (len(t), k).
+
+    The one propagation: ``positions_eci_km`` stacks it.  Each element takes
+    the same float operations whatever the selection, and ``cos`` and ``sin``
+    run on fresh contiguous arrays, so a selection equals its slice of the
+    full array bit for bit.
+    """
+    if np.any(t < spec.epoch_s):
+        raise ValueError("time precedes the constellation epoch")
+    r = spec.orbit_radius_km
+    n = spec.num_sats
+    base = np.radians(spec.phase0_deg) + spec.mean_motion_rad_s * (t - spec.epoch_s)  # (T,)
+    idx = 2.0 * np.pi * np.arange(n) / n  # (N,)
+    if spec.kind is ConstellationKind.TYPE1_POLAR:
+        # Plane i has right ascension idx[i]; all satellites share u(t).
+        u = base[:, None]
+        cu, su = np.cos(u), np.sin(u)
+        co, so = np.cos(idx)[pick], np.sin(idx)[pick]
+        return r * cu * co, r * cu * so, r * su + np.zeros_like(co)
+    phase = base[:, None] + idx[pick]
+    return r * np.cos(phase), r * np.sin(phase), np.zeros(phase.shape)
+
+
+def _norm(x, y, z):
+    """Euclidean norm from components: the squares added in ``np.linalg.norm``'s
+    order over a last axis of 3, so the two agree bit for bit."""
+    return np.sqrt((x * x + y * y) + z * z)
+
+
 def positions_eci_km(spec: ConstellationSpec, times_s, sats=None) -> np.ndarray:
     """ECI positions of satellites, shape (len(times), k, 3).
 
@@ -123,33 +170,24 @@ def positions_eci_km(spec: ConstellationSpec, times_s, sats=None) -> np.ndarray:
     the same order as the full array, so it equals its slice bit for bit.
     """
     t = np.atleast_1d(np.asarray(times_s, dtype=float))
-    if np.any(t < spec.epoch_s):
-        raise ValueError("time precedes the constellation epoch")
-    r = spec.orbit_radius_km
-    n = spec.num_sats
-    w = spec.mean_motion_rad_s
-    base = np.radians(spec.phase0_deg) + w * (t - spec.epoch_s)  # (T,)
-    idx = 2.0 * np.pi * np.arange(n) / n  # (N,)
-    pick = np.arange(n)[None, :] if sats is None else np.asarray(sats, dtype=np.intp) % n
-    if pick.ndim == 1:
-        pick = pick[None, :]
-    if pick.ndim != 2 or pick.shape[0] not in (1, t.size):
-        raise ValueError("sats must be (k,) indices or one row of indices per instant")
-    out = np.empty((t.size, pick.shape[1], 3))
-    if spec.kind is ConstellationKind.TYPE1_POLAR:
-        # Plane i has right ascension idx[i]; all satellites share u(t).
-        u = base[:, None]
-        cu, su = np.cos(u), np.sin(u)
-        co, so = np.cos(idx)[pick], np.sin(idx)[pick]
-        out[:, :, 0] = r * cu * co
-        out[:, :, 1] = r * cu * so
-        out[:, :, 2] = r * su + np.zeros_like(co)
-    else:
-        phase = base[:, None] + idx[pick]
-        out[:, :, 0] = r * np.cos(phase)
-        out[:, :, 1] = r * np.sin(phase)
-        out[:, :, 2] = 0.0
-    return out
+    return np.stack(_components(spec, t, _selection(spec, sats, t.size)), axis=-1)
+
+
+def chord_lengths_km(spec: ConstellationSpec, times_s, sats, offsets) -> list:
+    """Distances [km] from satellite ``sats`` to satellite ``sats + d`` for each
+    offset d, one array (len(times),) an offset.
+
+    ``sats`` is one cyclic index, or one per instant.  Each distance equals
+    ``np.linalg.norm`` of the difference of the two ``positions_eci_km`` rows
+    bit for bit.
+    """
+    t = np.atleast_1d(np.asarray(times_s, dtype=float))
+    pick = _selection(spec, np.add.outer(sats, (0, *offsets)), t.size)
+    x, y, z = _components(spec, t, pick)
+    return [
+        _norm(x[:, 0] - x[:, j], y[:, 0] - y[:, j], z[:, 0] - z[:, j])
+        for j in range(1, pick.shape[1])
+    ]
 
 
 def gs_position_km(gs: GroundStation, times_s) -> np.ndarray:
@@ -195,6 +233,20 @@ def min_ring_size(h_km: float, h_atm_km: float) -> int:
     return n
 
 
+def _zenith(sat, gs) -> np.ndarray:
+    """Zenith angles [deg] from the satellites' x, y and z (T, k) and the
+    station's (each broadcasting against them, as (T, 1)): the one zenith
+    formula.  Norm and dot product add their three terms in the order numpy
+    reduces a last axis of 3, so this equals the formula on (T, k, 3)
+    position arrays bit for bit."""
+    v = [s - g for s, g in zip(sat, gs)]
+    nv = _norm(*v)
+    if np.any(nv == 0.0):
+        raise ValueError("satellite coincident with ground station")
+    cosz = ((v[0] * gs[0] + v[1] * gs[1]) + v[2] * gs[2]) / (nv * EARTH_RADIUS_KM)
+    return np.degrees(np.arccos(np.clip(cosz, -1.0, 1.0)))
+
+
 def zenith_from_positions(sat_km: np.ndarray, gs_km: np.ndarray) -> np.ndarray:
     """Zenith angles [deg] of satellites seen from a ground station, shape (T, N).
 
@@ -202,13 +254,7 @@ def zenith_from_positions(sat_km: np.ndarray, gs_km: np.ndarray) -> np.ndarray:
     station's positions (T, 3) at the same instants; the station lies on
     the Earth's surface.
     """
-    rg = gs_km[:, None, :]
-    v = sat_km - rg
-    nv = np.linalg.norm(v, axis=-1)
-    if np.any(nv == 0.0):
-        raise ValueError("satellite coincident with ground station")
-    cosz = np.sum(v * rg, axis=-1) / (nv * EARTH_RADIUS_KM)
-    return np.degrees(np.arccos(np.clip(cosz, -1.0, 1.0)))
+    return _zenith(np.moveaxis(sat_km, -1, 0), gs_km.T[:, :, None])
 
 
 def zenith_angles_deg(spec: ConstellationSpec, gs: GroundStation, times_s, sats=None) -> np.ndarray:
@@ -223,10 +269,35 @@ def zenith_angles_deg(spec: ConstellationSpec, gs: GroundStation, times_s, sats=
 # dot products with the station nearly tie, so the whole row is searched.
 _TIE_COS = 1e-6
 
+# Long sample grids are evaluated this many samples at a time, in serving_state
+# and in the simulator's budgets: enough that numpy's per-call cost fades,
+# few enough that a chunk's arrays stay in cache and a small part of a
+# day's memory (whole-day (T, 4, 3) arrays made serving_state's traced peak
+# 35 MB on a default day).
+CHUNK_SAMPLES = 4096
 
-def _candidates(spec: ConstellationSpec, gs: GroundStation, t: np.ndarray):
+
+def _phase(spec: ConstellationSpec, t: np.ndarray) -> np.ndarray:
+    """Type-1: the satellites' shared argument of latitude u; Type-2: satellite 0's phase [rad]."""
+    return math.radians(spec.phase0_deg) + spec.mean_motion_rad_s * (t - spec.epoch_s)
+
+
+def _dot_scale(spec: ConstellationSpec, gs: GroundStation, base: np.ndarray) -> np.ndarray:
+    """c of ``_candidates`` at each phase of ``base``: cos u cos(lat) (Type-1) or cos(lat)."""
+    cos_lat = math.cos(math.radians(gs.latitude_deg))
+    if spec.kind is ConstellationKind.TYPE1_POLAR:
+        return np.cos(base) * cos_lat
+    return np.full(base.size, cos_lat)
+
+
+def _tied_rows(spec: ConstellationSpec, gs: GroundStation, t: np.ndarray) -> np.ndarray:
+    """The instants (indices into ``t``) whose rows ``serving_state`` searches in full."""
+    return np.flatnonzero(np.abs(_dot_scale(spec, gs, _phase(spec, t))) < _TIE_COS)
+
+
+def _candidates(spec: ConstellationSpec, gs: GroundStation, t: np.ndarray) -> np.ndarray:
     """The 4 satellites that can serve each instant, (T, 4) indices sorted in
-    each row, and the instants (indices into ``t``) whose rows need all N.
+    each row; where they may tie (``_tied_rows``) the whole row is needed.
 
     The orbit radius is common, so the zenith angle falls as the dot product
     of station and satellite positions rises, and that is rR [c cos(a - l)
@@ -243,17 +314,13 @@ def _candidates(spec: ConstellationSpec, gs: GroundStation, t: np.ndarray):
     """
     n = spec.num_sats
     lon = math.radians(gs.longitude_deg) + EARTH_ROTATION_RAD_S * t
-    base = math.radians(spec.phase0_deg) + spec.mean_motion_rad_s * (t - spec.epoch_s)
-    cos_lat = math.cos(math.radians(gs.latitude_deg))
+    base = _phase(spec, t)
     if spec.kind is ConstellationKind.TYPE1_POLAR:
-        c = np.cos(base) * cos_lat
-        x = (lon + np.where(c < 0.0, np.pi, 0.0)) * (n / (2.0 * np.pi))
+        x = (lon + np.where(_dot_scale(spec, gs, base) < 0.0, np.pi, 0.0)) * (n / (2.0 * np.pi))
     else:
-        c = np.full(t.size, cos_lat)
         x = (lon - base) * (n / (2.0 * np.pi))
     first = np.floor(x).astype(np.intp) - 1
-    cols = np.sort((first[:, None] + np.arange(4)) % n, axis=1)
-    return cols, np.flatnonzero(np.abs(c) < _TIE_COS)
+    return np.sort((first[:, None] + np.arange(4)) % n, axis=1)
 
 
 def serving_state(spec: ConstellationSpec, gs: GroundStation, times_s, theta_max_deg: float):
@@ -263,20 +330,31 @@ def serving_state(spec: ConstellationSpec, gs: GroundStation, times_s, theta_max
     index, bit for bit: only the candidates of ``_candidates`` are
     evaluated, each row's in index order, and the full row where they may
     tie.  The second array is the serving satellite's zenith angle wherever
-    one serves.
+    one serves.  The grid is taken ``CHUNK_SAMPLES`` instants at a time, in
+    component arrays; every instant's values are its own, so they do not
+    depend on the chunks.
     """
     t = np.atleast_1d(np.asarray(times_s, dtype=float))
-    cols, full = _candidates(spec, gs, t)
-    z = zenith_angles_deg(spec, gs, t, cols)
-    best = np.argmin(z, axis=1)
-    rows = np.arange(t.size)
-    serving = cols[rows, best]
-    zmin = z[rows, best]
-    if full.size:
-        z_full = zenith_angles_deg(spec, gs, t[full])
-        best = np.argmin(z_full, axis=1)
-        serving[full] = best
-        zmin[full] = z_full[np.arange(full.size), best]
+    serving = np.empty(t.size, dtype=np.intp)
+    zmin = np.empty(t.size)
+
+    def zenith(tc, pick):
+        return _zenith(_components(spec, tc, pick), gs_position_km(gs, tc).T[:, :, None])
+
+    for c in range(0, t.size, CHUNK_SAMPLES):
+        tc = t[c:c + CHUNK_SAMPLES]
+        cols = _candidates(spec, gs, tc)
+        z = zenith(tc, cols)
+        best = np.argmin(z, axis=1)
+        rows = np.arange(tc.size)
+        serving[c:c + tc.size] = cols[rows, best]
+        zmin[c:c + tc.size] = z[rows, best]
+        full = _tied_rows(spec, gs, tc)
+        if full.size:
+            z = zenith(tc[full], np.arange(spec.num_sats)[None, :])
+            best = np.argmin(z, axis=1)
+            serving[c + full] = best
+            zmin[c + full] = z[np.arange(full.size), best]
     return np.where(zmin <= theta_max_deg, serving, -1), zmin
 
 

@@ -42,19 +42,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import (
-    _candidates,
+    CHUNK_SAMPLES,
+    _tied_rows,
+    chord_lengths_km,
     extract_sessions,
-    positions_eci_km,
     serving_state,
     visibility_fraction,
 )
 # run_day places the stations through geometry.serving_state, extracts
 # sessions through geometry.extract_sessions, which bisects their edges
-# itself, and only geometry.find_sessions polishes; these four names stay in
-# this namespace, unused, because the benchmark's per-layer trace
-# (perfbench/tracing.py) hooks them here and its tests expect every hooked
-# name to exist.
+# itself, takes its chords from geometry.chord_lengths_km, and only
+# geometry.find_sessions polishes; these five names stay in this namespace,
+# unused, because the benchmark's per-layer trace (perfbench/tracing.py)
+# hooks them here and its tests expect every hooked name to exist.
 from .geometry import gs_position_km  # noqa: F401
+from .geometry import positions_eci_km  # noqa: F401
 from .geometry import _refine_boundaries as _refine_boundary  # noqa: F401
 from .geometry import _refine_min_zenith  # noqa: F401
 from .geometry import extract_sessions as _sessions_from_state  # noqa: F401
@@ -112,12 +114,11 @@ def day_phase_deg(config: ScenarioConfig, day_index: int) -> float:
     return (config.constellation.phase0_deg + 360.0 * frac) % 360.0
 
 
-# A station's in-session samples are budgeted and binned in chunks of this
-# many, which may split a session: enough samples that the budgets'
-# per-call cost fades, few enough that their arrays stay a small part of a
-# day's memory (whole-station arrays raised the peak resident memory of a
+# A station's in-session samples are budgeted and binned, and the ISL
+# reference chord taken, in chunks of geometry's size, which may split a
+# session (whole-station arrays raised the peak resident memory of a
 # Type-II N=36 day from 121 to 133 MB).
-_GROUP_SAMPLES = 4096
+_GROUP_SAMPLES = CHUNK_SAMPLES
 
 # the serving satellite's two partners, as offsets along the ring
 _SIDES = (-1, 1)
@@ -227,7 +228,7 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
             log.debug(
                 "day %d station %d: %d samples, %d on full rows; %d sessions of %d"
                 " samples in %d chunks; zenith %.3f s",
-                day_index, gs.id, times.size, _candidates(spec, gs, times)[1].size,
+                day_index, gs.id, times.size, _tied_rows(spec, gs, times).size,
                 len(sessions), sample.size, len(chunks), t_zenith,
             )
         rho[gs.id] = visibility_fraction(sessions, t_total)
@@ -242,14 +243,13 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
                 zen, config.optics, config.turbulence,
                 altitude_km=spec.altitude_km, theta_max_deg=config.theta_max_deg,
             )
-            sat = np.take(sats, session)
-            pos = positions_eci_km(spec, times[idx], sat[:, None] + np.array([-1, 0, 1]))
+            chords = chord_lengths_km(spec, times[idx], np.take(sats, session), _SIDES)
             isl = [
                 isl_efficiency(
-                    np.maximum(np.linalg.norm(pos[:, 1] - pos[:, 1 + side], axis=-1) * 1e3, 1.0),
-                    config.optics, include_pointing=config.isl_pointing_in_effective,
+                    np.maximum(chord * 1e3, 1.0), config.optics,
+                    include_pointing=config.isl_pointing_in_effective,
                 )
-                for side in _SIDES
+                for chord in chords
             ]
             bins.append(_effective_bins(config, session, ul, isl))
         if bins:
@@ -339,11 +339,13 @@ def _isl_reference(config: ScenarioConfig, spec, times) -> tuple:
     """Block of one bin, (arms (1, 2), pulses (1,)): the day of one adjacent ISL twin-field link.
 
     Uses the widest adjacent chord of the day (the worst instantaneous ISL
-    loss), a full-day block, and the same effective-link rule with both
-    arms on inter-satellite chords.
+    loss; a max, so taken a chunk of the grid at a time), a full-day block,
+    and the same effective-link rule with both arms on inter-satellite chords.
     """
-    pos = positions_eci_km(spec, times, [0, 1])
-    chord_m = float(np.max(np.linalg.norm(pos[:, 0, :] - pos[:, 1, :], axis=-1))) * 1e3
+    chord_m = max(
+        float(np.max(chord_lengths_km(spec, times[c:c + _GROUP_SAMPLES], 0, (1,))[0]))
+        for c in range(0, times.size, _GROUP_SAMPLES)
+    ) * 1e3
     eff = isl_efficiency(
         max(chord_m, 1.0), config.optics,
         include_pointing=config.isl_pointing_in_effective,

@@ -2,20 +2,23 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ringqkd import geometry
 from ringqkd.constants import EARTH_RADIUS_KM, EARTH_ROTATION_RAD_S
 from ringqkd.geometry import (
     ConstellationKind,
     ConstellationSpec,
     GroundStation,
     VisibilitySession,
-    _candidates,
     _refine_boundaries,
+    _tied_rows,
+    chord_lengths_km,
     clearance_segment_km,
     extract_sessions,
     find_sessions,
@@ -103,6 +106,34 @@ def test_selected_positions_are_slices_of_the_full_array(make):
     assert z.tobytes() == want.tobytes()
     with pytest.raises(ValueError):
         positions_eci_km(spec, times, idx[:-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(list(ConstellationKind)),
+    n=st.integers(3, 60),
+    phase0=st.floats(0.0, 360.0, exclude_max=True),
+    epoch=st.floats(0.0, 1e5),
+    dt=st.sampled_from([0.7, 1.0, 2.5, 5.0]),
+    offsets=st.lists(st.integers(-70, 70), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_chords_are_norms_of_position_differences(kind, n, phase0, epoch, dt, offsets, data):
+    # the component chords equal np.linalg.norm of the difference of the two
+    # satellites' positions_eci_km rows bit for bit, the form run_day took
+    # them in before, for one satellite at every instant or one per instant
+    spec = ConstellationSpec(kind, n, 500.0, epoch_s=epoch, phase0_deg=phase0)
+    times = epoch + dt * np.arange(data.draw(st.integers(1, 300)))
+    index = st.integers(-100, 100)
+    sats = data.draw(index | st.lists(index, min_size=times.size, max_size=times.size))
+    got = chord_lengths_km(spec, times, sats, offsets)
+    col = np.reshape(sats, (-1, 1))
+    pos = positions_eci_km(spec, times, col)[:, 0]
+    want = [
+        np.linalg.norm(pos - positions_eci_km(spec, times, col + d)[:, 0], axis=-1)
+        for d in offsets
+    ]
+    assert [c.tobytes() for c in got] == [w.tobytes() for w in want]
 
 
 def test_propagate_rejects_bad_specs():
@@ -527,13 +558,45 @@ def test_serving_state_searches_tied_rows_in_full():
     spec = spec_type1(n=24, phase0_deg=90.0)
     gs = GroundStation(1, 85.0, 0.0)
     times = np.arange(0.0, 600.0)
-    _, full = _candidates(spec, gs, times)
-    assert full.tolist() == [0]
+    assert _tied_rows(spec, gs, times).tolist() == [0]
     state, zmin = serving_state(spec, gs, times, 70.0)
     want_state, want_zmin = _serving_state(zenith_angles_deg(spec, gs, times), 70.0)
     assert state[0] >= 0
     assert state.tobytes() == want_state.tobytes()
     assert zmin.tobytes() == want_zmin.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(list(ConstellationKind)),
+    n=st.integers(3, 60),
+    latitude=st.floats(-90.0, 90.0),
+    longitude=st.floats(-180.0, 180.0, exclude_max=True),
+    phase0=st.floats(0.0, 360.0, exclude_max=True),
+    epoch=st.floats(0.0, 1e5),
+    dt=st.sampled_from([0.7, 1.0, 2.5, 5.0]),
+    cuts=st.lists(st.integers(0, 400), max_size=6),
+    chunk=st.integers(1, 64),
+)
+# the tied rows of the test above, 11 of them on 1 ms steps, split across
+# parts and chunks
+@example(kind=_POLAR, n=24, latitude=85.0, longitude=0.0, phase0=90.0, epoch=0.0, dt=1e-3,
+         cuts=[3, 5, 6, 9], chunk=2)
+def test_serving_state_is_the_same_on_any_split_of_the_grid(
+    kind, n, latitude, longitude, phase0, epoch, dt, cuts, chunk
+):
+    # every instant's serving state is its own: serving_state on a grid
+    # equals the concatenation of serving_state on the parts of any split
+    # of it, taken in chunks of any size, bit for bit
+    spec = ConstellationSpec(kind, n, 500.0, epoch_s=epoch, phase0_deg=phase0)
+    gs = GroundStation(1, latitude, longitude)
+    times = epoch + dt * np.arange(401)
+    state, zmin = serving_state(spec, gs, times, 70.0)
+    bounds = [0, *sorted(cuts), times.size]
+    with mock.patch.object(geometry, "CHUNK_SAMPLES", chunk):
+        parts = [serving_state(spec, gs, times[a:b], 70.0) for a, b in zip(bounds, bounds[1:])]
+    assert np.concatenate([p[0] for p in parts]).tobytes() == state.tobytes()
+    assert np.concatenate([p[1] for p in parts]).tobytes() == zmin.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,6 +4,7 @@ import logging
 import math
 import os
 import re
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ringqkd import simulator
-from ringqkd.geometry import extract_sessions, positions_eci_km, serving_state
+from ringqkd.geometry import CHUNK_SAMPLES, extract_sessions, positions_eci_km, serving_state
 from ringqkd.linkbudget import isl_efficiency, to_db, uplink_efficiency
 from ringqkd.scenario import load_scenario, manifest
 from ringqkd.simulator import (
@@ -289,8 +290,22 @@ def reference_blocks(config, day_index):
         blocks += [block_bytes(reference_block(config, bins)) for bins in session_bins]
     # equal blocks are optimised once; the ISL reference block comes last
     blocks = list(dict.fromkeys(blocks))
-    blocks.append(block_bytes(simulator._isl_reference(config, spec, times)))
+    blocks.append(block_bytes(reference_isl_block(config, spec, times)))
     return blocks
+
+
+def reference_isl_block(config, spec, times):
+    """The ISL reference block from the widest chord of the whole day's
+    positions of satellites 0 and 1 at once, as run_day took it before it
+    went a chunk at a time."""
+    pos = positions_eci_km(spec, times, [0, 1])
+    chord_m = float(np.max(np.linalg.norm(pos[:, 0, :] - pos[:, 1, :], axis=-1))) * 1e3
+    eff = isl_efficiency(
+        max(chord_m, 1.0), config.optics, include_pointing=config.isl_pointing_in_effective
+    )
+    arm = math.sqrt(eff)
+    arms = [[arm, arm]] if config.effective_mode == "max" else [[eff, eff]]
+    return np.array(arms), np.array([config.t_total_s * config.channel.rep_rate_hz])
 
 
 class _BlocksSeen(Exception):
@@ -343,6 +358,28 @@ def test_run_day_bins_match_per_session_reference(
             pytest.raises(_BlocksSeen):
         run_day(cfg, 0)
     assert seen[0] == reference_blocks(cfg, 0)
+
+
+def test_day_geometry_memory_is_a_few_chunks():
+    # serving_state and the ISL reference block walk a default day's grid a
+    # chunk at a time: the traced peak of each is its (T,) outputs and a
+    # few chunks' arrays, not whole-day position arrays (35 MB and 9.7 MB
+    # when they were; a chunk's (CHUNK_SAMPLES, 4) floats are 131 kB)
+    config = load_scenario()
+    spec = config.constellation
+    times = spec.epoch_s + config.time_step_s * np.arange(86401)
+    chunk = CHUNK_SAMPLES * 4 * 8
+    for run, outputs in [
+        (lambda: serving_state(spec, config.gs1, times, config.theta_max_deg), 3 * times.nbytes),
+        (lambda: simulator._isl_reference(config, spec, times), 0),
+    ]:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= outputs + 16 * chunk
 
 
 def test_off_grid_pulses_are_sample_counts_times_dt_times_rate():
