@@ -36,7 +36,14 @@ from .relay import (
     feasible_neighbor_range,
     min_compromise,
 )
-from .scenario import ScenarioConfig, format_value, load_scenario, manifest, read_values
+from .scenario import (
+    MAX_DAY_SAMPLES,
+    ScenarioConfig,
+    format_value,
+    load_scenario,
+    manifest,
+    read_values,
+)
 from .simulator import run_campaign, sweep_configs
 
 log = logging.getLogger(__name__)
@@ -135,6 +142,8 @@ def cmd_sweep(args) -> int:
         if not all(v.is_integer() for v in values):
             raise ValueError(f"--axis ns takes integer values, got {args.values!r}")
         values = [int(v) for v in values]
+    if len(set(values)) < len(values):  # summary.json keeps one entry a value
+        raise ValueError(f"--values repeats a value, got {args.values!r}")
     configs = sweep_configs(config, axis, values)
     outdir = _begin(args, config)
     for n in values if axis == "num_sats" else [config.constellation.num_sats]:
@@ -155,16 +164,23 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _half_pass_s(config: ScenarioConfig) -> float:
+    """Time [s] from overhead to the zenith cutoff on the synthetic pass."""
+    theta_max = math.radians(config.theta_max_deg)
+    # central angle at which the zenith angle reaches the cutoff: the zenith
+    # angle is the central angle plus the nadir angle asin(ratio * sin(zenith))
+    ratio = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + config.constellation.altitude_km)
+    gamma_max = theta_max - math.asin(ratio * math.sin(theta_max))
+    return gamma_max / config.constellation.mean_motion_rad_s
+
+
 def _zenith_pass_rows(config: ScenarioConfig, dt: float):
     """Synthetic zenith pass: polar satellite directly overhead at t = 0."""
     h = config.constellation.altitude_km
     w = config.constellation.mean_motion_rad_s
     theta_max = math.radians(config.theta_max_deg)
-    # central angle at which the zenith angle reaches the cutoff: the zenith
-    # angle is the central angle plus the nadir angle asin(ratio * sin(zenith))
     ratio = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + h)
-    gamma_max = theta_max - math.asin(ratio * math.sin(theta_max))
-    t_half = gamma_max / w
+    t_half = _half_pass_s(config)
     times = np.arange(-math.floor(t_half / dt) * dt, t_half + dt / 2, dt)
     rows = []
     for t in times:
@@ -186,7 +202,16 @@ def cmd_linkbudget(args) -> int:
     if not 3 <= args.isl_min_sats <= args.isl_max_sats:
         raise ValueError(f"--isl-min-sats/--isl-max-sats need 3 <= min <= max, got"
                          f" {args.isl_min_sats}/{args.isl_max_sats}")
+    sizes = args.isl_max_sats - args.isl_min_sats + 1
+    if args.isl and sizes > MAX_DAY_SAMPLES:
+        raise ValueError(f"--isl-min-sats/--isl-max-sats make {sizes} ring sizes, above"
+                         f" the limit MAX_DAY_SAMPLES = {MAX_DAY_SAMPLES:,}")
     config = load_scenario(args.scenario, args.set or ())
+    half = _half_pass_s(config) / args.dt
+    samples = 2 * math.floor(half) + 1 if math.isfinite(half) else half
+    if args.uplink_pass and samples > MAX_DAY_SAMPLES:
+        raise ValueError(f"--dt {args.dt} makes a zenith pass of {samples} samples, above"
+                         f" the limit MAX_DAY_SAMPLES = {MAX_DAY_SAMPLES:,}")
     outdir = _begin(args, config)
     if args.uplink_pass:
         rows = _zenith_pass_rows(config, args.dt)

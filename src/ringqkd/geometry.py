@@ -11,10 +11,10 @@ Each computation lives here once.  ``_components`` propagates any selection
 of satellites into x, y and z arrays of shape (T, k), so a caller computes
 only the columns it reads; ``positions_eci_km`` stacks them, and
 ``chord_lengths_km`` takes inter-satellite distances from them.
-``_zenith`` turns satellite and station components into zenith angles
-(``zenith_from_positions`` applies it to position arrays); its norm and
-dot product add their three terms in the order numpy reduces a last axis
-of 3, so components and stacked positions give the same bits.
+``_zenith`` turns satellite and station components into zenith angles,
+adding the terms of its norm and dot product in the order numpy reduces a
+last axis of 3, so stacked positions give the same bits; ``_zenith_deg``,
+the one zenith route, applies it for ``zenith_angles_deg`` and ``serving_state``.
 ``serving_state`` gives each instant's serving satellite and its zenith
 angle, evaluating only the 4 satellites that can be nearest (all N where
 they nearly tie), equal bit for bit to the argmin of the full zenith row,
@@ -131,6 +131,11 @@ def _selection(spec: ConstellationSpec, sats, size: int) -> np.ndarray:
     return pick
 
 
+def _phase(spec: ConstellationSpec, t: np.ndarray) -> np.ndarray:
+    """Type-1: the satellites' shared argument of latitude u; Type-2: satellite 0's phase [rad]."""
+    return math.radians(spec.phase0_deg) + spec.mean_motion_rad_s * (t - spec.epoch_s)
+
+
 def _components(spec: ConstellationSpec, t: np.ndarray, pick: np.ndarray) -> tuple:
     """ECI x, y and z [km] of the satellites ``pick`` selects, each (len(t), k).
 
@@ -143,7 +148,7 @@ def _components(spec: ConstellationSpec, t: np.ndarray, pick: np.ndarray) -> tup
         raise ValueError("time precedes the constellation epoch")
     r = spec.orbit_radius_km
     n = spec.num_sats
-    base = np.radians(spec.phase0_deg) + spec.mean_motion_rad_s * (t - spec.epoch_s)  # (T,)
+    base = _phase(spec, t)  # (T,)
     idx = 2.0 * np.pi * np.arange(n) / n  # (N,)
     if spec.kind is ConstellationKind.TYPE1_POLAR:
         # Plane i has right ascension idx[i]; all satellites share u(t).
@@ -247,22 +252,17 @@ def _zenith(sat, gs) -> np.ndarray:
     return np.degrees(np.arccos(np.clip(cosz, -1.0, 1.0)))
 
 
-def zenith_from_positions(sat_km: np.ndarray, gs_km: np.ndarray) -> np.ndarray:
-    """Zenith angles [deg] of satellites seen from a ground station, shape (T, N).
-
-    ``sat_km`` holds satellite positions (T, N, 3) and ``gs_km`` the
-    station's positions (T, 3) at the same instants; the station lies on
-    the Earth's surface.
-    """
-    return _zenith(np.moveaxis(sat_km, -1, 0), gs_km.T[:, :, None])
+def _zenith_deg(spec: ConstellationSpec, gs: GroundStation, t: np.ndarray, pick: np.ndarray):
+    """Zenith angles [deg] of the satellites ``pick`` selects (see ``_selection``)
+    seen from ``gs`` at the instants ``t``, (len(t), k): the one zenith route."""
+    return _zenith(_components(spec, t, pick), gs_position_km(gs, t).T[:, :, None])
 
 
 def zenith_angles_deg(spec: ConstellationSpec, gs: GroundStation, times_s, sats=None) -> np.ndarray:
     """Zenith angles of the satellites ``sats`` selects (see ``positions_eci_km``),
     shape (len(times), k); all ``num_sats`` by default."""
-    return zenith_from_positions(
-        positions_eci_km(spec, times_s, sats), gs_position_km(gs, times_s)
-    )
+    t = np.atleast_1d(np.asarray(times_s, dtype=float))
+    return _zenith_deg(spec, gs, t, _selection(spec, sats, t.size))
 
 
 # Below this |cos u cos(lat)| (Type-1) or cos(lat) (Type-2) the satellites'
@@ -275,11 +275,6 @@ _TIE_COS = 1e-6
 # day's memory (whole-day (T, 4, 3) arrays made serving_state's traced peak
 # 35 MB on a default day).
 CHUNK_SAMPLES = 4096
-
-
-def _phase(spec: ConstellationSpec, t: np.ndarray) -> np.ndarray:
-    """Type-1: the satellites' shared argument of latitude u; Type-2: satellite 0's phase [rad]."""
-    return math.radians(spec.phase0_deg) + spec.mean_motion_rad_s * (t - spec.epoch_s)
 
 
 def _dot_scale(spec: ConstellationSpec, gs: GroundStation, base: np.ndarray) -> np.ndarray:
@@ -337,21 +332,17 @@ def serving_state(spec: ConstellationSpec, gs: GroundStation, times_s, theta_max
     t = np.atleast_1d(np.asarray(times_s, dtype=float))
     serving = np.empty(t.size, dtype=np.intp)
     zmin = np.empty(t.size)
-
-    def zenith(tc, pick):
-        return _zenith(_components(spec, tc, pick), gs_position_km(gs, tc).T[:, :, None])
-
     for c in range(0, t.size, CHUNK_SAMPLES):
         tc = t[c:c + CHUNK_SAMPLES]
         cols = _candidates(spec, gs, tc)
-        z = zenith(tc, cols)
+        z = _zenith_deg(spec, gs, tc, cols)
         best = np.argmin(z, axis=1)
         rows = np.arange(tc.size)
         serving[c:c + tc.size] = cols[rows, best]
         zmin[c:c + tc.size] = z[rows, best]
         full = _tied_rows(spec, gs, tc)
         if full.size:
-            z = zenith(tc[full], np.arange(spec.num_sats)[None, :])
+            z = _zenith_deg(spec, gs, tc[full], np.arange(spec.num_sats)[None, :])
             best = np.argmin(z, axis=1)
             serving[c + full] = best
             zmin[c + full] = z[np.arange(full.size), best]

@@ -7,7 +7,10 @@ unit in the name (nm, urad, m, dB).  Values are stored as typed; SI values are
 derived where they are read, not converted at the boundary.
 
 ``_TABLE`` is the one list of keys.  Loading a scenario and writing its
-manifest are both loops over it, so a new key is one table row.  Every
+manifest are both loops over it, so a new key is one table row.  A row's
+parser only reads the text (a key with a set of options is a ``str``);
+every range and option is checked once, by the dataclass the row targets,
+and the error of a value rejected on its own names its key.  Every
 ``ScenarioConfig`` is validated when it is built, ``dataclasses.replace``
 included.
 """
@@ -106,15 +109,6 @@ def _bool(raw: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
-def _choice(*options: str):
-    """Parser for a string key that takes only ``options``."""
-    def parse(raw: str) -> str:
-        if raw not in options:
-            raise ValueError(f"expected one of {', '.join(options)}")
-        return raw
-    return parse
-
-
 # (section, key) -> (parser, target, field).  The target dataclass receives
 # the parsed value as that field, and a key left unset takes the field's
 # default; GroundStation is gs1.  The manifest lists the keys in this order.
@@ -136,7 +130,7 @@ _TABLE = {
     ("optics", "pointing_jitter_urad"): (float, OpticalParams, "pointing_jitter_urad"),
     ("optics", "optics_efficiency"): (float, OpticalParams, "optics_efficiency"),
     ("optics", "atm_loss_db_zenith"): (float, OpticalParams, "atm_loss_db_zenith"),
-    ("turbulence", "model"): (_choice("hufnagel_valley", "none"), TurbulenceProfile, "model"),
+    ("turbulence", "model"): (str, TurbulenceProfile, "model"),
     ("turbulence", "wind_speed_mps"): (float, TurbulenceProfile, "wind_speed_mps"),
     ("turbulence", "cn2_ground"): (float, TurbulenceProfile, "cn2_ground"),
     ("turbulence", "gs_altitude_m"): (float, TurbulenceProfile, "gs_altitude_m"),
@@ -147,7 +141,7 @@ _TABLE = {
     ("channel", "optical_error"): (float, ChannelModel, "optical_error"),
     ("channel", "rep_rate_ghz"): (float, ChannelModel, "rep_rate_ghz"),
     ("channel", "error_correction_factor"): (float, ChannelModel, "error_correction_factor"),
-    ("channel", "effective_mode"): (_choice("max", "asymmetric"), ScenarioConfig, "effective_mode"),
+    ("channel", "effective_mode"): (str, ScenarioConfig, "effective_mode"),
     ("channel", "isl_pointing_in_effective"): (_bool, ScenarioConfig, "isl_pointing_in_effective"),
     ("security", "eps_cor"): (float, SecurityEpsilons, "eps_cor"),
     ("security", "eps_pa"): (float, SecurityEpsilons, "eps_pa"),
@@ -159,7 +153,7 @@ _TABLE = {
     ("campaign", "seed"): (int, ScenarioConfig, "seed"),
     ("campaign", "time_step_s"): (float, ScenarioConfig, "time_step_s"),
     ("campaign", "theta_max_deg"): (float, ScenarioConfig, "theta_max_deg"),
-    ("campaign", "pooling"): (_choice("daily", "session"), ScenarioConfig, "pooling"),
+    ("campaign", "pooling"): (str, ScenarioConfig, "pooling"),
     ("campaign", "vary_phase"): (_bool, ScenarioConfig, "vary_phase"),
     ("campaign", "optimizer_starts"): (int, ScenarioConfig, "optimizer_starts"),
     ("campaign", "optimizer_evals"): (int, ScenarioConfig, "optimizer_evals"),
@@ -201,6 +195,8 @@ def read_values(path: str | None, table: dict, overrides=()) -> dict:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 parser.read_file(fh, source=path)
+            if parser.defaults():  # configparser would copy its keys into every section
+                raise ValueError(f"unknown scenario section [{parser.default_section}]")
             for sec in parser.sections():
                 if sec not in sections:
                     raise ValueError(f"unknown scenario section [{sec}]")

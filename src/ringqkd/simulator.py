@@ -218,11 +218,10 @@ def run_day(config: ScenarioConfig, day_index: int, _cache: dict | None = None) 
             spec, gs, times, dt, state, zmin, config.theta_max_deg
         )
         sats = [session.serving_sat for session in sessions]
-        # every in-session sample's index on the day's grid, and its session
-        starts, stops = np.array(sample_ranges, dtype=np.intp).reshape(-1, 2).T
-        lengths = stops - starts
-        sample = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-        session_of = np.repeat(np.arange(len(sessions)), lengths)
+        # every in-session sample's index on the day's grid, and its session:
+        # the sessions' ranges tile the served samples in order
+        sample = np.flatnonzero(state >= 0)
+        session_of = np.repeat(np.arange(len(sessions)), [j - i for i, j in sample_ranges])
         chunks = range(0, sample.size, _GROUP_SAMPLES)
         if log.isEnabledFor(logging.DEBUG):
             log.debug(

@@ -79,6 +79,38 @@ def test_boolean_keys_reject_other_spellings(tmp_path, capsys):
     assert "campaign.vary_phase" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dotted", ["turbulence.model", "channel.effective_mode", "campaign.pooling"])
+def test_choice_keys_reject_other_values(dotted, tmp_path, capsys):
+    # a value outside a key's options, from --set or from a scenario file,
+    # exits 2 before the output directory is made, and the error names the key
+    out = tmp_path / "out"
+    named = f"bad value for {dotted}: 'foo' (unknown "  # then the model's own reason
+    assert run_cli("validate", "--output-dir", str(out), "--set", f"{dotted}=foo") == 2
+    assert named in capsys.readouterr().err
+    sec, key = dotted.split(".")
+    scenario = tmp_path / "s.ini"
+    scenario.write_text(f"[{sec}]\n{key} = foo\n")
+    assert run_cli("validate", str(scenario), "--output-dir", str(out)) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nnum_sats = 24\n",  # dropped: no section to copy it into
+    "[DEFAULT]\nseed = 3\n[campaign]\nn_days = 1\n",  # copied into [campaign]
+    "[DEFAULT]\nseed = 3\n[campaign]\nn_days = 1\n[optics]\nwavelength_nm = 1550\n",
+])
+def test_scenario_file_rejects_default_keys(text, tmp_path, capsys):
+    # configparser copies [DEFAULT] keys into every section, or drops them
+    # when there is none; either way the file is rejected, naming the section
+    scenario = tmp_path / "s.ini"
+    scenario.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("validate", str(scenario), "--output-dir", str(out)) == 2
+    assert "[DEFAULT]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def attachment_warnings(caplog):
     return [
         r for r in caplog.records
@@ -164,14 +196,27 @@ def test_sweep_curves(tmp_path):
     assert (tmp_path / "curves" / "rho_vis_gs1.csv").exists()
 
 
-@pytest.mark.parametrize("values", ["12.5", "inf", "12,11"])
+@pytest.mark.parametrize("values", ["12.5", "inf", "12,11", "12,16,12"])
 def test_sweep_rejects_bad_ns_before_any_campaign(values, tmp_path, monkeypatch):
-    # a non-integer N, or an N that fails validation anywhere in the list,
-    # exits 2 before the first campaign runs
+    # a non-integer N, an N that fails validation anywhere in the list, or a
+    # repeated N exits 2 before the first campaign runs
     ran = []
     monkeypatch.setattr(cli, "run_campaign", ran.append)
     assert run_cli("sweep", *fast_args(tmp_path), "--axis", "ns", "--values", values) == 2
     assert ran == []
+
+
+@pytest.mark.parametrize("values", ["10,10.0,1e1", "0,-0"])
+def test_sweep_rejects_repeated_values(values, tmp_path, monkeypatch, capsys):
+    # summary.json keeps one entry a value, so a value repeated in any
+    # spelling exits 2 before any campaign runs
+    ran = []
+    monkeypatch.setattr(cli, "run_campaign", ran.append)
+    out = tmp_path / "out"
+    argv = ["sweep", *fast_args(out), "--axis", "latitude", "--values", values]
+    assert run_cli(*argv) == 2
+    assert "repeats" in capsys.readouterr().err
+    assert ran == [] and not out.exists()
 
 
 def test_linkbudget_pass_profile(tmp_path):
@@ -213,13 +258,44 @@ def test_linkbudget_needs_a_profile(tmp_path, capsys):
     (("--isl-min-sats", "0"), "--isl-min-sats"),
     (("--isl-min-sats", "2"), "--isl-min-sats"),
     (("--isl-min-sats", "12", "--isl-max-sats", "10"), "--isl-max-sats"),
+    # more than MAX_DAY_SAMPLES pass samples, 2 floor(t_half / dt) + 1, or ring sizes
+    (("--dt", "1e-6"), "--dt"),  # about 3e8 samples
+    (("--dt", "1e-300"), "--dt"),
+    (("--dt", "5e-324"), "--dt"),  # t_half / dt overflows
+    (("--isl-max-sats", "1000000000"), "--isl-max-sats"),
+    (("--isl-min-sats", "3", "--isl-max-sats", "2000003"), "--isl-max-sats"),
 ])
-def test_linkbudget_rejects_bad_flags(flags, named, tmp_path, capsys):
-    # a validation error that names the flag, before any file is written
+def test_linkbudget_rejects_bad_flags(flags, named, tmp_path, monkeypatch, capsys):
+    # a validation error that names the flag, before any file is written or
+    # any profile computed (they refuse to run, so a missed check fails at once)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a profile was computed")
+
+    monkeypatch.setattr(cli, "_zenith_pass_rows", refuse)
+    monkeypatch.setattr(cli, "isl_efficiency", refuse)
     out = tmp_path / "out"
     assert run_cli("linkbudget", *fast_args(out), "--uplink-pass", "--isl", *flags) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_linkbudget_pass_limit_is_the_sample_count(tmp_path, monkeypatch):
+    # 2 floor(t_half / dt) + 1 samples: dt just under t_half / 1e6 makes
+    # 2,000,001 samples, above MAX_DAY_SAMPLES; just over it, 1,999,999
+    assert cli.MAX_DAY_SAMPLES == 2_000_000
+    t_half = cli._half_pass_s(cli.load_scenario())
+    passes = []
+
+    def one_row(config, dt):
+        passes.append(dt)
+        return [(0.0, 0.0, 500.0, 70.0)]
+
+    monkeypatch.setattr(cli, "_zenith_pass_rows", one_row)
+    over, under = t_half / (1e6 + 0.5), t_half / (1e6 - 0.5)
+    argv = ["linkbudget", "--output-dir", str(tmp_path), "--uplink-pass", "--dt"]
+    assert run_cli(*argv, repr(over)) == 2
+    assert run_cli(*argv, repr(under)) == 0
+    assert passes == [under]
 
 
 @pytest.mark.parametrize("flags, named", [
@@ -442,6 +518,8 @@ def test_security_scenario_file(tmp_path, capsys):
     for text, named in [
         ("warp = 1", "security_scenario.warp"),
         ("n_sats = 12.5", "security_scenario.n_sats"),
+        # configparser would copy n_sats into [security_scenario]
+        ("i = 0\nk = 6\n[DEFAULT]\nn_sats = 12", "[DEFAULT]"),
     ]:
         scen.write_text(f"[security_scenario]\n{text}\n")
         assert run_cli("security", "--file", str(scen), "--output-dir", str(tmp_path)) == 2

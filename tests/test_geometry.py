@@ -28,7 +28,6 @@ from ringqkd.geometry import (
     serving_state,
     visibility_fraction,
     zenith_angles_deg,
-    zenith_from_positions,
 )
 
 
@@ -251,7 +250,42 @@ def test_min_ring_size_rejects_inverted_shell():
 
 def _zenith(sat_km, gs_km):
     """Zenith angle [deg] of one satellite position seen from one station position."""
-    return float(zenith_from_positions(np.asarray(sat_km)[None, None, :], gs_km[None, :])[0, 0])
+    return float(geometry._zenith(
+        [np.full((1, 1), c) for c in sat_km], [np.full((1, 1), c) for c in gs_km]
+    )[0, 0])
+
+
+def _stacked_zenith(spec, gs, times, sats=None):
+    """The zenith formula on stacked (T, k, 3) satellite and (T, 3) station
+    positions: the oracle of the component route."""
+    sat = np.moveaxis(positions_eci_km(spec, times, sats), -1, 0)
+    return geometry._zenith(sat, gs_position_km(gs, times).T[:, :, None])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(list(ConstellationKind)),
+    n=st.integers(3, 60),
+    latitude=st.floats(-90.0, 90.0),
+    longitude=st.floats(-180.0, 180.0, exclude_max=True),
+    phase0=st.floats(-1e4, 1e4),
+    epoch=st.floats(0.0, 1e5),
+    dt=st.sampled_from([0.7, 1.0, 2.5, 5.0]),
+    data=st.data(),
+)
+def test_zenith_angles_match_stacked_positions(kind, n, latitude, longitude, phase0, epoch, dt,
+                                               data):
+    # all satellites, columns (cyclic, repeated) or one row of indices per
+    # instant: zenith_angles_deg equals the stacked form byte for byte
+    spec = ConstellationSpec(kind, n, 500.0, epoch_s=epoch, phase0_deg=phase0)
+    gs = GroundStation(1, latitude, longitude)
+    times = epoch + dt * np.arange(data.draw(st.integers(1, 200)))
+    index = st.integers(-100, 100)
+    k = data.draw(st.integers(1, 5))
+    row = st.lists(index, min_size=k, max_size=k)
+    sats = data.draw(st.none() | row | st.lists(row, min_size=times.size, max_size=times.size))
+    got = zenith_angles_deg(spec, gs, times, sats)
+    assert got.tobytes() == _stacked_zenith(spec, gs, times, sats).tobytes()
 
 
 def test_zenith_overhead_and_horizon():

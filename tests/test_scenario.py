@@ -107,8 +107,8 @@ def test_unreadable_file_is_a_value_error(tmp_path):
             load_scenario(str(path))
 
 
-# a value out of range for every key whose dataclass checks a range (the
-# other keys take any value their parser accepts)
+# a value out of range for every key whose dataclass checks a range or a
+# set of options (the other keys take any value their parser accepts)
 OUT_OF_RANGE = {
     ("constellation", "num_sats"): "2",
     ("constellation", "altitude_km"): "0",
@@ -124,6 +124,7 @@ OUT_OF_RANGE = {
     ("optics", "pointing_jitter_urad"): "-1",
     ("optics", "optics_efficiency"): "1.5",
     ("optics", "atm_loss_db_zenith"): "-1",
+    ("turbulence", "model"): "kolmogorov",
     ("turbulence", "wind_speed_mps"): "-1",
     ("turbulence", "cn2_ground"): "-1e-14",
     ("turbulence", "gs_altitude_m"): "30000",
@@ -134,11 +135,13 @@ OUT_OF_RANGE = {
     ("channel", "optical_error"): "0.6",
     ("channel", "rep_rate_ghz"): "1e300",  # overflows to inf Hz
     ("channel", "error_correction_factor"): "0.9",
+    ("channel", "effective_mode"): "min",
     **{("security", key): "1" for key in ("eps_cor", "eps_pa", "eps_hat", "eps_bar", "eps_n1")},
     ("campaign", "t_total_s"): "0",
     ("campaign", "n_days"): "0",
     ("campaign", "time_step_s"): "-1",
     ("campaign", "theta_max_deg"): "90",
+    ("campaign", "pooling"): "Daily",
     ("campaign", "optimizer_starts"): "0",
     ("campaign", "optimizer_evals"): "0",
     ("campaign", "workers"): "0",
